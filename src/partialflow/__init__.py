@@ -77,7 +77,7 @@ from .profile import (
     profile_grid,
     velocity_cdf,
 )
-from .quadrature import QuadratureSpec, adaptive_integrate, panel_integrate
+from .quadrature import QuadratureSpec, adaptive_integrate
 from .simulator import (
     ScenarioSpec,
     WeirMode,

@@ -73,14 +73,18 @@ def repeatability(samples: Sequence[float]) -> float:
     """Relative sample standard deviation in percent.
 
     R = 100 * sqrt(sum((Q_i - mean)^2) / (n - 1)) / mean, n >= 2.
+    The sums run on deviations from the first sample, so identical
+    samples give exactly zero.
     """
     n = len(samples)
     if n < 2:
         raise OutOfRangeError(f"repeatability needs at least 2 samples, got {n}")
-    mean = sum(samples) / n
+    shifted = [q - samples[0] for q in samples]
+    offset = math.fsum(shifted) / n
+    mean = samples[0] + offset
     if mean == 0:
         raise OutOfRangeError("repeatability undefined for zero mean flow")
-    variance = sum((q - mean) ** 2 for q in samples) / (n - 1)
+    variance = math.fsum((d - offset) ** 2 for d in shifted) / (n - 1)
     return 100.0 * math.sqrt(variance) / abs(mean)
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 from .clogging import DecisionBoundary
 from .errors import ConfigError
 from .fpcf import FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
-from .geometry import DEFAULT_KINEMATIC_VISCOSITY, PipeGeometry, chord_half_width
+from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
 from .quadrature import QuadratureSpec
@@ -30,7 +30,6 @@ class RunConfig:
     fpcf_h_max_mm: float = 250.0
     fpcf_step_mm: float = 10.0
     k_cal: float = 1.0
-    viscosity_m2_s: float = DEFAULT_KINEMATIC_VISCOSITY
     boundary: DecisionBoundary = field(default_factory=DecisionBoundary)
     debounce: int = 5
     quad: QuadratureSpec = field(default_factory=QuadratureSpec)
@@ -81,7 +80,6 @@ _SCALAR_KEYS = {
     "pipe.diameter_mm",
     "entropy.m",
     "entropy.q",
-    "viscosity_m2_s",
     "calibration.factor",
     "quad.rel_tol",
     "quad.max_depth",
@@ -135,7 +133,7 @@ def parse_config(text: str) -> RunConfig:
         )
         quad = QuadratureSpec(
             rel_tol=_parse_float(pairs.get("quad.rel_tol", "1e-6"), "quad.rel_tol"),
-            max_depth=_parse_int(pairs.get("quad.max_depth", "48"), "quad.max_depth"),
+            max_depth=_parse_int(pairs.get("quad.max_depth", "16"), "quad.max_depth"),
             nodes=_parse_int(pairs.get("quad.nodes", "15"), "quad.nodes"),
         )
         boundary = DecisionBoundary(
@@ -190,9 +188,6 @@ def parse_config(text: str) -> RunConfig:
             fpcf_h_max_mm=h_max,
             fpcf_step_mm=step,
             k_cal=_parse_float(pairs.get("calibration.factor", "1"), "calibration.factor"),
-            viscosity_m2_s=_parse_float(
-                pairs.get("viscosity_m2_s", repr(DEFAULT_KINEMATIC_VISCOSITY)), "viscosity_m2_s"
-            ),
             boundary=boundary,
             debounce=_parse_int(pairs.get("clog.debounce", "5"), "clog.debounce"),
             quad=quad,

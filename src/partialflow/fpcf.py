@@ -26,7 +26,7 @@ from .profile import (
     ProfileModel,
     evaluate_velocity,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_integrate
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, unit_integrate
 
 
 @dataclass(frozen=True)
@@ -78,28 +78,14 @@ def eval_fpcf(poly: FpcfPolynomial, level_mm: float) -> float:
     return acc
 
 
-def _half_chord_integral(model: ProfileModel, y_m: float, quad: QuadratureSpec) -> float:
-    """integral of v over x in [0, w(y)] via the graded map x = w sin(pi u / 2)."""
-    w = chord_half_width(y_m, model.pipe)
-    if w <= 0.0:
-        return 0.0
-
-    def integrand(u):
-        angle = 0.5 * math.pi * u
-        x = w * np.sin(angle)
-        jac = w * 0.5 * math.pi * np.cos(angle)
-        return evaluate_velocity(model, x, y_m) * jac
-
-    value, _ = adaptive_integrate(integrand, 0.0, 1.0, quad)
-    return value
-
-
 def mean_chord_velocity(
     model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
     """Mean of v/v_max along the horizontal chord at the sensor height.
 
-    A chord exactly at the water line (Y = H) is still evaluable; only
+    The integrand is even in x by the |x| convention, so the half chord
+    [0, w] is mapped onto [0, 1] by the graded map x = w sin(pi u / 2). A
+    chord exactly at the water line (Y = H) is still evaluable; only
     Y > H is a dry path.
     """
     if chord_height_m <= 0:
@@ -110,33 +96,44 @@ def mean_chord_velocity(
             f"({model.level.level_m:g} m)"
         )
     w = chord_half_width(chord_height_m, model.pipe)
-    # The integrand is even in x by the |x| convention: half-span times two.
-    return _half_chord_integral(model, chord_height_m, quad) / w
+
+    def integrand(u):
+        angle = 0.5 * math.pi * u
+        return evaluate_velocity(model, w * np.sin(angle), chord_height_m) * (
+            0.5 * math.pi * np.cos(angle)
+        )
+
+    value, _ = unit_integrate(integrand, spec=quad)
+    return value
 
 
 def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Mean of v/v_max over the wetted segment.
 
-    Iterated quadrature, y outer and x inner, with the inner span mapped
-    exactly onto [-w(y), w(y)].
+    One tensor-product rule over the graded maps y = H sin^2(pi t / 2) and
+    x = w(y) sin(pi u / 2), which cover the half segment x >= 0 (the
+    integrand is even in x). The t panels end where the centreline dip
+    height h' and the clamp height 2h' fall below the surface: the profile
+    has kinks there.
     """
     height = model.level.level_m
     if height <= 0:
         raise OutOfRangeError("area mean undefined for an empty pipe")
+    diameter = model.pipe.diameter_m
+    dip = model.dip_height_m
+    kinks = [2.0 / math.pi * math.asin(math.sqrt(z / height))
+             for z in (dip, 2.0 * dip) if z < height]
 
-    def outer(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        angle = 0.5 * math.pi * t
-        y = height * np.sin(angle) ** 2
-        jac = height * 0.5 * math.pi * np.sin(math.pi * t)
-        for i in range(t.size):
-            out[i] = 2.0 * _half_chord_integral(model, float(y[i]), quad) * jac[i]
-        return out
+    def integrand(t, u):
+        y = height * np.sin(0.5 * math.pi * t) ** 2
+        w = np.sqrt(y * (diameter - y))
+        angle = 0.5 * math.pi * u
+        x = w[:, None] * np.sin(angle)
+        jac = (w * height * math.pi * np.sin(math.pi * t))[:, None] * np.cos(angle)
+        return evaluate_velocity(model, x, y[:, None]) * (0.5 * math.pi * jac)
 
-    value, _ = adaptive_integrate(outer, 0.0, 1.0, quad)
-    area = segment_area(model.level, model.pipe)
-    return value / area
+    value, _ = unit_integrate(integrand, (kinks, ()), quad)
+    return value / segment_area(model.level, model.pipe)
 
 
 def fpcf(

@@ -305,6 +305,7 @@ def write_frame_rows(frames: Iterable[SensorFrame], stream) -> None:
     for frame in frames:
         for r in frame.readings:
             stream.write(
-                f"{frame.timestamp_s!r},{r.chord_id},"
-                f"{r.t_up_s * 1e9!r},{r.t_down_s * 1e9!r},{frame.level_mm!r}\n"
+                f"{float(frame.timestamp_s)!r},{r.chord_id},"
+                f"{float(r.t_up_s * 1e9)!r},{float(r.t_down_s * 1e9)!r},"
+                f"{float(frame.level_mm)!r}\n"
             )

@@ -157,11 +157,10 @@ def local_frame(point: ProfilePoint, model: ProfileModel) -> tuple[float, float,
 
 def velocity_cdf(point: ProfilePoint, model: ProfileModel) -> float:
     """Velocity CDF value F at the point, clamped into [0, 1]."""
-    y_local, h_local, dip_local = local_frame(point, model)
+    y_local, _, dip_local = local_frame(point, model)
     value = _evaluate_cdf(
         np.abs(np.asarray([point.x])),
         np.asarray([y_local]),
-        np.asarray([h_local]),
         np.asarray([dip_local]),
         model,
     )
@@ -175,7 +174,7 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
     return float(value[0])
 
 
-def _evaluate_cdf(x_abs, y_local, h_local, dip_local, model: ProfileModel):
+def _evaluate_cdf(x_abs, y_local, dip_local, model: ProfileModel):
     """Vectorized CDF for points with y' >= 0 and h' > 0; F(y'=0) = 0."""
     # boundary points can round to y' = -epsilon; anything further negative
     # would put a negative base under a non-integer power
@@ -256,7 +255,7 @@ def evaluate_velocity(model: ProfileModel, x, y, validate: bool = False):
     if np.any(core):
         yl = y_local[core]
         dl = model.dip_ratio * depth_local[core]
-        f_cdf = _evaluate_cdf(x_abs[core], yl, depth_local[core], dl, model)
+        f_cdf = _evaluate_cdf(x_abs[core], yl, dl, model)
         c = model.params.tail_weight
         weight = _dip_weight(yl, y_arr[core], model.dip_weight_mode)
         bracket = weight * (1.0 - c) * f_cdf + c
@@ -281,7 +280,9 @@ class ProfileGrid:
         stream.write("x_mm,y_mm,v_norm\n")
         for j, yv in enumerate(self.y_m):
             for i, xv in enumerate(self.x_m):
-                stream.write(f"{1000.0 * xv!r},{1000.0 * yv!r},{self.v[j, i]!r}\n")
+                stream.write(
+                    f"{float(1000.0 * xv)!r},{float(1000.0 * yv)!r},{float(self.v[j, i])!r}\n"
+                )
 
 
 def profile_grid(model: ProfileModel, nx: int, ny: int) -> ProfileGrid:

@@ -23,12 +23,14 @@ from partialflow import (
     PipeGeometry,
     ProfileModel,
     ProfilePoint,
+    QuadratureSpec,
     TrialRecord,
     WaterLevel,
     calibration_factor,
     classify,
     error_table,
     eval_fpcf,
+    fpcf,
     fwme,
     line_velocity,
     normalized_velocity,
@@ -51,7 +53,6 @@ from partialflow.simulator import (
 )
 
 from conftest import RIG_REFERENCE_FPCF_COEFFS, rig_reference_fpcf
-from test_fpcf import _fpcf_fixed_mesh
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
@@ -149,8 +150,9 @@ def test_c05_profile_normalization():
 
 
 def test_c06_quadrature_convergence():
-    coarse = _fpcf_fixed_mesh(0.125, 0.050, 32)
-    fine = _fpcf_fixed_mesh(0.125, 0.050, 64)
+    model = ProfileModel(pipe=PIPE, level=WaterLevel(0.125))
+    coarse = fpcf(model, 0.050)
+    fine = fpcf(model, 0.050, QuadratureSpec(rel_tol=1e-9))
     refinement_gap = abs(fine - coarse)
 
     poly_value, _ = adaptive_integrate(lambda x: 5 * x**4 - 2 * x + 1, -1.0, 2.0)

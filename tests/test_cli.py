@@ -19,6 +19,8 @@ class TestProfileCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "x_mm,y_mm,v_norm"
         assert len(lines) == 1 + 41 * 41
+        # plain decimals (or nan outside the bore), never a numpy repr
+        assert all(len([float(v) for v in line.split(",")]) == 3 for line in lines[1:])
 
     def test_overfull_level_exits_1(self, capsys):
         code, _, err = run(capsys, "profile", "--level-mm", "300")
@@ -116,6 +118,19 @@ class TestProcessCommand:
         code2, out2, _ = run(capsys, "process", "--frames", str(frames))
         assert code1 == code2 == 0
         assert out1 == out2
+        assert "summary frames=5 diagnostics=0" in out1
+
+    def test_noisy_simulate_process_round_trip(self, capsys, tmp_path):
+        # noisy transit times are numpy floats; the CSV must hold plain
+        # decimals so that every simulated frame parses back
+        frames = tmp_path / "frames.csv"
+        code, _, _ = run(capsys, "simulate", "--flow-lps", "4", "--frames", "20",
+                         "--noise-ns", "0.5", "--seed", "3", "--out", str(frames))
+        assert code == 0
+        assert "np." not in frames.read_text()
+        code, out, _ = run(capsys, "process", "--frames", str(frames))
+        assert code == 0
+        assert "summary frames=20 diagnostics=0" in out
 
     def test_weir_stream_raises_alarm(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

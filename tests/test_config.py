@@ -29,7 +29,6 @@ FULL_DOC = """
 pipe.diameter_mm = 250
 entropy.m = 0.89
 entropy.q = 1.15
-viscosity_m2_s = 1.1e-6
 calibration.factor = 0.98
 quad.rel_tol = 1e-7
 quad.max_depth = 40
@@ -60,7 +59,6 @@ class TestParsing:
         config = parse_config(FULL_DOC)
         assert config.pipe.diameter_m == 0.250
         assert config.k_cal == 0.98
-        assert config.viscosity_m2_s == 1.1e-6
         assert config.quad.nodes == 11
         assert config.debounce == 3
         assert config.boundary.slope_mps_per_mm == 0.004

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from partialflow import (
     PartialFlowError,
     PipeGeometry,
     ProfileModel,
+    QuadratureError,
     QuadratureSpec,
     WaterLevel,
     chord_half_width,
@@ -28,7 +27,7 @@ import importlib
 fpcf_module = importlib.import_module("partialflow.fpcf")
 
 from partialflow.profile import ProfilePoint
-from partialflow.quadrature import panel_integrate
+from partialflow.quadrature import unit_integrate
 
 from conftest import RIG_REFERENCE_FPCF_COEFFS
 
@@ -79,63 +78,46 @@ class TestMeans:
             mean_chord_velocity(model_at(0.049), 0.050)
 
     def test_half_span_doubling_matches_full_span(self):
-        # even integrand: matched uniform meshes agree to roundoff
+        # even integrand: the full chord split at x = 0 and the half chord
+        # get mirrored meshes at every doubling and agree to roundoff
         from partialflow.profile import evaluate_velocity
 
         m = model_at(0.125)
         w = chord_half_width(0.050, PIPE)
-
-        def f(x):
-            return evaluate_velocity(m, x, 0.050)
-
-        full = panel_integrate(f, -w, w, 16)
-        half = panel_integrate(f, 0.0, w, 8)
+        full, _ = unit_integrate(lambda s: 2 * w * evaluate_velocity(m, w * (2 * s - 1), 0.050),
+                                 ((0.5,),))
+        half, _ = unit_integrate(lambda s: w * evaluate_velocity(m, w * s, 0.050))
         assert full == pytest.approx(2.0 * half, rel=1e-12)
 
     def test_mesh_halving_converged(self):
-        # nested fixed meshes through the same graded maps the engine uses
-        fine = _fpcf_fixed_mesh(0.125, 0.050, 32)
-        finer = _fpcf_fixed_mesh(0.125, 0.050, 64)
-        assert abs(finer - fine) < 1e-4
+        # the doubling loop stops within its tolerance of a 1000x tighter run
+        coarse = fpcf(model_at(0.125), 0.050)
+        fine = fpcf(model_at(0.125), 0.050, QuadratureSpec(rel_tol=1e-9))
+        assert coarse == pytest.approx(fine, rel=1e-6)
 
     def test_fpcf_regression(self):
         assert fpcf(model_at(0.125), 0.050) == pytest.approx(1.1202676, abs=2e-5)
 
+    @pytest.mark.parametrize("level_mm, tight", [
+        (50.0, 0.6689416936517993),
+        (100.0, 0.9659542389568448),
+        (125.0, 1.1202676323024736),
+        (150.0, 1.181061388914025),
+        (200.0, 0.9948974317563355),
+        (215.0, 1.0348250308549256),
+        (225.0, 1.1468877834906441),
+        (240.0, 1.581608339974163),
+        (250.0, 2.329802301472639),
+    ])
+    def test_fpcf_matches_tight_reference(self, level_mm, tight):
+        # values computed at rel_tol=1e-9; convergence is hardest above 200 mm
+        assert fpcf(model_at(level_mm / 1000.0), 0.050) == pytest.approx(tight, rel=2e-6)
 
-def _fpcf_fixed_mesh(level_m, chord_m, n_panels):
-    """FPCF via uniform panel meshes on sine-graded coordinates."""
-    from partialflow.profile import evaluate_velocity
-    from partialflow.geometry import segment_area
-
-    m = model_at(level_m)
-
-    def chord_integrand(y):
-        w = chord_half_width(y, PIPE)
-
-        def f(u):
-            angle = 0.5 * math.pi * np.asarray(u)
-            x = w * np.sin(angle)
-            jac = w * 0.5 * math.pi * np.cos(angle)
-            return evaluate_velocity(m, x, y) * jac
-
-        return f, w
-
-    f_chord, w = chord_integrand(chord_m)
-    v_line = panel_integrate(f_chord, 0.0, 1.0, n_panels) / w
-
-    def outer(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            y = level_m * math.sin(0.5 * math.pi * ti) ** 2
-            jac = level_m * 0.5 * math.pi * math.sin(math.pi * ti)
-            f_inner, _ = chord_integrand(y)
-            out[i] = 2.0 * panel_integrate(f_inner, 0.0, 1.0, n_panels) * jac
-        return out
-
-    area = segment_area(WaterLevel(level_m), PIPE)
-    v_area = panel_integrate(outer, 0.0, 1.0, n_panels) / area
-    return v_area / v_line
+    def test_area_mean_non_convergence_raises(self):
+        with pytest.raises(QuadratureError) as excinfo:
+            mean_area_velocity(model_at(0.215), QuadratureSpec(rel_tol=1e-15, max_depth=1))
+        assert excinfo.value.max_depth == 1
+        assert excinfo.value.error_bound > 0
 
 
 class TestTabulate:

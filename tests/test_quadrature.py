@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from partialflow import OutOfRangeError, QuadratureError, QuadratureSpec
-from partialflow.quadrature import adaptive_integrate, panel_integrate
+from partialflow.quadrature import adaptive_integrate, unit_integrate
 
 
 def test_polynomial_closed_form():
@@ -45,18 +45,34 @@ def test_zero_span():
 
 def test_refinement_monotonicity():
     # sqrt endpoint behavior converges slowly enough to watch differences
-    # shrink by at least 2x per mesh halving until roundoff.
+    # shrink by at least 2x per panel doubling until roundoff; a loop cut
+    # at depth k reports the 2^k-panel estimate.
     r = 0.125
 
     def width(y):
         return 2.0 * np.sqrt(np.maximum(r * r - (y - r) ** 2, 0.0))
 
-    estimates = [panel_integrate(width, 0.0, 0.2, n) for n in (1, 2, 4, 8, 16, 32, 64)]
+    estimates = []
+    for depth in range(1, 7):
+        with pytest.raises(QuadratureError) as excinfo:
+            adaptive_integrate(width, 0.0, 0.2, QuadratureSpec(rel_tol=1e-15, max_depth=depth))
+        estimates.append(excinfo.value.estimate)
     diffs = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
     for d1, d2 in zip(diffs, diffs[1:]):
         if d2 < 1e-13:
             break
         assert d2 <= d1 / 2.0
+
+
+def test_breaks_and_tensor_product():
+    # |x - 0.3| * y on the unit square: with a break at the kink every
+    # panel integrand is a polynomial, so the first estimates are exact
+    def f(x, y):
+        return np.abs(x - 0.3)[:, None] * y[None, :]
+
+    value, err = unit_integrate(f, ((0.3,), ()))
+    assert value == pytest.approx(0.29 * 0.5, rel=1e-13)
+    assert err < 1e-15
 
 
 def test_non_convergence_carries_estimate():
@@ -69,13 +85,6 @@ def test_non_convergence_carries_estimate():
     assert exc.max_depth == 2
 
 
-def test_panel_matches_adaptive():
-    f = lambda x: np.exp(-x) * np.sin(3 * x)
-    adaptive, _ = adaptive_integrate(f, 0.0, 2.0)
-    fixed = panel_integrate(f, 0.0, 2.0, 16)
-    assert fixed == pytest.approx(adaptive, rel=1e-10)
-
-
 def test_spec_validation():
     with pytest.raises(OutOfRangeError):
         QuadratureSpec(rel_tol=0.0)
@@ -83,5 +92,3 @@ def test_spec_validation():
         QuadratureSpec(max_depth=0)
     with pytest.raises(OutOfRangeError):
         QuadratureSpec(nodes=1)
-    with pytest.raises(OutOfRangeError):
-        panel_integrate(lambda x: x, 0.0, 1.0, 0)
