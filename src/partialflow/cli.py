@@ -22,7 +22,7 @@ from .config import format_fit_document, load_config, resolve_polynomial
 from .errors import ConfigError, PartialFlowError
 from .fpcf import fit_polynomial, tabulate_fpcf
 from .geometry import WaterLevel
-from .measurement import process_stream, read_frame_rows, write_frame_rows, FrameDiagnostic
+from .measurement import FrameDiagnostic, process_lines, write_frame_rows
 from .profile import ProfileModel, profile_grid
 from .simulator import ScenarioSpec, WeirMode, baseline_level_mm, generate
 
@@ -117,16 +117,9 @@ def cmd_process(args) -> int:
     raised = 0
     cleared = 0
     with _in_stream(args.frames) as src, _out_stream(args.out) as fh:
-        stream = process_stream(
-            read_frame_rows(src),
-            chords=config.chords,
-            poly=poly,
-            pipe=config.pipe,
-            k_cal=config.k_cal,
-            boundary=config.boundary,
-            debounce=config.debounce,
-        )
-        for item in stream:
+        items = process_lines(src, config.chords, poly, config.pipe, config.k_cal,
+                              config.boundary, config.debounce)
+        for item in items:
             if isinstance(item, FrameDiagnostic):
                 diagnostics += 1
                 where = f" line={item.line_no}" if item.line_no is not None else ""
@@ -134,33 +127,29 @@ def cmd_process(args) -> int:
                 fh.write(f"diagnostic{where}{ts} detail={item.detail!r}\n")
                 continue
             frames_seen += 1
-            est = item.estimate
+            ts, level, v, area, fpcf, flow, status, verdict, event, _ = item
             fh.write(
-                "frame"
-                f" ts={_fmt(est.timestamp_s)}"
-                f" level_mm={_fmt(est.level_mm)}"
-                f" v_line_mps={_fmt(est.mean_line_velocity)}"
-                f" area_m2={_fmt(est.area_m2)}"
-                f" fpcf={_fmt(est.fpcf_applied)}"
-                f" q_lps={_fmt(est.flow_lps)}"
-                f" status={est.status.value}"
-                f" clog={item.verdict.value if item.verdict else '-'}\n"
+                f"frame ts={ts!r} level_mm={level!r} v_line_mps={_fmt(v)}"
+                f" area_m2={area!r} fpcf={fpcf!r}"
+                f" q_lps={'-' if flow is None else repr(1000.0 * flow)}"
+                f" status={status.value} clog={verdict.value if verdict else '-'}\n"
             )
-            if item.alarm_event is not None:
-                kind = item.alarm_event.value
-                if kind == "raised":
+            if event is not None:
+                if event.value == "raised":
                     raised += 1
                 else:
                     cleared += 1
                 fh.write(
-                    f"alarm ts={_fmt(est.timestamp_s)} event={kind}"
-                    f" level_mm={_fmt(est.level_mm)}"
-                    f" v_line_mps={_fmt(est.mean_line_velocity)}\n"
+                    f"alarm ts={ts!r} event={event.value}"
+                    f" level_mm={level!r} v_line_mps={v!r}\n"
                 )
         fh.write(
             f"summary frames={frames_seen} diagnostics={diagnostics}"
             f" alarms={raised} clears={cleared}\n"
         )
+    if diagnostics and not frames_seen:
+        print("error: no frame in the input could be estimated", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.fail_on_alarm and raised:
         return EXIT_ALARM
     return EXIT_OK

@@ -4,7 +4,7 @@ plus the debounced alarm state machine driven by the stream processor.
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import OutOfRangeError
 
@@ -73,17 +73,24 @@ class AlarmState:
 
 
 def step_alarm(state: AlarmState, verdict: Verdict) -> tuple[AlarmState, Optional[AlarmEvent]]:
-    """Advance the state machine by one verdict.
+    """Advance the state machine by one verdict (see ``step_alarms``)."""
+    state, (event,) = step_alarms(state, [verdict is Verdict.CLOGGING])
+    return state, event
+
+
+def step_alarms(state: AlarmState, clogging: Iterable[bool]) -> tuple[AlarmState, list]:
+    """Advance the state machine over verdicts (True for clogging); one event or None each.
 
     Exactly one RAISED event fires on entering ALARM and exactly one
     CLEARED event on leaving it; a Normal verdict resets the counter.
     """
-    if verdict is Verdict.CLOGGING:
-        count = state.count + 1
-        if count >= state.threshold and state.stage is not AlarmStage.ALARM:
-            return AlarmState(AlarmStage.ALARM, count, state.threshold), AlarmEvent.RAISED
-        stage = AlarmStage.ALARM if state.stage is AlarmStage.ALARM else AlarmStage.SUSPECT
-        return AlarmState(stage, count, state.threshold), None
-    if state.stage is AlarmStage.ALARM:
-        return AlarmState(AlarmStage.NORMAL, 0, state.threshold), AlarmEvent.CLEARED
-    return AlarmState(AlarmStage.NORMAL, 0, state.threshold), None
+    count = state.count
+    alarm = state.stage is AlarmStage.ALARM
+    events = []
+    for clog in clogging:
+        count = count + 1 if clog else 0
+        fire = alarm != (clog and (alarm or count >= state.threshold))
+        alarm ^= fire
+        events.append((AlarmEvent.RAISED if alarm else AlarmEvent.CLEARED) if fire else None)
+    stage = AlarmStage.SUSPECT if count else AlarmStage.NORMAL
+    return AlarmState(AlarmStage.ALARM if alarm else stage, count, state.threshold), events

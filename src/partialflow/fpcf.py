@@ -72,9 +72,14 @@ def eval_fpcf(poly: FpcfPolynomial, level_mm: float) -> float:
 
     if level_mm < poly.h_min_mm or level_mm > poly.h_max_mm:
         raise FpcfRangeError(level_mm, poly.h_min_mm, poly.h_max_mm)
+    return horner(poly.coeffs, level_mm)
+
+
+def horner(coeffs, x):
+    """c0 + c1*x + ... + cN*x^N for a scalar or an array ``x``, unguarded."""
     acc = 0.0
-    for c in reversed(poly.coeffs):
-        acc = acc * level_mm + c
+    for c in reversed(coeffs):
+        acc = acc * x + c
     return acc
 
 

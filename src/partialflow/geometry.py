@@ -35,8 +35,8 @@ class WaterLevel:
     level_m: float
 
     def __post_init__(self):
-        if not self.level_m >= 0:
-            raise OutOfRangeError(f"water level must be non-negative, got {self.level_m!r}")
+        if not (math.isfinite(self.level_m) and self.level_m >= 0):
+            raise OutOfRangeError(f"water level must be finite, non-negative, got {self.level_m!r}")
 
     def check_against(self, pipe: PipeGeometry) -> None:
         if self.level_m > pipe.diameter_m:

@@ -87,6 +87,72 @@ class TestProcessCommand:
         assert "diagnostic" in out
         assert "summary frames=1 diagnostics=1" in out
 
+    @pytest.mark.parametrize("row,detail", [
+        ("0.0,z,202696.0,202725.0,85.0", "unknown chord id 'z'; row dropped"),
+        ("0.0,a,202690.0,202725.0,85.0", "duplicate row for chord 'a'; row dropped"),
+        ("0.0,b,202690.0,202725.0,90.0",
+         "level 90.0 mm differs from the frame's first row (85.0 mm); row dropped"),
+    ])
+    def test_dropped_row_diagnosed(self, capsys, tmp_path, row, detail):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm\n"
+                          f"0.0,a,202696.0,202725.0,85.0\n{row}\n1.0,a,202696.0,202725.0,85.0\n")
+        code, out, _ = run(capsys, "process", "--frames", str(frames))
+        clean = tmp_path / "clean.csv"
+        clean.write_text("0.0,a,202696.0,202725.0,85.0\n1.0,a,202696.0,202725.0,85.0\n")
+        _, reference, _ = run(capsys, "process", "--frames", str(clean))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"diagnostic line=3 ts=0.0 detail={detail!r}"
+        assert lines[1:-1] == reference.splitlines()[:-1]
+        assert lines[-1] == "summary frames=2 diagnostics=1 alarms=0 clears=0"
+
+    @pytest.mark.parametrize("text", ["broken row\n", "0.0,a,202696.0,202725.0,900.0\n"])
+    def test_no_frame_from_data_rows_exits_1(self, capsys, tmp_path, text):
+        frames = tmp_path / "frames.csv"
+        frames.write_text("timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm\n" + text)
+        code, out, err = run(capsys, "process", "--frames", str(frames))
+        assert code == 1
+        assert "summary frames=0 diagnostics=1" in out
+        assert "error" in err
+
+    def test_first_record_before_whole_input(self, monkeypatch, tmp_path):
+        # guards start-up latency: records must follow a bounded read-ahead,
+        # never a parse of the whole input
+        import io
+        import sys
+
+        from partialflow.measurement import CHUNK_ROWS_CAP
+
+        sim = tmp_path / "frames.csv"
+        main(["simulate", "--flow-lps", "4", "--frames", "4000", "--out", str(sim)])
+        text = sim.read_text().splitlines(keepends=True)
+        assert len(text) > 3 * CHUNK_ROWS_CAP
+        consumed = 0
+
+        def counting():
+            nonlocal consumed
+            for line in text:
+                consumed += 1
+                yield line
+
+        class Recorder(io.StringIO):
+            at_first_frame = None
+
+            def write(self, s):
+                if self.at_first_frame is None and s.startswith("frame "):
+                    self.at_first_frame = consumed
+                return super().write(s)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdin", counting())
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["process", "--frames", "-"]) == 0
+        assert consumed == len(text)
+        assert out.at_first_frame is not None
+        assert out.at_first_frame <= CHUNK_ROWS_CAP
+        assert out.getvalue().count("\nframe ") == 3999
+
     def test_simulate_process_chain(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(DERIVE_CFG)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from partialflow import (
+    AlarmEvent,
     ChordReading,
     ChordSpec,
     EstimateStatus,
@@ -15,6 +16,7 @@ from partialflow import (
     SensorFrame,
     estimate_flow,
     line_velocity,
+    parse_config,
     process_stream,
     read_frame_rows,
     write_frame_rows,
@@ -51,6 +53,11 @@ class TestLineVelocity:
         forward = line_velocity(t_up, t_down, CHORD_A)
         backward = line_velocity(t_down, t_up, CHORD_A)
         assert backward == -forward
+
+    @pytest.mark.parametrize("t_up,t_down", [(math.nan, 2e-4), (2e-4, math.inf)])
+    def test_non_finite_times_rejected(self, t_up, t_down):
+        with pytest.raises(InvalidTimesError):
+            line_velocity(t_up, t_down, CHORD_A)
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(InvalidTimesError):
@@ -120,8 +127,9 @@ class TestEstimateFlow:
 
     def test_no_polynomial_raw_product(self):
         est = estimate_flow(frame_for({"a": 0.2}, 85.0), [CHORD_A], None, PIPE)
-        assert est.status is EstimateStatus.OK
+        assert est.status is EstimateStatus.UNCORRECTED
         assert est.fpcf_applied == 1.0
+        assert est.flow_m3s == est.mean_line_velocity * est.area_m2
 
     def test_plausibility_flag_retains_value(self):
         est = estimate_flow(frame_for({"a": 20.0}, 85.0), [CHORD_A], FLAT_POLY, PIPE)
@@ -204,3 +212,149 @@ class TestProcessStream:
         results = self.run(text)
         assert len(results) == 1
         assert isinstance(results[0], FrameDiagnostic)
+
+    def test_non_finite_readings_dropped(self):
+        # 0.1 m/s at 85 mm is below the clogging boundary: the alarm rises
+        # on the fifth frame and a frame without a finite velocity must
+        # neither clear it nor report a nan flow
+        t_up, t_down = (f"{t * 1e9!r}" for t in transit_times(0.1, CHORD_A, 1480.0))
+        rows = []
+        for k in range(8):
+            a = ("nan", t_down) if k == 5 else ("inf", t_down) if k == 6 else (t_up, t_down)
+            b = (t_up, "nan") if k == 5 else (t_up, t_down)
+            rows += [f"{k}.0,a,{a[0]},{a[1]},85.0", f"{k}.0,b,{b[0]},{b[1]},85.0"]
+        rows += ["8.0,a,1,2,nan", "9.0,a,1,2,inf"]
+        results = self.run("\n".join(rows) + "\n")
+        frames = [r for r in results if not isinstance(r, FrameDiagnostic)]
+        diags = [r for r in results if isinstance(r, FrameDiagnostic)]
+        assert [d.timestamp_s for d in diags] == [8.0, 9.0]
+        assert [f.estimate.status for f in frames] == [EstimateStatus.OK] * 5 + [
+            EstimateStatus.INVALID_TIMES, EstimateStatus.OK, EstimateStatus.OK]
+        assert frames[5].verdict is None and frames[5].estimate.flow_m3s is None
+        assert frames[6].estimate.chord_velocities == (("b", pytest.approx(0.1, rel=1e-9)),)
+        assert all(math.isfinite(f.estimate.flow_m3s) for f in frames if f.estimate.flow_m3s)
+        events = [f.alarm_event for f in frames if f.alarm_event is not None]
+        assert events == [AlarmEvent.RAISED]
+
+    def test_dropped_readings_are_diagnosed(self):
+        frame = frame_for({"a": 0.2, "b": 0.4}, 85.0)
+        stray = ChordReading("z", frame.readings[0].t_up_s, frame.readings[0].t_down_s)
+        frame = SensorFrame(3.0, frame.readings + (stray, frame.readings[1]), 85.0)
+        results = list(process_stream([frame], [CHORD_A, CHORD_B], FLAT_POLY, PIPE))
+        diags, processed = results[:-1], results[-1]
+        assert [(d.detail, d.timestamp_s) for d in diags] == [
+            ("unknown chord id 'z'; row dropped", 3.0),
+            ("duplicate row for chord 'b'; row dropped", 3.0),
+        ]
+        assert processed.estimate.status is EstimateStatus.OK
+        assert processed.estimate.mean_line_velocity == pytest.approx(0.3, rel=1e-9)
+
+
+def _closed_form_flow_lps(rows, level_mm, chords, poly, pipe, k_cal):
+    """Q = k_cal * FPCF(H) * v_line * A(H) by hand, from (chord, t_up_s, t_down_s) rows."""
+    by_id = {c.chord_id: c for c in chords}
+    num = den = 0.0
+    for chord_id, t_up, t_down in rows:
+        c = by_id[chord_id]
+        if c.height_mm < level_mm and math.isfinite(t_up * t_down) and t_up > 0 and t_down > 0:
+            v = c.path_length_m * (t_down - t_up) / (
+                2.0 * t_up * t_down * math.cos(c.beam_angle_rad))
+            num += c.weight * v
+            den += c.weight
+    theta = 2.0 * math.acos(1.0 - 2.0 * level_mm / 1000.0 / pipe.diameter_m)
+    area = pipe.diameter_m**2 / 8.0 * (theta - math.sin(theta))
+    fpcf = 1.0
+    if poly is not None and poly.h_min_mm <= level_mm <= poly.h_max_mm:
+        fpcf = sum(c * level_mm**k for k, c in enumerate(poly.coeffs))
+    return 1000.0 * k_cal * fpcf * num / den * area
+
+
+@pytest.mark.parametrize("poly", [
+    FpcfPolynomial((0.6, 4e-3, -1e-5, 0.0, 0.0, 0.0, 0.0), 50.0, 180.0), None])
+def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
+    """Simulated segments through ``process`` and through ``process_stream``.
+
+    The log holds dry, invalid-time, out-of-range and overfull frames, a
+    malformed row, and frames whose rows straddle the first chunk boundary.
+    """
+    from partialflow import ScenarioSpec, default_config, generate
+    from partialflow.cli import main
+    from partialflow.config import format_fit_document
+    from partialflow.fpcf import FitResult
+    from partialflow.measurement import FIRST_CHUNK_ROWS
+
+    config = default_config()
+    low = ChordSpec("low", 20.0, 0.3, ANGLE, weight=0.5)
+    chords = config.chords + (low,)
+    frames = []
+    for flow, level, count in [(3.0, 80.0, 70), (5.0, 200.0, 30), (4.0, 95.0, 40)]:
+        spec = ScenarioSpec(flow_lps=flow, level_mm=level, noise_sigma_s=1e-9, seed=len(frames),
+                            frame_count=count)
+        for f in generate(spec, chords, config.pipe, config.params, config.quad):
+            frames.append(SensorFrame(float(len(frames)), f.readings, f.level_mm))
+    # below the polynomial's range with only the low chord wet, dry, overfull
+    for k, level in [(10, 40.0), (11, 40.0), (12, 15.0), (13, 15.0), (4, 300.0)]:
+        frames[k] = SensorFrame(float(k), frames[k].readings, level)
+    frames[3] = SensorFrame(3.0, tuple(ChordReading(r.chord_id, -r.t_up_s, r.t_down_s)
+                                       for r in frames[3].readings), frames[3].level_mm)
+    buf = io.StringIO()
+    write_frame_rows(frames, buf)
+    lines = buf.getvalue().splitlines()
+    lines.insert(20, "malformed row")
+    # the last line of the first chunk and the next one belong to one frame
+    assert lines[FIRST_CHUNK_ROWS - 1][:5] == lines[FIRST_CHUNK_ROWS][:5] == "84.0,"
+    csv = tmp_path / "frames.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "run.cfg"
+    cfg_text = "".join(
+        f"chord.{c.chord_id}.height_mm = {c.height_mm!r}\n"
+        f"chord.{c.chord_id}.path_length_m = {c.path_length_m!r}\n"
+        f"chord.{c.chord_id}.beam_angle_deg = {math.degrees(c.beam_angle_rad)!r}\n"
+        f"chord.{c.chord_id}.weight = {c.weight!r}\n" for c in chords)
+    if poly is not None:
+        cfg_text += format_fit_document(FitResult(poly, 0.0, 0.0))
+    cfg.write_text(cfg_text)
+    parsed = parse_config(cfg_text)
+
+    assert main(["process", "--config", str(cfg), "--frames", str(csv)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    records = {}
+    for line in out:
+        kind, _, rest = line.partition(" ")
+        if kind == "frame":
+            fields = dict(token.split("=", 1) for token in rest.split())
+            records[float(fields["ts"])] = fields
+    assert sum(line.startswith("diagnostic") for line in out) == 2
+    assert len(records) == len(frames) - 1 and 4.0 not in records
+
+    stream = [p for p in process_stream(frames, parsed.chords, poly, PIPE)
+              if not isinstance(p, FrameDiagnostic)]
+    assert len(stream) == len(records)
+    written = {}
+    for line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) == 5:
+            written.setdefault(float(parts[0]), []).append(
+                (parts[1], float(parts[2]) * 1e-9, float(parts[3]) * 1e-9))
+    seen = set()
+    for item in stream:
+        est = item.estimate
+        fields = records[est.timestamp_s]
+        seen.add(fields["status"])
+        assert fields["status"] == est.status.value
+        if est.flow_m3s is None:
+            assert fields["q_lps"] == "-"
+            continue
+        q_lps = float(fields["q_lps"])
+        want = _closed_form_flow_lps(written[est.timestamp_s], est.level_mm, parsed.chords,
+                                     poly, PIPE, 1.0)
+        assert q_lps == pytest.approx(want, rel=1e-12)
+        frame = frames[int(est.timestamp_s)]
+        readings = [(r.chord_id, r.t_up_s, r.t_down_s) for r in frame.readings]
+        want = _closed_form_flow_lps(readings, est.level_mm, parsed.chords, poly, PIPE, 1.0)
+        assert est.flow_lps == pytest.approx(want, rel=1e-12)
+        # the CSV holds transit times in ns to 17 digits; the velocity, a
+        # difference of two times ~5000x smaller than either, keeps ~1e-12
+        assert est.flow_lps == pytest.approx(q_lps, rel=1e-9)
+    assert seen == {"ok" if poly else "uncorrected", "invalid_times", "dry_chord",
+                    *(["fpcf_out_of_range"] if poly else [])}
