@@ -41,7 +41,6 @@ from .fpcf import (
     tabulate_fpcf,
 )
 from .geometry import (
-    DEFAULT_KINEMATIC_VISCOSITY,
     PipeGeometry,
     WaterLevel,
     chord_half_width,

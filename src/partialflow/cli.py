@@ -9,6 +9,9 @@ everything internal is SI. Exit codes: 0 success, 1 invalid input data,
 import argparse
 import contextlib
 import sys
+from itertools import chain, repeat
+
+import numpy as np
 
 from .calibration import (
     calibration_factor,
@@ -22,7 +25,7 @@ from .config import format_fit_document, load_config, resolve_polynomial
 from .errors import ConfigError, PartialFlowError
 from .fpcf import fit_polynomial, tabulate_fpcf
 from .geometry import WaterLevel
-from .measurement import FrameDiagnostic, process_lines, write_frame_rows
+from .measurement import STATUSES, FrameDiagnostic, process_lines, write_frame_rows
 from .profile import ProfileModel, profile_grid
 from .simulator import ScenarioSpec, WeirMode, baseline_level_mm, generate
 
@@ -48,14 +51,6 @@ def _in_stream(path: str):
     else:
         with open(path, encoding="utf-8") as fh:
             yield fh
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def cmd_profile(args) -> int:
@@ -109,40 +104,53 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+_STATUS_TEXT = tuple(s.value for s in STATUSES)
+_CLOG_TEXT = ("normal", "clogging", "-")  # FrameChunk.clog codes
+
+
+def _diagnostic_record(diag: FrameDiagnostic) -> str:
+    where = "" if diag.line_no is None else f" line={diag.line_no}"
+    ts = "" if diag.timestamp_s is None else f" ts={diag.timestamp_s!r}"
+    return f"diagnostic{where}{ts} detail={diag.detail!r}\n"
+
+
+def _chunk_records(chunk) -> str:
+    """A chunk's records in input order, each alarm after its frame. Per frame only ts,
+    v and q are converted (``%s`` of a float is its repr); the rest is memoised per
+    distinct level (which sets the area), fpcf, status and verdict, keyed on the bits
+    of the floats so that -0.0 keeps its sign, and looked up once per run of frames."""
+    ts, v, q = chunk.ts.tolist(), chunk.v_line.tolist(), (1000.0 * chunk.flow_m3s).tolist()
+    for f in np.flatnonzero(chunk.clog == 2).tolist():
+        v[f] = q[f] = "-"
+    key = np.stack((chunk.level.view(np.int64), chunk.fpcf.view(np.int64), chunk.status, chunk.clog))
+    runs = np.flatnonzero(np.concatenate(([len(ts) > 0], (key[:, 1:] != key[:, :-1]).any(axis=0))))
+    level, area, fpcf, memo, text = chunk.level, chunk.area, chunk.fpcf, {}, []
+    for f, k in zip(runs.tolist(), map(tuple, key[:, runs].T.tolist())):
+        if k not in memo:
+            memo[k] = (f"frame ts=%s level_mm={level[f].item()!r} v_line_mps=%s"
+                       f" area_m2={area[f].item()!r} fpcf={fpcf[f].item()!r} q_lps=%s"
+                       f" status={_STATUS_TEXT[k[2]]} clog={_CLOG_TEXT[k[3]]}\n")
+        text.append(memo[k])
+    templates = map(repeat, text, np.diff(np.append(runs, len(ts))).tolist())
+    records = list(map(str.__mod__, chain.from_iterable(templates), zip(ts, v, q)))
+    for f, event in chunk.events:
+        records[f] += (f"alarm ts={ts[f]!r} event={event.value}"
+                       f" level_mm={level[f].item()!r} v_line_mps={v[f]!r}\n")
+    return "".join(chunk.in_order(records, _diagnostic_record))
+
+
 def cmd_process(args) -> int:
     config = load_config(args.config)
     poly, _ = resolve_polynomial(config)
-    frames_seen = 0
-    diagnostics = 0
-    raised = 0
-    cleared = 0
+    frames_seen = diagnostics = raised = cleared = 0
     with _in_stream(args.frames) as src, _out_stream(args.out) as fh:
-        items = process_lines(src, config.chords, poly, config.pipe, config.k_cal,
-                              config.boundary, config.debounce)
-        for item in items:
-            if isinstance(item, FrameDiagnostic):
-                diagnostics += 1
-                where = f" line={item.line_no}" if item.line_no is not None else ""
-                ts = f" ts={_fmt(item.timestamp_s)}" if item.timestamp_s is not None else ""
-                fh.write(f"diagnostic{where}{ts} detail={item.detail!r}\n")
-                continue
-            frames_seen += 1
-            ts, level, v, area, fpcf, flow, status, verdict, event, _ = item
-            fh.write(
-                f"frame ts={ts!r} level_mm={level!r} v_line_mps={_fmt(v)}"
-                f" area_m2={area!r} fpcf={fpcf!r}"
-                f" q_lps={'-' if flow is None else repr(1000.0 * flow)}"
-                f" status={status.value} clog={verdict.value if verdict else '-'}\n"
-            )
-            if event is not None:
-                if event.value == "raised":
-                    raised += 1
-                else:
-                    cleared += 1
-                fh.write(
-                    f"alarm ts={ts!r} event={event.value}"
-                    f" level_mm={level!r} v_line_mps={v!r}\n"
-                )
+        for chunk in process_lines(src, config.chords, poly, config.pipe, config.k_cal,
+                                   config.boundary, config.debounce):
+            fh.write(_chunk_records(chunk))
+            frames_seen += len(chunk.ts) - len(chunk.misfits)
+            diagnostics += len(chunk.diags) + len(chunk.misfits)
+            up = sum(event.value == "raised" for _, event in chunk.events)
+            raised, cleared = raised + up, cleared + len(chunk.events) - up
         fh.write(
             f"summary frames={frames_seen} diagnostics={diagnostics}"
             f" alarms={raised} clears={cleared}\n"

@@ -216,6 +216,10 @@ def _validate(config: RunConfig) -> None:
             f"FPCF derivation starts at {config.fpcf_h_min_mm:g} mm, below the "
             f"lowest chord at {min_height:g} mm"
         )
+    heights = sorted({c.height_mm for c in config.chords})
+    if (config.poly is not None or config.fpcf_derive) and len(heights) > 1:
+        raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
+                          f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
 
 
 def load_config(path: Optional[str]) -> RunConfig:

@@ -9,11 +9,11 @@ Frames take one columnar path, a chunk of rows at a time (``_run``);
 ``read_frame_rows``, ``estimate_flow`` and ``process_stream`` are views.
 """
 
-import bisect
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
@@ -137,75 +137,92 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
 # objects) per row; diagnostics as (index of the frame it precedes, line, it).
 
 
-def _convert(fields: list) -> tuple:
-    """Columns of split rows; fields convert in row order, so one bad row
-    raises the error of its first bad field."""
-    cols = list(zip(*fields)) or [()] * 5
-    ts, t_up, t_down, level = (np.array(list(map(float, cols[i])), float) for i in (0, 2, 3, 4))
-    chord = [c.strip() for c in cols[1]]
-    if "" in chord:
-        raise ValueError("empty chord id")
-    return ts, chord, t_up, t_down, level
+def _parse_block(block: list) -> Optional[tuple]:
+    """``_parse_rows`` at C level, or None unless every line of the chunk is a plain
+    data row: five fields, a chord id and four numbers that ``float`` reads alike."""
+    if not block or set(map(str.count, block, repeat(","))) != {4}:
+        return None  # with usecols, loadtxt would accept 6+ fields
+    chord = [line.split(",", 2)[1].strip() for line in block]
+    try:
+        ts, t_up, t_down, level = np.loadtxt(block, delimiter=",", usecols=(0, 2, 3, 4),
+                                             comments=None, ndmin=2, unpack=True)
+    except ValueError:
+        return None
+    if len(ts) != len(block) or "" in chord:  # loadtxt skips blank lines
+        return None
+    return (np.arange(len(block)), ts, chord, t_up, t_down, level), []
+
+
+def _parse_rows(block: list) -> tuple:
+    """A chunk's line offsets, ts, chord ids, t_up_ns, t_down_ns and level_mm, row by
+    row, and (offset, detail) for the other lines; a row reports its first bad field."""
+    rows, chord, diags = [], [], []
+    for no, raw in enumerate(block):
+        line = raw.strip()
+        if not line or line[0] == "#" or (
+            line[0] in "tT" and line.lower().replace(" ", "") == FRAME_CSV_HEADER
+        ):
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            diags.append((no, f"expected 5 fields, got {len(parts)}"))
+            continue
+        try:
+            row = (no, *map(float, itemgetter(0, 2, 3, 4)(parts)))
+            if not parts[1].strip():
+                raise ValueError("empty chord id")
+        except ValueError as exc:
+            diags.append((no, f"unparseable row: {exc}"))
+            continue
+        rows.append(row)
+        chord.append(parts[1].strip())
+    nos, ts, t_up, t_down, level = np.array(rows, float).reshape(-1, 5).T
+    return (nos.astype(np.int64), ts, chord, t_up, t_down, level), diags
 
 
 def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
     """The frame CSV, a chunk of rows at a time, grouped into frames by timestamp.
 
-    Rows that cannot be read, and rows whose level differs from their frame's
-    first row, become line-numbered diagnostics; the rest of the frame counts.
-    A chunk's last frame may go on in the next chunk, so its rows carry over.
+    A chunk is one ``np.loadtxt`` call, or read row by row if any line is not a
+    plain data row. Rows that cannot be read, and rows whose level differs from
+    their frame's first row, become line-numbered diagnostics; the rest of the
+    frame counts. A chunk's last frame may go on in the next, so its rows carry
+    over as columns.
     """
-    source, size, line_no, nos, fields = iter(lines), FIRST_CHUNK_ROWS, 0, [], []
+    source, size, line_no = iter(lines), FIRST_CHUNK_ROWS, 1
+    carry = _parse_rows([])[0]
     while True:
-        read_from, diags = line_no, []
-        for line_no, raw in enumerate(islice(source, size), line_no + 1):
-            line = raw.strip()
-            if not line or line[0] == "#" or (
-                line[0] in "tT" and line.lower().replace(" ", "") == FRAME_CSV_HEADER
-            ):
-                continue
-            parts = line.split(",")
-            if len(parts) == 5:
-                nos.append(line_no)
-                fields.append(parts)
-            else:
-                diags.append((line_no, f"expected 5 fields, got {len(parts)}"))
-        at_end, size = line_no - read_from < size, min(2 * size, CHUNK_ROWS_CAP)
-        try:
-            ts, chord, t_up, t_down, level = _convert(fields)
-        except ValueError:
-            good = []
-            for no, parts in zip(nos, fields):
-                try:
-                    _convert([parts])
-                    good.append((no, parts))
-                except ValueError as exc:
-                    diags.append((no, f"unparseable row: {exc}"))
-            nos, fields = [g[0] for g in good], [g[1] for g in good]
-            ts, chord, t_up, t_down, level = _convert(fields)
+        block = list(islice(source, size))
+        at_end, size = len(block) < size, min(2 * size, CHUNK_ROWS_CAP)
+        cols, diags = _parse_block(block) or _parse_rows(block)
+        # line numbers; the carried rows' columns are extended, not parsed again
+        cols, diags = (cols[0] + line_no,) + cols[1:], [(no + line_no, d) for no, d in diags]
+        line_no, block = line_no + len(block), None
+        nos, ts, chord, t_up, t_down, level = (
+            old + new if isinstance(new, list) else np.concatenate((old, new))
+            for old, new in zip(carry, cols))
         starts = np.flatnonzero(np.concatenate(([len(ts) > 0], ts[1:] != ts[:-1])))
         cut = len(ts) if at_end or not len(starts) else starts[-1]
         # a frame is complete when the next one starts, and comes out then
-        first_lines = [nos[s] for s in starts.tolist()]
-        out = [(max(bisect.bisect_right(first_lines, no) - 1, 0), no,
-                FrameDiagnostic(detail=detail, line_no=no)) for no, detail in diags]
+        pos = np.maximum(np.searchsorted(nos[starts], [no for no, _ in diags], "right") - 1, 0)
+        out = [(p, no, FrameDiagnostic(detail=detail, line_no=no))
+               for p, (no, detail) in zip(pos.tolist(), diags)]
         starts = starts[starts < cut]
         frame = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, cut)))
         keep = level[:cut] == level[starts][frame]
         keep[starts] = True
         for k in np.flatnonzero(~keep).tolist():
             first = starts[frame[k]]
-            out.append((frame[k], nos[k], FrameDiagnostic(
+            out.append((frame[k], nos[k].item(), FrameDiagnostic(
                 f"level {level[k].item()!r} mm differs from the frame's first row "
-                f"({level[first].item()!r} mm); row dropped", ts[first].item(), nos[k])))
-        kept = keep.tolist()
-        rows = (ts[starts], level[starts], frame[keep], list(compress(chord, kept)),
-                t_up[:cut][keep] * 1e-9, t_down[:cut][keep] * 1e-9, list(compress(nos, kept)), out)
-        nos, fields = nos[cut:], fields[cut:]
-        yield rows
+                f"({level[first].item()!r} mm); row dropped", ts[first].item(), nos[k].item())))
+        kept = chord[:cut] if keep.all() else list(compress(chord, keep.tolist()))
+        carry = nos[cut:], ts[cut:], chord[cut:], t_up[cut:], t_down[cut:], level[cut:]
+        yield (ts[starts], level[starts], frame[keep], kept, t_up[:cut][keep] * 1e-9,
+               t_down[:cut][keep] * 1e-9, nos[:cut][keep], out)
         if at_end:
             return
-        rows = chord = None  # free this chunk before reading the next
+        kept = chord = None  # free this chunk before reading the next
 
 
 def _pack_frames(items: Iterable[SensorFrame | FrameDiagnostic]) -> Iterator[tuple]:
@@ -223,26 +240,41 @@ def _pack_frames(items: Iterable[SensorFrame | FrameDiagnostic]) -> Iterator[tup
                np.array([f.level_mm for f in frames], float),
                np.repeat(np.arange(len(frames)), [len(f.readings) for f in frames]),
                [r.chord_id for r in rows], np.array([r.t_up_s for r in rows], float),
-               np.array([r.t_down_s for r in rows], float), [0] * len(rows), diags)
+               np.array([r.t_down_s for r in rows], float), np.zeros(len(rows), np.int64), diags)
 
 
-def _interleave(frames: list, diags: list) -> Iterator:
+def _interleave(frames: list, diags: list) -> list:
     """Frames with each (index of the frame it precedes, line, diagnostic) in place."""
-    start = 0
-    for pos, _, diag in sorted(diags, key=itemgetter(0, 1)):
-        yield from frames[start:pos]
-        yield diag
-        start = pos
-    yield from frames[start:]
+    out = list(frames)
+    for pos, _, diag in reversed(sorted(diags, key=itemgetter(0, 1))):
+        out.insert(pos, diag)  # last first, so earlier positions stay put
+    return out
 
 
-def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator:
+class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s status clog "
+                                           "chord_v events misfits diags")):
+    """A chunk of estimated frames, an array per field: ``status`` indexes ``STATUSES``;
+    ``clog`` is 0 normal, 1 clogging, 2 no velocity (``v_line``, ``flow_m3s`` NaN);
+    ``chord_v`` is NaN for chords that do not count. ``events`` lists (frame,
+    alarm event), ``misfits`` (frame, out-of-pipe diagnostic), ``diags`` (frame
+    it precedes, line, diagnostic)."""
+
+    def in_order(self, records: list, diagnostic=lambda d: d) -> list:
+        """A record per frame and, as ``diagnostic(d)``, the diagnostics in input order."""
+        for f, d in self.misfits:
+            records[f] = diagnostic(d)
+        return _interleave(records, [(p, no, diagnostic(d)) for p, no, d in self.diags])
+
+
+STATUSES = tuple(EstimateStatus)
+_OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(STATUSES))
+_VERDICTS = (Verdict.NORMAL, Verdict.CLOGGING, None)
+
+
+def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator[FrameChunk]:
     """Q = k_cal * FPCF * v_line * A, verdicts and alarm events, a chunk at a time.
 
-    Yields diagnostics and, in input order, per frame (ts, level_mm, v_line,
-    area_m2, fpcf, flow_m3s, status, verdict, alarm event, each chord's v
-    or NaN); v_line, flow_m3s and verdict are None without a velocity. A
-    frame whose level does not fit the pipe, an unknown chord's row and a
+    A frame whose level does not fit the pipe, an unknown chord's row and a
     chord's second row become diagnostics. Wet chords with finite, positive
     times count, summed in configuration order. Off-range levels get FPCF = 1.
     """
@@ -254,7 +286,7 @@ def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator:
     state = AlarmState(threshold=debounce)
     for ts, level, frame, chord, t_up, t_down, line, diags in chunks:
         n_frames = len(ts)
-        cidx = np.array([index.get(c, -1) for c in chord], dtype=np.intp)
+        cidx = np.fromiter(map(index.get, chord, repeat(-1)), np.intp, len(chord))
         key, kept = frame * len(specs) + cidx, cidx >= 0
         if kept.any() and np.bincount(key[kept]).max() > 1:  # a chord's first row counts
             seen = set()
@@ -264,7 +296,7 @@ def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator:
         for k in np.flatnonzero(~kept).tolist():
             what = "duplicate row for chord" if cidx[k] >= 0 else "unknown chord id"
             diags.append((frame[k], line[k], FrameDiagnostic(
-                f"{what} {chord[k]!r}; row dropped", ts[frame[k]].item(), line[k] or None)))
+                f"{what} {chord[k]!r}; row dropped", ts[frame[k]].item(), int(line[k]) or None)))
 
         up, down = np.full((2, n_frames, len(specs)), np.nan)
         up[frame[kept], cidx[kept]] = t_up[kept]
@@ -280,40 +312,34 @@ def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator:
                 den = den + np.where(used[:, c], spec.weight, 0.0)
             has_v, mean_v = fits & (den > 0), num / den
             if poly is None:
-                status, fpcf = np.full(n_frames, EstimateStatus.UNCORRECTED), np.ones(n_frames)
+                status, fpcf = np.full(n_frames, _UNCORRECTED), np.ones(n_frames)
             else:
                 in_range = (level >= poly.h_min_mm) & (level <= poly.h_max_mm)
-                status = np.where(in_range, EstimateStatus.OK, EstimateStatus.FPCF_OUT_OF_RANGE)
+                status = np.where(in_range, _OK, _FPCF_OUT_OF_RANGE)
                 fpcf = np.where(in_range & has_v, horner(poly.coeffs, level), 1.0)
             # scalar math, once per distinct level: numpy's arccos and sin
             # can differ from segment_area's in the last bit
             levels = np.where(fits, level, 0.0).tolist()
             areas = {x: segment_area(WaterLevel(x / 1000.0), pipe) for x in set(levels)}
-            area = np.array([areas[x] for x in levels])
+            area = np.fromiter(map(areas.__getitem__, levels), float, n_frames)
             flow = k_cal * fpcf * mean_v * area
-        status = np.where(has_v, status, EstimateStatus.INVALID_TIMES)
-        status = np.where(wet.any(axis=1), status, EstimateStatus.DRY_CHORD)
+        status = np.where(wet.any(axis=1), np.where(has_v, status, _INVALID_TIMES), _DRY_CHORD)
         clog = mean_v < boundary.threshold(level)
-        state, events = step_alarms(state, clog[has_v].tolist())
-        events = iter(events)
-        frames = list(zip(
-            ts.tolist(), level.tolist(), np.where(has_v, mean_v, None).tolist(), area.tolist(),
-            fpcf.tolist(), np.where(has_v, flow, None).tolist(), status.tolist(),
-            np.where(has_v, np.where(clog, Verdict.CLOGGING, Verdict.NORMAL), None).tolist(),
-            [next(events) if judged else None for judged in has_v.tolist()],
-            np.where(used, v, np.nan).tolist(),
-        ))
-        for f in np.flatnonzero(~fits).tolist():
-            frames[f] = FrameDiagnostic(f"level {level[f].item()!r} mm is not within the pipe "
-                                        f"(0 to {1000 * pipe.diameter_m:g} mm)", ts[f].item())
-        yield from _interleave(frames, diags)
-        frames = None  # free this chunk before reading the next
+        judged = np.flatnonzero(has_v).tolist()
+        state, events = step_alarms(state, clog[judged].tolist())
+        misfits = [(f, FrameDiagnostic(f"level {level[f].item()!r} mm is not within the pipe "
+                                       f"(0 to {1000 * pipe.diameter_m:g} mm)", ts[f].item()))
+                   for f in np.flatnonzero(~fits).tolist()]
+        yield FrameChunk(ts, level, np.where(has_v, mean_v, np.nan), area, fpcf,
+                         np.where(has_v, flow, np.nan), status, np.where(has_v, clog, 2),
+                         np.where(used, v, np.nan), list(compress(zip(judged, events), events)),
+                         misfits, sorted(diags, key=itemgetter(0, 1)))
 
 
 def process_lines(lines: Iterable[str], chords, poly, pipe, k_cal=1.0, boundary=DecisionBoundary(),
-                  debounce=5) -> Iterator[tuple | FrameDiagnostic]:
-    """The frame CSV to diagnostics and per-frame tuples (see ``_run``), in input order,
-    reading at most one chunk of rows ahead; the other arguments as for ``process_stream``."""
+                  debounce=5) -> Iterator[FrameChunk]:
+    """The frame CSV to a ``FrameChunk`` per chunk of rows, reading at most one chunk
+    ahead; the other arguments as for ``process_stream``."""
     return _run(_read_rows(lines), chords, poly, pipe, k_cal, boundary, debounce)
 
 
@@ -335,16 +361,17 @@ def process_stream(
     """
     chords = list(chords)
     ids = list({c.chord_id: c for c in chords})
-    for item in _run(_pack_frames(frames), chords, poly, pipe, k_cal, boundary, debounce):
-        if isinstance(item, FrameDiagnostic):
-            yield item
-            continue
-        ts, level, v, area, fpcf, flow, status, verdict, event, chord_v = item
-        velocities = tuple((c, x) for c, x in zip(ids, chord_v) if x == x)
-        implausible = tuple(c for c, x in velocities if abs(x) > plausibility_cap)
-        estimate = FlowEstimate(ts, level, velocities, v, area, fpcf, k_cal, flow, status,
-                                implausible)
-        yield ProcessedFrame(estimate, verdict, event)
+    for chunk in _run(_pack_frames(frames), chords, poly, pipe, k_cal, boundary, debounce):
+        events, records = dict(chunk.events), []
+        columns = zip(*(column.tolist() for column in chunk[:9]))  # ts ... chord_v
+        for f, (ts, level, v, area, fpcf, flow, status, clog, chord_v) in enumerate(columns):
+            velocities = tuple((c, x) for c, x in zip(ids, chord_v) if x == x)
+            implausible = tuple(c for c, x in velocities if abs(x) > plausibility_cap)
+            v, flow = (None, None) if clog == 2 else (v, flow)
+            estimate = FlowEstimate(ts, level, velocities, v, area, fpcf, k_cal, flow,
+                                    STATUSES[status], implausible)
+            records.append(ProcessedFrame(estimate, _VERDICTS[clog], events.get(f)))
+        yield from chunk.in_order(records)
 
 
 def estimate_flow(

@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 
 from partialflow.cli import main
@@ -292,3 +294,115 @@ class TestExitCodes:
     def test_missing_input_file_exits_1(self, capsys):
         code, _, _ = run(capsys, "metrics", "--trials", "/nonexistent.csv")
         assert code == 1
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _record_by_record(lines, config, poly) -> str:
+    """``process`` output as the per-frame formatter wrote it, one f-string per
+    record, from the same estimates: the oracle for the chunk-wise formatter."""
+    from partialflow.clogging import Verdict
+    from partialflow.measurement import STATUSES, FrameDiagnostic, process_lines
+
+    out, frames_seen, diagnostics, raised, cleared = [], 0, 0, 0, 0
+    for chunk in process_lines(lines, config.chords, poly, config.pipe, config.k_cal,
+                               config.boundary, config.debounce):
+        events, misfits = dict(chunk.events), dict(chunk.misfits)
+        diags, items = sorted(chunk.diags, key=lambda d: (d[0], d[1])), []
+        columns = zip(*(column.tolist() for column in chunk[:8]))
+        for f, (ts, level, v, area, fpcf, flow, status, clog) in enumerate(columns):
+            items += [d for pos, _, d in diags if pos == f]
+            judged = clog != 2
+            items.append(misfits.get(f) or (
+                ts, level, v if judged else None, area, fpcf, flow if judged else None,
+                STATUSES[status], (Verdict.NORMAL, Verdict.CLOGGING, None)[clog], events.get(f)))
+        items += [d for pos, _, d in diags if pos >= len(chunk.ts)]
+        for item in items:
+            if isinstance(item, FrameDiagnostic):
+                diagnostics += 1
+                where = f" line={item.line_no}" if item.line_no is not None else ""
+                ts = f" ts={_fmt(item.timestamp_s)}" if item.timestamp_s is not None else ""
+                out.append(f"diagnostic{where}{ts} detail={item.detail!r}\n")
+                continue
+            frames_seen += 1
+            ts, level, v, area, fpcf, flow, status, verdict, event = item
+            out.append(
+                f"frame ts={ts!r} level_mm={level!r} v_line_mps={_fmt(v)}"
+                f" area_m2={area!r} fpcf={fpcf!r}"
+                f" q_lps={'-' if flow is None else repr(1000.0 * flow)}"
+                f" status={status.value} clog={verdict.value if verdict else '-'}\n"
+            )
+            if event is not None:
+                if event.value == "raised":
+                    raised += 1
+                else:
+                    cleared += 1
+                out.append(f"alarm ts={ts!r} event={event.value}"
+                           f" level_mm={level!r} v_line_mps={v!r}\n")
+    out.append(f"summary frames={frames_seen} diagnostics={diagnostics}"
+               f" alarms={raised} clears={cleared}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("with_poly", [True, False], ids=["polynomial", "uncorrected"])
+def test_chunk_formatter_matches_record_by_record(capsys, tmp_path, with_poly):
+    """Every status, an alarm raised and cleared, every diagnostic kind, an
+    out-of-pipe level, a 0.0 level then a -0.0 one, and frames straddling
+    chunks of FIRST_CHUNK_ROWS and CHUNK_ROWS_CAP rows, byte for byte."""
+    import io
+
+    from partialflow import (ChordReading, FpcfPolynomial, ScenarioSpec, SensorFrame, WeirMode,
+                             baseline_level_mm, default_config, generate, write_frame_rows)
+    from partialflow.config import format_fit_document, parse_config
+    from partialflow.fpcf import FitResult
+    from partialflow.measurement import CHUNK_ROWS_CAP, FIRST_CHUNK_ROWS
+
+    config = default_config()
+    frames = []
+    for flow, weir, count in [(4.0, WeirMode.NONE, 300), (3.0, WeirMode.WEIR1, 12),
+                              (4.0, WeirMode.NONE, 600)]:
+        spec = ScenarioSpec(flow_lps=flow, level_mm=baseline_level_mm(flow), weir=weir,
+                            noise_sigma_s=1e-9, seed=len(frames), frame_count=count)
+        for f in generate(spec, config.chords, config.pipe, config.params, config.quad):
+            frames.append(SensorFrame(float(len(frames)), f.readings, f.level_mm))
+    # dry, dry at 0.0 then -0.0, outside the pipe, above the polynomial's range
+    for k, level in [(10, 40.0), (11, 0.0), (12, -0.0), (13, 300.0), (15, 200.0)]:
+        frames[k] = SensorFrame(float(k), frames[k].readings, level)
+    frames[14] = SensorFrame(14.0, tuple(ChordReading(r.chord_id, -r.t_up_s, r.t_down_s)
+                                         for r in frames[14].readings), frames[14].level_mm)
+    buf = io.StringIO()
+    write_frame_rows(frames, buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    ts, chord, t_up, t_down, level = lines[41].split(",")
+    # unknown chord, duplicate row, level differing within a frame, a comment
+    # (six lines keep each chunk boundary inside a frame)
+    lines[42:42] = [f"{ts},z,{t_up},{t_down},{level}", lines[41],
+                    f"{ts},b,{t_up},{t_down},{float(level) + 1.0!r}\n",
+                    "broken row\n", "x,a,1,2,85.0\n", "# comment\n"]
+    for end in (FIRST_CHUNK_ROWS, 3 * FIRST_CHUNK_ROWS, 3 * FIRST_CHUNK_ROWS + CHUNK_ROWS_CAP):
+        assert lines[end - 1].split(",")[0] == lines[end].split(",")[0]
+    csv = tmp_path / "frames.csv"
+    csv.write_text("".join(lines))
+    cfg = tmp_path / "run.cfg"
+    poly = FpcfPolynomial((0.6, 4e-3, -1e-5, 0.0, 0.0, 0.0, 0.0), 50.0, 180.0)
+    cfg.write_text(format_fit_document(FitResult(poly, 0.0, 0.0)) if with_poly else "")
+
+    assert main(["process", "--config", str(cfg), "--frames", str(csv)]) == 0
+    out = capsys.readouterr().out
+    with csv.open() as fh:
+        want = _record_by_record(fh, parse_config(cfg.read_text()), poly if with_poly else None)
+    # the first differing record, not a diff of two 2,000-line texts
+    assert next(((k, a, b) for k, (a, b) in enumerate(
+        zip_longest(out.splitlines(True), want.splitlines(True))) if a != b), None) is None
+    statuses = ["ok", "fpcf_out_of_range"] if with_poly else ["uncorrected"]
+    for text in [*(f"status={s} " for s in statuses + ["dry_chord", "invalid_times"]),
+                 "event=raised", "event=cleared", "level_mm=0.0 ", "level_mm=-0.0 ",
+                 "is not within the pipe", "unknown chord id", "duplicate row for chord",
+                 "differs from the frame's first row", "expected 5 fields", "unparseable row"]:
+        assert text in out, text

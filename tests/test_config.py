@@ -36,7 +36,7 @@ quad.nodes = 11
 chord.low.height_mm = 50
 chord.low.beam_angle_deg = 45
 chord.low.weight = 2
-chord.up.height_mm = 110
+chord.up.height_mm = 50
 chord.up.path_length_m = 0.31
 chord.up.beam_angle_deg = 30
 fpcf.h_min_mm = 50
@@ -108,6 +108,16 @@ class TestParsing:
         )
         with pytest.raises(ConfigError, match="below the lowest"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("fpcf", ["".join(f"fpcf.c{k} = 1.0\n" for k in range(7)),
+                                      "fpcf.derive = true\n"], ids=["coefficients", "derive"])
+    def test_chords_at_two_heights_rejected_with_a_polynomial(self, fpcf):
+        # one curve at the lowest chord, applied to the mean of all wet chords,
+        # overstated the flow by 26-32% and still said status=ok
+        chords = "chord.a.height_mm = 50\nchord.b.height_mm = 100\n"
+        with pytest.raises(ConfigError, match="chords at 50, 100 mm"):
+            parse_config(chords + fpcf)
+        assert {c.height_mm for c in parse_config(chords).chords} == {50.0, 100.0}
 
     def test_derive_range_below_chords_rejected(self):
         doc = "chord.a.height_mm = 80\nfpcf.derive = true\nfpcf.h_min_mm = 50\n"

@@ -1,7 +1,10 @@
 import io
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from partialflow import (
     AlarmEvent,
@@ -21,6 +24,7 @@ from partialflow import (
     read_frame_rows,
     write_frame_rows,
 )
+from partialflow.measurement import FRAME_CSV_HEADER
 from partialflow.simulator import transit_times
 
 PIPE = PipeGeometry(0.250)
@@ -286,13 +290,15 @@ def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
     config = default_config()
     low = ChordSpec("low", 20.0, 0.3, ANGLE, weight=0.5)
     chords = config.chords + (low,)
+    if poly is not None:  # one polynomial serves chords at one height only
+        chords = tuple(replace(c, height_mm=20.0) for c in chords)
     frames = []
     for flow, level, count in [(3.0, 80.0, 70), (5.0, 200.0, 30), (4.0, 95.0, 40)]:
         spec = ScenarioSpec(flow_lps=flow, level_mm=level, noise_sigma_s=1e-9, seed=len(frames),
                             frame_count=count)
         for f in generate(spec, chords, config.pipe, config.params, config.quad):
             frames.append(SensorFrame(float(len(frames)), f.readings, f.level_mm))
-    # below the polynomial's range with only the low chord wet, dry, overfull
+    # below the polynomial's range with only the low chords wet, dry, overfull
     for k, level in [(10, 40.0), (11, 40.0), (12, 15.0), (13, 15.0), (4, 300.0)]:
         frames[k] = SensorFrame(float(k), frames[k].readings, level)
     frames[3] = SensorFrame(3.0, tuple(ChordReading(r.chord_id, -r.t_up_s, r.t_down_s)
@@ -358,3 +364,59 @@ def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
         assert est.flow_lps == pytest.approx(q_lps, rel=1e-9)
     assert seen == {"ok" if poly else "uncorrected", "invalid_times", "dry_chord",
                     *(["fpcf_out_of_range"] if poly else [])}
+
+
+# Fields that both parsers read alike, and ones that ``float`` and ``np.loadtxt``
+# read differently or not at all, so the chunk must go row by row.
+_NUMBERS = ["202696.0", "85.0", "1e5", " 3.5 ", "nan", "inf", "-Infinity", "-0.0", "0.0",
+            "1_0", '"1.0"', "x", "", "1.0 # note"]
+_CHORDS = ["a", "b", " a ", "", "z", '"a"']
+_OTHER_LINES = ["", "   ", "# comment", "1.0,a,5,6", "1.0,a,1,2,3,4",
+                "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm", "\t1.0 , b ,1,2,3 "]
+
+
+def _chunks_as_bytes(chunks) -> list:
+    """``_read_rows`` chunks with arrays as their exact bytes (NaN, -0.0) and
+    diagnostics as text (NaN timestamps compare unequal)."""
+    return [tuple((c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray)
+                  else [(int(p), no, repr(d)) for p, no, d in c] if k == 7 else c
+                  for k, c in enumerate(chunk)) for chunk in chunks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(["0.0", "1.0", "2.0", "nan"]), st.sampled_from(_CHORDS),
+              st.sampled_from(_NUMBERS), st.sampled_from(_NUMBERS),
+              st.sampled_from(_NUMBERS)).map(",".join),
+    st.tuples(st.sampled_from(["0.0", "1.0", "2.0"]), st.sampled_from("ab"),
+              st.sampled_from(["85.0", "-0.0"])).map(lambda r: f"{r[0]},{r[1]},1,2,{r[2]}"),
+    st.sampled_from(_OTHER_LINES),
+    st.text(alphabet="0123456789.,-+eEinfa #\"_\t\x00\x0c\u2028\u0661", max_size=20),
+), max_size=60), st.sampled_from(["\n", "\r\n", ""]), st.sampled_from([(2, 4), (3, 8)]))
+def test_chunk_parse_matches_row_by_row(lines, end, sizes):
+    """Blank and odd lines, 4- and 6-field rows, ``1_0``, inline ``#``, quotes,
+    a header anywhere, CRLF, padded and empty chord ids, non-finite and signed
+    zero values, and frames straddling chunks: ``np.loadtxt`` chunks and
+    row-by-row chunks give the same columns, line numbers and diagnostics."""
+    from partialflow import measurement
+
+    text = [line + end for line in lines]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "FIRST_CHUNK_ROWS", sizes[0])
+        mp.setattr(measurement, "CHUNK_ROWS_CAP", sizes[1])
+        fast = _chunks_as_bytes(measurement._read_rows(text))
+        mp.setattr(measurement, "_parse_block", lambda block: None)
+        assert _chunks_as_bytes(measurement._read_rows(text)) == fast
+
+
+def test_chunk_parse_takes_plain_rows_only():
+    from partialflow.measurement import _parse_block
+
+    plain = ["0.0,a,202696.0,202725.0,85.0\n", "0.0, b ,-0.0,nan,-Infinity\r\n"]
+    (nos, ts, chord, t_up, t_down, level), diags = _parse_block(plain)
+    assert chord == ["a", "b"] and nos.tolist() == [0, 1] and diags == []
+    assert math.copysign(1.0, t_up[1]) == -1.0 and math.isnan(t_down[1]) and level[1] == -math.inf
+    for line in ["\n", "   \n", "0.0,a,1,2\n", "0.0,a,1,2,3,4\n", "1_0,a,1,2,3\n",
+                 "0.0,a,1,2,3 # note\n", '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n",
+                 "0.0,,1,2,3\n", "0.0, ,1,2,3\n"]:
+        assert _parse_block(plain + [line]) is None, line
