@@ -7,6 +7,20 @@ and error metrics, clogging detection, and a synthetic flow-loop
 simulator. The :mod:`partialflow.cli` module wires them into a CLI.
 """
 
+import os
+import sys
+
+# numpy's OpenBLAS starts a second thread at load that spins idle: ~0.13 s of CPU per
+# command on a 2-vCPU host, for BLAS calls too small to use it. OpenBLAS reads the count
+# only at load, so the variable is removed again and no child process inherits it.
+if "numpy" not in sys.modules and not {
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .calibration import (
     ErrorTable,
     TrialRecord,

@@ -88,8 +88,6 @@ _SCALAR_KEYS = {
     "fpcf.h_min_mm",
     "fpcf.h_max_mm",
     "fpcf.step_mm",
-    "fpcf.rms_residual",
-    "fpcf.max_residual",
     "clog.slope_mps_per_mm",
     "clog.intercept_mps",
     "clog.debounce",
@@ -258,6 +256,6 @@ def format_fit_document(fit: FitResult) -> str:
     lines = [f"fpcf.c{k} = {c!r}" for k, c in enumerate(poly.coeffs)]
     lines.append(f"fpcf.h_min_mm = {poly.h_min_mm!r}")
     lines.append(f"fpcf.h_max_mm = {poly.h_max_mm!r}")
-    lines.append(f"fpcf.rms_residual = {fit.rms_residual!r}")
-    lines.append(f"fpcf.max_residual = {fit.max_residual!r}")
+    lines.append(f"# fpcf.rms_residual = {fit.rms_residual!r}")
+    lines.append(f"# fpcf.max_residual = {fit.max_residual!r}")
     return "\n".join(lines) + "\n"

@@ -138,8 +138,10 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
 
 
 def _parse_block(block: list) -> Optional[tuple]:
-    """``_parse_rows`` at C level, or None unless every line of the chunk is a plain
-    data row: five fields, a chord id and four numbers that ``float`` reads alike."""
+    """``_parse_rows`` at C level, or None unless every line but a leading header is a
+    plain data row: five fields, a chord id and four numbers that ``float`` reads alike."""
+    head = int(bool(block) and block[0].strip().lower().replace(" ", "") == FRAME_CSV_HEADER)
+    block = block[head:]
     if not block or set(map(str.count, block, repeat(","))) != {4}:
         return None  # with usecols, loadtxt would accept 6+ fields
     chord = [line.split(",", 2)[1].strip() for line in block]
@@ -150,7 +152,7 @@ def _parse_block(block: list) -> Optional[tuple]:
         return None
     if len(ts) != len(block) or "" in chord:  # loadtxt skips blank lines
         return None
-    return (np.arange(len(block)), ts, chord, t_up, t_down, level), []
+    return (np.arange(head, head + len(block)), ts, chord, t_up, t_down, level), []
 
 
 def _parse_rows(block: list) -> tuple:

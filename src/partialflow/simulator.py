@@ -164,22 +164,17 @@ def generate(
         )
         base_times.append(transit_times(v, chord, scenario.sound_speed_mps))
 
-    rng = np.random.default_rng(scenario.seed)
-    frames = []
-    for k in range(scenario.frame_count):
-        readings = []
-        for chord, (t_up, t_down) in zip(chord_list, base_times):
-            if scenario.noise_sigma_s > 0.0:
-                jitter = rng.normal(0.0, scenario.noise_sigma_s, size=2)
-                t_up_k, t_down_k = t_up + jitter[0], t_down + jitter[1]
-            else:
-                t_up_k, t_down_k = t_up, t_down
-            readings.append(ChordReading(chord.chord_id, t_up_k, t_down_k))
-        frames.append(
-            SensorFrame(
-                timestamp_s=k * scenario.frame_interval_s,
-                readings=tuple(readings),
-                level_mm=level_mm,
-            )
+    shape = (scenario.frame_count, len(chord_list), 2)
+    times = np.broadcast_to(np.reshape(base_times, shape[1:]), shape)
+    if scenario.noise_sigma_s > 0.0:  # numpy.random loads only for noisy runs
+        rng = np.random.default_rng(scenario.seed)
+        times = times + rng.normal(0.0, scenario.noise_sigma_s, size=shape)
+    return [
+        SensorFrame(
+            timestamp_s=k * scenario.frame_interval_s,
+            readings=tuple(ChordReading(chord.chord_id, t_up, t_down)
+                           for chord, (t_up, t_down) in zip(chord_list, frame_times)),
+            level_mm=level_mm,
         )
-    return frames
+        for k, frame_times in enumerate(times.tolist())
+    ]

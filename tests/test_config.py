@@ -75,6 +75,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown"):
             parse_config("pipe.diametr_mm = 250\n")
 
+    @pytest.mark.parametrize("key", ["fpcf.rms_residual", "fpcf.max_residual"])
+    def test_fit_residual_keys_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown keys: {key}"):
+            parse_config(f"{key} = 1e-4\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("entropy.m = 0.89\nentropy.m = 0.9\n")
@@ -143,6 +148,7 @@ class TestFitDocument:
         assert config.poly.coeffs == poly.coeffs
         assert config.poly.h_min_mm == poly.h_min_mm
         assert config.poly.h_max_mm == poly.h_max_mm
+        assert "# fpcf.rms_residual = 1.234e-05\n# fpcf.max_residual = 3.21e-05\n" in doc
 
     def test_resolve_explicit_poly(self):
         config = parse_config(FULL_DOC)

@@ -416,6 +416,9 @@ def test_chunk_parse_takes_plain_rows_only():
     (nos, ts, chord, t_up, t_down, level), diags = _parse_block(plain)
     assert chord == ["a", "b"] and nos.tolist() == [0, 1] and diags == []
     assert math.copysign(1.0, t_up[1]) == -1.0 and math.isnan(t_down[1]) and level[1] == -math.inf
+    header = " Timestamp_s, chord_id,t_up_ns,t_down_ns,level_mm\r\n"
+    (nos, _, chord, *_), diags = _parse_block([header] + plain)
+    assert chord == ["a", "b"] and nos.tolist() == [1, 2] and diags == []
     for line in ["\n", "   \n", "0.0,a,1,2\n", "0.0,a,1,2,3,4\n", "1_0,a,1,2,3\n",
                  "0.0,a,1,2,3 # note\n", '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n",
                  "0.0,,1,2,3\n", "0.0, ,1,2,3\n"]:

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from partialflow import (
@@ -111,6 +112,21 @@ class TestGenerate:
     def test_noise_perturbs_frames(self):
         frames = generate(self.scenario(noise_sigma_s=2e-9, seed=3), [CHORD], PIPE)
         assert len({f.readings for f in frames}) == 4
+
+    def test_noisy_frames_match_per_frame_draws(self):
+        """One jitter array equals drawing two values per (frame, chord) in order."""
+        chords = [CHORD, ChordSpec("b", 50.0, 0.25, ANGLE)]
+        scenario = self.scenario(noise_sigma_s=2e-9, seed=123, frame_count=7)
+        base = [transit_times(chord_velocity_from_truth(0.004, 82.5, c, PIPE), c, 1480.0)
+                for c in chords]
+        rng = np.random.default_rng(123)
+        expected = []
+        for _ in range(7):
+            for chord, (t_up, t_down) in zip(chords, base):
+                jitter = rng.normal(0.0, 2e-9, size=2)
+                expected.append((chord.chord_id, t_up + jitter[0], t_down + jitter[1]))
+        frames = generate(scenario, chords, PIPE)
+        assert [(r.chord_id, r.t_up_s, r.t_down_s) for f in frames for r in f.readings] == expected
 
     def test_timestamps_and_level(self):
         frames = generate(self.scenario(frame_interval_s=0.5), [CHORD], PIPE)
