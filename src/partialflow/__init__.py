@@ -5,100 +5,64 @@ velocity profile, the flow profile correction factor (quadrature,
 tabulation, polynomial fit), transit-time flow estimation, calibration
 and error metrics, clogging detection, and a synthetic flow-loop
 simulator. The :mod:`partialflow.cli` module wires them into a CLI.
+
+Importing the package loads none of them: each exported name imports its
+module on first use (PEP 562), so a command loads numpy only if it runs a
+layer that uses it.
 """
 
-import os
+import importlib
 import sys
+import types
 
-# numpy's OpenBLAS starts a second thread at load that spins idle: ~0.13 s of CPU per
-# command on a 2-vCPU host, for BLAS calls too small to use it. OpenBLAS reads the count
-# only at load, so the variable is removed again and no child process inherits it.
-if "numpy" not in sys.modules and not {
-        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy  # noqa: F401
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
+_EXPORTS = {
+    "calibration": ("ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
+                    "percent_error", "repeatability"),
+    "clogging": ("AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify",
+                 "step_alarm"),
+    "config": ("RunConfig", "default_config", "load_config", "parse_config"),
+    "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "FpcfRangeError",
+               "InvalidTimesError", "NumericalDomainError", "OutOfRangeError",
+               "PartialFlowError", "QuadratureError"),
+    "fpcf": ("FitResult", "FpcfPolynomial", "FpcfSample", "eval_fpcf", "fit_polynomial", "fpcf",
+             "mean_area_velocity", "mean_chord_velocity", "tabulate_fpcf"),
+    "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
+                 "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"),
+    "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FlowEstimate",
+                    "FrameDiagnostic", "ProcessedFrame", "SensorFrame", "estimate_flow",
+                    "line_velocity", "process_stream", "read_frame_rows", "write_frame_rows"),
+    "profile": ("DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint", "dip_ratio",
+                "evaluate_velocity", "local_frame", "normalized_velocity", "profile_grid",
+                "velocity_cdf"),
+    "quadrature": ("QuadratureSpec", "adaptive_integrate"),
+    "simulator": ("ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
+                  "generate", "transit_times", "weir_shift"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-from .calibration import (
-    ErrorTable,
-    TrialRecord,
-    calibration_factor,
-    error_table,
-    fwme,
-    percent_error,
-    repeatability,
-)
-from .clogging import AlarmEvent, AlarmState, DecisionBoundary, Verdict, classify, step_alarm
-from .config import RunConfig, default_config, load_config, parse_config
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    DryPathError,
-    FpcfRangeError,
-    InvalidTimesError,
-    NumericalDomainError,
-    OutOfRangeError,
-    PartialFlowError,
-    QuadratureError,
-)
-from .fpcf import (
-    FitResult,
-    FpcfPolynomial,
-    FpcfSample,
-    eval_fpcf,
-    fit_polynomial,
-    fpcf,
-    mean_area_velocity,
-    mean_chord_velocity,
-    tabulate_fpcf,
-)
-from .geometry import (
-    PipeGeometry,
-    WaterLevel,
-    chord_half_width,
-    hydraulic_diameter,
-    reynolds,
-    segment_area,
-    wetted_angle,
-    wetted_perimeter,
-)
-from .measurement import (
-    ChordReading,
-    ChordSpec,
-    EstimateStatus,
-    FlowEstimate,
-    FrameDiagnostic,
-    ProcessedFrame,
-    SensorFrame,
-    estimate_flow,
-    line_velocity,
-    process_stream,
-    read_frame_rows,
-    write_frame_rows,
-)
-from .profile import (
-    DipPositionPoly,
-    EntropyParams,
-    ProfileModel,
-    ProfilePoint,
-    dip_ratio,
-    evaluate_velocity,
-    local_frame,
-    normalized_velocity,
-    profile_grid,
-    velocity_cdf,
-)
-from .quadrature import QuadratureSpec, adaptive_integrate
-from .simulator import (
-    ScenarioSpec,
-    WeirMode,
-    baseline_level_mm,
-    chord_velocity_from_truth,
-    generate,
-    transit_times,
-    weir_shift,
-)
-
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """Keeps ``partialflow.fpcf`` the function: importing a submodule binds it on the
+    package under its own name, which would hide an exported name it shares."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if not (name in _HOME and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,8 +11,8 @@ import contextlib
 import sys
 from itertools import chain, repeat
 
-import numpy as np
-
+# Each command imports the layers it runs, so calibrate, metrics and --help load no
+# numpy. calibration is numpy-free and stays here.
 from .calibration import (
     calibration_factor,
     error_table,
@@ -21,13 +21,12 @@ from .calibration import (
     format_error_table,
     read_trials,
 )
-from .config import format_fit_document, load_config, resolve_polynomial
 from .errors import ConfigError, PartialFlowError
-from .fpcf import fit_polynomial, tabulate_fpcf
-from .geometry import WaterLevel
-from .measurement import STATUSES, FrameDiagnostic, process_lines, write_frame_rows
-from .profile import ProfileModel, profile_grid
-from .simulator import ScenarioSpec, WeirMode, baseline_level_mm, generate
+
+# The values of simulator.WeirMode and of measurement.STATUSES, in order, written out
+# so that building the parser and formatting records import neither module.
+_WEIR_TEXT = ("none", "weir1", "weir2")
+_STATUS_TEXT = ("ok", "fpcf_out_of_range", "dry_chord", "invalid_times", "uncorrected")
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -54,6 +53,10 @@ def _in_stream(path: str):
 
 
 def cmd_profile(args) -> int:
+    from .config import load_config
+    from .geometry import WaterLevel
+    from .profile import ProfileModel, profile_grid
+
     config = load_config(args.config)
     model = ProfileModel(
         pipe=config.pipe,
@@ -67,6 +70,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fpcf(args) -> int:
+    from .config import load_config
+    from .fpcf import tabulate_fpcf
+
     config = load_config(args.config)
     chord_height = args.chord_height_mm
     if chord_height is None:
@@ -88,6 +94,9 @@ def cmd_fpcf(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .config import format_fit_document
+    from .fpcf import fit_polynomial
+
     samples = []
     with _in_stream(args.table) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -104,11 +113,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_STATUS_TEXT = tuple(s.value for s in STATUSES)
 _CLOG_TEXT = ("normal", "clogging", "-")  # FrameChunk.clog codes
 
 
-def _diagnostic_record(diag: FrameDiagnostic) -> str:
+def _diagnostic_record(diag) -> str:
     where = "" if diag.line_no is None else f" line={diag.line_no}"
     ts = "" if diag.timestamp_s is None else f" ts={diag.timestamp_s!r}"
     return f"diagnostic{where}{ts} detail={diag.detail!r}\n"
@@ -119,6 +127,8 @@ def _chunk_records(chunk) -> str:
     v and q are converted (``%s`` of a float is its repr); the rest is memoised per
     distinct level (which sets the area), fpcf, status and verdict, keyed on the bits
     of the floats so that -0.0 keeps its sign, and looked up once per run of frames."""
+    from ._numpy import np  # loaded with measurement, before the first chunk
+
     ts, v, q = chunk.ts.tolist(), chunk.v_line.tolist(), (1000.0 * chunk.flow_m3s).tolist()
     for f in np.flatnonzero(chunk.clog == 2).tolist():
         v[f] = q[f] = "-"
@@ -140,6 +150,9 @@ def _chunk_records(chunk) -> str:
 
 
 def cmd_process(args) -> int:
+    from .config import load_config, resolve_polynomial
+    from .measurement import process_lines
+
     config = load_config(args.config)
     poly, _ = resolve_polynomial(config)
     frames_seen = diagnostics = raised = cleared = 0
@@ -185,6 +198,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .config import load_config
+    from .measurement import write_frame_rows
+    from .simulator import ScenarioSpec, WeirMode, baseline_level_mm, generate
+
     config = load_config(args.config)
     level = args.level_mm if args.level_mm is not None else baseline_level_mm(args.flow_lps)
     scenario = ScenarioSpec(
@@ -257,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow-lps", type=float, required=True)
     p.add_argument("--level-mm", type=float, default=None,
                    help="default: rig baseline level for the flow rate")
-    p.add_argument("--weir", choices=[m.value for m in WeirMode], default="none")
+    p.add_argument("--weir", choices=_WEIR_TEXT, default="none")
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--interval", type=float, default=1.0)
     p.add_argument("--noise-ns", type=float, default=0.0)

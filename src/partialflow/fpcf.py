@@ -10,8 +10,7 @@ wall) so the near-wall algebraic behavior does not stall refinement.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import (
     DegenerateProfileError,
     DryPathError,

@@ -17,8 +17,7 @@ from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
-import numpy as np
-
+from ._numpy import np
 from .clogging import AlarmEvent, AlarmState, DecisionBoundary, Verdict, step_alarms
 from .errors import InvalidTimesError, OutOfRangeError
 from .fpcf import FpcfPolynomial, horner

@@ -10,8 +10,7 @@ non-integer powers.
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._numpy import np
 from .errors import NumericalDomainError, OutOfRangeError
 from .geometry import PipeGeometry, WaterLevel
 

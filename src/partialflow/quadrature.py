@@ -12,8 +12,7 @@ estimate is a few vectorized calls.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import OutOfRangeError, QuadratureError
 
 # Integrand points per call: fine grids are evaluated in slices along the

@@ -13,8 +13,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .errors import OutOfRangeError
 from .fpcf import fpcf
 from .geometry import PipeGeometry, WaterLevel, segment_area
@@ -157,12 +156,15 @@ def generate(
     """
     level_mm = weir_shift(scenario.level_mm, scenario.weir, pipe, uplift)
     chord_list = list(chords)
+    velocity = {}  # chord height -> chord velocity: one FPCF quadrature per height
     base_times = []
     for chord in chord_list:
-        v = chord_velocity_from_truth(
-            scenario.flow_lps / 1000.0, level_mm, chord, pipe, params, quad, dip
-        )
-        base_times.append(transit_times(v, chord, scenario.sound_speed_mps))
+        if chord.height_mm not in velocity:
+            velocity[chord.height_mm] = chord_velocity_from_truth(
+                scenario.flow_lps / 1000.0, level_mm, chord, pipe, params, quad, dip
+            )
+        base_times.append(transit_times(velocity[chord.height_mm], chord,
+                                        scenario.sound_speed_mps))
 
     shape = (scenario.frame_count, len(chord_list), 2)
     times = np.broadcast_to(np.reshape(base_times, shape[1:]), shape)

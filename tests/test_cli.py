@@ -296,6 +296,16 @@ class TestExitCodes:
         assert code == 1
 
 
+def test_literals_match_their_enums():
+    """The CLI writes out the weir modes and status texts rather than load their modules."""
+    from partialflow import cli
+    from partialflow.measurement import STATUSES
+    from partialflow.simulator import WeirMode
+
+    assert list(cli._WEIR_TEXT) == [m.value for m in WeirMode]
+    assert list(cli._STATUS_TEXT) == [s.value for s in STATUSES]
+
+
 def _fmt(value) -> str:
     if value is None:
         return "-"

@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 
@@ -127,6 +128,24 @@ class TestGenerate:
                 expected.append((chord.chord_id, t_up + jitter[0], t_down + jitter[1]))
         frames = generate(scenario, chords, PIPE)
         assert [(r.chord_id, r.t_up_s, r.t_down_s) for f in frames for r in f.readings] == expected
+
+    def test_one_fpcf_per_distinct_chord_height(self, monkeypatch):
+        """Chords that share a height share one FPCF quadrature, in first-seen order,
+        and get the transit times of a per-chord computation."""
+        chords = [CHORD, ChordSpec("b", 30.0, 0.25, ANGLE), ChordSpec("c", 50.0, 0.3, ANGLE)]
+        expected = [(c.chord_id, *transit_times(chord_velocity_from_truth(0.004, 82.5, c, PIPE),
+                                                c, 1480.0)) for c in chords]
+        simulator = importlib.import_module("partialflow.simulator")
+        heights, real = [], simulator.fpcf
+
+        def counting(model, chord_height_m, quad):
+            heights.append(chord_height_m)
+            return real(model, chord_height_m, quad)
+
+        monkeypatch.setattr(simulator, "fpcf", counting)
+        frames = generate(self.scenario(), chords, PIPE)
+        assert heights == [0.05, 0.03]
+        assert [(r.chord_id, r.t_up_s, r.t_down_s) for r in frames[0].readings] == expected
 
     def test_timestamps_and_level(self):
         frames = generate(self.scenario(frame_interval_s=0.5), [CHORD], PIPE)
