@@ -6,15 +6,15 @@ error by its flow relative to the largest tested flow.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import OutOfRangeError
 
 TRIAL_CSV_HEADER = "segment_id,flow_label,q_ref_lps,q_meas_lps"
 
 
-@dataclass(frozen=True)
+@record
 class TrialRecord:
     """One measurement trial against the reference meter (flows in L/s)."""
 
@@ -88,14 +88,14 @@ def repeatability(samples: Sequence[float]) -> float:
     return 100.0 * math.sqrt(variance) / abs(mean)
 
 
-@dataclass(frozen=True)
+@record
 class ErrorRow:
     flow_label: str
     q_ref_lps: float
     error_pct: float
 
 
-@dataclass(frozen=True)
+@record
 class ErrorTable:
     rows: tuple[ErrorRow, ...]
     fwme_pct: float
@@ -106,6 +106,8 @@ def error_table(trials: Sequence[TrialRecord], k_cal: float = 1.0) -> ErrorTable
     """Per-flow-rate mean percent error (after applying k_cal) plus FWME."""
     if not trials:
         raise OutOfRangeError("error table needs at least one trial")
+    if not 0 < k_cal < math.inf:
+        raise OutOfRangeError(f"k_cal must be finite and positive, got {k_cal!r}")
     by_label: dict[str, list[TrialRecord]] = {}
     for t in trials:
         by_label.setdefault(t.flow_label, []).append(t)

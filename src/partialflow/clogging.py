@@ -2,14 +2,14 @@
 plus the debounced alarm state machine driven by the stream processor.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
+from ._record import record
 from .errors import OutOfRangeError
 
 
-@dataclass(frozen=True)
+@record
 class DecisionBoundary:
     """v_threshold(H) = slope * H + intercept, H in mm, v in m/s.
 
@@ -59,7 +59,7 @@ class AlarmEvent(Enum):
     CLEARED = "cleared"
 
 
-@dataclass(frozen=True)
+@record
 class AlarmState:
     """Debounce counter: ALARM after ``threshold`` consecutive clogging verdicts."""
 

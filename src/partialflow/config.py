@@ -5,9 +5,9 @@ emitted with ``repr`` so a written document parses back bit-exactly.
 """
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import record
 from .clogging import DecisionBoundary
 from .errors import ConfigError
 from .fpcf import FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
@@ -19,7 +19,7 @@ from .quadrature import QuadratureSpec
 _POLY_DEGREE = 6
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     pipe: PipeGeometry
     params: EntropyParams
@@ -30,9 +30,9 @@ class RunConfig:
     fpcf_h_max_mm: float = 250.0
     fpcf_step_mm: float = 10.0
     k_cal: float = 1.0
-    boundary: DecisionBoundary = field(default_factory=DecisionBoundary)
+    boundary: DecisionBoundary = DecisionBoundary()
     debounce: int = 5
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
+    quad: QuadratureSpec = QuadratureSpec()
 
 
 def _default_chords(pipe: PipeGeometry) -> tuple[ChordSpec, ...]:
@@ -200,6 +200,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(config: RunConfig) -> None:
+    if not 0 < config.k_cal < math.inf:
+        raise ConfigError(f"calibration.factor must be finite and positive, got {config.k_cal!r}")
     ids = [c.chord_id for c in config.chords]
     if len(ids) != len(set(ids)):
         raise ConfigError(f"duplicate chord ids: {ids}")

@@ -8,9 +8,9 @@ wall) so the near-wall algebraic behavior does not stall refinement.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import record
 from .errors import (
     DegenerateProfileError,
     DryPathError,
@@ -28,7 +28,7 @@ from .profile import (
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, unit_integrate
 
 
-@dataclass(frozen=True)
+@record
 class FpcfSample:
     """One tabulated correction factor at a level/chord-height pair (mm)."""
 
@@ -43,7 +43,7 @@ class FpcfSample:
             )
 
 
-@dataclass(frozen=True)
+@record
 class FpcfPolynomial:
     """Power-basis coefficients c0..cN over level in mm, with validity range."""
 
@@ -58,7 +58,7 @@ class FpcfPolynomial:
             )
 
 
-@dataclass(frozen=True)
+@record
 class FitResult:
     polynomial: FpcfPolynomial
     rms_residual: float

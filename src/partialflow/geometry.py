@@ -5,15 +5,15 @@ I/O boundary, not here.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import OutOfRangeError
 
 # Kinematic viscosity of water near 20 degC (m^2/s).
 DEFAULT_KINEMATIC_VISCOSITY = 1.0e-6
 
 
-@dataclass(frozen=True)
+@record
 class PipeGeometry:
     """Circular pipe of inner diameter ``diameter_m``."""
 
@@ -28,7 +28,7 @@ class PipeGeometry:
         return 0.5 * self.diameter_m
 
 
-@dataclass(frozen=True)
+@record
 class WaterLevel:
     """Free-surface height above the inner pipe bottom, 0 <= H <= D."""
 

@@ -11,13 +11,13 @@ Frames take one columnar path, a chunk of rows at a time (``_run``);
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from ._numpy import np
+from ._record import record
 from .clogging import AlarmEvent, AlarmState, DecisionBoundary, Verdict, step_alarms
 from .errors import InvalidTimesError, OutOfRangeError
 from .fpcf import FpcfPolynomial, horner
@@ -35,7 +35,7 @@ FIRST_CHUNK_ROWS = 256
 CHUNK_ROWS_CAP = 1024
 
 
-@dataclass(frozen=True)
+@record
 class ChordSpec:
     """One acoustic path: height above the bottom, path length, beam angle."""
 
@@ -56,14 +56,14 @@ class ChordSpec:
             raise OutOfRangeError(f"chord weight must be non-negative, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ChordReading:
     chord_id: str
     t_up_s: float
     t_down_s: float
 
 
-@dataclass(frozen=True)
+@record
 class SensorFrame:
     """One timestamped reading: per-chord transit times plus water level."""
 
@@ -72,7 +72,7 @@ class SensorFrame:
     level_mm: float
 
 
-@dataclass(frozen=True)
+@record
 class FrameDiagnostic:
     """A malformed row or frame, reported instead of an estimate."""
 
@@ -89,7 +89,7 @@ class EstimateStatus(Enum):
     UNCORRECTED = "uncorrected"
 
 
-@dataclass(frozen=True)
+@record
 class FlowEstimate:
     timestamp_s: float
     level_mm: float
@@ -107,7 +107,7 @@ class FlowEstimate:
         return None if self.flow_m3s is None else 1000.0 * self.flow_m3s
 
 
-@dataclass(frozen=True)
+@record
 class ProcessedFrame:
     estimate: FlowEstimate
     verdict: Optional[Verdict]

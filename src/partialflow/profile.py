@@ -8,9 +8,9 @@ non-integer powers.
 """
 
 import math
-from dataclasses import dataclass, field
 
 from ._numpy import np
+from ._record import record
 from .errors import NumericalDomainError, OutOfRangeError
 from .geometry import PipeGeometry, WaterLevel
 
@@ -32,7 +32,7 @@ DIP_RATIO_FLOOR = 1e-3
 DIP_WEIGHT_MODES = ("height_weighted", "unit")
 
 
-@dataclass(frozen=True)
+@record
 class EntropyParams:
     """Entropy parameters M (dimensionless) and q (non-extensive)."""
 
@@ -51,7 +51,7 @@ class EntropyParams:
         return (1.0 - self.m) ** (self.q / (self.q - 1.0))
 
 
-@dataclass(frozen=True)
+@record
 class DipPositionPoly:
     """Cubic interpolant h/H = c3*t^3 + c2*t^2 + c1*t + c0 with t = H/D.
 
@@ -78,7 +78,7 @@ def dip_ratio(relative_level: float, poly: DipPositionPoly = DEFAULT_DIP_POLY) -
     return poly(relative_level)
 
 
-@dataclass(frozen=True)
+@record
 class ProfilePoint:
     """A point of the cross-section: x from centerline, y above the bottom (m)."""
 
@@ -86,7 +86,7 @@ class ProfilePoint:
     y: float
 
 
-@dataclass(frozen=True)
+@record
 class ProfileModel:
     """Immutable bundle of everything needed to evaluate v/v_max.
 
@@ -98,7 +98,7 @@ class ProfileModel:
 
     pipe: PipeGeometry
     level: WaterLevel
-    params: EntropyParams = field(default_factory=EntropyParams)
+    params: EntropyParams = EntropyParams()
     dip: DipPositionPoly = DEFAULT_DIP_POLY
     dip_weight_mode: str = "height_weighted"
     clamp_nonnegative: bool = False
@@ -259,7 +259,7 @@ def evaluate_velocity(model: ProfileModel, x, y):
     return out
 
 
-@dataclass(frozen=True)
+@record
 class ProfileGrid:
     """Rectangular sample grid; v is NaN outside the wetted region."""
 

@@ -10,9 +10,9 @@ estimate is a few vectorized calls.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
+from ._record import record
 from .errors import OutOfRangeError, QuadratureError
 
 # Integrand points per call: fine grids are evaluated in slices along the
@@ -28,7 +28,7 @@ def _nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _LEGGAUSS_CACHE[n]
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureSpec:
     """Tolerance and limits of panel doubling.
 

@@ -8,12 +8,12 @@ flow, emulating backwater from a downstream obstruction.
 """
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from ._numpy import np
+from ._record import record
 from .errors import OutOfRangeError
 from .fpcf import fpcf
 from .geometry import PipeGeometry, WaterLevel, segment_area
@@ -48,7 +48,7 @@ def baseline_level_mm(flow_lps: float) -> float:
     return h0 + (h1 - h0) * (flow_lps - q0) / (q1 - q0)
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioSpec:
     """Ground truth plus noise model for one synthetic run."""
 
@@ -62,6 +62,8 @@ class ScenarioSpec:
     frame_interval_s: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.flow_lps, self.noise_sigma_s, self.frame_interval_s))):
+            raise OutOfRangeError(f"flow, noise and frame interval must be finite, got {self!r}")
         if not self.sound_speed_mps > 0:
             raise OutOfRangeError(f"sound speed must be positive, got {self.sound_speed_mps!r}")
         if self.noise_sigma_s < 0:
@@ -172,11 +174,11 @@ def generate(
         rng = np.random.default_rng(scenario.seed)
         times = times + rng.normal(0.0, scenario.noise_sigma_s, size=shape)
     return [
-        SensorFrame(
-            timestamp_s=k * scenario.frame_interval_s,
-            readings=tuple(ChordReading(chord.chord_id, t_up, t_down)
-                           for chord, (t_up, t_down) in zip(chord_list, frame_times)),
-            level_mm=level_mm,
+        SensorFrame(  # by position: a record binds keywords at ~3x the cost
+            k * scenario.frame_interval_s,
+            tuple(ChordReading(chord.chord_id, t_up, t_down)
+                  for chord, (t_up, t_down) in zip(chord_list, frame_times)),
+            level_mm,
         )
         for k, frame_times in enumerate(times.tolist())
     ]

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,6 +145,13 @@ class TestErrorTable:
         trials = list(read_trials(io.StringIO(TRIAL_TEXT)))
         table = error_table(trials, k_cal=2.0)
         assert table.rows[0].error_pct == pytest.approx(109.0, rel=1e-9)
+
+    @pytest.mark.parametrize("k_cal", [0.0, -1.0, math.nan, math.inf])
+    def test_k_cal_not_finite_and_positive_rejected(self, k_cal):
+        # nan gave a table of nan rows, 0 one of -100% rows
+        trials = list(read_trials(io.StringIO(TRIAL_TEXT)))
+        with pytest.raises(OutOfRangeError, match="k_cal must be finite and positive"):
+            error_table(trials, k_cal=k_cal)
 
     def test_first_segments(self):
         trials = list(read_trials(io.StringIO(TRIAL_TEXT)))

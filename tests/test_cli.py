@@ -291,6 +291,27 @@ class TestExitCodes:
         code, _, _ = run(capsys, "process", "--config", "/nonexistent.cfg")
         assert code == 2
 
+    def test_bad_calibration_factor_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("calibration.factor = -2\n")
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert "config error: calibration.factor must be finite and positive" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--k-cal", "nan"], ["metrics", "--k-cal", "0"], ["metrics", "--k-cal", "-1"],
+        ["simulate", "--flow-lps", "nan", "--level-mm", "80"],
+        ["simulate", "--flow-lps", "3", "--noise-ns", "nan"],
+        ["simulate", "--flow-lps", "3", "--interval", "nan"],
+    ], ids=["k_cal_nan", "k_cal_0", "k_cal_neg", "flow_nan", "noise_nan", "interval_nan"])
+    def test_non_finite_or_non_positive_input_exits_1(self, capsys, tmp_path, argv):
+        trials = tmp_path / "trials.csv"
+        trials.write_text("1,2,2.0,2.02\n1,4,4.0,4.05\n")
+        extra = ["--trials", str(trials)] if argv[0] == "metrics" else []
+        code, out, err = run(capsys, *argv, *extra)
+        assert (code, out) == (1, "")
+        assert "must be finite" in err
+
     def test_missing_input_file_exits_1(self, capsys):
         code, _, _ = run(capsys, "metrics", "--trials", "/nonexistent.csv")
         assert code == 1

@@ -80,6 +80,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"unknown keys: {key}"):
             parse_config(f"{key} = 1e-4\n")
 
+    @pytest.mark.parametrize("factor", ["-2", "0", "nan", "inf"])
+    def test_k_cal_not_finite_and_positive_rejected(self, factor):
+        # calibration.factor = -2 gave negative flows with status=ok
+        with pytest.raises(ConfigError, match="calibration.factor must be finite and positive"):
+            parse_config(f"calibration.factor = {factor}\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("entropy.m = 0.89\nentropy.m = 0.9\n")

@@ -1,6 +1,5 @@
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,7 +290,8 @@ def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
     low = ChordSpec("low", 20.0, 0.3, ANGLE, weight=0.5)
     chords = config.chords + (low,)
     if poly is not None:  # one polynomial serves chords at one height only
-        chords = tuple(replace(c, height_mm=20.0) for c in chords)
+        chords = tuple(ChordSpec(c.chord_id, 20.0, c.path_length_m, c.beam_angle_rad, c.weight)
+                       for c in chords)
     frames = []
     for flow, level, count in [(3.0, 80.0, 70), (5.0, 200.0, 30), (4.0, 95.0, 40)]:
         spec = ScenarioSpec(flow_lps=flow, level_mm=level, noise_sigma_s=1e-9, seed=len(frames),

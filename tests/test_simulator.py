@@ -156,6 +156,13 @@ class TestGenerate:
         frames = generate(self.scenario(weir=WeirMode.WEIR1), [CHORD], PIPE)
         assert all(f.level_mm == pytest.approx(82.5 * 1.35) for f in frames)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["flow_lps", "noise_sigma_s", "frame_interval_s"])
+    def test_non_finite_scenario_rejected(self, field, value):
+        # nan passed the sign checks: nan transit times, noise-free frames, nan timestamps
+        with pytest.raises(OutOfRangeError, match="must be finite"):
+            ScenarioSpec(**{"flow_lps": 4.0, "level_mm": 85.0, field: value})
+
     def test_scenario_validation(self):
         with pytest.raises(OutOfRangeError):
             ScenarioSpec(flow_lps=4.0, level_mm=85.0, frame_count=0)

@@ -1,6 +1,6 @@
 """Start-up: a command loads numpy only if it runs a layer that uses it, and then
 with a one-thread OpenBLAS pool, unless the user set a thread count or imported
-numpy first; ``os.environ`` is left as it was found."""
+numpy first; ``os.environ`` is left as it was found. No command loads ``dataclasses``."""
 
 import json
 import os
@@ -26,19 +26,24 @@ print(json.dumps([threads, len(os.listdir("/proc/self/task")), dict(os.environ) 
 sys.exit(code)
 """
 
-# Prints whether numpy is loaded after the package import and after each of
-# calibrate, metrics and --help, then the number of loaded modules at each write
-# of frame records by a process command.
+# Prints whether numpy and dataclasses are loaded after the package import and
+# after each of calibrate, metrics, --help, process and a noisy simulate, the exit
+# codes of the last two, and the number of loaded modules at each write of frame
+# records by the process command.
 LAZY_PROBE = """
 import contextlib, io, json, sys
 trials, frames = sys.argv[1:]
+
+def loaded():
+    return ["numpy" in sys.modules, "dataclasses" in sys.modules]
+
 import partialflow
-numpy_loaded = ["numpy" in sys.modules]
+stages = [loaded()]
 import partialflow.cli
 for argv in (["calibrate", "--trials", trials], ["metrics", "--trials", trials], ["--help"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
         partialflow.cli.main(argv)
-    numpy_loaded.append("numpy" in sys.modules)
+    stages.append(loaded())
 
 class Out(io.StringIO):
     def write(self, text):
@@ -48,8 +53,13 @@ class Out(io.StringIO):
 
 modules = []
 with contextlib.redirect_stdout(Out()):
-    code = partialflow.cli.main(["process", "--frames", frames])
-print(json.dumps([numpy_loaded, code, modules]))
+    codes = [partialflow.cli.main(["process", "--frames", frames])]
+stages.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(partialflow.cli.main(["simulate", "--flow-lps", "3", "--frames", "4",
+                                       "--noise-ns", "2"]))
+stages.append(loaded())
+print(json.dumps([stages, codes, modules]))
 """
 
 
@@ -141,10 +151,18 @@ def lazy_child(tmp_path_factory):
 
 
 def test_package_calibrate_metrics_and_help_load_no_numpy(lazy_child):
-    assert lazy_child[0] == [False, False, False, False]
+    stages, codes, _ = lazy_child
+    assert [numpy for numpy, _ in stages] == [False, False, False, False, True, True]
+    assert codes == [0, 0]
+
+
+def test_no_command_loads_dataclasses(lazy_child):
+    """Records are built without dataclasses, which would cost ~1 ms per class."""
+    stages, _, _ = lazy_child
+    assert [dataclasses for _, dataclasses in stages] == [False] * 6
 
 
 def test_process_imports_nothing_between_frame_records(lazy_child):
-    _, code, modules = lazy_child
-    assert code == 0 and len(modules) == 3
+    _, codes, modules = lazy_child
+    assert codes[0] == 0 and len(modules) == 3
     assert len(set(modules)) == 1
