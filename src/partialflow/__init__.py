@@ -18,8 +18,7 @@ import types
 _EXPORTS = {
     "calibration": ("ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"),
-    "clogging": ("AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify",
-                 "step_alarm"),
+    "clogging": ("AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"),
     "config": ("RunConfig", "default_config", "load_config", "parse_config"),
     "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "FpcfRangeError",
                "InvalidTimesError", "NumericalDomainError", "OutOfRangeError",
@@ -28,12 +27,10 @@ _EXPORTS = {
              "mean_area_velocity", "mean_chord_velocity", "tabulate_fpcf"),
     "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"),
-    "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FlowEstimate",
-                    "FrameDiagnostic", "ProcessedFrame", "SensorFrame", "estimate_flow",
-                    "line_velocity", "process_stream", "read_frame_rows", "write_frame_rows"),
+    "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
+                    "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"),
     "profile": ("DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint", "dip_ratio",
-                "evaluate_velocity", "local_frame", "normalized_velocity", "profile_grid",
-                "velocity_cdf"),
+                "evaluate_velocity", "normalized_velocity", "profile_grid"),
     "quadrature": ("QuadratureSpec", "adaptive_integrate"),
     "simulator": ("ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
                   "generate", "transit_times", "weir_shift"),

@@ -24,8 +24,11 @@ class TrialRecord:
     q_meas_lps: float
 
     def __post_init__(self):
-        if not self.q_ref_lps > 0:
-            raise OutOfRangeError(f"reference flow must be positive, got {self.q_ref_lps!r}")
+        if not 0 < self.q_ref_lps < math.inf:
+            raise OutOfRangeError(
+                f"reference flow must be finite and positive, got {self.q_ref_lps!r}")
+        if not math.isfinite(self.q_meas_lps):
+            raise OutOfRangeError(f"measured flow must be finite, got {self.q_meas_lps!r}")
 
 
 def percent_error(q_meas: float, q_ref: float) -> float:

@@ -2,8 +2,9 @@
 plus the debounced alarm state machine driven by the stream processor.
 """
 
+import math
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ._record import record
 from .errors import OutOfRangeError
@@ -21,8 +22,11 @@ class DecisionBoundary:
     intercept_mps: float = -0.02
 
     def __post_init__(self):
-        if not self.slope_mps_per_mm > 0:
-            raise OutOfRangeError(f"boundary slope must be positive, got {self.slope_mps_per_mm!r}")
+        if not 0 < self.slope_mps_per_mm < math.inf:
+            raise OutOfRangeError(
+                f"boundary slope must be finite and positive, got {self.slope_mps_per_mm!r}")
+        if not math.isfinite(self.intercept_mps):
+            raise OutOfRangeError(f"boundary intercept must be finite, got {self.intercept_mps!r}")
 
     def threshold(self, level_mm: float) -> float:
         return self.slope_mps_per_mm * level_mm + self.intercept_mps
@@ -70,12 +74,6 @@ class AlarmState:
     def __post_init__(self):
         if self.threshold < 1:
             raise OutOfRangeError(f"debounce threshold must be >= 1, got {self.threshold!r}")
-
-
-def step_alarm(state: AlarmState, verdict: Verdict) -> tuple[AlarmState, Optional[AlarmEvent]]:
-    """Advance the state machine by one verdict (see ``step_alarms``)."""
-    state, (event,) = step_alarms(state, [verdict is Verdict.CLOGGING])
-    return state, event
 
 
 def step_alarms(state: AlarmState, clogging: Iterable[bool]) -> tuple[AlarmState, list]:

@@ -202,6 +202,8 @@ def parse_config(text: str) -> RunConfig:
 def _validate(config: RunConfig) -> None:
     if not 0 < config.k_cal < math.inf:
         raise ConfigError(f"calibration.factor must be finite and positive, got {config.k_cal!r}")
+    if config.debounce < 1:
+        raise ConfigError(f"clog.debounce must be >= 1, got {config.debounce!r}")
     ids = [c.chord_id for c in config.chords]
     if len(ids) != len(set(ids)):
         raise ConfigError(f"duplicate chord ids: {ids}")

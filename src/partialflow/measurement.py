@@ -5,8 +5,8 @@ one row per chord per frame, rows of one frame grouped by timestamp.
 Transit times travel as nanoseconds and are converted to seconds here;
 levels stay in millimeters up to the geometry calls.
 
-Frames take one columnar path, a chunk of rows at a time (``_run``);
-``read_frame_rows``, ``estimate_flow`` and ``process_stream`` are views.
+Frames take one columnar path, a chunk of rows at a time: ``process_lines``
+reads the CSV and yields a ``FrameChunk`` of columns per chunk.
 """
 
 import math
@@ -18,13 +18,10 @@ from typing import Iterable, Iterator, Optional
 
 from ._numpy import np
 from ._record import record
-from .clogging import AlarmEvent, AlarmState, DecisionBoundary, Verdict, step_alarms
+from .clogging import AlarmState, DecisionBoundary, step_alarms
 from .errors import InvalidTimesError, OutOfRangeError
 from .fpcf import FpcfPolynomial, horner
 from .geometry import PipeGeometry, WaterLevel, segment_area
-
-# Line velocities above this magnitude are flagged but retained.
-DEFAULT_PLAUSIBILITY_CAP = 15.0  # m/s
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
 
@@ -89,31 +86,6 @@ class EstimateStatus(Enum):
     UNCORRECTED = "uncorrected"
 
 
-@record
-class FlowEstimate:
-    timestamp_s: float
-    level_mm: float
-    chord_velocities: tuple[tuple[str, float], ...]
-    mean_line_velocity: Optional[float]
-    area_m2: float
-    fpcf_applied: float
-    k_cal: float
-    flow_m3s: Optional[float]
-    status: EstimateStatus
-    implausible_chords: tuple[str, ...] = ()
-
-    @property
-    def flow_lps(self) -> Optional[float]:
-        return None if self.flow_m3s is None else 1000.0 * self.flow_m3s
-
-
-@record
-class ProcessedFrame:
-    estimate: FlowEstimate
-    verdict: Optional[Verdict]
-    alarm_event: Optional[AlarmEvent]
-
-
 def _transit_velocity(t_up, t_down, path_length_m, cos_angle):
     """v = L * (t_down - t_up) / (2 * t_up * t_down * cos(theta)); scalars or arrays."""
     return path_length_m * (t_down - t_up) / (2.0 * t_up * t_down * cos_angle)
@@ -131,9 +103,9 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
     return _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
 
 
-# Both readers yield chunks of complete frames: ts and level_mm per frame;
-# frame index, chord id, t_up_s, t_down_s and line number (0 for frame
-# objects) per row; diagnostics as (index of the frame it precedes, line, it).
+# The reader yields chunks of complete frames: ts and level_mm per frame;
+# frame index, chord id, t_up_s, t_down_s and line number per row;
+# diagnostics as (index of the frame it precedes, line, it).
 
 
 def _parse_block(block: list) -> Optional[tuple]:
@@ -226,32 +198,6 @@ def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
         kept = chord = None  # free this chunk before reading the next
 
 
-def _pack_frames(items: Iterable[SensorFrame | FrameDiagnostic]) -> Iterator[tuple]:
-    """Frame objects in chunks of the columns ``_read_rows`` yields."""
-    source = iter(items)
-    while chunk := list(islice(source, FIRST_CHUNK_ROWS)):
-        frames, diags = [], []
-        for item in chunk:
-            if isinstance(item, FrameDiagnostic):
-                diags.append((len(frames), 0, item))
-            else:
-                frames.append(item)
-        rows = [r for f in frames for r in f.readings]
-        yield (np.array([f.timestamp_s for f in frames], float),
-               np.array([f.level_mm for f in frames], float),
-               np.repeat(np.arange(len(frames)), [len(f.readings) for f in frames]),
-               [r.chord_id for r in rows], np.array([r.t_up_s for r in rows], float),
-               np.array([r.t_down_s for r in rows], float), np.zeros(len(rows), np.int64), diags)
-
-
-def _interleave(frames: list, diags: list) -> list:
-    """Frames with each (index of the frame it precedes, line, diagnostic) in place."""
-    out = list(frames)
-    for pos, _, diag in reversed(sorted(diags, key=itemgetter(0, 1))):
-        out.insert(pos, diag)  # last first, so earlier positions stay put
-    return out
-
-
 class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s status clog "
                                            "chord_v events misfits diags")):
     """A chunk of estimated frames, an array per field: ``status`` indexes ``STATUSES``;
@@ -264,12 +210,13 @@ class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s st
         """A record per frame and, as ``diagnostic(d)``, the diagnostics in input order."""
         for f, d in self.misfits:
             records[f] = diagnostic(d)
-        return _interleave(records, [(p, no, diagnostic(d)) for p, no, d in self.diags])
+        for pos, _, d in reversed(self.diags):  # sorted: last first keeps positions put
+            records.insert(pos, diagnostic(d))
+        return records
 
 
 STATUSES = tuple(EstimateStatus)
 _OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(STATUSES))
-_VERDICTS = (Verdict.NORMAL, Verdict.CLOGGING, None)
 
 
 def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator[FrameChunk]:
@@ -297,7 +244,7 @@ def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator[Fram
         for k in np.flatnonzero(~kept).tolist():
             what = "duplicate row for chord" if cidx[k] >= 0 else "unknown chord id"
             diags.append((frame[k], line[k], FrameDiagnostic(
-                f"{what} {chord[k]!r}; row dropped", ts[frame[k]].item(), int(line[k]) or None)))
+                f"{what} {chord[k]!r}; row dropped", ts[frame[k]].item(), int(line[k]))))
 
         up, down = np.full((2, n_frames, len(specs)), np.nan)
         up[frame[kept], cidx[kept]] = t_up[kept]
@@ -337,73 +284,22 @@ def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator[Fram
                          misfits, sorted(diags, key=itemgetter(0, 1)))
 
 
-def process_lines(lines: Iterable[str], chords, poly, pipe, k_cal=1.0, boundary=DecisionBoundary(),
-                  debounce=5) -> Iterator[FrameChunk]:
-    """The frame CSV to a ``FrameChunk`` per chunk of rows, reading at most one chunk
-    ahead; the other arguments as for ``process_stream``."""
-    return _run(_read_rows(lines), chords, poly, pipe, k_cal, boundary, debounce)
-
-
-def process_stream(
-    frames: Iterable[SensorFrame | FrameDiagnostic],
+def process_lines(
+    lines: Iterable[str],
     chords: Iterable[ChordSpec],
     poly: Optional[FpcfPolynomial],
     pipe: PipeGeometry,
     k_cal: float = 1.0,
     boundary: DecisionBoundary = DecisionBoundary(),
     debounce: int = 5,
-    plausibility_cap: float = DEFAULT_PLAUSIBILITY_CAP,
-) -> Iterator[ProcessedFrame | FrameDiagnostic]:
-    """Per-frame estimates plus debounced clogging verdicts, in input order.
+) -> Iterator[FrameChunk]:
+    """The frame CSV to a ``FrameChunk`` per chunk of rows, reading at most one chunk
+    ahead: estimates plus debounced clogging verdicts.
 
-    Malformed frames and dropped rows become diagnostics and the stream
-    continues. Frames without a usable mean velocity leave the alarm state
-    untouched.
+    Malformed rows and frames become diagnostics and the stream continues.
+    Frames without a usable mean velocity leave the alarm state untouched.
     """
-    chords = list(chords)
-    ids = list({c.chord_id: c for c in chords})
-    for chunk in _run(_pack_frames(frames), chords, poly, pipe, k_cal, boundary, debounce):
-        events, records = dict(chunk.events), []
-        columns = zip(*(column.tolist() for column in chunk[:9]))  # ts ... chord_v
-        for f, (ts, level, v, area, fpcf, flow, status, clog, chord_v) in enumerate(columns):
-            velocities = tuple((c, x) for c, x in zip(ids, chord_v) if x == x)
-            implausible = tuple(c for c, x in velocities if abs(x) > plausibility_cap)
-            v, flow = (None, None) if clog == 2 else (v, flow)
-            estimate = FlowEstimate(ts, level, velocities, v, area, fpcf, k_cal, flow,
-                                    STATUSES[status], implausible)
-            records.append(ProcessedFrame(estimate, _VERDICTS[clog], events.get(f)))
-        yield from chunk.in_order(records)
-
-
-def estimate_flow(
-    frame: SensorFrame,
-    chords: Iterable[ChordSpec],
-    poly: Optional[FpcfPolynomial],
-    pipe: PipeGeometry,
-    k_cal: float = 1.0,
-    plausibility_cap: float = DEFAULT_PLAUSIBILITY_CAP,
-) -> FlowEstimate:
-    """Single-frame flow estimate Q = k_cal * FPCF * v_line * A.
-
-    Raises OutOfRangeError when the level does not fit the pipe.
-    """
-    WaterLevel(frame.level_mm / 1000.0).check_against(pipe)
-    items = process_stream([frame], chords, poly, pipe, k_cal, plausibility_cap=plausibility_cap)
-    return next(p for p in items if isinstance(p, ProcessedFrame)).estimate
-
-
-def read_frame_rows(lines: Iterable[str]) -> Iterator[SensorFrame | FrameDiagnostic]:
-    """Parse the frame CSV, grouping rows of equal timestamp into frames.
-
-    Bad rows yield diagnostics without dropping the rest of their frame.
-    """
-    for ts, level, frame, chord, t_up, t_down, _, diags in _read_rows(lines):
-        readings = list(map(ChordReading, chord, t_up.tolist(), t_down.tolist()))
-        bounds = np.searchsorted(frame, np.arange(len(ts) + 1)).tolist()
-        yield from _interleave([
-            SensorFrame(t, tuple(readings[a:b]), h)
-            for t, h, a, b in zip(ts.tolist(), level.tolist(), bounds, bounds[1:])
-        ], diags)
+    return _run(_read_rows(lines), chords, poly, pipe, k_cal, boundary, debounce)
 
 
 def write_frame_rows(frames: Iterable[SensorFrame], stream) -> None:

@@ -126,49 +126,14 @@ class ProfileModel:
         return 1.0 - 1.0 / self.params.m + c ** (1.0 / self.params.q) / self.params.m
 
 
-def _require_wetted(point: ProfilePoint, model: ProfileModel) -> None:
+def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
+    """v/v_max at the point; pipe-bottom and wall points take the F = 0 limit."""
     r = model.pipe.radius_m
     h2 = point.x**2 + (point.y - r) ** 2
     if h2 > r * r * (1.0 + 1e-12) or point.y < 0:
         raise OutOfRangeError(f"point {point} lies outside the pipe bore")
     if point.y > model.level.level_m * (1.0 + 1e-12) + 1e-15:
         raise OutOfRangeError(f"point {point} lies above the water line")
-
-
-def local_frame(point: ProfilePoint, model: ProfileModel) -> tuple[float, float, float]:
-    """Local wall-relative coordinates (y', H', h') at the point's vertical.
-
-    y' is the height above the local wall, H' the local water depth, and
-    h' the local dip height, taken as the centerline dip ratio applied to
-    the local depth.
-    """
-    _require_wetted(point, model)
-    r = model.pipe.radius_m
-    wall = r - math.sqrt(max(r * r - point.x**2, 0.0))
-    h_local = model.level.level_m - wall
-    if h_local <= 0:
-        raise OutOfRangeError(
-            f"vertical through x={point.x:g} has no wetted span (H' = {h_local:g})"
-        )
-    y_local = point.y - wall
-    return y_local, h_local, model.dip_ratio * h_local
-
-
-def velocity_cdf(point: ProfilePoint, model: ProfileModel) -> float:
-    """Velocity CDF value F at the point, clamped into [0, 1]."""
-    y_local, _, dip_local = local_frame(point, model)
-    value = _evaluate_cdf(
-        np.abs(np.asarray([point.x])),
-        np.asarray([y_local]),
-        np.asarray([dip_local]),
-        model,
-    )
-    return float(value[0])
-
-
-def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
-    """v/v_max at the point; pipe-bottom and wall points take the F = 0 limit."""
-    _require_wetted(point, model)
     return float(evaluate_velocity(model, np.asarray([point.x]), np.asarray([point.y]))[0])
 
 

@@ -1,3 +1,4 @@
+import io
 import math
 
 import pytest
@@ -6,7 +7,9 @@ from partialflow import (
     EntropyParams,
     PipeGeometry,
     fit_polynomial,
+    process_lines,
     tabulate_fpcf,
+    write_frame_rows,
 )
 
 # Independently derived degree-6 correction polynomial for the same
@@ -28,6 +31,15 @@ def rig_reference_fpcf(level_mm: float) -> float:
     for c in reversed(RIG_REFERENCE_FPCF_COEFFS):
         acc = acc * level_mm + c
     return acc
+
+
+def process_frames(frames, chords, poly, pipe, **kwargs) -> list:
+    """Frame objects written as the frame CSV and estimated by ``process_lines``:
+    its ``FrameChunk``s."""
+    buf = io.StringIO()
+    write_frame_rows(frames, buf)
+    buf.seek(0)
+    return list(process_lines(buf, chords, poly, pipe, **kwargs))
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from partialflow import (
     fwme,
     line_velocity,
     normalized_velocity,
-    process_stream,
     repeatability,
     reynolds,
     segment_area,
@@ -42,7 +41,7 @@ from partialflow import (
 from partialflow.calibration import first_segments
 from partialflow.clogging import AlarmEvent, DecisionBoundary, Verdict
 from partialflow.config import default_config
-from partialflow.measurement import ChordSpec, EstimateStatus, ProcessedFrame
+from partialflow.measurement import STATUSES, ChordSpec, EstimateStatus
 from partialflow.quadrature import adaptive_integrate
 from partialflow.simulator import (
     ScenarioSpec,
@@ -52,7 +51,7 @@ from partialflow.simulator import (
     transit_times,
 )
 
-from conftest import RIG_REFERENCE_FPCF_COEFFS, rig_reference_fpcf
+from conftest import RIG_REFERENCE_FPCF_COEFFS, process_frames, rig_reference_fpcf
 
 REPORT_DIR = Path(__file__).resolve().parent.parent / "reports"
 
@@ -67,17 +66,8 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def run_pipeline(frames, poly, k_cal=1.0, debounce=5):
-    return list(
-        process_stream(
-            frames,
-            chords=CONFIG.chords,
-            poly=poly,
-            pipe=PIPE,
-            k_cal=k_cal,
-            boundary=DecisionBoundary(),
-            debounce=debounce,
-        )
-    )
+    return process_frames(frames, CONFIG.chords, poly, PIPE, k_cal=k_cal,
+                          boundary=DecisionBoundary(), debounce=debounce)
 
 
 def test_c01_fwme_oracle():
@@ -224,10 +214,11 @@ def test_c08_end_to_end_round_trip(operating_fit):
             flow_lps=flow_lps, level_mm=baseline_level_mm(flow_lps), frame_count=2
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
-        for item in run_pipeline(frames, poly):
-            assert isinstance(item, ProcessedFrame)
-            assert item.estimate.status is EstimateStatus.OK
-            worst = max(worst, abs(item.estimate.flow_lps - flow_lps) / flow_lps)
+        for chunk in run_pipeline(frames, poly):
+            assert chunk.diags == [] and chunk.misfits == []
+            for status, flow_m3s in zip(chunk.status.tolist(), chunk.flow_m3s.tolist()):
+                assert STATUSES[status] is EstimateStatus.OK
+                worst = max(worst, abs(1000.0 * flow_m3s - flow_lps) / flow_lps)
     ok = worst <= 0.005
     report("8 noiseless end-to-end round trip", ok, f"worst rel err={worst:.2e}")
     assert ok
@@ -242,11 +233,11 @@ def test_c09_calibration_efficacy(operating_fit):
             flow_lps=flow_lps, level_mm=baseline_level_mm(flow_lps), frame_count=2
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
-        results = run_pipeline(frames, poly)
-        for segment, item in enumerate(results, start=1):
+        (chunk,) = run_pipeline(frames, poly)
+        for segment, flow_m3s in enumerate(chunk.flow_m3s.tolist(), start=1):
             trials.append(
                 TrialRecord(segment, f"{flow_lps:g}", flow_lps,
-                            bias * item.estimate.flow_lps)
+                            bias * 1000.0 * flow_m3s)
             )
     evaluation = [t for t in trials if t.segment_id > 1]
     pre = error_table(evaluation)
@@ -272,11 +263,9 @@ def test_c10_clogging_detection(operating_fit):
                 frame_count=8,
             )
             frames = generate(scenario, CONFIG.chords, PIPE)
-            results = run_pipeline(frames, poly, debounce=debounce)
-            raised = [
-                k for k, item in enumerate(results)
-                if isinstance(item, ProcessedFrame) and item.alarm_event is AlarmEvent.RAISED
-            ]
+            (chunk,) = run_pipeline(frames, poly, debounce=debounce)
+            assert chunk.diags == [] and chunk.misfits == []
+            raised = [k for k, event in chunk.events if event is AlarmEvent.RAISED]
             if weir is WeirMode.NONE:
                 ok &= raised == []
             else:
@@ -314,9 +303,9 @@ def test_c11_repeatability(operating_fit):
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
         flows = [
-            item.estimate.flow_lps
-            for item in run_pipeline(frames, poly)
-            if isinstance(item, ProcessedFrame)
+            1000.0 * flow_m3s
+            for chunk in run_pipeline(frames, poly)
+            for flow_m3s in chunk.flow_m3s.tolist()
         ]
         assert len(flows) == 600
         values.append(repeatability(flows))

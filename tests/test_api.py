@@ -16,8 +16,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 EXPORTS = {
     "calibration": ["ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"],
-    "clogging": ["AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify",
-                 "step_alarm"],
+    "clogging": ["AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"],
     "config": ["RunConfig", "default_config", "load_config", "parse_config"],
     "errors": ["ConfigError", "DegenerateProfileError", "DryPathError", "FpcfRangeError",
                "InvalidTimesError", "NumericalDomainError", "OutOfRangeError",
@@ -26,21 +25,26 @@ EXPORTS = {
              "mean_area_velocity", "mean_chord_velocity", "tabulate_fpcf"],
     "geometry": ["PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"],
-    "measurement": ["ChordReading", "ChordSpec", "EstimateStatus", "FlowEstimate",
-                    "FrameDiagnostic", "ProcessedFrame", "SensorFrame", "estimate_flow",
-                    "line_velocity", "process_stream", "read_frame_rows", "write_frame_rows"],
+    "measurement": ["ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
+                    "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"],
     "profile": ["DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint", "dip_ratio",
-                "evaluate_velocity", "local_frame", "normalized_velocity", "profile_grid",
-                "velocity_cdf"],
+                "evaluate_velocity", "normalized_velocity", "profile_grid"],
     "quadrature": ["QuadratureSpec", "adaptive_integrate"],
     "simulator": ["ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
                   "generate", "transit_times", "weir_shift"],
 }
 HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
+# The per-frame object views and test-only helpers that the package no longer has.
+REMOVED = [("clogging", "step_alarm"), ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
+           ("measurement", "FlowEstimate"), ("measurement", "ProcessedFrame"),
+           ("measurement", "_pack_frames"), ("measurement", "_VERDICTS"),
+           ("measurement", "process_stream"), ("measurement", "estimate_flow"),
+           ("measurement", "read_frame_rows"), ("profile", "local_frame"),
+           ("profile", "velocity_cdf")]
 
 
 def test_all_lists_the_public_names():
-    assert len(HOME) == 74
+    assert len(HOME) == 67
     assert sorted(partialflow.__all__) == sorted(name for _, name in HOME)
     assert set(partialflow.__all__) <= set(dir(partialflow))
 
@@ -49,6 +53,13 @@ def test_all_lists_the_public_names():
 def test_name_is_its_modules_object(module, name):
     assert getattr(partialflow, name) is getattr(
         importlib.import_module(f"partialflow.{module}"), name)
+
+
+@pytest.mark.parametrize("module,name", REMOVED)
+def test_removed_name_is_gone(module, name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(partialflow, name)
+    assert not hasattr(importlib.import_module(f"partialflow.{module}"), name)
 
 
 def test_unknown_name_raises_attribute_error():

@@ -298,6 +298,30 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert "config error: calibration.factor must be finite and positive" in err
 
+    @pytest.mark.parametrize("text,message", [
+        ("clog.debounce = 0", "clog.debounce must be >= 1"),
+        ("clog.intercept_mps = nan", "boundary intercept must be finite"),
+    ], ids=["debounce_0", "intercept_nan"])
+    def test_bad_clogging_setting_exits_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "clog.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize("row,message", [
+        ("2,4,4.0,nan", "measured flow must be finite"),
+        ("2,4,inf,4.0", "reference flow must be finite and positive"),
+    ], ids=["meas_nan", "ref_inf"])
+    @pytest.mark.parametrize("command", ["metrics", "calibrate"])
+    def test_non_finite_trial_flow_exits_1(self, capsys, tmp_path, command, row, message):
+        # metrics printed FWME nan and calibrate a factor for a nan measured flow
+        trials = tmp_path / "trials.csv"
+        trials.write_text(f"1,2,2.0,2.02\n1,4,4.0,4.05\n{row}\n")
+        code, out, err = run(capsys, command, "--trials", str(trials))
+        assert (code, out) == (1, "")
+        assert f"error: trial CSV line 3: {message}" in err
+
     @pytest.mark.parametrize("argv", [
         ["metrics", "--k-cal", "nan"], ["metrics", "--k-cal", "0"], ["metrics", "--k-cal", "-1"],
         ["simulate", "--flow-lps", "nan", "--level-mm", "80"],

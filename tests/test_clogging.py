@@ -8,9 +8,8 @@ from partialflow import (
     OutOfRangeError,
     Verdict,
     classify,
-    step_alarm,
 )
-from partialflow.clogging import AlarmStage
+from partialflow.clogging import AlarmStage, step_alarms
 
 BOUNDARY = DecisionBoundary()
 
@@ -61,13 +60,8 @@ class TestClassify:
 
 
 def run_verdicts(verdicts, threshold):
-    state = AlarmState(threshold=threshold)
-    events = []
-    for k, v in enumerate(verdicts):
-        state, event = step_alarm(state, v)
-        if event is not None:
-            events.append((k, event))
-    return state, events
+    state, events = step_alarms(AlarmState(threshold=threshold), [v is C for v in verdicts])
+    return state, [(k, event) for k, event in enumerate(events) if event is not None]
 
 
 C = Verdict.CLOGGING
@@ -93,9 +87,9 @@ class TestAlarm:
 
     def test_stages(self):
         state = AlarmState(threshold=3)
-        state, _ = step_alarm(state, C)
+        state, _ = step_alarms(state, [True])
         assert state.stage is AlarmStage.SUSPECT
-        state, _ = step_alarm(state, N)
+        state, _ = step_alarms(state, [False])
         assert state.stage is AlarmStage.NORMAL
         assert state.count == 0
 

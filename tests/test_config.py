@@ -86,6 +86,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="calibration.factor must be finite and positive"):
             parse_config(f"calibration.factor = {factor}\n")
 
+    @pytest.mark.parametrize("debounce", ["0", "-3"])
+    def test_debounce_below_one_rejected(self, debounce):
+        # clog.debounce = 0 used to fail only once process built the alarm state
+        with pytest.raises(ConfigError, match="clog.debounce must be >= 1"):
+            parse_config(f"clog.debounce = {debounce}\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["clog.slope_mps_per_mm", "clog.intercept_mps"])
+    def test_non_finite_boundary_rejected(self, key, value):
+        # clog.intercept_mps = nan turned every clogging verdict off
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(f"{key} = {value}\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("entropy.m = 0.89\nentropy.m = 0.9\n")

@@ -12,18 +12,32 @@ from partialflow import (
     ProfilePoint,
     WaterLevel,
     dip_ratio,
-    local_frame,
     normalized_velocity,
     profile_grid,
-    velocity_cdf,
 )
-from partialflow.profile import DIP_RATIO_FLOOR, evaluate_velocity
+from partialflow.profile import DIP_RATIO_FLOOR, _evaluate_cdf, evaluate_velocity
 
 PIPE = PipeGeometry(0.250)
 
 
 def model_at(level_m, **kwargs):
     return ProfileModel(pipe=PIPE, level=WaterLevel(level_m), **kwargs)
+
+
+def cdf(point, m):
+    """F at a wetted point, in the wall-relative frame: y' above the local wall,
+    h' the dip ratio times the local depth."""
+    r = m.pipe.radius_m
+    wall = r - math.sqrt(max(r * r - point.x**2, 0.0))
+    return float(_evaluate_cdf(np.array([abs(point.x)]), np.array([point.y - wall]),
+                               np.array([m.dip_ratio * (m.level.level_m - wall)]), m)[0])
+
+
+def velocity_from_local(m, point, y_local, dip_local):
+    """v/v_max by the velocity bracket at the given y' and h'."""
+    f = _evaluate_cdf(np.array([abs(point.x)]), np.array([y_local]), np.array([dip_local]), m)[0]
+    c, p = m.params.tail_weight, m.params
+    return 1.0 - 1.0 / p.m + ((y_local / point.y) * (1.0 - c) * f + c) ** (1.0 / p.q) / p.m
 
 
 class TestDipRatio:
@@ -65,56 +79,52 @@ class TestDipRatio:
 
 
 class TestLocalFrame:
+    """The wall-relative frame (y', H', h') that ``normalized_velocity`` evaluates in."""
+
     def test_centerline_surface(self):
         m = model_at(0.1)
-        y_local, depth, dip = local_frame(ProfilePoint(0.0, 0.1), m)
-        assert y_local == pytest.approx(0.1, abs=1e-15)
-        assert depth == pytest.approx(0.1, abs=1e-15)
-        assert dip == pytest.approx(m.dip_ratio * 0.1, rel=1e-12)
+        p = ProfilePoint(0.0, 0.1)
+        # y' = H' = 0.1 and h' = dip ratio * 0.1
+        assert normalized_velocity(p, m) == pytest.approx(
+            velocity_from_local(m, p, 0.1, m.dip_ratio * 0.1), rel=1e-12)
 
     def test_bottom(self):
-        y_local, _, _ = local_frame(ProfilePoint(0.0, 0.0), model_at(0.1))
-        assert y_local == 0.0
+        m = model_at(0.1)
+        # y' = 0: the F = 0 limit
+        assert normalized_velocity(ProfilePoint(0.0, 0.0), m) == m.wall_value
 
     def test_off_center(self):
-        y_local, depth, _ = local_frame(ProfilePoint(0.1, 0.08), model_at(0.1))
-        # wall offset at |x| = 0.1 is 0.125 - 0.075 = 0.05
-        assert y_local == pytest.approx(0.03, rel=1e-12)
-        assert depth == pytest.approx(0.05, rel=1e-12)
+        m = model_at(0.1)
+        p = ProfilePoint(0.1, 0.08)
+        # wall offset at |x| = 0.1 is 0.125 - 0.075 = 0.05: y' = 0.03, H' = 0.05
+        assert normalized_velocity(p, m) == pytest.approx(
+            velocity_from_local(m, p, 0.03, m.dip_ratio * 0.05), rel=1e-12)
 
     def test_outside_bore_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            local_frame(ProfilePoint(0.2, 0.05), model_at(0.1))
+        with pytest.raises(OutOfRangeError, match="outside the pipe bore"):
+            normalized_velocity(ProfilePoint(0.2, 0.05), model_at(0.1))
 
     def test_above_water_rejected(self):
-        with pytest.raises(OutOfRangeError):
-            local_frame(ProfilePoint(0.0, 0.12), model_at(0.1))
-
-    def test_no_wetted_span_rejected(self):
-        # just past the waterline-wall corner, within the boundary
-        # tolerance, the local wall rises above the water line
-        m = model_at(0.1)
-        x_corner = math.sqrt(0.125**2 - (0.1 - 0.125) ** 2)
-        with pytest.raises(OutOfRangeError):
-            local_frame(ProfilePoint(x_corner * (1.0 + 5e-13), 0.1), m)
+        with pytest.raises(OutOfRangeError, match="above the water line"):
+            normalized_velocity(ProfilePoint(0.0, 0.12), model_at(0.1))
 
 
 class TestVelocityCdf:
     def test_unity_at_dip(self):
         m = model_at(0.125)
-        assert velocity_cdf(ProfilePoint(0.0, m.dip_height_m), m) == pytest.approx(1.0, abs=1e-9)
+        assert cdf(ProfilePoint(0.0, m.dip_height_m), m) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_at_wall(self):
         m = model_at(0.125)
         y = 0.05
         w = math.sqrt(0.125**2 - (y - 0.125) ** 2)
-        assert velocity_cdf(ProfilePoint(w, y), m) == 0.0
+        assert cdf(ProfilePoint(w, y), m) == 0.0
 
     def test_small_positive_near_wall(self):
         m = model_at(0.125)
         y = 0.05
         w = math.sqrt(0.125**2 - (y - 0.125) ** 2)
-        value = velocity_cdf(ProfilePoint(0.999 * w, y), m)
+        value = cdf(ProfilePoint(0.999 * w, y), m)
         assert 0.0 < value < 0.2
 
     def test_against_straight_line_reimplementation(self):
@@ -132,7 +142,7 @@ class TestVelocityCdf:
         shape = 1.0 - (y_loc / dip - 1.0) ** 2
         lateral = 1.0 - (x / r) ** (0.25 / level)
         expected = first * shape * lateral
-        assert velocity_cdf(ProfilePoint(x, y), m) == pytest.approx(expected, rel=1e-12)
+        assert cdf(ProfilePoint(x, y), m) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNormalizedVelocity:

@@ -23,6 +23,8 @@ from partialflow import (
     Verdict,
 )
 
+from conftest import process_frames
+
 PIPE = PipeGeometry(0.250)
 ANGLE = math.radians(45.0)
 CHORD = ChordSpec("a", 50.0, 0.2 / math.sin(ANGLE), ANGLE)
@@ -182,7 +184,7 @@ def test_round_trip_through_estimator():
     # 4 L/s at 85 mm, noiseless: with the quadrature correction factor at
     # the same level the estimator recovers the truth to round-trip
     # precision (tested against a constant polynomial carrying it)
-    from partialflow import FpcfPolynomial, estimate_flow
+    from partialflow import FpcfPolynomial
     from partialflow.fpcf import fpcf as fpcf_quad
     from partialflow.profile import ProfileModel
     from partialflow.geometry import WaterLevel
@@ -192,15 +194,15 @@ def test_round_trip_through_estimator():
     model = ProfileModel(pipe=PIPE, level=WaterLevel(0.085))
     correction = fpcf_quad(model, CHORD.height_mm / 1000.0)
     poly = FpcfPolynomial((correction, 0, 0, 0, 0, 0, 0), 50.0, 250.0)
-    estimate = estimate_flow(frames[0], [CHORD], poly, PIPE)
-    assert estimate.flow_lps == pytest.approx(4.0, rel=1e-9)
+    (chunk,) = process_frames(frames[:1], [CHORD], poly, PIPE)
+    assert 1000.0 * chunk.flow_m3s[0] == pytest.approx(4.0, rel=1e-9)
 
 
 def test_tuned_noise_repeatability_under_one_percent():
     # transit-time differences are tens of nanoseconds at these flows, so
     # sub-percent repeatability needs sub-nanosecond effective jitter
     # (averaged timing electronics); 0.5 ns lands near the rig's figures
-    from partialflow import FpcfPolynomial, estimate_flow, repeatability
+    from partialflow import FpcfPolynomial, repeatability
 
     scenario = ScenarioSpec(
         flow_lps=2.0, level_mm=65.0, noise_sigma_s=0.5e-9, seed=5, frame_count=600
@@ -208,5 +210,6 @@ def test_tuned_noise_repeatability_under_one_percent():
     chords = [CHORD, ChordSpec("b", 50.0, CHORD.path_length_m, ANGLE)]
     frames = generate(scenario, chords, PIPE)
     poly = FpcfPolynomial((1.0, 0, 0, 0, 0, 0, 0), 50.0, 250.0)
-    flows = [estimate_flow(f, chords, poly, PIPE).flow_lps for f in frames]
-    assert repeatability(flows) < 1.0
+    flows = [1000.0 * q for chunk in process_frames(frames, chords, poly, PIPE)
+             for q in chunk.flow_m3s.tolist()]
+    assert len(flows) == 600 and repeatability(flows) < 1.0
