@@ -29,7 +29,7 @@ _EXPORTS = {
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"),
     "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
                     "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"),
-    "profile": ("DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint", "dip_ratio",
+    "profile": ("DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint",
                 "evaluate_velocity", "normalized_velocity", "profile_grid"),
     "quadrature": ("QuadratureSpec", "adaptive_integrate"),
     "simulator": ("ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",

@@ -52,7 +52,9 @@ class FpcfPolynomial:
     h_max_mm: float
 
     def __post_init__(self):
-        if self.h_min_mm >= self.h_max_mm:
+        if not all(map(math.isfinite, self.coeffs)):
+            raise OutOfRangeError(f"FPCF coefficients must be finite, got {self.coeffs!r}")
+        if not -math.inf < self.h_min_mm < self.h_max_mm < math.inf:
             raise OutOfRangeError(
                 f"invalid validity range [{self.h_min_mm!r}, {self.h_max_mm!r}]"
             )
@@ -169,6 +171,10 @@ def tabulate_fpcf(
     The first level may equal the chord height (chord at the surface);
     levels below it are rejected since the chord would be dry.
     """
+    for name, value in (("chord_height_mm", chord_height_mm), ("h_min_mm", h_min_mm),
+                        ("h_max_mm", h_max_mm), ("step_mm", step_mm)):
+        if not math.isfinite(value):
+            raise OutOfRangeError(f"{name} must be finite, got {value!r}")
     if h_min_mm < chord_height_mm:
         raise OutOfRangeError(
             f"tabulation start {h_min_mm:g} mm is below the chord height "
@@ -222,6 +228,8 @@ def fit_polynomial(samples, degree: int = 6) -> FitResult:
         )
     levels = np.array([p[0] for p in pairs], dtype=float)
     values = np.array([p[1] for p in pairs], dtype=float)
+    if not (np.isfinite(levels).all() and np.isfinite(values).all()):
+        raise OutOfRangeError("FPCF samples must have finite levels and values")
     scale = float(np.max(np.abs(levels)))
     if scale <= 0:
         raise OutOfRangeError("sample levels must not all be zero")

@@ -207,7 +207,8 @@ class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s st
     it precedes, line, diagnostic)."""
 
     def in_order(self, records: list, diagnostic=lambda d: d) -> list:
-        """A record per frame and, as ``diagnostic(d)``, the diagnostics in input order."""
+        """A record per frame and, as ``diagnostic(d)``, each diagnostic before the frame
+        still open at its line: a bad row just after frame k's rows comes before frame k."""
         for f, d in self.misfits:
             records[f] = diagnostic(d)
         for pos, _, d in reversed(self.diags):  # sorted: last first keeps positions put

@@ -73,11 +73,6 @@ class DipPositionPoly:
 DEFAULT_DIP_POLY = DipPositionPoly()
 
 
-def dip_ratio(relative_level: float, poly: DipPositionPoly = DEFAULT_DIP_POLY) -> float:
-    """Dip position h/H (height fraction of the velocity maximum) at H/D."""
-    return poly(relative_level)
-
-
 @record
 class ProfilePoint:
     """A point of the cross-section: x from centerline, y above the bottom (m)."""

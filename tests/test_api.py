@@ -27,24 +27,25 @@ EXPORTS = {
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"],
     "measurement": ["ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
                     "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"],
-    "profile": ["DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint", "dip_ratio",
+    "profile": ["DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint",
                 "evaluate_velocity", "normalized_velocity", "profile_grid"],
     "quadrature": ["QuadratureSpec", "adaptive_integrate"],
     "simulator": ["ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
                   "generate", "transit_times", "weir_shift"],
 }
 HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
-# The per-frame object views and test-only helpers that the package no longer has.
+# The per-frame object views, test-only helpers and duplicates that the package no
+# longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``).
 REMOVED = [("clogging", "step_alarm"), ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
            ("measurement", "FlowEstimate"), ("measurement", "ProcessedFrame"),
            ("measurement", "_pack_frames"), ("measurement", "_VERDICTS"),
            ("measurement", "process_stream"), ("measurement", "estimate_flow"),
-           ("measurement", "read_frame_rows"), ("profile", "local_frame"),
-           ("profile", "velocity_cdf")]
+           ("measurement", "read_frame_rows"), ("profile", "dip_ratio"),
+           ("profile", "local_frame"), ("profile", "velocity_cdf")]
 
 
 def test_all_lists_the_public_names():
-    assert len(HOME) == 67
+    assert len(HOME) == 66
     assert sorted(partialflow.__all__) == sorted(name for _, name in HOME)
     assert set(partialflow.__all__) <= set(dir(partialflow))
 

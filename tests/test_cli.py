@@ -65,6 +65,27 @@ class TestFpcfAndFit:
         config = parse_config(doc)
         assert config.poly is not None
 
+    @pytest.mark.parametrize("row", ["60,inf", "nan,1.0"], ids=["fpcf_inf", "level_nan"])
+    def test_fit_rejects_non_finite_row(self, capsys, tmp_path, row):
+        # 60,inf printed seven nan coefficients with exit 0; a nan level also
+        # printed LAPACK noise on stderr
+        table = tmp_path / "table.csv"
+        table.write_text("H_mm,fpcf\n" + "".join(f"{h},1.0\n" for h in range(50, 130, 10))
+                         + row + "\n")
+        code, out, err = run(capsys, "fit", "--table", str(table))
+        assert (code, out) == (1, "")
+        assert err == "error: fpcf table line 10: level and FPCF must be finite\n"
+
+    @pytest.mark.parametrize("flag,name", [
+        ("--chord-height-mm", "chord_height_mm"), ("--h-min", "h_min_mm"),
+        ("--h-max", "h_max_mm"), ("--step", "step_mm"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_fpcf_non_finite_argument_exits_1(self, capsys, flag, name, value):
+        code, out, err = run(capsys, "fpcf", flag, value)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be finite, got {value}\n"
+
     def test_fit_refuses_excess_degree(self, capsys, tmp_path):
         table = tmp_path / "small.csv"
         table.write_text("H_mm,fpcf\n50,0.9\n60,0.92\n70,0.95\n")
@@ -308,6 +329,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
         assert (code, out) == (2, "")
         assert f"config error: {message}" in err
+
+    def test_non_finite_polynomial_exits_2(self, capsys, tmp_path):
+        # fpcf.c0 = nan printed fpcf=nan q_lps=nan status=ok with exit 0
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text("fpcf.c0 = nan\n" + "".join(f"fpcf.c{k} = 0.0\n" for k in range(1, 7)))
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: FPCF coefficients must be finite")
 
     @pytest.mark.parametrize("row,message", [
         ("2,4,4.0,nan", "measured flow must be finite"),

@@ -99,6 +99,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="must be finite"):
             parse_config(f"{key} = {value}\n")
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("fpcf.c0", "nan", "FPCF coefficients must be finite"),
+        ("fpcf.c6", "inf", "FPCF coefficients must be finite"),
+        ("fpcf.h_max_mm", "nan", "invalid validity range"),
+        ("fpcf.h_max_mm", "inf", "invalid validity range"),
+    ], ids=["c0_nan", "c6_inf", "h_max_nan", "h_max_inf"])
+    def test_non_finite_polynomial_rejected(self, key, value, message):
+        # fpcf.c0 = nan loaded, and process printed fpcf=nan q_lps=nan status=ok
+        pairs = {f"fpcf.c{k}": "1.0" for k in range(7)} | {key: value}
+        with pytest.raises(ConfigError, match=message):
+            parse_config("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("entropy.m = 0.89\nentropy.m = 0.9\n")

@@ -136,6 +136,15 @@ class TestTabulate:
         with pytest.raises(OutOfRangeError):
             tabulate_fpcf(pipe, params, 50.0, h_min_mm=40.0)
 
+    @pytest.mark.parametrize("name", ["chord_height_mm", "h_min_mm", "h_max_mm", "step_mm"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_argument_named(self, pipe, params, name, value):
+        # h_max_mm = inf overflowed in int(), step_mm = nan failed to convert, and a
+        # nan chord height blamed the profile
+        args = dict(chord_height_mm=50.0, h_min_mm=50.0, h_max_mm=250.0, step_mm=10.0)
+        with pytest.raises(OutOfRangeError, match=f"^{name} must be finite"):
+            tabulate_fpcf(pipe, params, **{**args, name: value})
+
     def test_sample_failure_names_level(self, pipe, params, monkeypatch):
         calls = []
 
@@ -192,6 +201,14 @@ class TestFit:
         with pytest.raises(OutOfRangeError):
             fit_polynomial([(50.0, 1.0)] * 5, degree=6)
 
+    @pytest.mark.parametrize("pair", [(60.0, float("inf")), (float("nan"), 1.0)],
+                             ids=["fpcf_inf", "level_nan"])
+    def test_non_finite_pair_rejected(self, pair):
+        # a nan level reached LAPACK, an inf FPCF gave nan coefficients
+        samples = [(h, 1.0) for h in range(50, 130, 10)] + [pair]
+        with pytest.raises(OutOfRangeError, match="must have finite levels and values"):
+            fit_polynomial(samples, degree=6)
+
     def test_rank_deficient(self):
         with pytest.raises(PartialFlowError, match="rank"):
             fit_polynomial([(100.0, 1.0)] * 21, degree=6)
@@ -217,3 +234,12 @@ class TestEval:
     def test_bad_range_rejected(self):
         with pytest.raises(OutOfRangeError):
             FpcfPolynomial((1.0,), 100.0, 100.0)
+
+    @pytest.mark.parametrize("coeffs,h_min,h_max", [
+        ((float("nan"), 1.0), 50.0, 250.0), ((1.0, float("-inf")), 50.0, 250.0),
+        ((1.0,), float("nan"), 250.0), ((1.0,), 50.0, float("nan")),
+        ((1.0,), float("-inf"), 250.0), ((1.0,), 50.0, float("inf")),
+    ], ids=["c0_nan", "c1_-inf", "h_min_nan", "h_max_nan", "h_min_-inf", "h_max_inf"])
+    def test_non_finite_polynomial_rejected(self, coeffs, h_min, h_max):
+        with pytest.raises(OutOfRangeError, match="must be finite|invalid validity range"):
+            FpcfPolynomial(coeffs, h_min, h_max)

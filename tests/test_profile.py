@@ -11,11 +11,15 @@ from partialflow import (
     ProfileModel,
     ProfilePoint,
     WaterLevel,
-    dip_ratio,
     normalized_velocity,
     profile_grid,
 )
-from partialflow.profile import DIP_RATIO_FLOOR, _evaluate_cdf, evaluate_velocity
+from partialflow.profile import (
+    DEFAULT_DIP_POLY,
+    DIP_RATIO_FLOOR,
+    _evaluate_cdf,
+    evaluate_velocity,
+)
 
 PIPE = PipeGeometry(0.250)
 
@@ -43,11 +47,11 @@ def velocity_from_local(m, point, y_local, dip_local):
 class TestDipRatio:
     def test_anchor_points(self):
         # empty pipe: maximum at the surface; full pipe: maximum at mid-depth
-        assert dip_ratio(0.0) == 1.0
-        assert dip_ratio(1.0) == pytest.approx(0.5, rel=1e-12)
+        assert DEFAULT_DIP_POLY(0.0) == 1.0
+        assert DEFAULT_DIP_POLY(1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_half_full(self):
-        assert dip_ratio(0.5) == pytest.approx(0.6975, rel=1e-12)
+        assert DEFAULT_DIP_POLY(0.5) == pytest.approx(0.6975, rel=1e-12)
 
     def test_sign_variant_cubic(self):
         # the circulating variant with the linear coefficient sign
@@ -59,9 +63,9 @@ class TestDipRatio:
 
     def test_range_rejected(self):
         with pytest.raises(OutOfRangeError):
-            dip_ratio(-0.1)
+            DEFAULT_DIP_POLY(-0.1)
         with pytest.raises(OutOfRangeError):
-            dip_ratio(1.1)
+            DEFAULT_DIP_POLY(1.1)
 
     def test_clamping(self):
         sinks = DipPositionPoly((0.0, 0.0, 0.0, -5.0))
@@ -73,9 +77,9 @@ class TestDipRatio:
         # the cubic decreases until ~0.88 then turns up toward the
         # mid-depth anchor at a full pipe
         sweep = np.arange(0.362, 0.8801, 0.01)
-        values = [dip_ratio(float(t)) for t in sweep]
+        values = [DEFAULT_DIP_POLY(float(t)) for t in sweep]
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert min(dip_ratio(float(t)) for t in np.arange(0.88, 1.0001, 0.01)) > 0.46
+        assert min(DEFAULT_DIP_POLY(float(t)) for t in np.arange(0.88, 1.0001, 0.01)) > 0.46
 
 
 class TestLocalFrame:

@@ -1,9 +1,12 @@
-"""Start-up: a command loads numpy only if it runs a layer that uses it, and then
-with a one-thread OpenBLAS pool, unless the user set a thread count or imported
-numpy first; ``os.environ`` is left as it was found. No command loads ``dataclasses``."""
+"""Start-up and exit: a command loads numpy only if it runs a layer that uses it, and
+then with a one-thread OpenBLAS pool, unless the user set a thread count or imported
+numpy first; ``os.environ`` is left as it was found. No command loads ``dataclasses``.
+The program freezes the heap before it exits; an in-process ``main`` call does not."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,3 +169,113 @@ def test_process_imports_nothing_between_frame_records(lazy_child):
     _, codes, modules = lazy_child
     assert codes[0] == 0 and len(modules) == 3
     assert len(set(modules)) == 1
+
+
+# Runs the program the way ``python -m partialflow.cli`` does, or the way the
+# ``partialflow`` script calls its pyproject.toml target, with the command line after
+# ``-c``; at exit it reports the freeze count on stderr.
+EXIT_PROBE = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print(f"frozen={{gc.get_freeze_count()}}", file=sys.stderr))
+if {target!r}:
+    module, name = {target!r}.split(":")
+    sys.argv[0] = "partialflow"
+    sys.exit(getattr(importlib.import_module(module), name)())
+runpy.run_module("partialflow.cli", run_name="__main__", alter_sys=True)
+"""
+SIMULATE = ["simulate", "--flow-lps", "3", "--frames", "20", "--noise-ns", "0.5", "--seed", "4"]
+
+
+def _script_target() -> str:
+    text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^partialflow = "([\w.]+:\w+)"$', text, re.M).group(1)
+
+
+@pytest.fixture(scope="module")
+def exits(tmp_path_factory):
+    """Children side by side: the simulate command through both probes, and four
+    ``python -m partialflow.cli`` commands that exit 0, 1, 2 and 3."""
+    from partialflow.cli import main
+
+    tmp = tmp_path_factory.mktemp("exits")
+    trials, debounce, weir2 = tmp / "trials.csv", tmp / "debounce.cfg", tmp / "weir2.csv"
+    trials.write_text("1,2,2.0,2.02\n1,4,4.0,4.05\n2,4,4.0,nan\n", encoding="utf-8")
+    debounce.write_text("clog.debounce = 0\n", encoding="utf-8")
+    assert main(["simulate", "--flow-lps", "3", "--weir", "weir2", "--frames", "8",
+                 "--out", str(weir2)]) == 0
+    module = [sys.executable, "-m", "partialflow.cli"]
+    runs = {
+        "module": [sys.executable, "-c", EXIT_PROBE.format(target=""), *SIMULATE],
+        "script": [sys.executable, "-c", EXIT_PROBE.format(target=_script_target()), *SIMULATE],
+        0: [*module, *SIMULATE],
+        1: [*module, "metrics", "--trials", str(trials)],
+        2: [*module, "process", "--config", str(debounce), "--frames", str(weir2)],
+        3: [*module, "process", "--fail-on-alarm", "--frames", str(weir2)],
+    }
+    procs = {name: subprocess.Popen(argv, env=_base_env(), stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for name, argv in runs.items()}
+    results = {}
+    try:
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            results[name] = (proc.returncode, out, err)
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    return results
+
+
+@pytest.mark.parametrize("launch", ["module", "script"])
+def test_program_freezes_the_heap_before_exit(exits, launch):
+    code, out, err = exits[launch]
+    assert code == 0 and out.startswith("timestamp_s,chord_id,")
+    frozen = re.fullmatch(r"frozen=(\d+)\n", err)
+    assert frozen and int(frozen.group(1)) > 0, err
+
+
+def test_main_in_process_does_not_freeze(capsys):
+    from partialflow.cli import main
+
+    before = gc.get_freeze_count()
+    assert main(SIMULATE) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out.startswith("timestamp_s,chord_id,")
+
+
+def test_program_output_matches_main_in_process(exits, capsys):
+    from partialflow.cli import main
+
+    assert main(SIMULATE) == 0
+    in_process = capsys.readouterr()
+    assert exits[0] == (0, in_process.out, in_process.err)
+    assert exits["script"][1] == exits["module"][1] == in_process.out
+
+
+@pytest.mark.parametrize("code,err", [
+    (1, "error: trial CSV line 3: measured flow must be finite"),
+    (2, "config error: clog.debounce must be >= 1"),
+    (3, None),
+], ids=["bad_input", "bad_config", "alarm"])
+def test_program_exit_codes(exits, code, err):
+    got, out, stderr = exits[code]
+    assert got == code
+    if code == 3:
+        assert stderr == "" and out.endswith(" alarms=1 clears=0\n")
+    else:
+        assert out == "" and stderr.startswith(err)
+
+
+def test_script_and_module_share_one_entry():
+    """pyproject.toml's script target is the function ``python -m`` calls."""
+    import ast
+
+    from partialflow import cli
+
+    module, name = _script_target().split(":")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)]
+    assert ast.unparse(guard) == f"if __name__ == '__main__':\n    {name}()"
+    assert module == "partialflow.cli" and callable(getattr(cli, name))
