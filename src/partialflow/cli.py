@@ -109,7 +109,10 @@ def cmd_fit(args) -> int:
             parts = line.split(",")
             if len(parts) != 2:
                 raise PartialFlowError(f"fpcf table line {line_no}: expected 2 fields")
-            level, value = float(parts[0]), float(parts[1])
+            try:
+                level, value = float(parts[0]), float(parts[1])
+            except ValueError as exc:
+                raise PartialFlowError(f"fpcf table line {line_no}: {exc}") from exc
             if not (math.isfinite(level) and math.isfinite(value)):
                 raise PartialFlowError(f"fpcf table line {line_no}: level and FPCF must be finite")
             samples.append((level, value))

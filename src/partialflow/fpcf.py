@@ -37,9 +37,9 @@ class FpcfSample:
     fpcf: float
 
     def __post_init__(self):
-        if not self.fpcf > 0:
+        if not (math.isfinite(self.level_mm) and 0 < self.fpcf < math.inf):
             raise OutOfRangeError(
-                f"FPCF sample at H={self.level_mm:g} mm is not positive: {self.fpcf!r}"
+                f"FPCF sample at H={self.level_mm!r} mm must be finite and positive: {self.fpcf!r}"
             )
 
 

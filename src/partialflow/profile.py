@@ -132,20 +132,20 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
     return float(evaluate_velocity(model, np.asarray([point.x]), np.asarray([point.y]))[0])
 
 
-def _evaluate_cdf(x_abs, y_local, dip_local, model: ProfileModel):
-    """Vectorized CDF for points with y' >= 0 and h' > 0; F(y'=0) = 0."""
+def _evaluate_cdf(x_abs, y_local, dip_local, model: ProfileModel, ratio: float):
+    """Vectorized CDF for points with y' >= 0 and h' > 0, ``ratio`` being the model's
+    dip ratio; F(y'=0) = 0."""
     # boundary points can round to y' = -epsilon; anything further negative
     # would put a negative base under a non-integer power
     tol = 1e-12 * model.pipe.diameter_m
-    if np.any(y_local < -tol):
+    if (y_local < -tol).any():
         raise NumericalDomainError("negative y' reached a non-integer power")
     y_local = np.maximum(y_local, 0.0)
     two_r = model.pipe.diameter_m
-    ratio = model.dip_ratio
 
     result = np.zeros_like(y_local)
     pos = y_local > 0
-    if not np.any(pos):
+    if not pos.any():
         return result
     yl = y_local[pos]
     dl = dip_local[pos]
@@ -171,19 +171,8 @@ def _evaluate_cdf(x_abs, y_local, dip_local, model: ProfileModel):
         model.pipe.diameter_m / model.level.level_m
     )
 
-    result[pos] = np.clip(first * shape * lateral, 0.0, 1.0)
+    result[pos] = np.minimum(np.maximum(first * shape * lateral, 0.0), 1.0)
     return result
-
-
-def _dip_weight(y_local, y, mode: str):
-    """The y'/y factor inside the velocity bracket.
-
-    The canonical form weights the CDF by y'/y; the "unit" reading drops
-    the factor entirely. Both agree at the maximum-velocity point (y'=y).
-    """
-    if mode == "unit":
-        return np.ones_like(y_local)
-    return y_local / y
 
 
 def evaluate_velocity(model: ProfileModel, x, y):
@@ -194,7 +183,8 @@ def evaluate_velocity(model: ProfileModel, x, y):
     """
     x_abs = np.abs(np.asarray(x, dtype=float))
     y_arr = np.asarray(y, dtype=float)
-    x_abs, y_arr = np.broadcast_arrays(x_abs, y_arr)
+    if x_abs.shape != y_arr.shape:
+        x_abs, y_arr = np.broadcast_arrays(x_abs, y_arr)
 
     r = model.pipe.radius_m
     wall = r - np.sqrt(np.maximum(r * r - x_abs * x_abs, 0.0))
@@ -203,12 +193,15 @@ def evaluate_velocity(model: ProfileModel, x, y):
 
     out = np.full(x_abs.shape, model.wall_value, dtype=float)
     core = (y_local > 0.0) & (y_arr > 0.0) & (depth_local > 0.0)
-    if np.any(core):
+    if core.any():
+        ratio = model.dip_ratio
         yl = y_local[core]
-        dl = model.dip_ratio * depth_local[core]
-        f_cdf = _evaluate_cdf(x_abs[core], yl, dl, model)
+        dl = ratio * depth_local[core]
+        f_cdf = _evaluate_cdf(x_abs[core], yl, dl, model, ratio)
         c = model.params.tail_weight
-        weight = _dip_weight(yl, y_arr[core], model.dip_weight_mode)
+        # the canonical form weights the CDF by y'/y; the "unit" reading drops the
+        # factor; both agree at the maximum-velocity point (y' = y)
+        weight = 1.0 if model.dip_weight_mode == "unit" else yl / y_arr[core]
         bracket = weight * (1.0 - c) * f_cdf + c
         out[core] = (
             1.0 - 1.0 / model.params.m

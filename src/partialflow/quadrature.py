@@ -9,23 +9,37 @@ their values on the tensor grid (shape: one dimension per axis), so each
 estimate is a few vectorized calls.
 """
 
+import functools
 import math
 
 from ._numpy import np
 from ._record import record
 from .errors import OutOfRangeError, QuadratureError
 
-# Integrand points per call: fine grids are evaluated in slices along the
-# first axis so that memory stays bounded at tight tolerances.
-_BLOCK_POINTS = 1 << 10
+# Integrand points per call: fine grids are evaluated in slices along the first axis so
+# that memory stays bounded at tight tolerances. A block's float64 arrays (32 KB each)
+# stay in cache; smaller blocks pay the kernels' ~0.1 ms fixed cost per call more often.
+_BLOCK_POINTS = 1 << 12
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.cache
 def _nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+    """The n-point Gauss-Legendre rule on [-1, 1]: Newton's method on the Legendre recurrence
+    from Tricomi's root estimates, weights 2 / ((1 - x^2) P_n'^2), then symmetrised and scaled
+    as numpy.polynomial.legendre.leggauss does (not imported: it loads six basis modules)."""
+    x, step = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)), 1.0
+    for _ in range(50):
+        p_prev, p = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        if np.abs(step).max() <= 1e-15:
+            break
+        step = p / dp
+        x = x - step
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
 
 
 @record
@@ -63,20 +77,29 @@ def _composite(breaks, n_panels: int, nodes: int) -> tuple[np.ndarray, np.ndarra
     return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wt).ravel()
 
 
+@functools.lru_cache(maxsize=32)
+def _unbroken(n_panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_composite((), n_panels, nodes)``, built once and read-only."""
+    x, w = _composite((), n_panels, nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Integrate ``f`` over the unit cube [0, 1]^d by panel doubling.
 
     ``breaks`` holds, for each of the d axes, the interior points in (0, 1)
     where panels must end. ``f(x_1, ..., x_d)`` gets each axis's nodes as a
-    1-D array and returns the integrand on their grid. Starting from one
-    panel per piece, the panel count doubles until two successive
+    read-only 1-D array and returns the integrand on their grid. Starting
+    from one panel per piece, the panel count doubles until two successive
     estimates differ by at most rel_tol times the finer one; returns that
     estimate and the difference as its error bound. Raises QuadratureError
     (carrying both) if max_depth doublings do not get there.
     """
 
     def estimate(n_panels: int) -> float:
-        (x0, w0), *rest = [_composite(b, n_panels, spec.nodes) for b in breaks]
+        (x0, w0), *rest = [_composite(b, n_panels, spec.nodes) if b else
+                           _unbroken(n_panels, spec.nodes) for b in breaks]
         step = max(1, _BLOCK_POINTS // math.prod(len(x) for x, _ in rest))
         total = 0.0
         for lo in range(0, len(x0), step):

@@ -76,6 +76,14 @@ class TestFpcfAndFit:
         assert (code, out) == (1, "")
         assert err == "error: fpcf table line 10: level and FPCF must be finite\n"
 
+    def test_fit_names_the_line_of_an_unparsable_field(self, capsys, tmp_path):
+        # printed "error: could not convert string to float: 'abc'" with no line
+        table = tmp_path / "table.csv"
+        table.write_text("H_mm,fpcf\n50,1.0\n60,abc\n")
+        code, out, err = run(capsys, "fit", "--table", str(table))
+        assert (code, out) == (1, "")
+        assert err == "error: fpcf table line 3: could not convert string to float: 'abc'\n"
+
     @pytest.mark.parametrize("flag,name", [
         ("--chord-height-mm", "chord_height_mm"), ("--h-min", "h_min_mm"),
         ("--h-max", "h_max_mm"), ("--step", "step_mm"),

@@ -158,6 +158,20 @@ class TestTabulate:
         with pytest.raises(PartialFlowError, match="H = 60"):
             tabulate_fpcf(pipe, params, 50.0, 50.0, 80.0, 10.0)
 
+    def test_each_level_runs_the_traced_layers_once(self, pipe, params, monkeypatch):
+        # A profiler that wraps these module globals reads its per-layer figures
+        # from one call of each per level; a batched table would zero them.
+        calls = {}
+        for name in ("fpcf", "mean_area_velocity", "mean_chord_velocity"):
+            def counted(*args, _inner=getattr(fpcf_module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(fpcf_module, name, counted)
+        samples = tabulate_fpcf(pipe, params, 50.0, 50.0, 110.0, 20.0)
+        assert len(samples) == 4
+        assert calls == {"fpcf": 4, "mean_area_velocity": 4, "mean_chord_velocity": 4}
+
     def test_per_millimeter_continuity(self, pipe, params):
         # no jumps from the piecewise model; the extreme top end (above
         # ~240 mm) steepens smoothly beyond this figure and is excluded
@@ -230,6 +244,13 @@ class TestEval:
     def test_sample_positivity_enforced(self):
         with pytest.raises(OutOfRangeError):
             FpcfSample(100.0, 50.0, 0.0)
+
+    @pytest.mark.parametrize("level,value", [
+        (100.0, float("inf")), (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0),
+    ], ids=["fpcf_inf", "level_nan", "level_inf", "level_-inf"])
+    def test_non_finite_sample_rejected(self, level, value):
+        with pytest.raises(OutOfRangeError, match="must be finite"):
+            FpcfSample(level, 50.0, value)
 
     def test_bad_range_rejected(self):
         with pytest.raises(OutOfRangeError):

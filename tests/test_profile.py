@@ -34,12 +34,14 @@ def cdf(point, m):
     r = m.pipe.radius_m
     wall = r - math.sqrt(max(r * r - point.x**2, 0.0))
     return float(_evaluate_cdf(np.array([abs(point.x)]), np.array([point.y - wall]),
-                               np.array([m.dip_ratio * (m.level.level_m - wall)]), m)[0])
+                               np.array([m.dip_ratio * (m.level.level_m - wall)]), m,
+                               m.dip_ratio)[0])
 
 
 def velocity_from_local(m, point, y_local, dip_local):
     """v/v_max by the velocity bracket at the given y' and h'."""
-    f = _evaluate_cdf(np.array([abs(point.x)]), np.array([y_local]), np.array([dip_local]), m)[0]
+    f = _evaluate_cdf(np.array([abs(point.x)]), np.array([y_local]), np.array([dip_local]), m,
+                      m.dip_ratio)[0]
     c, p = m.params.tail_weight, m.params
     return 1.0 - 1.0 / p.m + ((y_local / point.y) * (1.0 - c) * f + c) ** (1.0 / p.q) / p.m
 

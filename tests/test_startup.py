@@ -1,7 +1,9 @@
 """Start-up and exit: a command loads numpy only if it runs a layer that uses it, and
 then with a one-thread OpenBLAS pool, unless the user set a thread count or imported
-numpy first; ``os.environ`` is left as it was found. No command loads ``dataclasses``.
-The program freezes the heap before it exits; an in-process ``main`` call does not."""
+numpy first; ``os.environ`` is left as it was found. numpy is loaded with the garbage
+collector paused, which is then left as the caller had it. No command loads
+``dataclasses`` or ``numpy.polynomial``. The program freezes the heap before it exits;
+an in-process ``main`` call does not."""
 
 import gc
 import json
@@ -29,16 +31,17 @@ print(json.dumps([threads, len(os.listdir("/proc/self/task")), dict(os.environ) 
 sys.exit(code)
 """
 
-# Prints whether numpy and dataclasses are loaded after the package import and
-# after each of calibrate, metrics, --help, process and a noisy simulate, the exit
-# codes of the last two, and the number of loaded modules at each write of frame
-# records by the process command.
+# Prints whether numpy, dataclasses and numpy.polynomial are loaded after the package
+# import and after each of calibrate, metrics, --help, process, a noisy simulate, fpcf
+# and a process that derives its polynomial, the exit codes of the last four, and the
+# number of loaded modules at each write of frame records by the first process command.
 LAZY_PROBE = """
 import contextlib, io, json, sys
-trials, frames = sys.argv[1:]
+trials, frames, derive = sys.argv[1:]
 
 def loaded():
-    return ["numpy" in sys.modules, "dataclasses" in sys.modules]
+    return ["numpy" in sys.modules, "dataclasses" in sys.modules,
+            "numpy.polynomial" in sys.modules]
 
 import partialflow
 stages = [loaded()]
@@ -62,6 +65,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(partialflow.cli.main(["simulate", "--flow-lps", "3", "--frames", "4",
                                        "--noise-ns", "2"]))
 stages.append(loaded())
+for argv in (["fpcf", "--step", "20"], ["process", "--config", derive, "--frames", frames]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(partialflow.cli.main(argv))
+    stages.append(loaded())
 print(json.dumps([stages, codes, modules]))
 """
 
@@ -138,16 +145,42 @@ def test_output_does_not_depend_on_the_pool(children):
     assert table == children["user"][-1]
 
 
+# Imports partialflow._numpy with the collector on, or off as a caller may set it, and
+# prints the number of collections made meanwhile and whether the collector is on after.
+GC_PROBE = """
+import gc, json
+import partialflow
+if {disable}:
+    gc.disable()
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
+import partialflow._numpy
+print(json.dumps([len(passes), gc.isenabled()]))
+"""
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_numpy_import_pauses_the_collector_and_restores_it(enabled):
+    out = subprocess.run([sys.executable, "-c", GC_PROBE.format(disable=not enabled)],
+                         env=_base_env(), capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    passes, after = json.loads(out.stdout)
+    assert after is enabled
+    # ~29 unpaused; at most the one that the allocations made while paused set off
+    assert passes <= int(enabled)
+
+
 @pytest.fixture(scope="module")
 def lazy_child(tmp_path_factory):
     from partialflow.cli import main
 
     tmp = tmp_path_factory.mktemp("lazy")
-    trials, frames = tmp / "trials.csv", tmp / "frames.csv"
+    trials, frames, derive = tmp / "trials.csv", tmp / "frames.csv", tmp / "derive.cfg"
     trials.write_text("1,2.0,2.0,2.02\n1,4.0,4.0,4.05\n", encoding="utf-8")
+    derive.write_text("fpcf.derive = true\n", encoding="utf-8")
     # 2 chords x 400 frames: chunks of 256, 512 and 32 rows.
     assert main(["simulate", "--flow-lps", "3", "--frames", "400", "--out", str(frames)]) == 0
-    out = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(trials), str(frames)],
+    out = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(trials), str(frames), str(derive)],
                          env=_base_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
@@ -155,14 +188,21 @@ def lazy_child(tmp_path_factory):
 
 def test_package_calibrate_metrics_and_help_load_no_numpy(lazy_child):
     stages, codes, _ = lazy_child
-    assert [numpy for numpy, _ in stages] == [False, False, False, False, True, True]
-    assert codes == [0, 0]
+    assert [numpy for numpy, _, _ in stages] == [False] * 4 + [True] * 4
+    assert codes == [0, 0, 0, 0]
 
 
 def test_no_command_loads_dataclasses(lazy_child):
     """Records are built without dataclasses, which would cost ~1 ms per class."""
     stages, _, _ = lazy_child
-    assert [dataclasses for _, dataclasses in stages] == [False] * 6
+    assert [dataclasses for _, dataclasses, _ in stages] == [False] * 8
+
+
+def test_no_command_loads_numpy_polynomial(lazy_child):
+    """The Gauss-Legendre nodes are computed without numpy.polynomial, whose six basis
+    modules cost ~4.5 ms to load."""
+    stages, _, _ = lazy_child
+    assert [polynomial for _, _, polynomial in stages] == [False] * 8
 
 
 def test_process_imports_nothing_between_frame_records(lazy_child):
