@@ -61,11 +61,7 @@ def cmd_profile(args) -> int:
     from .profile import ProfileModel, profile_grid
 
     config = load_config(args.config)
-    model = ProfileModel(
-        pipe=config.pipe,
-        level=WaterLevel(args.level_mm / 1000.0),
-        params=config.params,
-    )
+    model = ProfileModel(config.pipe, WaterLevel(args.level_mm / 1000.0), config.params)
     grid = profile_grid(model, args.nx, args.ny)
     with _out_stream(args.out) as fh:
         grid.write_csv(fh)
@@ -80,15 +76,8 @@ def cmd_fpcf(args) -> int:
     chord_height = args.chord_height_mm
     if chord_height is None:
         chord_height = min(c.height_mm for c in config.chords)
-    samples = tabulate_fpcf(
-        config.pipe,
-        config.params,
-        chord_height,
-        args.h_min,
-        args.h_max,
-        args.step,
-        config.quad,
-    )
+    samples = tabulate_fpcf(config.pipe, config.params, chord_height, args.h_min, args.h_max,
+                            args.step, config.quad)
     with _out_stream(args.out) as fh:
         fh.write("H_mm,fpcf\n")
         for s in samples:

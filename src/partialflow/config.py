@@ -1,7 +1,8 @@
 """Flat key/value run configuration.
 
 One ``key = value`` pair per line, ``#`` comments, no sections. Floats are
-emitted with ``repr`` so a written document parses back bit-exactly.
+emitted with ``repr`` so a written document parses back bit-exactly. A key
+left out takes the default of the record field it sets.
 """
 
 import math
@@ -17,6 +18,10 @@ from .profile import EntropyParams
 from .quadrature import QuadratureSpec
 
 _POLY_DEGREE = 6
+
+# The reference rig: a 250 mm pipe, its chords crossed at 45 degrees.
+_PIPE_DIAMETER_MM = 250.0
+_BEAM_ANGLE_DEG = 45.0
 
 
 @record
@@ -35,21 +40,21 @@ class RunConfig:
     quad: QuadratureSpec = QuadratureSpec()
 
 
+def _wall_to_wall(height_mm: float, angle_rad: float, pipe: PipeGeometry) -> float:
+    """Path length between wall-mounted transducers: the beam spans the full chord."""
+    return 2.0 * chord_half_width(height_mm / 1000.0, pipe) / math.sin(angle_rad)
+
+
 def _default_chords(pipe: PipeGeometry) -> tuple[ChordSpec, ...]:
     # Two crossed paths at the same height; the crossing cancels
     # transverse-flow bias, so each behaves as an ordinary weighted chord.
-    height_mm = 50.0
-    angle = math.radians(45.0)
-    width = 2.0 * chord_half_width(height_mm / 1000.0, pipe)
-    path = width / math.sin(angle)
-    return (
-        ChordSpec("a", height_mm, path, angle, 1.0),
-        ChordSpec("b", height_mm, path, angle, 1.0),
-    )
+    angle = math.radians(_BEAM_ANGLE_DEG)
+    path = _wall_to_wall(50.0, angle, pipe)
+    return ChordSpec("a", 50.0, path, angle), ChordSpec("b", 50.0, path, angle)
 
 
 def default_config() -> RunConfig:
-    pipe = PipeGeometry(0.250)
+    pipe = PipeGeometry(_PIPE_DIAMETER_MM / 1000.0)
     return RunConfig(pipe=pipe, params=EntropyParams(), chords=_default_chords(pipe))
 
 
@@ -76,22 +81,29 @@ def _parse_int(raw: str, key: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
 
 
-_SCALAR_KEYS = {
-    "pipe.diameter_mm",
-    "entropy.m",
-    "entropy.q",
-    "calibration.factor",
-    "quad.rel_tol",
-    "quad.max_depth",
-    "quad.nodes",
-    "fpcf.derive",
-    "fpcf.h_min_mm",
-    "fpcf.h_max_mm",
-    "fpcf.step_mm",
-    "clog.slope_mps_per_mm",
-    "clog.intercept_mps",
-    "clog.debounce",
-} | {f"fpcf.c{k}" for k in range(_POLY_DEGREE + 1)}
+def _parse_mm_as_m(raw: str, key: str) -> float:
+    return _parse_float(raw, key) / 1000.0
+
+
+# Each scalar key: the record and field it sets, and the parser of its value.
+_SCALARS = {
+    "pipe.diameter_mm": (PipeGeometry, "diameter_m", _parse_mm_as_m),
+    "entropy.m": (EntropyParams, "m", _parse_float),
+    "entropy.q": (EntropyParams, "q", _parse_float),
+    "quad.rel_tol": (QuadratureSpec, "rel_tol", _parse_float),
+    "quad.max_depth": (QuadratureSpec, "max_depth", _parse_int),
+    "quad.nodes": (QuadratureSpec, "nodes", _parse_int),
+    "clog.slope_mps_per_mm": (DecisionBoundary, "slope_mps_per_mm", _parse_float),
+    "clog.intercept_mps": (DecisionBoundary, "intercept_mps", _parse_float),
+    "fpcf.h_min_mm": (RunConfig, "fpcf_h_min_mm", _parse_float),
+    "fpcf.h_max_mm": (RunConfig, "fpcf_h_max_mm", _parse_float),
+    "fpcf.step_mm": (RunConfig, "fpcf_step_mm", _parse_float),
+    "fpcf.derive": (RunConfig, "fpcf_derive", _parse_bool),
+    "calibration.factor": (RunConfig, "k_cal", _parse_float),
+    "clog.debounce": (RunConfig, "debounce", _parse_int),
+}
+
+_COEFF_KEYS = tuple(f"fpcf.c{k}" for k in range(_POLY_DEGREE + 1))
 
 _CHORD_FIELDS = ("height_mm", "path_length_m", "beam_angle_deg", "weight")
 
@@ -119,76 +131,46 @@ def parse_config(text: str) -> RunConfig:
             if len(parts) != 3 or parts[2] not in _CHORD_FIELDS:
                 raise ConfigError(f"unknown chord key {key!r}")
             chord_fields.setdefault(parts[1], {})[parts[2]] = pairs.pop(key)
-    unknown = set(pairs) - _SCALAR_KEYS
+    unknown = set(pairs) - _SCALARS.keys() - set(_COEFF_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
 
     try:
-        pipe = PipeGeometry(_parse_float(pairs.get("pipe.diameter_mm", "250"), "pipe.diameter_mm") / 1000.0)
-        params = EntropyParams(
-            m=_parse_float(pairs.get("entropy.m", "0.89"), "entropy.m"),
-            q=_parse_float(pairs.get("entropy.q", "1.15"), "entropy.q"),
-        )
-        quad = QuadratureSpec(
-            rel_tol=_parse_float(pairs.get("quad.rel_tol", "1e-6"), "quad.rel_tol"),
-            max_depth=_parse_int(pairs.get("quad.max_depth", "16"), "quad.max_depth"),
-            nodes=_parse_int(pairs.get("quad.nodes", "15"), "quad.nodes"),
-        )
-        boundary = DecisionBoundary(
-            slope_mps_per_mm=_parse_float(
-                pairs.get("clog.slope_mps_per_mm", "0.00321"), "clog.slope_mps_per_mm"
-            ),
-            intercept_mps=_parse_float(
-                pairs.get("clog.intercept_mps", "-0.02"), "clog.intercept_mps"
-            ),
-        )
+        given = {rec: {} for rec, _, _ in _SCALARS.values()}
+        for key, (rec, field, parse) in _SCALARS.items():
+            if key in pairs:
+                given[rec][field] = parse(pairs[key], key)
+        pipe = PipeGeometry(given[PipeGeometry].get("diameter_m", _PIPE_DIAMETER_MM / 1000.0))
 
         chords: list[ChordSpec] = []
-        for chord_id in sorted(chord_fields):
-            fields = chord_fields[chord_id]
+        for chord_id, fields in sorted(chord_fields.items()):
             if "height_mm" not in fields:
                 raise ConfigError(f"chord.{chord_id}: height_mm is required")
-            height_mm = _parse_float(fields["height_mm"], f"chord.{chord_id}.height_mm")
-            angle = math.radians(
-                _parse_float(fields.get("beam_angle_deg", "45"), f"chord.{chord_id}.beam_angle_deg")
-            )
-            if "path_length_m" in fields:
-                path = _parse_float(fields["path_length_m"], f"chord.{chord_id}.path_length_m")
-            else:
-                # Wall-mounted transducers: the path spans the full chord.
-                path = 2.0 * chord_half_width(height_mm / 1000.0, pipe) / math.sin(angle)
-            weight = _parse_float(fields.get("weight", "1"), f"chord.{chord_id}.weight")
-            chords.append(ChordSpec(chord_id, height_mm, path, angle, weight))
-        if not chords:
-            chords = list(_default_chords(pipe))
+            values = {k: _parse_float(v, f"chord.{chord_id}.{k}") for k, v in fields.items()}
+            angle = math.radians(values.pop("beam_angle_deg", _BEAM_ANGLE_DEG))
+            if "path_length_m" not in values:
+                values["path_length_m"] = _wall_to_wall(values["height_mm"], angle, pipe)
+            chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
 
-        h_min = _parse_float(pairs.get("fpcf.h_min_mm", "50"), "fpcf.h_min_mm")
-        h_max = _parse_float(pairs.get("fpcf.h_max_mm", "250"), "fpcf.h_max_mm")
-        step = _parse_float(pairs.get("fpcf.step_mm", "10"), "fpcf.step_mm")
-
-        coeff_keys = [f"fpcf.c{k}" for k in range(_POLY_DEGREE + 1)]
-        present = [k for k in coeff_keys if k in pairs]
+        run = given[RunConfig]
         poly = None
+        present = [k for k in _COEFF_KEYS if k in pairs]
         if present:
-            if len(present) != len(coeff_keys):
-                missing = sorted(set(coeff_keys) - set(present))
+            if len(present) != len(_COEFF_KEYS):
+                missing = sorted(set(_COEFF_KEYS) - set(present))
                 raise ConfigError(f"incomplete FPCF coefficients, missing: {', '.join(missing)}")
-            coeffs = tuple(_parse_float(pairs[k], k) for k in coeff_keys)
-            poly = FpcfPolynomial(coeffs, h_min, h_max)
+            poly = FpcfPolynomial(tuple(_parse_float(pairs[k], k) for k in _COEFF_KEYS),
+                                  run.get("fpcf_h_min_mm", RunConfig.fpcf_h_min_mm),
+                                  run.get("fpcf_h_max_mm", RunConfig.fpcf_h_max_mm))
 
         config = RunConfig(
             pipe=pipe,
-            params=params,
-            chords=tuple(chords),
+            params=EntropyParams(**given[EntropyParams]),
+            chords=tuple(chords) or _default_chords(pipe),
             poly=poly,
-            fpcf_derive=_parse_bool(pairs.get("fpcf.derive", "false"), "fpcf.derive"),
-            fpcf_h_min_mm=h_min,
-            fpcf_h_max_mm=h_max,
-            fpcf_step_mm=step,
-            k_cal=_parse_float(pairs.get("calibration.factor", "1"), "calibration.factor"),
-            boundary=boundary,
-            debounce=_parse_int(pairs.get("clog.debounce", "5"), "clog.debounce"),
-            quad=quad,
+            boundary=DecisionBoundary(**given[DecisionBoundary]),
+            quad=QuadratureSpec(**given[QuadratureSpec]),
+            **run,
         )
     except ConfigError:
         raise
@@ -204,9 +186,14 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"calibration.factor must be finite and positive, got {config.k_cal!r}")
     if config.debounce < 1:
         raise ConfigError(f"clog.debounce must be >= 1, got {config.debounce!r}")
-    ids = [c.chord_id for c in config.chords]
-    if len(ids) != len(set(ids)):
-        raise ConfigError(f"duplicate chord ids: {ids}")
+    crown_mm = 1000.0 * config.pipe.diameter_m
+    for c in config.chords:
+        if c.height_mm > crown_mm:
+            raise ConfigError(f"chord.{c.chord_id}.height_mm = {c.height_mm:g} lies above the "
+                              f"pipe crown at {crown_mm:g} mm")
+    if config.poly is not None and config.fpcf_derive:
+        raise ConfigError("fpcf.derive = true and fpcf.c0..c6 both set the FPCF polynomial; "
+                          "give one of them")
     min_height = min(c.height_mm for c in config.chords)
     if config.poly is not None and config.poly.h_min_mm < min_height:
         raise ConfigError(
@@ -240,16 +227,9 @@ def resolve_polynomial(config: RunConfig) -> tuple[Optional[FpcfPolynomial], Opt
         return config.poly, None
     if not config.fpcf_derive:
         return None, None
-    chord_height = min(c.height_mm for c in config.chords)
-    samples = tabulate_fpcf(
-        config.pipe,
-        config.params,
-        chord_height,
-        config.fpcf_h_min_mm,
-        config.fpcf_h_max_mm,
-        config.fpcf_step_mm,
-        config.quad,
-    )
+    samples = tabulate_fpcf(config.pipe, config.params, min(c.height_mm for c in config.chords),
+                            config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm,
+                            config.quad)
     fit = fit_polynomial(samples, _POLY_DEGREE)
     return fit.polynomial, fit
 

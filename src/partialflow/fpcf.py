@@ -18,13 +18,7 @@ from .errors import (
     PartialFlowError,
 )
 from .geometry import PipeGeometry, WaterLevel, chord_half_width, segment_area
-from .profile import (
-    DEFAULT_DIP_POLY,
-    DipPositionPoly,
-    EntropyParams,
-    ProfileModel,
-    evaluate_velocity,
-)
+from .profile import EntropyParams, ProfileModel, evaluate_velocity
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, unit_integrate
 
 
@@ -41,6 +35,9 @@ class FpcfSample:
             raise OutOfRangeError(
                 f"FPCF sample at H={self.level_mm!r} mm must be finite and positive: {self.fpcf!r}"
             )
+        if not 0 < self.chord_height_mm < math.inf:
+            raise OutOfRangeError(f"FPCF sample chord height must be finite and positive, "
+                                  f"got {self.chord_height_mm!r}")
 
 
 @record
@@ -163,8 +160,6 @@ def tabulate_fpcf(
     h_max_mm: float = 250.0,
     step_mm: float = 10.0,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    dip: DipPositionPoly = DEFAULT_DIP_POLY,
-    dip_weight_mode: str = "height_weighted",
 ) -> list[FpcfSample]:
     """Correction factor at regularly spaced levels from h_min upward.
 
@@ -189,13 +184,7 @@ def tabulate_fpcf(
     samples = []
     for k in range(count):
         level_mm = h_min_mm + k * step_mm
-        model = ProfileModel(
-            pipe=pipe,
-            level=WaterLevel(level_mm / 1000.0),
-            params=params,
-            dip=dip,
-            dip_weight_mode=dip_weight_mode,
-        )
+        model = ProfileModel(pipe=pipe, level=WaterLevel(level_mm / 1000.0), params=params)
         try:
             value = fpcf(model, chord_height_mm / 1000.0, quad)
             samples.append(FpcfSample(level_mm, chord_height_mm, value))

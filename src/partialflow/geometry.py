@@ -10,7 +10,7 @@ from ._record import record
 from .errors import OutOfRangeError
 
 # Kinematic viscosity of water near 20 degC (m^2/s).
-DEFAULT_KINEMATIC_VISCOSITY = 1.0e-6
+KINEMATIC_VISCOSITY = 1.0e-6
 
 
 @record
@@ -62,7 +62,7 @@ def segment_area(level: WaterLevel, pipe: PipeGeometry) -> float:
 
 def chord_half_width(y: float, pipe: PipeGeometry) -> float:
     """Half-width (m) of the horizontal chord at height ``y`` above the bottom."""
-    if y < 0 or y > pipe.diameter_m:
+    if not 0 <= y <= pipe.diameter_m:
         raise OutOfRangeError(f"chord height {y!r} outside [0, {pipe.diameter_m}]")
     r = pipe.radius_m
     return math.sqrt(max(r * r - (y - r) ** 2, 0.0))
@@ -80,18 +80,11 @@ def hydraulic_diameter(level: WaterLevel, pipe: PipeGeometry) -> float:
     return 4.0 * segment_area(level, pipe) / wetted_perimeter(level, pipe)
 
 
-def reynolds(
-    flow_rate_m3s: float,
-    level: WaterLevel,
-    pipe: PipeGeometry,
-    kinematic_viscosity: float = DEFAULT_KINEMATIC_VISCOSITY,
-) -> float:
-    """Reynolds number (Q/A) * D_h / nu for the partially filled section."""
+def reynolds(flow_rate_m3s: float, level: WaterLevel, pipe: PipeGeometry) -> float:
+    """Reynolds number (Q/A) * D_h / nu of water near 20 degC in the partially filled section."""
     if flow_rate_m3s < 0:
         raise OutOfRangeError(f"flow rate must be non-negative, got {flow_rate_m3s!r}")
-    if not kinematic_viscosity > 0:
-        raise OutOfRangeError(f"viscosity must be positive, got {kinematic_viscosity!r}")
     if flow_rate_m3s == 0:
         return 0.0
     velocity = flow_rate_m3s / segment_area(level, pipe)
-    return velocity * hydraulic_diameter(level, pipe) / kinematic_viscosity
+    return velocity * hydraulic_diameter(level, pipe) / KINEMATIC_VISCOSITY

@@ -43,12 +43,17 @@ class ChordSpec:
     weight: float = 1.0
 
     def __post_init__(self):
+        if not 0 < self.height_mm < math.inf:
+            raise OutOfRangeError(
+                f"chord height must be finite and positive, got {self.height_mm!r}")
         if not self.path_length_m > 0:
             raise OutOfRangeError(f"path length must be positive, got {self.path_length_m!r}")
         if not 0 < self.beam_angle_rad < math.pi / 2:
             raise OutOfRangeError(
                 f"beam angle must lie in (0, pi/2), got {self.beam_angle_rad!r}"
             )
+        if not math.isfinite(self.weight):
+            raise OutOfRangeError(f"chord weight must be finite, got {self.weight!r}")
         if self.weight < 0:
             raise OutOfRangeError(f"chord weight must be non-negative, got {self.weight!r}")
 

@@ -29,8 +29,6 @@ DEFAULT_DIP_COEFFS = (1.78, -2.46, 0.18, 1.00)
 # Floor keeps ln(h') finite; the cubic itself stays well above this.
 DIP_RATIO_FLOOR = 1e-3
 
-DIP_WEIGHT_MODES = ("height_weighted", "unit")
-
 
 @record
 class EntropyParams:
@@ -83,27 +81,15 @@ class ProfilePoint:
 
 @record
 class ProfileModel:
-    """Immutable bundle of everything needed to evaluate v/v_max.
-
-    ``dip_weight_mode`` selects the reading of the y'/y factor inside the
-    velocity bracket: "height_weighted" applies it, "unit" replaces it by 1
-    for sensitivity studies. ``clamp_nonnegative`` optionally floors the
-    near-wall values (the raw expression dips to about -0.124 at the wall).
-    """
+    """Immutable bundle of everything needed to evaluate v/v_max."""
 
     pipe: PipeGeometry
     level: WaterLevel
     params: EntropyParams = EntropyParams()
     dip: DipPositionPoly = DEFAULT_DIP_POLY
-    dip_weight_mode: str = "height_weighted"
-    clamp_nonnegative: bool = False
 
     def __post_init__(self):
         self.level.check_against(self.pipe)
-        if self.dip_weight_mode not in DIP_WEIGHT_MODES:
-            raise OutOfRangeError(
-                f"dip_weight_mode must be one of {DIP_WEIGHT_MODES}, got {self.dip_weight_mode!r}"
-            )
 
     @property
     def dip_ratio(self) -> float:
@@ -116,7 +102,7 @@ class ProfileModel:
 
     @property
     def wall_value(self) -> float:
-        """v/v_max in the F = 0 limit (pipe wall)."""
+        """v/v_max in the F = 0 limit (pipe wall); about -0.124 at the default M and q."""
         c = self.params.tail_weight
         return 1.0 - 1.0 / self.params.m + c ** (1.0 / self.params.q) / self.params.m
 
@@ -199,16 +185,11 @@ def evaluate_velocity(model: ProfileModel, x, y):
         dl = ratio * depth_local[core]
         f_cdf = _evaluate_cdf(x_abs[core], yl, dl, model, ratio)
         c = model.params.tail_weight
-        # the canonical form weights the CDF by y'/y; the "unit" reading drops the
-        # factor; both agree at the maximum-velocity point (y' = y)
-        weight = 1.0 if model.dip_weight_mode == "unit" else yl / y_arr[core]
-        bracket = weight * (1.0 - c) * f_cdf + c
+        bracket = yl / y_arr[core] * (1.0 - c) * f_cdf + c  # the CDF weighted by y'/y
         out[core] = (
             1.0 - 1.0 / model.params.m
             + bracket ** (1.0 / model.params.q) / model.params.m
         )
-    if model.clamp_nonnegative:
-        out = np.maximum(out, 0.0)
     return out
 
 

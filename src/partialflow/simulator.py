@@ -9,8 +9,7 @@ flow, emulating backwater from a downstream obstruction.
 
 import math
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ._numpy import np
 from ._record import record
@@ -18,7 +17,7 @@ from .errors import OutOfRangeError
 from .fpcf import fpcf
 from .geometry import PipeGeometry, WaterLevel, segment_area
 from .measurement import ChordReading, ChordSpec, SensorFrame
-from .profile import DEFAULT_DIP_POLY, DipPositionPoly, EntropyParams, ProfileModel
+from .profile import EntropyParams, ProfileModel
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 
 DEFAULT_SOUND_SPEED = 1480.0  # m/s, water near 20 degC
@@ -33,9 +32,7 @@ class WeirMode(Enum):
 # Level uplift factors chosen so weir points land below the default
 # clogging boundary across the tested flow range while no-weir points
 # stay above it.
-DEFAULT_WEIR_UPLIFT: Mapping[WeirMode, float] = MappingProxyType(
-    {WeirMode.WEIR1: 0.35, WeirMode.WEIR2: 0.80}
-)
+_WEIR_UPLIFT = {WeirMode.WEIR1: 0.35, WeirMode.WEIR2: 0.80}
 
 # Measured anchor points of the test rig: 2 L/s ran at 65 mm and 6 L/s at
 # 100 mm; intermediate rates interpolate linearly.
@@ -55,7 +52,6 @@ class ScenarioSpec:
     flow_lps: float
     level_mm: float
     weir: WeirMode = WeirMode.NONE
-    sound_speed_mps: float = DEFAULT_SOUND_SPEED
     noise_sigma_s: float = 0.0
     seed: int = 0
     frame_count: int = 1
@@ -64,8 +60,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.flow_lps, self.noise_sigma_s, self.frame_interval_s))):
             raise OutOfRangeError(f"flow, noise and frame interval must be finite, got {self!r}")
-        if not self.sound_speed_mps > 0:
-            raise OutOfRangeError(f"sound speed must be positive, got {self.sound_speed_mps!r}")
+        if not 0 <= self.level_mm < math.inf:
+            raise OutOfRangeError(f"level must be finite and non-negative, got {self.level_mm!r}")
         if self.noise_sigma_s < 0:
             raise OutOfRangeError(f"noise sigma must be non-negative, got {self.noise_sigma_s!r}")
         if self.frame_count < 1:
@@ -100,32 +96,28 @@ def chord_velocity_from_truth(
     pipe: PipeGeometry,
     params: EntropyParams = EntropyParams(),
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    dip: DipPositionPoly = DEFAULT_DIP_POLY,
 ) -> float:
     """Chord velocity consistent with a true flow: v = Q / (A * FPCF).
 
     The correction factor comes straight from quadrature, not from any
-    fitted polynomial.
+    fitted polynomial. The level is checked against the pipe even at zero
+    flow, where no correction factor is needed.
     """
     if chord.height_mm > level_mm:
         raise OutOfRangeError(
             f"chord at {chord.height_mm:g} mm is dry at level {level_mm:g} mm"
         )
+    level = WaterLevel(level_mm / 1000.0)
+    level.check_against(pipe)
     if flow_m3s == 0.0:
         return 0.0
-    level = WaterLevel(level_mm / 1000.0)
-    model = ProfileModel(pipe=pipe, level=level, params=params, dip=dip)
+    model = ProfileModel(pipe=pipe, level=level, params=params)
     area = segment_area(level, pipe)
     correction = fpcf(model, chord.height_mm / 1000.0, quad)
     return flow_m3s / (area * correction)
 
 
-def weir_shift(
-    level_mm: float,
-    weir: WeirMode,
-    pipe: PipeGeometry,
-    uplift: Mapping[WeirMode, float] = DEFAULT_WEIR_UPLIFT,
-) -> float:
+def weir_shift(level_mm: float, weir: WeirMode, pipe: PipeGeometry) -> float:
     """Backwater level under a downstream weir: H * (1 + uplift).
 
     Purely empirical: the uplift emulates the observed level rise, and the
@@ -133,7 +125,7 @@ def weir_shift(
     """
     if weir is WeirMode.NONE:
         return level_mm
-    shifted = level_mm * (1.0 + uplift[weir])
+    shifted = level_mm * (1.0 + _WEIR_UPLIFT[weir])
     if shifted > 1000.0 * pipe.diameter_m:
         raise OutOfRangeError(
             f"weir backwater level {shifted:g} mm pools past the pipe crown "
@@ -148,25 +140,22 @@ def generate(
     pipe: PipeGeometry,
     params: EntropyParams = EntropyParams(),
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-    dip: DipPositionPoly = DEFAULT_DIP_POLY,
-    uplift: Mapping[WeirMode, float] = DEFAULT_WEIR_UPLIFT,
 ) -> list[SensorFrame]:
     """Deterministic frame list for the scenario (fixed seed, fixed output).
 
     Gaussian jitter is drawn independently for every transit time of every
     frame; with sigma = 0 all frames are identical.
     """
-    level_mm = weir_shift(scenario.level_mm, scenario.weir, pipe, uplift)
+    level_mm = weir_shift(scenario.level_mm, scenario.weir, pipe)
     chord_list = list(chords)
     velocity = {}  # chord height -> chord velocity: one FPCF quadrature per height
     base_times = []
     for chord in chord_list:
         if chord.height_mm not in velocity:
             velocity[chord.height_mm] = chord_velocity_from_truth(
-                scenario.flow_lps / 1000.0, level_mm, chord, pipe, params, quad, dip
+                scenario.flow_lps / 1000.0, level_mm, chord, pipe, params, quad
             )
-        base_times.append(transit_times(velocity[chord.height_mm], chord,
-                                        scenario.sound_speed_mps))
+        base_times.append(transit_times(velocity[chord.height_mm], chord, DEFAULT_SOUND_SPEED))
 
     shape = (scenario.frame_count, len(chord_list), 2)
     times = np.broadcast_to(np.reshape(base_times, shape[1:]), shape)

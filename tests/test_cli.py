@@ -377,6 +377,32 @@ class TestExitCodes:
         code, _, _ = run(capsys, "metrics", "--trials", "/nonexistent.csv")
         assert code == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("chord.a.height_mm = 50\nchord.a.weight = inf", "chord weight must be finite"),
+        ("chord.a.height_mm = 50\nchord.a.weight = nan", "chord weight must be finite"),
+        ("chord.a.height_mm = nan\nchord.a.path_length_m = 0.3",
+         "chord height must be finite and positive"),
+        ("chord.a.height_mm = -20\nchord.a.path_length_m = 0.3",
+         "chord height must be finite and positive"),
+        ("chord.a.height_mm = 300\nchord.a.path_length_m = 0.3",
+         "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"),
+    ], ids=["weight_inf", "weight_nan", "height_nan", "height_negative", "height_above_crown"])
+    def test_bad_chord_exits_2(self, capsys, tmp_path, text, message):
+        # weight = inf printed q_lps=nan with exit 0, a nan height made every frame
+        # dry_chord, and a negative height counted the chord as wet
+        cfg = tmp_path / "chord.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("level", ["nan", "inf", "300"])
+    def test_zero_flow_simulate_checks_the_level(self, capsys, level):
+        # at zero flow no FPCF is computed, and rows were written at any level
+        code, out, err = run(capsys, "simulate", "--flow-lps", "0", "--level-mm", level)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
 
 def test_literals_match_their_enums():
     """The CLI writes out the weir modes and status texts rather than load their modules."""
@@ -386,6 +412,16 @@ def test_literals_match_their_enums():
 
     assert list(cli._WEIR_TEXT) == [m.value for m in WeirMode]
     assert list(cli._STATUS_TEXT) == [s.value for s in STATUSES]
+
+
+def test_fpcf_range_defaults_match_the_config():
+    """``fpcf``'s range flags keep their own defaults, so that ``--help`` loads no numpy."""
+    from partialflow import cli
+    from partialflow.config import RunConfig
+
+    args = cli.build_parser().parse_args(["fpcf"])
+    assert (args.h_min, args.h_max, args.step) == (
+        RunConfig.fpcf_h_min_mm, RunConfig.fpcf_h_max_mm, RunConfig.fpcf_step_mm)
 
 
 def _fmt(value) -> str:

@@ -9,12 +9,8 @@ from partialflow.fpcf import FitResult, FpcfPolynomial
 
 class TestDefaults:
     def test_empty_document_is_default(self):
-        config = parse_config("")
-        default = default_config()
-        assert config.pipe == default.pipe
-        assert config.params == default.params
-        assert config.chords == default.chords
-        assert config.poly is None
+        # every field, so that a default defined twice cannot drift apart
+        assert parse_config("") == default_config()
 
     def test_default_chords_are_crossed_pair(self):
         config = default_config()
@@ -154,6 +150,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match="chords at 50, 100 mm"):
             parse_config(chords + fpcf)
         assert {c.height_mm for c in parse_config(chords).chords} == {50.0, 100.0}
+
+    def test_derive_and_coefficients_rejected_together(self):
+        # the derive flag was parsed and then ignored in favour of the coefficients
+        doc = "fpcf.derive = true\n" + "".join(f"fpcf.c{k} = 1.0\n" for k in range(7))
+        with pytest.raises(ConfigError, match=r"fpcf\.derive = true and fpcf\.c0\.\.c6"):
+            parse_config(doc)
 
     def test_derive_range_below_chords_rejected(self):
         doc = "chord.a.height_mm = 80\nfpcf.derive = true\nfpcf.h_min_mm = 50\n"

@@ -245,12 +245,15 @@ class TestEval:
         with pytest.raises(OutOfRangeError):
             FpcfSample(100.0, 50.0, 0.0)
 
-    @pytest.mark.parametrize("level,value", [
-        (100.0, float("inf")), (float("nan"), 1.0), (float("inf"), 1.0), (float("-inf"), 1.0),
-    ], ids=["fpcf_inf", "level_nan", "level_inf", "level_-inf"])
-    def test_non_finite_sample_rejected(self, level, value):
+    @pytest.mark.parametrize("level,chord,value", [
+        (100.0, 50.0, float("inf")), (float("nan"), 50.0, 1.0), (float("inf"), 50.0, 1.0),
+        (float("-inf"), 50.0, 1.0), (100.0, float("nan"), 1.0), (100.0, float("inf"), 1.0),
+        (100.0, -5.0, 1.0), (100.0, 0.0, 1.0),
+    ], ids=["fpcf_inf", "level_nan", "level_inf", "level_-inf", "chord_nan", "chord_inf",
+            "chord_negative", "chord_zero"])
+    def test_non_finite_sample_rejected(self, level, chord, value):
         with pytest.raises(OutOfRangeError, match="must be finite"):
-            FpcfSample(level, 50.0, value)
+            FpcfSample(level, chord, value)
 
     def test_bad_range_rejected(self):
         with pytest.raises(OutOfRangeError):

@@ -99,5 +99,3 @@ def test_reynolds_reference_conditions():
 def test_reynolds_guards():
     with pytest.raises(OutOfRangeError):
         reynolds(-0.001, WaterLevel(0.065), PIPE)
-    with pytest.raises(OutOfRangeError):
-        reynolds(0.002, WaterLevel(0.065), PIPE, kinematic_viscosity=0.0)

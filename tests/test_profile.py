@@ -24,8 +24,8 @@ from partialflow.profile import (
 PIPE = PipeGeometry(0.250)
 
 
-def model_at(level_m, **kwargs):
-    return ProfileModel(pipe=PIPE, level=WaterLevel(level_m), **kwargs)
+def model_at(level_m):
+    return ProfileModel(pipe=PIPE, level=WaterLevel(level_m))
 
 
 def cdf(point, m):
@@ -96,8 +96,9 @@ class TestLocalFrame:
 
     def test_bottom(self):
         m = model_at(0.1)
-        # y' = 0: the F = 0 limit
+        # y' = 0: the F = 0 limit, below zero as the model is designed
         assert normalized_velocity(ProfilePoint(0.0, 0.0), m) == m.wall_value
+        assert m.wall_value == pytest.approx(-0.124, abs=5e-4)
 
     def test_off_center(self):
         m = model_at(0.1)
@@ -187,23 +188,6 @@ class TestNormalizedVelocity:
             assert abs(hi - lo) < 1e-6
         assert dip < 0.125
 
-    def test_clamp_nonnegative_mode(self):
-        raw = model_at(0.125)
-        clamped = model_at(0.125, clamp_nonnegative=True)
-        assert normalized_velocity(ProfilePoint(0.0, 0.0), raw) < 0.0
-        assert normalized_velocity(ProfilePoint(0.0, 0.0), clamped) == 0.0
-        # clamped mode never changes already-positive values
-        p = ProfilePoint(0.0, raw.dip_height_m)
-        assert normalized_velocity(p, clamped) == normalized_velocity(p, raw)
-
-    def test_dip_weight_unit_mode(self):
-        weighted = model_at(0.125)
-        unit = model_at(0.125, dip_weight_mode="unit")
-        center = ProfilePoint(0.0, weighted.dip_height_m)
-        assert normalized_velocity(center, unit) == normalized_velocity(center, weighted)
-        off = ProfilePoint(0.07, 0.06)
-        assert normalized_velocity(off, unit) > normalized_velocity(off, weighted)
-
     def test_dense_grid_max_at_dip(self):
         m = model_at(0.125)
         grid = profile_grid(m, 201, 201)
@@ -254,10 +238,6 @@ class TestParams:
             EntropyParams(m=0.0)
         with pytest.raises(OutOfRangeError):
             EntropyParams(q=1.0)
-
-    def test_bad_dip_weight_mode(self):
-        with pytest.raises(OutOfRangeError):
-            model_at(0.1, dip_weight_mode="other")
 
     def test_vectorized_matches_scalar(self):
         m = model_at(0.15)

@@ -159,7 +159,7 @@ class TestGenerate:
         assert all(f.level_mm == pytest.approx(82.5 * 1.35) for f in frames)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["flow_lps", "noise_sigma_s", "frame_interval_s"])
+    @pytest.mark.parametrize("field", ["flow_lps", "noise_sigma_s", "frame_interval_s", "level_mm"])
     def test_non_finite_scenario_rejected(self, field, value):
         # nan passed the sign checks: nan transit times, noise-free frames, nan timestamps
         with pytest.raises(OutOfRangeError, match="must be finite"):
