@@ -26,10 +26,9 @@ from .calibration import (
 )
 from .errors import ConfigError, PartialFlowError
 
-# The values of simulator.WeirMode and of measurement.STATUSES, in order, written out
-# so that building the parser and formatting records import neither module.
+# The values of simulator.WeirMode, in order, written out so that building the parser
+# does not import the simulator and numpy.
 _WEIR_TEXT = ("none", "weir1", "weir2")
-_STATUS_TEXT = ("ok", "fpcf_out_of_range", "dry_chord", "invalid_times", "uncorrected")
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -73,11 +72,11 @@ def cmd_fpcf(args) -> int:
     from .fpcf import tabulate_fpcf
 
     config = load_config(args.config)
-    chord_height = args.chord_height_mm
-    if chord_height is None:
-        chord_height = min(c.height_mm for c in config.chords)
-    samples = tabulate_fpcf(config.pipe, config.params, chord_height, args.h_min, args.h_max,
-                            args.step, config.quad)
+    given = args.chord_height_mm, args.h_min, args.h_max, args.step
+    defaults = (min(c.height_mm for c in config.chords), config.fpcf_h_min_mm,
+                config.fpcf_h_max_mm, config.fpcf_step_mm)
+    samples = tabulate_fpcf(config.pipe, config.params,
+                            *(d if g is None else g for g, d in zip(given, defaults)), config.quad)
     with _out_stream(args.out) as fh:
         fh.write("H_mm,fpcf\n")
         for s in samples:
@@ -105,7 +104,7 @@ def cmd_fit(args) -> int:
             if not (math.isfinite(level) and math.isfinite(value)):
                 raise PartialFlowError(f"fpcf table line {line_no}: level and FPCF must be finite")
             samples.append((level, value))
-    fit = fit_polynomial(samples, args.degree)
+    fit = fit_polynomial(samples)
     with _out_stream(args.out) as fh:
         fh.write(format_fit_document(fit))
     return EXIT_OK
@@ -125,7 +124,8 @@ def _chunk_records(chunk) -> str:
     v and q are converted (``%s`` of a float is its repr); the rest is memoised per
     distinct level (which sets the area), fpcf, status and verdict, keyed on the bits
     of the floats so that -0.0 keeps its sign, and looked up once per run of frames."""
-    from ._numpy import np  # loaded with measurement, before the first chunk
+    from ._numpy import np  # both loaded by process, before the first chunk
+    from .measurement import STATUSES
 
     ts, v, q = chunk.ts.tolist(), chunk.v_line.tolist(), (1000.0 * chunk.flow_m3s).tolist()
     for f in np.flatnonzero(chunk.clog == 2).tolist():
@@ -137,7 +137,7 @@ def _chunk_records(chunk) -> str:
         if k not in memo:
             memo[k] = (f"frame ts=%s level_mm={level[f].item()!r} v_line_mps=%s"
                        f" area_m2={area[f].item()!r} fpcf={fpcf[f].item()!r} q_lps=%s"
-                       f" status={_STATUS_TEXT[k[2]]} clog={_CLOG_TEXT[k[3]]}\n")
+                       f" status={STATUSES[k[2]].value} clog={_CLOG_TEXT[k[3]]}\n")
         text.append(memo[k])
     templates = map(repeat, text, np.diff(np.append(runs, len(ts))).tolist())
     records = list(map(str.__mod__, chain.from_iterable(templates), zip(ts, v, q)))
@@ -155,8 +155,7 @@ def cmd_process(args) -> int:
     poly, _ = resolve_polynomial(config)
     frames_seen = diagnostics = raised = cleared = 0
     with _in_stream(args.frames) as src, _out_stream(args.out) as fh:
-        for chunk in process_lines(src, config.chords, poly, config.pipe, config.k_cal,
-                                   config.boundary, config.debounce):
+        for chunk in process_lines(src, config, poly):
             fh.write(_chunk_records(chunk))
             frames_seen += len(chunk.ts) - len(chunk.misfits)
             diagnostics += len(chunk.diags) + len(chunk.misfits)
@@ -235,15 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fpcf", help="tabulate the correction factor over levels")
     p.add_argument("--config", default=None)
     p.add_argument("--chord-height-mm", type=float, default=None)
-    p.add_argument("--h-min", type=float, default=50.0)
-    p.add_argument("--h-max", type=float, default=250.0)
-    p.add_argument("--step", type=float, default=10.0)
+    p.add_argument("--h-min", type=float, default=None, help="default: the config's fpcf.h_min_mm")
+    p.add_argument("--h-max", type=float, default=None, help="default: the config's fpcf.h_max_mm")
+    p.add_argument("--step", type=float, default=None, help="default: the config's fpcf.step_mm")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fpcf)
 
     p = sub.add_parser("fit", help="fit the correction polynomial to a table")
     p.add_argument("--table", default="-", help="CSV H_mm,fpcf (default stdin)")
-    p.add_argument("--degree", type=int, default=6)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit)
 

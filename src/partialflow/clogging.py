@@ -67,9 +67,9 @@ class AlarmEvent(Enum):
 class AlarmState:
     """Debounce counter: ALARM after ``threshold`` consecutive clogging verdicts."""
 
+    threshold: int
     stage: AlarmStage = AlarmStage.NORMAL
     count: int = 0
-    threshold: int = 5
 
     def __post_init__(self):
         if self.threshold < 1:
@@ -91,4 +91,4 @@ def step_alarms(state: AlarmState, clogging: Iterable[bool]) -> tuple[AlarmState
         alarm ^= fire
         events.append((AlarmEvent.RAISED if alarm else AlarmEvent.CLEARED) if fire else None)
     stage = AlarmStage.SUSPECT if count else AlarmStage.NORMAL
-    return AlarmState(AlarmStage.ALARM if alarm else stage, count, state.threshold), events
+    return AlarmState(state.threshold, AlarmStage.ALARM if alarm else stage, count), events

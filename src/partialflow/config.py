@@ -11,13 +11,11 @@ from typing import Optional
 from ._record import record
 from .clogging import DecisionBoundary
 from .errors import ConfigError
-from .fpcf import FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
+from .fpcf import POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
 from .quadrature import QuadratureSpec
-
-_POLY_DEGREE = 6
 
 # The reference rig: a 250 mm pipe, its chords crossed at 45 degrees.
 _PIPE_DIAMETER_MM = 250.0
@@ -103,7 +101,7 @@ _SCALARS = {
     "clog.debounce": (RunConfig, "debounce", _parse_int),
 }
 
-_COEFF_KEYS = tuple(f"fpcf.c{k}" for k in range(_POLY_DEGREE + 1))
+_COEFF_KEYS = tuple(f"fpcf.c{k}" for k in range(POLY_DEGREE + 1))
 
 _CHORD_FIELDS = ("height_mm", "path_length_m", "beam_angle_deg", "weight")
 
@@ -143,13 +141,22 @@ def parse_config(text: str) -> RunConfig:
         pipe = PipeGeometry(given[PipeGeometry].get("diameter_m", _PIPE_DIAMETER_MM / 1000.0))
 
         chords: list[ChordSpec] = []
+        crown_mm = 1000.0 * pipe.diameter_m
         for chord_id, fields in sorted(chord_fields.items()):
             if "height_mm" not in fields:
                 raise ConfigError(f"chord.{chord_id}: height_mm is required")
             values = {k: _parse_float(v, f"chord.{chord_id}.{k}") for k, v in fields.items()}
+            key, height = f"chord.{chord_id}.height_mm", values["height_mm"]
+            if not 0 < height < math.inf:
+                raise ConfigError(f"chord height must be finite and positive, got {height!r} "
+                                  f"for {key}")
+            above = height > crown_mm  # at the crown, a derived wall-to-wall path has no length
+            if above or (height == crown_mm and "path_length_m" not in values):
+                raise ConfigError(f"{key} = {height:g} lies {'above' if above else 'at'} the pipe "
+                                  f"crown at {crown_mm:g} mm")
             angle = math.radians(values.pop("beam_angle_deg", _BEAM_ANGLE_DEG))
             if "path_length_m" not in values:
-                values["path_length_m"] = _wall_to_wall(values["height_mm"], angle, pipe)
+                values["path_length_m"] = _wall_to_wall(height, angle, pipe)
             chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
 
         run = given[RunConfig]
@@ -186,11 +193,14 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"calibration.factor must be finite and positive, got {config.k_cal!r}")
     if config.debounce < 1:
         raise ConfigError(f"clog.debounce must be >= 1, got {config.debounce!r}")
-    crown_mm = 1000.0 * config.pipe.diameter_m
-    for c in config.chords:
-        if c.height_mm > crown_mm:
-            raise ConfigError(f"chord.{c.chord_id}.height_mm = {c.height_mm:g} lies above the "
-                              f"pipe crown at {crown_mm:g} mm")
+    lo, hi, step = config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm
+    for key, value in (("fpcf.h_min_mm", lo), ("fpcf.h_max_mm", hi)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    if hi < lo:
+        raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies below fpcf.h_min_mm = {lo:g}")
+    if not 0 < step < math.inf:
+        raise ConfigError(f"fpcf.step_mm must be finite and positive, got {step!r}")
     if config.poly is not None and config.fpcf_derive:
         raise ConfigError("fpcf.derive = true and fpcf.c0..c6 both set the FPCF polynomial; "
                           "give one of them")
@@ -230,7 +240,7 @@ def resolve_polynomial(config: RunConfig) -> tuple[Optional[FpcfPolynomial], Opt
     samples = tabulate_fpcf(config.pipe, config.params, min(c.height_mm for c in config.chords),
                             config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm,
                             config.quad)
-    fit = fit_polynomial(samples, _POLY_DEGREE)
+    fit = fit_polynomial(samples)
     return fit.polynomial, fit
 
 

@@ -21,6 +21,9 @@ from .geometry import PipeGeometry, WaterLevel, chord_half_width, segment_area
 from .profile import EntropyParams, ProfileModel, evaluate_velocity
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, unit_integrate
 
+# The degree of the correction polynomial: the paper fits c0..c6.
+POLY_DEGREE = 6
+
 
 @record
 class FpcfSample:
@@ -156,9 +159,9 @@ def tabulate_fpcf(
     pipe: PipeGeometry,
     params: EntropyParams,
     chord_height_mm: float,
-    h_min_mm: float = 50.0,
-    h_max_mm: float = 250.0,
-    step_mm: float = 10.0,
+    h_min_mm: float,
+    h_max_mm: float,
+    step_mm: float,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[FpcfSample]:
     """Correction factor at regularly spaced levels from h_min upward.
@@ -195,7 +198,7 @@ def tabulate_fpcf(
     return samples
 
 
-def fit_polynomial(samples, degree: int = 6) -> FitResult:
+def fit_polynomial(samples, degree: int = POLY_DEGREE) -> FitResult:
     """Least-squares polynomial of FPCF against level (mm).
 
     Accepts FpcfSample objects or plain (level_mm, fpcf) pairs. Fitted on

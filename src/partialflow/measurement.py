@@ -18,10 +18,10 @@ from typing import Iterable, Iterator, Optional
 
 from ._numpy import np
 from ._record import record
-from .clogging import AlarmState, DecisionBoundary, step_alarms
+from .clogging import AlarmState, step_alarms
 from .errors import InvalidTimesError, OutOfRangeError
 from .fpcf import FpcfPolynomial, horner
-from .geometry import PipeGeometry, WaterLevel, segment_area
+from .geometry import WaterLevel, segment_area
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
 
@@ -225,19 +225,20 @@ STATUSES = tuple(EstimateStatus)
 _OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(STATUSES))
 
 
-def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator[FrameChunk]:
+def _run(chunks, config, poly) -> Iterator[FrameChunk]:
     """Q = k_cal * FPCF * v_line * A, verdicts and alarm events, a chunk at a time.
 
     A frame whose level does not fit the pipe, an unknown chord's row and a
     chord's second row become diagnostics. Wet chords with finite, positive
     times count, summed in configuration order. Off-range levels get FPCF = 1.
     """
-    specs = list({c.chord_id: c for c in chords}.values())
+    pipe, k_cal, boundary = config.pipe, config.k_cal, config.boundary
+    specs = list({c.chord_id: c for c in config.chords}.values())
     index = {c.chord_id: i for i, c in enumerate(specs)}
     height, length, cos = np.array(
         [(c.height_mm, c.path_length_m, math.cos(c.beam_angle_rad)) for c in specs], float
     ).reshape(-1, 3).T
-    state = AlarmState(threshold=debounce)
+    state = AlarmState(config.debounce)
     for ts, level, frame, chord, t_up, t_down, line, diags in chunks:
         n_frames = len(ts)
         cidx = np.fromiter(map(index.get, chord, repeat(-1)), np.intp, len(chord))
@@ -290,22 +291,16 @@ def _run(chunks, chords, poly, pipe, k_cal, boundary, debounce) -> Iterator[Fram
                          misfits, sorted(diags, key=itemgetter(0, 1)))
 
 
-def process_lines(
-    lines: Iterable[str],
-    chords: Iterable[ChordSpec],
-    poly: Optional[FpcfPolynomial],
-    pipe: PipeGeometry,
-    k_cal: float = 1.0,
-    boundary: DecisionBoundary = DecisionBoundary(),
-    debounce: int = 5,
-) -> Iterator[FrameChunk]:
+def process_lines(lines: Iterable[str], config, poly: Optional[FpcfPolynomial]
+                  ) -> Iterator[FrameChunk]:
     """The frame CSV to a ``FrameChunk`` per chunk of rows, reading at most one chunk
-    ahead: estimates plus debounced clogging verdicts.
+    ahead: estimates plus debounced clogging verdicts. The chords, pipe, ``k_cal``,
+    boundary and debounce count are those of ``config``, a ``RunConfig``.
 
     Malformed rows and frames become diagnostics and the stream continues.
     Frames without a usable mean velocity leave the alarm state untouched.
     """
-    return _run(_read_rows(lines), chords, poly, pipe, k_cal, boundary, debounce)
+    return _run(_read_rows(lines), config, poly)
 
 
 def write_frame_rows(frames: Iterable[SensorFrame], stream) -> None:

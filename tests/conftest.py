@@ -6,6 +6,7 @@ import pytest
 from partialflow import (
     EntropyParams,
     PipeGeometry,
+    RunConfig,
     fit_polynomial,
     process_lines,
     tabulate_fpcf,
@@ -35,11 +36,12 @@ def rig_reference_fpcf(level_mm: float) -> float:
 
 def process_frames(frames, chords, poly, pipe, **kwargs) -> list:
     """Frame objects written as the frame CSV and estimated by ``process_lines``:
-    its ``FrameChunk``s."""
+    its ``FrameChunk``s. ``kwargs`` are ``RunConfig`` fields (``k_cal``, ``debounce``...)."""
     buf = io.StringIO()
     write_frame_rows(frames, buf)
     buf.seek(0)
-    return list(process_lines(buf, chords, poly, pipe, **kwargs))
+    config = RunConfig(pipe=pipe, params=EntropyParams(), chords=tuple(chords), **kwargs)
+    return list(process_lines(buf, config, poly))
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +63,7 @@ def default_chord_kwargs():
 @pytest.fixture(scope="session")
 def fpcf_table(pipe, params):
     """The 21-sample tabulation (50..250 mm, 10 mm step, chord at 50 mm)."""
-    return tabulate_fpcf(pipe, params, 50.0)
+    return tabulate_fpcf(pipe, params, 50.0, 50.0, 250.0, 10.0)
 
 
 @pytest.fixture(scope="session")

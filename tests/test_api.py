@@ -81,3 +81,29 @@ def test_fpcf_is_the_function_in_every_import_order(first):
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["True", "True"]
+
+
+def test_run_settings_have_one_home(capsys):
+    """A run setting takes its value from ``RunConfig``, and the fit degree from
+    ``fpcf.POLY_DEGREE``; no function or flag keeps a second default beside them."""
+    import inspect
+
+    cli, clogging, config, fpcf, measurement = map(importlib.import_module, (
+        "partialflow.cli", "partialflow.clogging", "partialflow.config", "partialflow.fpcf",
+        "partialflow.measurement"))
+
+    frame_params = inspect.signature(measurement.process_lines).parameters
+    assert list(frame_params) == ["lines", "config", "poly"]
+    assert all(p.default is inspect.Parameter.empty for p in frame_params.values())
+    table_params = inspect.signature(fpcf.tabulate_fpcf).parameters
+    assert all(table_params[name].default is inspect.Parameter.empty
+               for name in ("h_min_mm", "h_max_mm", "step_mm"))
+    assert next(iter(clogging.AlarmState.__annotations__)) == "threshold"
+    assert "threshold" not in vars(clogging.AlarmState)
+    assert inspect.signature(fpcf.fit_polynomial).parameters["degree"].default == fpcf.POLY_DEGREE
+    assert len(config._COEFF_KEYS) == fpcf.POLY_DEGREE + 1
+    assert not hasattr(config, "_POLY_DEGREE") and not hasattr(cli, "_STATUS_TEXT")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--degree", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --degree 6" in capsys.readouterr().err

@@ -97,7 +97,7 @@ class TestFpcfAndFit:
     def test_fit_refuses_excess_degree(self, capsys, tmp_path):
         table = tmp_path / "small.csv"
         table.write_text("H_mm,fpcf\n50,0.9\n60,0.92\n70,0.95\n")
-        code, _, err = run(capsys, "fit", "--table", str(table), "--degree", "6")
+        code, _, err = run(capsys, "fit", "--table", str(table))
         assert code == 1
         assert "error" in err
 
@@ -396,6 +396,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {message}")
 
+    @pytest.mark.parametrize("text,message", [
+        ("fpcf.derive = true\nfpcf.step_mm = 0", "fpcf.step_mm must be finite and positive"),
+        ("fpcf.derive = true\nfpcf.step_mm = nan", "fpcf.step_mm must be finite and positive"),
+        ("fpcf.derive = true\nfpcf.h_max_mm = inf", "fpcf.h_max_mm must be finite"),
+        ("fpcf.derive = true\nfpcf.h_max_mm = 40", "fpcf.h_max_mm = 40 lies below fpcf.h_min_mm"),
+        ("fpcf.step_mm = 0", "fpcf.step_mm must be finite and positive"),
+    ], ids=["step_0", "step_nan", "h_max_inf", "h_max_below_h_min", "step_0_uncorrected"])
+    def test_bad_fpcf_range_exits_2(self, capsys, tmp_path, text, message):
+        # with derive these exited 1 from the tabulation; without it step 0 exited 0
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
+
     @pytest.mark.parametrize("level", ["nan", "inf", "300"])
     def test_zero_flow_simulate_checks_the_level(self, capsys, level):
         # at zero flow no FPCF is computed, and rows were written at any level
@@ -405,23 +420,27 @@ class TestExitCodes:
 
 
 def test_literals_match_their_enums():
-    """The CLI writes out the weir modes and status texts rather than load their modules."""
+    """The CLI writes out the weir modes rather than load the simulator to build its parser."""
     from partialflow import cli
-    from partialflow.measurement import STATUSES
     from partialflow.simulator import WeirMode
 
     assert list(cli._WEIR_TEXT) == [m.value for m in WeirMode]
-    assert list(cli._STATUS_TEXT) == [s.value for s in STATUSES]
 
 
-def test_fpcf_range_defaults_match_the_config():
-    """``fpcf``'s range flags keep their own defaults, so that ``--help`` loads no numpy."""
-    from partialflow import cli
-    from partialflow.config import RunConfig
+def test_fpcf_of_a_config_fits_the_polynomial_process_derives(capsys, tmp_path):
+    """``fpcf --config X | fit`` tabulates over the config's ``fpcf.*`` range, so it
+    prints the polynomial that ``process --config X`` derives; it used 50-250 by 10."""
+    from partialflow.config import format_fit_document, load_config, resolve_polynomial
 
-    args = cli.build_parser().parse_args(["fpcf"])
-    assert (args.h_min, args.h_max, args.step) == (
-        RunConfig.fpcf_h_min_mm, RunConfig.fpcf_h_max_mm, RunConfig.fpcf_step_mm)
+    cfg, table = tmp_path / "range.cfg", tmp_path / "table.csv"
+    cfg.write_text("fpcf.derive = true\nfpcf.h_min_mm = 60\nfpcf.h_max_mm = 200\n"
+                   "fpcf.step_mm = 20\n")
+    code, out, _ = run(capsys, "fpcf", "--config", str(cfg))
+    assert code == 0 and len(out.splitlines()) == 1 + 8
+    table.write_text(out)
+    code, doc, _ = run(capsys, "fit", "--table", str(table))
+    assert code == 0
+    assert doc == format_fit_document(resolve_polynomial(load_config(str(cfg)))[1])
 
 
 def _fmt(value) -> str:
@@ -439,8 +458,7 @@ def _record_by_record(lines, config, poly) -> str:
     from partialflow.measurement import STATUSES, FrameDiagnostic, process_lines
 
     out, frames_seen, diagnostics, raised, cleared = [], 0, 0, 0, 0
-    for chunk in process_lines(lines, config.chords, poly, config.pipe, config.k_cal,
-                               config.boundary, config.debounce):
+    for chunk in process_lines(lines, config, poly):
         events, misfits = dict(chunk.events), dict(chunk.misfits)
         diags, items = sorted(chunk.diags, key=lambda d: (d[0], d[1])), []
         columns = zip(*(column.tolist() for column in chunk[:8]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -161,6 +162,35 @@ class TestParsing:
         doc = "chord.a.height_mm = 80\nfpcf.derive = true\nfpcf.h_min_mm = 50\n"
         with pytest.raises(ConfigError, match="below the lowest"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("derive", ["", "fpcf.derive = true\n"], ids=["plain", "derive"])
+    @pytest.mark.parametrize("text,message", [
+        ("fpcf.h_min_mm = nan", "fpcf.h_min_mm must be finite, got nan"),
+        ("fpcf.h_min_mm = -inf", "fpcf.h_min_mm must be finite, got -inf"),
+        ("fpcf.h_max_mm = inf", "fpcf.h_max_mm must be finite, got inf"),
+        ("fpcf.h_max_mm = 40", "fpcf.h_max_mm = 40 lies below fpcf.h_min_mm = 50"),
+        ("fpcf.step_mm = 0", "fpcf.step_mm must be finite and positive, got 0.0"),
+        ("fpcf.step_mm = -10", "fpcf.step_mm must be finite and positive, got -10.0"),
+        ("fpcf.step_mm = nan", "fpcf.step_mm must be finite and positive, got nan"),
+    ], ids=["h_min_nan", "h_min_neg_inf", "h_max_inf", "h_max_below_h_min", "step_0",
+            "step_negative", "step_nan"])
+    def test_bad_fpcf_range_rejected(self, derive, text, message):
+        # with derive the tabulation failed outside the config layer; without it
+        # the range was never checked
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(derive + text + "\n")
+
+    @pytest.mark.parametrize("height,message", [
+        ("300", "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"),
+        ("250", "chord.a.height_mm = 250 lies at the pipe crown at 250 mm"),
+        ("nan", "chord height must be finite and positive, got nan for chord.a.height_mm"),
+        ("-5", "chord height must be finite and positive, got -5.0 for chord.a.height_mm"),
+    ], ids=["above_crown", "at_crown", "nan", "negative"])
+    def test_bad_chord_height_without_path_named_in_mm(self, height, message):
+        # the wall-to-wall path was computed first, and its error gave the height
+        # in metres without the key ("chord height 0.3 outside [0, 0.25]")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"chord.a.height_mm = {height}\n")
 
     def test_domain_violation_is_config_error(self):
         with pytest.raises(ConfigError):

@@ -134,7 +134,7 @@ class TestTabulate:
 
     def test_start_below_chord_rejected(self, pipe, params):
         with pytest.raises(OutOfRangeError):
-            tabulate_fpcf(pipe, params, 50.0, h_min_mm=40.0)
+            tabulate_fpcf(pipe, params, 50.0, 40.0, 250.0, 10.0)
 
     @pytest.mark.parametrize("name", ["chord_height_mm", "h_min_mm", "h_max_mm", "step_mm"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

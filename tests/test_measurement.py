@@ -9,12 +9,14 @@ from partialflow import (
     AlarmEvent,
     ChordReading,
     ChordSpec,
+    EntropyParams,
     EstimateStatus,
     FpcfPolynomial,
     FrameDiagnostic,
     InvalidTimesError,
     OutOfRangeError,
     PipeGeometry,
+    RunConfig,
     SensorFrame,
     line_velocity,
     parse_config,
@@ -190,10 +192,9 @@ class TestFrameCsv:
 
 
 class TestProcessStream:
-    def run(self, text, **kwargs):
-        defaults = dict(chords=[CHORD_A, CHORD_B], poly=FLAT_POLY, pipe=PIPE)
-        defaults.update(kwargs)
-        (chunk,) = process_lines(io.StringIO(text), **defaults)
+    def run(self, text):
+        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B))
+        (chunk,) = process_lines(io.StringIO(text), config, FLAT_POLY)
         return chunk
 
     def test_empty(self):

@@ -146,28 +146,23 @@ def test_output_does_not_depend_on_the_pool(children):
 
 
 # Imports partialflow._numpy with the collector on, or off as a caller may set it, and
-# prints the number of collections made meanwhile and whether the collector is on after.
+# prints whether the collector is on after.
 GC_PROBE = """
 import gc, json
 import partialflow
 if {disable}:
     gc.disable()
-passes = []
-gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
 import partialflow._numpy
-print(json.dumps([len(passes), gc.isenabled()]))
+print(json.dumps(gc.isenabled()))
 """
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_numpy_import_pauses_the_collector_and_restores_it(enabled):
+def test_numpy_import_leaves_the_collector_as_it_was(enabled):
     out = subprocess.run([sys.executable, "-c", GC_PROBE.format(disable=not enabled)],
                          env=_base_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    passes, after = json.loads(out.stdout)
-    assert after is enabled
-    # ~29 unpaused; at most the one that the allocations made while paused set off
-    assert passes <= int(enabled)
+    assert json.loads(out.stdout) is enabled
 
 
 @pytest.fixture(scope="module")
