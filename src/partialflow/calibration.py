@@ -105,7 +105,7 @@ class ErrorTable:
     max_abs_error_pct: float
 
 
-def error_table(trials: Sequence[TrialRecord], k_cal: float = 1.0) -> ErrorTable:
+def error_table(trials: Sequence[TrialRecord], k_cal: float) -> ErrorTable:
     """Per-flow-rate mean percent error (after applying k_cal) plus FWME."""
     if not trials:
         raise OutOfRangeError("error table needs at least one trial")

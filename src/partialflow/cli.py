@@ -14,8 +14,8 @@ import sys
 from itertools import chain, repeat
 
 # Each command imports the layers it runs, so calibrate, metrics and --help load no
-# numpy. calibration is numpy-free and stays here, where the benchmark's tracer
-# expects to find it loaded after any command has run.
+# numpy. calibration and clogging are numpy-free; calibration stays here, where the
+# benchmark's tracer expects to find it loaded after any command has run.
 from .calibration import (
     calibration_factor,
     error_table,
@@ -24,6 +24,7 @@ from .calibration import (
     format_error_table,
     read_trials,
 )
+from .clogging import Verdict
 from .errors import ConfigError, PartialFlowError
 
 # The values of simulator.WeirMode, in order, written out so that building the parser
@@ -68,15 +69,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fpcf(args) -> int:
-    from .config import load_config
-    from .fpcf import tabulate_fpcf
+    from .config import fpcf_table, load_config
 
-    config = load_config(args.config)
-    given = args.chord_height_mm, args.h_min, args.h_max, args.step
-    defaults = (min(c.height_mm for c in config.chords), config.fpcf_h_min_mm,
-                config.fpcf_h_max_mm, config.fpcf_step_mm)
-    samples = tabulate_fpcf(config.pipe, config.params,
-                            *(d if g is None else g for g, d in zip(given, defaults)), config.quad)
+    samples = fpcf_table(load_config(args.config))
     with _out_stream(args.out) as fh:
         fh.write("H_mm,fpcf\n")
         for s in samples:
@@ -110,7 +105,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_CLOG_TEXT = ("normal", "clogging", "-")  # FrameChunk.clog codes
+_CLOG_TEXT = (*(v.value for v in Verdict), "-")  # FrameChunk.clog codes
 
 
 def _diagnostic_record(diag) -> str:
@@ -231,12 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("fpcf", help="tabulate the correction factor over levels")
+    p = sub.add_parser("fpcf", help="tabulate the correction factor over the config's fpcf.* "
+                       "levels at the lowest chord")
     p.add_argument("--config", default=None)
-    p.add_argument("--chord-height-mm", type=float, default=None)
-    p.add_argument("--h-min", type=float, default=None, help="default: the config's fpcf.h_min_mm")
-    p.add_argument("--h-max", type=float, default=None, help="default: the config's fpcf.h_max_mm")
-    p.add_argument("--step", type=float, default=None, help="default: the config's fpcf.step_mm")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fpcf)
 

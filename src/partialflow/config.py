@@ -11,7 +11,8 @@ from typing import Optional
 from ._record import record
 from .clogging import DecisionBoundary
 from .errors import ConfigError
-from .fpcf import POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
+from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, FpcfSample, fit_polynomial,
+                   tabulate_fpcf)
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
@@ -38,22 +39,8 @@ class RunConfig:
     quad: QuadratureSpec = QuadratureSpec()
 
 
-def _wall_to_wall(height_mm: float, angle_rad: float, pipe: PipeGeometry) -> float:
-    """Path length between wall-mounted transducers: the beam spans the full chord."""
-    return 2.0 * chord_half_width(height_mm / 1000.0, pipe) / math.sin(angle_rad)
-
-
-def _default_chords(pipe: PipeGeometry) -> tuple[ChordSpec, ...]:
-    # Two crossed paths at the same height; the crossing cancels
-    # transverse-flow bias, so each behaves as an ordinary weighted chord.
-    angle = math.radians(_BEAM_ANGLE_DEG)
-    path = _wall_to_wall(50.0, angle, pipe)
-    return ChordSpec("a", 50.0, path, angle), ChordSpec("b", 50.0, path, angle)
-
-
 def default_config() -> RunConfig:
-    pipe = PipeGeometry(_PIPE_DIAMETER_MM / 1000.0)
-    return RunConfig(pipe=pipe, params=EntropyParams(), chords=_default_chords(pipe))
+    return parse_config("")
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -105,6 +92,10 @@ _COEFF_KEYS = tuple(f"fpcf.c{k}" for k in range(POLY_DEGREE + 1))
 
 _CHORD_FIELDS = ("height_mm", "path_length_m", "beam_angle_deg", "weight")
 
+# Without chord keys: two crossed paths at the same height. The crossing cancels
+# transverse-flow bias, so each behaves as an ordinary weighted chord.
+_DEFAULT_CHORDS = {"a": {"height_mm": "50"}, "b": {"height_mm": "50"}}
+
 
 def parse_config(text: str) -> RunConfig:
     """Parse a configuration document; unknown or duplicate keys are errors."""
@@ -142,7 +133,7 @@ def parse_config(text: str) -> RunConfig:
 
         chords: list[ChordSpec] = []
         crown_mm = 1000.0 * pipe.diameter_m
-        for chord_id, fields in sorted(chord_fields.items()):
+        for chord_id, fields in sorted((chord_fields or _DEFAULT_CHORDS).items()):
             if "height_mm" not in fields:
                 raise ConfigError(f"chord.{chord_id}: height_mm is required")
             values = {k: _parse_float(v, f"chord.{chord_id}.{k}") for k, v in fields.items()}
@@ -155,8 +146,9 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"{key} = {height:g} lies {'above' if above else 'at'} the pipe "
                                   f"crown at {crown_mm:g} mm")
             angle = math.radians(values.pop("beam_angle_deg", _BEAM_ANGLE_DEG))
-            if "path_length_m" not in values:
-                values["path_length_m"] = _wall_to_wall(height, angle, pipe)
+            if "path_length_m" not in values:  # wall-mounted: the beam spans the full chord
+                half_width = chord_half_width(height / 1000.0, pipe)
+                values["path_length_m"] = 2.0 * half_width / math.sin(angle)
             chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
 
         run = given[RunConfig]
@@ -170,15 +162,12 @@ def parse_config(text: str) -> RunConfig:
                                   run.get("fpcf_h_min_mm", RunConfig.fpcf_h_min_mm),
                                   run.get("fpcf_h_max_mm", RunConfig.fpcf_h_max_mm))
 
-        config = RunConfig(
-            pipe=pipe,
-            params=EntropyParams(**given[EntropyParams]),
-            chords=tuple(chords) or _default_chords(pipe),
-            poly=poly,
-            boundary=DecisionBoundary(**given[DecisionBoundary]),
-            quad=QuadratureSpec(**given[QuadratureSpec]),
-            **run,
-        )
+        # a record none of whose keys is given keeps its RunConfig default
+        for name, rec in (("boundary", DecisionBoundary), ("quad", QuadratureSpec)):
+            if given[rec]:
+                run[name] = rec(**given[rec])
+        config = RunConfig(pipe=pipe, params=EntropyParams(**given[EntropyParams]),
+                           chords=tuple(chords), poly=poly, **run)
     except ConfigError:
         raise
     except Exception as exc:
@@ -204,19 +193,14 @@ def _validate(config: RunConfig) -> None:
     if config.poly is not None and config.fpcf_derive:
         raise ConfigError("fpcf.derive = true and fpcf.c0..c6 both set the FPCF polynomial; "
                           "give one of them")
-    min_height = min(c.height_mm for c in config.chords)
-    if config.poly is not None and config.poly.h_min_mm < min_height:
-        raise ConfigError(
-            f"FPCF range starts at {config.poly.h_min_mm:g} mm, below the lowest "
-            f"chord at {min_height:g} mm"
-        )
-    if config.fpcf_derive and config.fpcf_h_min_mm < min_height:
-        raise ConfigError(
-            f"FPCF derivation starts at {config.fpcf_h_min_mm:g} mm, below the "
-            f"lowest chord at {min_height:g} mm"
-        )
+    if config.poly is None and not config.fpcf_derive:
+        return
+    # a parsed polynomial's range starts at fpcf.h_min_mm, as a derived one does
     heights = sorted({c.height_mm for c in config.chords})
-    if (config.poly is not None or config.fpcf_derive) and len(heights) > 1:
+    if lo < heights[0]:
+        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord "
+                          f"at {heights[0]:g} mm")
+    if len(heights) > 1:
         raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
                           f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
 
@@ -237,11 +221,16 @@ def resolve_polynomial(config: RunConfig) -> tuple[Optional[FpcfPolynomial], Opt
         return config.poly, None
     if not config.fpcf_derive:
         return None, None
-    samples = tabulate_fpcf(config.pipe, config.params, min(c.height_mm for c in config.chords),
-                            config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm,
-                            config.quad)
-    fit = fit_polynomial(samples)
+    fit = fit_polynomial(fpcf_table(config))
     return fit.polynomial, fit
+
+
+def fpcf_table(config: RunConfig) -> list[FpcfSample]:
+    """The run's FPCF table: at the lowest chord, from ``fpcf.h_min_mm`` to
+    ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``."""
+    return tabulate_fpcf(config.pipe, config.params, min(c.height_mm for c in config.chords),
+                         config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm,
+                         config.quad)
 
 
 def format_fit_document(fit: FitResult) -> str:

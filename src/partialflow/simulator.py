@@ -70,6 +70,8 @@ class ScenarioSpec:
             raise OutOfRangeError(f"frame interval must be positive, got {self.frame_interval_s!r}")
         if self.flow_lps < 0:
             raise OutOfRangeError(f"flow must be non-negative, got {self.flow_lps!r}")
+        if self.seed < 0:
+            raise OutOfRangeError(f"seed must be non-negative, got {self.seed!r}")
 
 
 def transit_times(v_chord: float, chord: ChordSpec, sound_speed: float) -> tuple[float, float]:

@@ -240,7 +240,7 @@ def test_c09_calibration_efficacy(operating_fit):
                             bias * 1000.0 * flow_m3s)
             )
     evaluation = [t for t in trials if t.segment_id > 1]
-    pre = error_table(evaluation)
+    pre = error_table(evaluation, k_cal=1.0)
     k_cal = calibration_factor(first_segments(trials))
     post = error_table(evaluation, k_cal=k_cal)
     ok = abs(post.fwme_pct) <= abs(pre.fwme_pct) and abs(post.fwme_pct) <= 0.1

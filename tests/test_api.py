@@ -100,6 +100,12 @@ def test_run_settings_have_one_home(capsys):
                for name in ("h_min_mm", "h_max_mm", "step_mm"))
     assert next(iter(clogging.AlarmState.__annotations__)) == "threshold"
     assert "threshold" not in vars(clogging.AlarmState)
+    # metrics --k-cal is the one default of the metrics path's factor
+    calibration = importlib.import_module("partialflow.calibration")
+    k_cal = inspect.signature(calibration.error_table).parameters["k_cal"]
+    assert k_cal.default is inspect.Parameter.empty
+    # the default configuration is the empty document, parsed like any other
+    assert not hasattr(config, "_default_chords")
     assert inspect.signature(fpcf.fit_polynomial).parameters["degree"].default == fpcf.POLY_DEGREE
     assert len(config._COEFF_KEYS) == fpcf.POLY_DEGREE + 1
     assert not hasattr(config, "_POLY_DEGREE") and not hasattr(cli, "_STATUS_TEXT")

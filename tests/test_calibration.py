@@ -133,7 +133,7 @@ TRIAL_TEXT = """segment_id,flow_label,q_ref_lps,q_meas_lps
 class TestErrorTable:
     def test_grouping_and_fwme(self):
         trials = list(read_trials(io.StringIO(TRIAL_TEXT)))
-        table = error_table(trials)
+        table = error_table(trials, k_cal=1.0)
         assert [r.flow_label for r in table.rows] == ["2", "4"]
         assert table.rows[0].error_pct == pytest.approx(4.5, rel=1e-9)
         assert table.rows[1].error_pct == pytest.approx(1.375, rel=1e-9)
@@ -160,7 +160,7 @@ class TestErrorTable:
 
     def test_formatting(self):
         trials = list(read_trials(io.StringIO(TRIAL_TEXT)))
-        table = error_table(trials)
+        table = error_table(trials, k_cal=1.0)
         text = format_error_table(table)
         assert "FWME" in text and "max|E|" in text
         csv = error_table_csv(table)

@@ -35,23 +35,30 @@ class TestProfileCommand:
         assert len(out.strip().splitlines()) == 5
 
 
+def fpcf_range(tmp_path, h_min, h_max, step) -> str:
+    """A config file that sets only the FPCF tabulation range."""
+    cfg = tmp_path / "range.cfg"
+    cfg.write_text(f"fpcf.h_min_mm = {h_min}\nfpcf.h_max_mm = {h_max}\nfpcf.step_mm = {step}\n")
+    return str(cfg)
+
+
 class TestFpcfAndFit:
-    def test_two_row_table(self, capsys):
-        code, out, _ = run(capsys, "fpcf", "--h-min", "50", "--h-max", "250", "--step", "200")
+    def test_two_row_table(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "fpcf", "--config", fpcf_range(tmp_path, 50, 250, 200))
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "H_mm,fpcf"
         assert len(lines) == 3
         assert [float(l.split(",")[0]) for l in lines[1:]] == [50.0, 250.0]
 
-    def test_rows_monotone_in_level(self, capsys):
-        code, out, _ = run(capsys, "fpcf", "--h-min", "60", "--h-max", "120", "--step", "20")
+    def test_rows_monotone_in_level(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "fpcf", "--config", fpcf_range(tmp_path, 60, 120, 20))
         assert code == 0
         levels = [float(l.split(",")[0]) for l in out.strip().splitlines()[1:]]
         assert levels == sorted(levels)
 
     def test_fit_pipeline(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "fpcf", "--h-min", "50", "--h-max", "180", "--step", "10")
+        code, out, _ = run(capsys, "fpcf", "--config", fpcf_range(tmp_path, 50, 180, 10))
         assert code == 0
         table = tmp_path / "table.csv"
         table.write_text(out)
@@ -84,15 +91,20 @@ class TestFpcfAndFit:
         assert (code, out) == (1, "")
         assert err == "error: fpcf table line 3: could not convert string to float: 'abc'\n"
 
-    @pytest.mark.parametrize("flag,name", [
-        ("--chord-height-mm", "chord_height_mm"), ("--h-min", "h_min_mm"),
-        ("--h-max", "h_max_mm"), ("--step", "step_mm"),
-    ])
+    @pytest.mark.parametrize("flag", ["--chord-height-mm", "--h-min", "--h-max", "--step"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_fpcf_non_finite_argument_exits_1(self, capsys, flag, name, value):
-        code, out, err = run(capsys, "fpcf", flag, value)
-        assert (code, out) == (1, "")
-        assert err == f"error: {name} must be finite, got {value}\n"
+    def test_fpcf_range_flags_are_gone(self, capsys, flag, value):
+        # the table's height and range come from the config alone; these flags
+        # overrode its keys, and --h-max 40 exited 1 naming neither flag nor key
+        with pytest.raises(SystemExit) as exc:
+            main(["fpcf", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_fpcf_without_config_tabulates_the_default_range(self, capsys):
+        code, out, _ = run(capsys, "fpcf")
+        assert code == 0
+        assert [float(l.split(",")[0]) for l in out.splitlines()[1:]] == list(range(50, 260, 10))
 
     def test_fit_refuses_excess_degree(self, capsys, tmp_path):
         table = tmp_path / "small.csv"
@@ -411,6 +423,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {message}")
 
+    def test_small_pipe_without_chords_names_the_default_chord(self, capsys, tmp_path):
+        # the default chords skipped the chord checks, and the wall-to-wall formula
+        # gave "chord height 0.05 outside [0, 0.04]" in metres with no key
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text("pipe.diameter_mm = 40\n")
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert err == "config error: chord.a.height_mm = 50 lies above the pipe crown at 40 mm\n"
+
+    @pytest.mark.parametrize("noise", ["0", "1"], ids=["quiet", "noisy"])
+    def test_negative_seed_exits_1(self, capsys, noise):
+        # with noise numpy's "expected non-negative integer" named no flag; without
+        # it the seed was never used and the run exited 0
+        code, out, err = run(capsys, "simulate", "--flow-lps", "3", "--seed", "-1",
+                             "--noise-ns", noise)
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be non-negative, got -1\n"
+
     @pytest.mark.parametrize("level", ["nan", "inf", "300"])
     def test_zero_flow_simulate_checks_the_level(self, capsys, level):
         # at zero flow no FPCF is computed, and rows were written at any level
@@ -420,11 +450,15 @@ class TestExitCodes:
 
 
 def test_literals_match_their_enums():
-    """The CLI writes out the weir modes rather than load the simulator to build its parser."""
+    """The CLI writes out the weir modes rather than load the simulator to build its parser;
+    the clogging texts come from the verdicts, in the order of FrameChunk.clog's codes."""
     from partialflow import cli
+    from partialflow.clogging import Verdict
     from partialflow.simulator import WeirMode
 
     assert list(cli._WEIR_TEXT) == [m.value for m in WeirMode]
+    assert cli._CLOG_TEXT == (Verdict.NORMAL.value, Verdict.CLOGGING.value, "-")
+    assert cli._CLOG_TEXT == ("normal", "clogging", "-")
 
 
 def test_fpcf_of_a_config_fits_the_polynomial_process_derives(capsys, tmp_path):

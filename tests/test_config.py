@@ -163,6 +163,25 @@ class TestParsing:
         with pytest.raises(ConfigError, match="below the lowest"):
             parse_config(doc)
 
+    @pytest.mark.parametrize("fpcf", ["".join(f"fpcf.c{k} = 1.0\n" for k in range(7)),
+                                      "fpcf.derive = true\n"], ids=["coefficients", "derive"])
+    def test_range_below_chords_names_the_key(self, fpcf):
+        # one check for both sources; it said "FPCF range starts at 40 mm" for
+        # coefficients and "FPCF derivation starts at 40 mm" for derive
+        message = "fpcf.h_min_mm = 40 lies below the lowest chord at 50 mm"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(fpcf + "fpcf.h_min_mm = 40\n")
+
+    @pytest.mark.parametrize("diameter,message", [
+        ("40", "chord.a.height_mm = 50 lies above the pipe crown at 40 mm"),
+        ("50", "chord.a.height_mm = 50 lies at the pipe crown at 50 mm"),
+    ], ids=["below_chords", "at_chords"])
+    def test_small_pipe_default_chords_named_in_mm(self, diameter, message):
+        # the default chords skipped the chord checks: 40 mm gave "chord height
+        # 0.05 outside [0, 0.04]", in metres and without a key
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"pipe.diameter_mm = {diameter}\n")
+
     @pytest.mark.parametrize("derive", ["", "fpcf.derive = true\n"], ids=["plain", "derive"])
     @pytest.mark.parametrize("text,message", [
         ("fpcf.h_min_mm = nan", "fpcf.h_min_mm must be finite, got nan"),

@@ -18,14 +18,15 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs the fpcf command (which loads numpy), then prints the thread counts before
-# and after it and whether os.environ changed.
+# Runs the fpcf command (which loads numpy) on a config tabulating 50-250 mm in steps
+# of 20, then prints the thread counts before and after it and whether os.environ
+# changed.
 POOL_PROBE = """
 import json, os, sys
 {first}
 before, threads = dict(os.environ), len(os.listdir("/proc/self/task"))
 import partialflow.cli
-code = partialflow.cli.main(["fpcf", "--step", "20"])
+code = partialflow.cli.main(["fpcf", "--config", sys.argv[1]])
 print(json.dumps([threads, len(os.listdir("/proc/self/task")), dict(os.environ) == before,
                   os.environ.get("OPENBLAS_NUM_THREADS")]), flush=True)
 sys.exit(code)
@@ -37,7 +38,7 @@ sys.exit(code)
 # number of loaded modules at each write of frame records by the first process command.
 LAZY_PROBE = """
 import contextlib, io, json, sys
-trials, frames, derive = sys.argv[1:]
+trials, frames, derive, step20 = sys.argv[1:]
 
 def loaded():
     return ["numpy" in sys.modules, "dataclasses" in sys.modules,
@@ -65,7 +66,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes.append(partialflow.cli.main(["simulate", "--flow-lps", "3", "--frames", "4",
                                        "--noise-ns", "2"]))
 stages.append(loaded())
-for argv in (["fpcf", "--step", "20"], ["process", "--config", derive, "--frames", frames]):
+for argv in (["fpcf", "--config", step20], ["process", "--config", derive, "--frames", frames]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(partialflow.cli.main(argv))
     stages.append(loaded())
@@ -89,19 +90,27 @@ def _base_env() -> dict:
     return base
 
 
+def _step20(tmp_path_factory) -> str:
+    """A config whose only keys make fpcf tabulate 50-250 mm in steps of 20."""
+    cfg = tmp_path_factory.mktemp("fpcf") / "step20.cfg"
+    cfg.write_text("fpcf.h_min_mm = 50\nfpcf.h_max_mm = 250\nfpcf.step_mm = 20\n",
+                   encoding="utf-8")
+    return str(cfg)
+
+
 @pytest.fixture(scope="module")
-def children():
+def children(tmp_path_factory):
     """Three interpreters run side by side: no thread variable, a user's
     OPENBLAS_NUM_THREADS=2, and numpy imported before partialflow."""
-    base = _base_env()
+    base, step20 = _base_env(), _step20(tmp_path_factory)
     runs = {
         "pinned": (base, ""),
         "user": ({**base, "OPENBLAS_NUM_THREADS": "2"}, ""),
         "numpy_first": (base, "import numpy"),
     }
     procs = {
-        name: subprocess.Popen([sys.executable, "-c", POOL_PROBE.format(first=first)], env=env,
-                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        name: subprocess.Popen([sys.executable, "-c", POOL_PROBE.format(first=first), step20],
+                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for name, (env, first) in runs.items()
     }
     results = {}
@@ -175,7 +184,8 @@ def lazy_child(tmp_path_factory):
     derive.write_text("fpcf.derive = true\n", encoding="utf-8")
     # 2 chords x 400 frames: chunks of 256, 512 and 32 rows.
     assert main(["simulate", "--flow-lps", "3", "--frames", "400", "--out", str(frames)]) == 0
-    out = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(trials), str(frames), str(derive)],
+    out = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(trials), str(frames), str(derive),
+                          _step20(tmp_path_factory)],
                          env=_base_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout)
