@@ -188,6 +188,9 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"{key} must be finite, got {value!r}")
     if hi < lo:
         raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies below fpcf.h_min_mm = {lo:g}")
+    crown_mm = 1000.0 * config.pipe.diameter_m
+    if hi > crown_mm:
+        raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies above the pipe crown at {crown_mm:g} mm")
     if not 0 < step < math.inf:
         raise ConfigError(f"fpcf.step_mm must be finite and positive, got {step!r}")
     if config.poly is not None and config.fpcf_derive:
@@ -196,13 +199,19 @@ def _validate(config: RunConfig) -> None:
     if config.poly is None and not config.fpcf_derive:
         return
     # a parsed polynomial's range starts at fpcf.h_min_mm, as a derived one does
+    _lowest_chord_mm(config)
     heights = sorted({c.height_mm for c in config.chords})
-    if lo < heights[0]:
-        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord "
-                          f"at {heights[0]:g} mm")
     if len(heights) > 1:
         raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
                           f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
+
+
+def _lowest_chord_mm(config: RunConfig) -> float:
+    """The lowest chord's height, checked to lie at or below ``fpcf.h_min_mm``."""
+    lowest, lo = min(c.height_mm for c in config.chords), config.fpcf_h_min_mm
+    if lo < lowest:
+        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord at {lowest:g} mm")
+    return lowest
 
 
 def load_config(path: Optional[str]) -> RunConfig:
@@ -228,7 +237,7 @@ def resolve_polynomial(config: RunConfig) -> tuple[Optional[FpcfPolynomial], Opt
 def fpcf_table(config: RunConfig) -> list[FpcfSample]:
     """The run's FPCF table: at the lowest chord, from ``fpcf.h_min_mm`` to
     ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``."""
-    return tabulate_fpcf(config.pipe, config.params, min(c.height_mm for c in config.chords),
+    return tabulate_fpcf(config.pipe, config.params, _lowest_chord_mm(config),
                          config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm,
                          config.quad)
 

@@ -8,6 +8,7 @@ flow, emulating backwater from a downstream obstruction.
 """
 
 import math
+import random
 from enum import Enum
 from typing import Iterable
 
@@ -161,9 +162,9 @@ def generate(
 
     shape = (scenario.frame_count, len(chord_list), 2)
     times = np.broadcast_to(np.reshape(base_times, shape[1:]), shape)
-    if scenario.noise_sigma_s > 0.0:  # numpy.random loads only for noisy runs
-        rng = np.random.default_rng(scenario.seed)
-        times = times + rng.normal(0.0, scenario.noise_sigma_s, size=shape)
+    if scenario.noise_sigma_s > 0.0:  # the standard library's gauss: numpy.random never loads
+        gauss, sigma = random.Random(scenario.seed).gauss, scenario.noise_sigma_s
+        times = times + np.reshape([gauss(0.0, sigma) for _ in range(times.size)], shape)
     return [
         SensorFrame(  # by position: a record binds keywords at ~3x the cost
             k * scenario.frame_interval_s,

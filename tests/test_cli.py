@@ -413,15 +413,31 @@ class TestExitCodes:
         ("fpcf.derive = true\nfpcf.step_mm = nan", "fpcf.step_mm must be finite and positive"),
         ("fpcf.derive = true\nfpcf.h_max_mm = inf", "fpcf.h_max_mm must be finite"),
         ("fpcf.derive = true\nfpcf.h_max_mm = 40", "fpcf.h_max_mm = 40 lies below fpcf.h_min_mm"),
+        ("fpcf.derive = true\nfpcf.h_max_mm = 260",
+         "fpcf.h_max_mm = 260 lies above the pipe crown at 250 mm"),
         ("fpcf.step_mm = 0", "fpcf.step_mm must be finite and positive"),
-    ], ids=["step_0", "step_nan", "h_max_inf", "h_max_below_h_min", "step_0_uncorrected"])
+        ("fpcf.h_max_mm = 300", "fpcf.h_max_mm = 300 lies above the pipe crown at 250 mm"),
+    ], ids=["step_0", "step_nan", "h_max_inf", "h_max_below_h_min", "h_max_above_crown",
+            "step_0_uncorrected", "h_max_above_crown_uncorrected"])
     def test_bad_fpcf_range_exits_2(self, capsys, tmp_path, text, message):
-        # with derive these exited 1 from the tabulation; without it step 0 exited 0
+        # with derive these exited 1 from the tabulation (above the crown as "water
+        # level 0.26 m exceeds pipe diameter 0.25 m"); without it they exited 0
         cfg = tmp_path / "range.cfg"
         cfg.write_text(text + "\n")
         code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {message}")
+
+    def test_fpcf_range_below_uncorrected_chord_exits_2(self, capsys, tmp_path):
+        # process accepts the config, which corrects nothing; fpcf exited 1 with
+        # "error: tabulation start 50 mm is below the chord height 80 mm", naming no key
+        cfg, frames = tmp_path / "chord80.cfg", tmp_path / "empty.csv"
+        cfg.write_text("chord.a.height_mm = 80\n")
+        frames.write_text("")
+        assert run(capsys, "process", "--config", str(cfg), "--frames", str(frames))[0] == 0
+        code, out, err = run(capsys, "fpcf", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err == "config error: fpcf.h_min_mm = 50 lies below the lowest chord at 80 mm\n"
 
     def test_small_pipe_without_chords_names_the_default_chord(self, capsys, tmp_path):
         # the default chords skipped the chord checks, and the wall-to-wall formula

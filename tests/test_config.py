@@ -188,14 +188,16 @@ class TestParsing:
         ("fpcf.h_min_mm = -inf", "fpcf.h_min_mm must be finite, got -inf"),
         ("fpcf.h_max_mm = inf", "fpcf.h_max_mm must be finite, got inf"),
         ("fpcf.h_max_mm = 40", "fpcf.h_max_mm = 40 lies below fpcf.h_min_mm = 50"),
+        ("fpcf.h_max_mm = 260", "fpcf.h_max_mm = 260 lies above the pipe crown at 250 mm"),
+        ("pipe.diameter_mm = 200", "fpcf.h_max_mm = 250 lies above the pipe crown at 200 mm"),
         ("fpcf.step_mm = 0", "fpcf.step_mm must be finite and positive, got 0.0"),
         ("fpcf.step_mm = -10", "fpcf.step_mm must be finite and positive, got -10.0"),
         ("fpcf.step_mm = nan", "fpcf.step_mm must be finite and positive, got nan"),
-    ], ids=["h_min_nan", "h_min_neg_inf", "h_max_inf", "h_max_below_h_min", "step_0",
-            "step_negative", "step_nan"])
+    ], ids=["h_min_nan", "h_min_neg_inf", "h_max_inf", "h_max_below_h_min", "h_max_above_crown",
+            "default_h_max_above_crown", "step_0", "step_negative", "step_nan"])
     def test_bad_fpcf_range_rejected(self, derive, text, message):
-        # with derive the tabulation failed outside the config layer; without it
-        # the range was never checked
+        # with derive the tabulation failed outside the config layer, naming a level
+        # above the crown in metres; without it the range was never checked
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(derive + text + "\n")
 

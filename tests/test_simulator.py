@@ -1,6 +1,7 @@
 import importlib
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -117,19 +118,37 @@ class TestGenerate:
         assert len({f.readings for f in frames}) == 4
 
     def test_noisy_frames_match_per_frame_draws(self):
-        """One jitter array equals drawing two values per (frame, chord) in order."""
+        """The jitter is the standard library's seeded gauss, two draws per (frame, chord)
+        in order: t_up before t_down."""
         chords = [CHORD, ChordSpec("b", 50.0, 0.25, ANGLE)]
         scenario = self.scenario(noise_sigma_s=2e-9, seed=123, frame_count=7)
         base = [transit_times(chord_velocity_from_truth(0.004, 82.5, c, PIPE), c, 1480.0)
                 for c in chords]
-        rng = np.random.default_rng(123)
+        rng = random.Random(123)
         expected = []
         for _ in range(7):
             for chord, (t_up, t_down) in zip(chords, base):
-                jitter = rng.normal(0.0, 2e-9, size=2)
-                expected.append((chord.chord_id, t_up + jitter[0], t_down + jitter[1]))
+                up, down = rng.gauss(0.0, 2e-9), rng.gauss(0.0, 2e-9)
+                expected.append((chord.chord_id, t_up + up, t_down + down))
         frames = generate(scenario, chords, PIPE)
         assert [(r.chord_id, r.t_up_s, r.t_down_s) for f in frames for r in f.readings] == expected
+
+    def test_jitter_is_unbiased_at_its_sigma(self):
+        """20,000 draws at 2 ns: mean within 4 standard errors of 0, sample sigma within
+        2% of 2 ns, and up and down jitter drawn apart, not one value twice."""
+        sigma = 2e-9
+        frames = generate(self.scenario(noise_sigma_s=sigma, seed=5, frame_count=10_000),
+                          [CHORD], PIPE)
+        base_up, base_down = transit_times(chord_velocity_from_truth(0.004, 82.5, CHORD, PIPE),
+                                           CHORD, 1480.0)
+        up = np.array([f.readings[0].t_up_s for f in frames]) - base_up
+        down = np.array([f.readings[0].t_down_s for f in frames]) - base_down
+        jitter = np.concatenate((up, down))
+        assert jitter.size == 20_000
+        assert abs(jitter.mean()) < 4.0 * sigma / math.sqrt(jitter.size)
+        assert abs(jitter.std(ddof=1) / sigma - 1.0) < 0.02
+        assert not np.array_equal(up, down)
+        assert abs(np.corrcoef(up, down)[0, 1]) < 4.0 / math.sqrt(up.size)
 
     def test_one_fpcf_per_distinct_chord_height(self, monkeypatch):
         """Chords that share a height share one FPCF quadrature, in first-seen order,

@@ -2,8 +2,9 @@
 then with a one-thread OpenBLAS pool, unless the user set a thread count or imported
 numpy first; ``os.environ`` is left as it was found. numpy is loaded with the garbage
 collector paused, which is then left as the caller had it. No command loads
-``dataclasses`` or ``numpy.polynomial``. The program freezes the heap before it exits;
-an in-process ``main`` call does not."""
+``dataclasses`` or ``numpy.polynomial``, nor ``numpy.random`` with the ``secrets`` and
+``_hashlib`` it pulls in, noisy ``simulate`` included. The program freezes the heap
+before it exits; an in-process ``main`` call does not."""
 
 import gc
 import json
@@ -32,8 +33,8 @@ print(json.dumps([threads, len(os.listdir("/proc/self/task")), dict(os.environ) 
 sys.exit(code)
 """
 
-# Prints whether numpy, dataclasses and numpy.polynomial are loaded after the package
-# import and after each of calibrate, metrics, --help, process, a noisy simulate, fpcf
+# Prints whether numpy, dataclasses, numpy.polynomial, numpy.random, secrets and
+# _hashlib are loaded after the package import and after each of calibrate, metrics, --help, process, a noisy simulate, fpcf
 # and a process that derives its polynomial, the exit codes of the last four, and the
 # number of loaded modules at each write of frame records by the first process command.
 LAZY_PROBE = """
@@ -41,8 +42,8 @@ import contextlib, io, json, sys
 trials, frames, derive, step20 = sys.argv[1:]
 
 def loaded():
-    return ["numpy" in sys.modules, "dataclasses" in sys.modules,
-            "numpy.polynomial" in sys.modules]
+    return [name in sys.modules for name in ("numpy", "dataclasses", "numpy.polynomial",
+                                             "numpy.random", "secrets", "_hashlib")]
 
 import partialflow
 stages = [loaded()]
@@ -193,21 +194,29 @@ def lazy_child(tmp_path_factory):
 
 def test_package_calibrate_metrics_and_help_load_no_numpy(lazy_child):
     stages, codes, _ = lazy_child
-    assert [numpy for numpy, _, _ in stages] == [False] * 4 + [True] * 4
+    assert [stage[0] for stage in stages] == [False] * 4 + [True] * 4
     assert codes == [0, 0, 0, 0]
 
 
 def test_no_command_loads_dataclasses(lazy_child):
     """Records are built without dataclasses, which would cost ~1 ms per class."""
     stages, _, _ = lazy_child
-    assert [dataclasses for _, dataclasses, _ in stages] == [False] * 8
+    assert [stage[1] for stage in stages] == [False] * 8
 
 
 def test_no_command_loads_numpy_polynomial(lazy_child):
     """The Gauss-Legendre nodes are computed without numpy.polynomial, whose six basis
     modules cost ~4.5 ms to load."""
     stages, _, _ = lazy_child
-    assert [polynomial for _, _, polynomial in stages] == [False] * 8
+    assert [stage[2] for stage in stages] == [False] * 8
+
+
+def test_no_command_loads_numpy_random(lazy_child):
+    """Noisy simulate draws its jitter with the standard library's ``random``, which
+    numpy loads anyway; numpy.random, with the secrets and _hashlib it imports, cost
+    ~6 MB of peak RSS and ~14 ms of CPU."""
+    stages, _, _ = lazy_child
+    assert [stage[3:] for stage in stages] == [[False] * 3] * 8
 
 
 def test_process_imports_nothing_between_frame_records(lazy_child):
