@@ -20,11 +20,10 @@ _EXPORTS = {
                     "percent_error", "repeatability"),
     "clogging": ("AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"),
     "config": ("RunConfig", "default_config", "load_config", "parse_config"),
-    "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "FpcfRangeError",
-               "InvalidTimesError", "NumericalDomainError", "OutOfRangeError",
-               "PartialFlowError", "QuadratureError"),
-    "fpcf": ("FitResult", "FpcfPolynomial", "FpcfSample", "eval_fpcf", "fit_polynomial", "fpcf",
-             "mean_area_velocity", "mean_chord_velocity", "tabulate_fpcf"),
+    "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
+               "NumericalDomainError", "OutOfRangeError", "PartialFlowError", "QuadratureError"),
+    "fpcf": ("FitResult", "FpcfPolynomial", "fit_polynomial", "fpcf", "mean_area_velocity",
+             "mean_chord_velocity", "tabulate_fpcf"),
     "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"),
     "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",

@@ -71,11 +71,11 @@ def cmd_profile(args) -> int:
 def cmd_fpcf(args) -> int:
     from .config import fpcf_table, load_config
 
-    samples = fpcf_table(load_config(args.config))
+    table = fpcf_table(load_config(args.config))
     with _out_stream(args.out) as fh:
         fh.write("H_mm,fpcf\n")
-        for s in samples:
-            fh.write(f"{s.level_mm!r},{s.fpcf!r}\n")
+        for level_mm, value in table:
+            fh.write(f"{level_mm!r},{value!r}\n")
     return EXIT_OK
 
 

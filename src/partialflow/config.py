@@ -11,8 +11,7 @@ from typing import Optional
 from ._record import record
 from .clogging import DecisionBoundary
 from .errors import ConfigError
-from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, FpcfSample, fit_polynomial,
-                   tabulate_fpcf)
+from .fpcf import POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
@@ -31,12 +30,16 @@ class RunConfig:
     poly: Optional[FpcfPolynomial] = None
     fpcf_derive: bool = False
     fpcf_h_min_mm: float = 50.0
-    fpcf_h_max_mm: float = 250.0
+    fpcf_h_max_mm: Optional[float] = None  # None: the pipe crown
     fpcf_step_mm: float = 10.0
     k_cal: float = 1.0
     boundary: DecisionBoundary = DecisionBoundary()
     debounce: int = 5
     quad: QuadratureSpec = QuadratureSpec()
+
+    def __post_init__(self):
+        if self.fpcf_h_max_mm is None:
+            object.__setattr__(self, "fpcf_h_max_mm", 1000.0 * self.pipe.diameter_m)
 
 
 def default_config() -> RunConfig:
@@ -152,22 +155,21 @@ def parse_config(text: str) -> RunConfig:
             chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
 
         run = given[RunConfig]
-        poly = None
         present = [k for k in _COEFF_KEYS if k in pairs]
-        if present:
-            if len(present) != len(_COEFF_KEYS):
-                missing = sorted(set(_COEFF_KEYS) - set(present))
-                raise ConfigError(f"incomplete FPCF coefficients, missing: {', '.join(missing)}")
-            poly = FpcfPolynomial(tuple(_parse_float(pairs[k], k) for k in _COEFF_KEYS),
-                                  run.get("fpcf_h_min_mm", RunConfig.fpcf_h_min_mm),
-                                  run.get("fpcf_h_max_mm", RunConfig.fpcf_h_max_mm))
+        if present and len(present) != len(_COEFF_KEYS):
+            missing = sorted(set(_COEFF_KEYS) - set(present))
+            raise ConfigError(f"incomplete FPCF coefficients, missing: {', '.join(missing)}")
 
         # a record none of whose keys is given keeps its RunConfig default
         for name, rec in (("boundary", DecisionBoundary), ("quad", QuadratureSpec)):
             if given[rec]:
                 run[name] = rec(**given[rec])
         config = RunConfig(pipe=pipe, params=EntropyParams(**given[EntropyParams]),
-                           chords=tuple(chords), poly=poly, **run)
+                           chords=tuple(chords), **run)
+        if present:  # valid over the run's FPCF range, as a derived polynomial is
+            coeffs = tuple(_parse_float(pairs[k], k) for k in _COEFF_KEYS)
+            config = RunConfig(**{**vars(config), "poly": FpcfPolynomial(
+                coeffs, config.fpcf_h_min_mm, config.fpcf_h_max_mm)})
     except ConfigError:
         raise
     except Exception as exc:
@@ -234,7 +236,7 @@ def resolve_polynomial(config: RunConfig) -> tuple[Optional[FpcfPolynomial], Opt
     return fit.polynomial, fit
 
 
-def fpcf_table(config: RunConfig) -> list[FpcfSample]:
+def fpcf_table(config: RunConfig) -> list[tuple[float, float]]:
     """The run's FPCF table: at the lowest chord, from ``fpcf.h_min_mm`` to
     ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``."""
     return tabulate_fpcf(config.pipe, config.params, _lowest_chord_mm(config),

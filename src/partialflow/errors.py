@@ -14,24 +14,11 @@ class DryPathError(PartialFlowError):
 
 
 class DegenerateProfileError(PartialFlowError):
-    """A chord-mean velocity came out non-positive, so no correction ratio exists."""
+    """The area-mean over chord-mean ratio is not finite and positive: no FPCF exists."""
 
 
 class NumericalDomainError(PartialFlowError):
     """A non-integer power received a negative base; indicates a bug, not bad input."""
-
-
-class FpcfRangeError(PartialFlowError):
-    """Polynomial evaluation requested outside its fitted validity range."""
-
-    def __init__(self, level_mm: float, h_min_mm: float, h_max_mm: float):
-        self.level_mm = level_mm
-        self.h_min_mm = h_min_mm
-        self.h_max_mm = h_max_mm
-        super().__init__(
-            f"level {level_mm:g} mm outside FPCF validity range "
-            f"[{h_min_mm:g}, {h_max_mm:g}] mm"
-        )
 
 
 class QuadratureError(PartialFlowError):

@@ -26,24 +26,6 @@ POLY_DEGREE = 6
 
 
 @record
-class FpcfSample:
-    """One tabulated correction factor at a level/chord-height pair (mm)."""
-
-    level_mm: float
-    chord_height_mm: float
-    fpcf: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.level_mm) and 0 < self.fpcf < math.inf):
-            raise OutOfRangeError(
-                f"FPCF sample at H={self.level_mm!r} mm must be finite and positive: {self.fpcf!r}"
-            )
-        if not 0 < self.chord_height_mm < math.inf:
-            raise OutOfRangeError(f"FPCF sample chord height must be finite and positive, "
-                                  f"got {self.chord_height_mm!r}")
-
-
-@record
 class FpcfPolynomial:
     """Power-basis coefficients c0..cN over level in mm, with validity range."""
 
@@ -59,29 +41,20 @@ class FpcfPolynomial:
                 f"invalid validity range [{self.h_min_mm!r}, {self.h_max_mm!r}]"
             )
 
+    def __call__(self, level_mm):
+        """c0 + c1*H + ... + cN*H^N for a level or an array of levels in mm, unguarded:
+        checking ``h_min_mm <= H <= h_max_mm`` is the caller's."""
+        acc = 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * level_mm + c
+        return acc
+
 
 @record
 class FitResult:
     polynomial: FpcfPolynomial
     rms_residual: float
     max_residual: float
-
-
-def eval_fpcf(poly: FpcfPolynomial, level_mm: float) -> float:
-    """Horner evaluation; levels outside the validity range are a guarded error."""
-    from .errors import FpcfRangeError
-
-    if level_mm < poly.h_min_mm or level_mm > poly.h_max_mm:
-        raise FpcfRangeError(level_mm, poly.h_min_mm, poly.h_max_mm)
-    return horner(poly.coeffs, level_mm)
-
-
-def horner(coeffs, x):
-    """c0 + c1*x + ... + cN*x^N for a scalar or an array ``x``, unguarded."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def mean_chord_velocity(
@@ -145,14 +118,20 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
 def fpcf(
     model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
-    """Correction factor: area-mean over chord-mean normalized velocity."""
+    """Correction factor: area-mean over chord-mean normalized velocity.
+
+    Every factor this returns is finite and positive, the only kind a flow can be
+    corrected by; a profile that gives any other raises ``DegenerateProfileError``.
+    """
     v_line = mean_chord_velocity(model, chord_height_m, quad)
-    if v_line <= 0:
+    v_area = mean_area_velocity(model, quad)
+    ratio = v_area / v_line if v_line > 0 else math.nan
+    if not 0 < ratio < math.inf:
         raise DegenerateProfileError(
-            f"chord mean velocity {v_line:g} is not positive at "
-            f"Y={chord_height_m:g} m, H={model.level.level_m:g} m"
+            f"FPCF undefined at Y={chord_height_m:g} m, H={model.level.level_m:g} m: area mean "
+            f"{v_area:g} over chord mean {v_line:g} is not finite and positive"
         )
-    return mean_area_velocity(model, quad) / v_line
+    return ratio
 
 
 def tabulate_fpcf(
@@ -163,8 +142,8 @@ def tabulate_fpcf(
     h_max_mm: float,
     step_mm: float,
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> list[FpcfSample]:
-    """Correction factor at regularly spaced levels from h_min upward.
+) -> list[tuple[float, float]]:
+    """``(level_mm, fpcf)`` at regularly spaced levels from h_min upward.
 
     The first level may equal the chord height (chord at the surface);
     levels below it are rejected since the chord would be dry.
@@ -184,24 +163,22 @@ def tabulate_fpcf(
         raise OutOfRangeError("h_max_mm must be >= h_min_mm")
 
     count = int(math.floor((h_max_mm - h_min_mm) / step_mm + 1e-9)) + 1
-    samples = []
+    table = []
     for k in range(count):
         level_mm = h_min_mm + k * step_mm
         model = ProfileModel(pipe=pipe, level=WaterLevel(level_mm / 1000.0), params=params)
         try:
-            value = fpcf(model, chord_height_mm / 1000.0, quad)
-            samples.append(FpcfSample(level_mm, chord_height_mm, value))
+            table.append((level_mm, fpcf(model, chord_height_mm / 1000.0, quad)))
         except PartialFlowError as exc:
             raise PartialFlowError(
                 f"FPCF tabulation failed at H = {level_mm:g} mm: {exc}"
             ) from exc
-    return samples
+    return table
 
 
 def fit_polynomial(samples, degree: int = POLY_DEGREE) -> FitResult:
-    """Least-squares polynomial of FPCF against level (mm).
-
-    Accepts FpcfSample objects or plain (level_mm, fpcf) pairs. Fitted on
+    """Least-squares polynomial of FPCF against level (mm), fitted to
+    ``(level_mm, fpcf)`` pairs such as ``tabulate_fpcf`` returns. Fitted on
     the scaled abscissa H/H_max and rescaled back, since raw mm^6 terms
     span ~14 orders of magnitude. Residual diagnostics are computed from
     the returned (rescaled) polynomial so the fit/eval round trip is exact
@@ -209,17 +186,12 @@ def fit_polynomial(samples, degree: int = POLY_DEGREE) -> FitResult:
     """
     if degree < 0:
         raise OutOfRangeError(f"degree must be non-negative, got {degree!r}")
-    pairs = [
-        (s.level_mm, s.fpcf) if isinstance(s, FpcfSample) else (float(s[0]), float(s[1]))
-        for s in samples
-    ]
-    if len(pairs) <= degree:
+    levels, values = np.array([(h, f) for h, f in samples], dtype=float).reshape(-1, 2).T
+    if len(levels) <= degree:
         raise OutOfRangeError(
             f"need more than {degree} samples for a degree-{degree} fit, "
-            f"got {len(pairs)}"
+            f"got {len(levels)}"
         )
-    levels = np.array([p[0] for p in pairs], dtype=float)
-    values = np.array([p[1] for p in pairs], dtype=float)
     if not (np.isfinite(levels).all() and np.isfinite(values).all()):
         raise OutOfRangeError("FPCF samples must have finite levels and values")
     scale = float(np.max(np.abs(levels)))
@@ -236,7 +208,7 @@ def fit_polynomial(samples, degree: int = POLY_DEGREE) -> FitResult:
     coeffs = tuple(float(c / scale**k) for k, c in enumerate(coeffs_scaled))
     poly = FpcfPolynomial(coeffs, float(levels.min()), float(levels.max()))
 
-    residuals = np.array([eval_fpcf(poly, h) for h in levels]) - values
+    residuals = poly(levels) - values
     return FitResult(
         polynomial=poly,
         rms_residual=float(np.sqrt(np.mean(residuals**2))),

@@ -20,7 +20,7 @@ from ._numpy import np
 from ._record import record
 from .clogging import AlarmState, step_alarms
 from .errors import InvalidTimesError, OutOfRangeError
-from .fpcf import FpcfPolynomial, horner
+from .fpcf import FpcfPolynomial
 from .geometry import WaterLevel, segment_area
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
@@ -162,10 +162,10 @@ def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
     """The frame CSV, a chunk of rows at a time, grouped into frames by timestamp.
 
     A chunk is one ``np.loadtxt`` call, or read row by row if any line is not a
-    plain data row. Rows that cannot be read, and rows whose level differs from
-    their frame's first row, become line-numbered diagnostics; the rest of the
-    frame counts. A chunk's last frame may go on in the next, so its rows carry
-    over as columns.
+    plain data row. Rows that cannot be read or have no finite timestamp, and rows
+    whose level differs from their frame's first row, become line-numbered
+    diagnostics; the rest of the frame counts. A chunk's last frame may go on in
+    the next, so its rows carry over as columns.
     """
     source, size, line_no = iter(lines), FIRST_CHUNK_ROWS, 1
     carry = _parse_rows([])[0]
@@ -176,6 +176,12 @@ def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
         # line numbers; the carried rows' columns are extended, not parsed again
         cols, diags = (cols[0] + line_no,) + cols[1:], [(no + line_no, d) for no, d in diags]
         line_no, block = line_no + len(block), None
+        timed = np.isfinite(cols[1])
+        if not timed.all():  # a row without a finite timestamp belongs to no frame
+            diags += [(no, f"timestamp {t!r} is not finite; row dropped")
+                      for no, t in zip(cols[0][~timed].tolist(), cols[1][~timed].tolist())]
+            cols = tuple(list(compress(c, timed.tolist())) if isinstance(c, list) else c[timed]
+                         for c in cols)
         nos, ts, chord, t_up, t_down, level = (
             old + new if isinstance(new, list) else np.concatenate((old, new))
             for old, new in zip(carry, cols))
@@ -230,7 +236,8 @@ def _run(chunks, config, poly) -> Iterator[FrameChunk]:
 
     A frame whose level does not fit the pipe, an unknown chord's row and a
     chord's second row become diagnostics. Wet chords with finite, positive
-    times count, summed in configuration order. Off-range levels get FPCF = 1.
+    times count, summed in configuration order. Levels outside the polynomial's
+    validity range get FPCF = 1 and ``fpcf_out_of_range``: the polynomial is unguarded.
     """
     pipe, k_cal, boundary = config.pipe, config.k_cal, config.boundary
     specs = list({c.chord_id: c for c in config.chords}.values())
@@ -271,7 +278,7 @@ def _run(chunks, config, poly) -> Iterator[FrameChunk]:
             else:
                 in_range = (level >= poly.h_min_mm) & (level <= poly.h_max_mm)
                 status = np.where(in_range, _OK, _FPCF_OUT_OF_RANGE)
-                fpcf = np.where(in_range & has_v, horner(poly.coeffs, level), 1.0)
+                fpcf = np.where(in_range & has_v, poly(level), 1.0)
             # scalar math, once per distinct level: numpy's arccos and sin
             # can differ from segment_area's in the last bit
             levels = np.where(fits, level, 0.0).tolist()

@@ -62,7 +62,7 @@ def default_chord_kwargs():
 
 @pytest.fixture(scope="session")
 def fpcf_table(pipe, params):
-    """The 21-sample tabulation (50..250 mm, 10 mm step, chord at 50 mm)."""
+    """The 21 (level_mm, fpcf) pairs from 50 to 250 mm, 10 mm apart, chord at 50 mm."""
     return tabulate_fpcf(pipe, params, 50.0, 50.0, 250.0, 10.0)
 
 
@@ -74,4 +74,4 @@ def full_range_fit(fpcf_table):
 @pytest.fixture(scope="session")
 def operating_fit(fpcf_table):
     """Fit restricted to the smooth operating band of the rig (50..180 mm)."""
-    return fit_polynomial([s for s in fpcf_table if s.level_mm <= 180.0])
+    return fit_polynomial([(h, value) for h, value in fpcf_table if h <= 180.0])

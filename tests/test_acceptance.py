@@ -29,7 +29,6 @@ from partialflow import (
     calibration_factor,
     classify,
     error_table,
-    eval_fpcf,
     fpcf,
     fwme,
     line_velocity,
@@ -169,7 +168,7 @@ def test_c07_emit_deviation_report(full_range_fit):
         fh.write("H_mm,pipeline_fit,reference_poly,deviation\n")
         for level in np.arange(50.0, 250.5, 5.0):
             level = float(level)
-            ours = eval_fpcf(full_range_fit.polynomial, level)
+            ours = full_range_fit.polynomial(level)
             ref = rig_reference_fpcf(level)
             fh.write(f"{level!r},{ours!r},{ref!r},{ours - ref!r}\n")
     ok = out.exists() and out.stat().st_size > 0
@@ -192,8 +191,7 @@ def test_c07_fit_residual_gate(full_range_fit):
 def test_c07_reference_agreement_gate(full_range_fit):
     levels = np.arange(60.0, 240.5, 5.0)
     deviations = [
-        eval_fpcf(full_range_fit.polynomial, float(h)) - rig_reference_fpcf(float(h))
-        for h in levels
+        full_range_fit.polynomial(float(h)) - rig_reference_fpcf(float(h)) for h in levels
     ]
     worst = max(abs(d) for d in deviations)
     where = float(levels[int(np.argmax(np.abs(deviations)))])

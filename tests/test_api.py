@@ -18,11 +18,10 @@ EXPORTS = {
                     "percent_error", "repeatability"],
     "clogging": ["AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"],
     "config": ["RunConfig", "default_config", "load_config", "parse_config"],
-    "errors": ["ConfigError", "DegenerateProfileError", "DryPathError", "FpcfRangeError",
-               "InvalidTimesError", "NumericalDomainError", "OutOfRangeError",
-               "PartialFlowError", "QuadratureError"],
-    "fpcf": ["FitResult", "FpcfPolynomial", "FpcfSample", "eval_fpcf", "fit_polynomial", "fpcf",
-             "mean_area_velocity", "mean_chord_velocity", "tabulate_fpcf"],
+    "errors": ["ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
+               "NumericalDomainError", "OutOfRangeError", "PartialFlowError", "QuadratureError"],
+    "fpcf": ["FitResult", "FpcfPolynomial", "fit_polynomial", "fpcf", "mean_area_velocity",
+             "mean_chord_velocity", "tabulate_fpcf"],
     "geometry": ["PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"],
     "measurement": ["ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
@@ -35,8 +34,10 @@ EXPORTS = {
 }
 HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
 # The per-frame object views, test-only helpers and duplicates that the package no
-# longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``).
-REMOVED = [("clogging", "step_alarm"), ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
+# longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``; ``eval_fpcf(poly, h)`` and
+# ``horner(poly.coeffs, h)`` are ``poly(h)``, whose range ``process_lines`` checks).
+REMOVED = [("clogging", "step_alarm"), ("errors", "FpcfRangeError"), ("fpcf", "FpcfSample"),
+           ("fpcf", "eval_fpcf"), ("fpcf", "horner"), ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
            ("measurement", "FlowEstimate"), ("measurement", "ProcessedFrame"),
            ("measurement", "_pack_frames"), ("measurement", "_VERDICTS"),
            ("measurement", "process_stream"), ("measurement", "estimate_flow"),
@@ -45,7 +46,7 @@ REMOVED = [("clogging", "step_alarm"), ("measurement", "DEFAULT_PLAUSIBILITY_CAP
 
 
 def test_all_lists_the_public_names():
-    assert len(HOME) == 66
+    assert len(HOME) == 63
     assert sorted(partialflow.__all__) == sorted(name for _, name in HOME)
     assert set(partialflow.__all__) <= set(dir(partialflow))
 

@@ -106,6 +106,22 @@ class TestFpcfAndFit:
         assert code == 0
         assert [float(l.split(",")[0]) for l in out.splitlines()[1:]] == list(range(50, 260, 10))
 
+    def test_small_pipe_tabulates_to_its_crown(self, capsys, tmp_path):
+        # fpcf.h_max_mm defaulted to 250 mm, so a 200 mm pipe alone exited 2 in
+        # both commands: "fpcf.h_max_mm = 250 lies above the pipe crown at 200 mm"
+        cfg, frames = tmp_path / "d200.cfg", tmp_path / "frames.csv"
+        cfg.write_text("pipe.diameter_mm = 200\n")
+        code, out, err = run(capsys, "fpcf", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        levels = [float(l.split(",")[0]) for l in out.splitlines()[1:]]
+        assert levels == [50.0 + 10.0 * k for k in range(16)]
+        assert run(capsys, "simulate", "--config", str(cfg), "--flow-lps", "3", "--out",
+                   str(frames))[0] == 0
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", str(frames))
+        assert (code, err) == (0, "")
+        assert " status=uncorrected " in out
+        assert out.endswith("summary frames=1 diagnostics=0 alarms=0 clears=0\n")
+
     def test_fit_refuses_excess_degree(self, capsys, tmp_path):
         table = tmp_path / "small.csv"
         table.write_text("H_mm,fpcf\n50,0.9\n60,0.92\n70,0.95\n")
@@ -456,6 +472,17 @@ class TestExitCodes:
                              "--noise-ns", noise)
         assert (code, out) == (1, "")
         assert err == "error: seed must be non-negative, got -1\n"
+
+    def test_degenerate_profile_simulate_exits_1(self, capsys, tmp_path):
+        # the area mean is negative here, and simulate divided by an FPCF of -5.48:
+        # exit 0, with t_up > t_down written for a positive flow
+        cfg = tmp_path / "m03.cfg"
+        cfg.write_text("entropy.m = 0.3\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg), "--flow-lps", "2",
+                             "--level-mm", "50")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: FPCF undefined at Y=0.05 m, H=0.05 m: area mean -")
+        assert err.endswith(" is not finite and positive\n")
 
     @pytest.mark.parametrize("level", ["nan", "inf", "300"])
     def test_zero_flow_simulate_checks_the_level(self, capsys, level):

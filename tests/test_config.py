@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from partialflow import ConfigError, parse_config
+from partialflow import ConfigError, EntropyParams, PipeGeometry, RunConfig, parse_config
 from partialflow.config import default_config, format_fit_document, resolve_polynomial
 from partialflow.fpcf import FitResult, FpcfPolynomial
 
@@ -189,17 +189,30 @@ class TestParsing:
         ("fpcf.h_max_mm = inf", "fpcf.h_max_mm must be finite, got inf"),
         ("fpcf.h_max_mm = 40", "fpcf.h_max_mm = 40 lies below fpcf.h_min_mm = 50"),
         ("fpcf.h_max_mm = 260", "fpcf.h_max_mm = 260 lies above the pipe crown at 250 mm"),
-        ("pipe.diameter_mm = 200", "fpcf.h_max_mm = 250 lies above the pipe crown at 200 mm"),
         ("fpcf.step_mm = 0", "fpcf.step_mm must be finite and positive, got 0.0"),
         ("fpcf.step_mm = -10", "fpcf.step_mm must be finite and positive, got -10.0"),
         ("fpcf.step_mm = nan", "fpcf.step_mm must be finite and positive, got nan"),
     ], ids=["h_min_nan", "h_min_neg_inf", "h_max_inf", "h_max_below_h_min", "h_max_above_crown",
-            "default_h_max_above_crown", "step_0", "step_negative", "step_nan"])
+            "step_0", "step_negative", "step_nan"])
     def test_bad_fpcf_range_rejected(self, derive, text, message):
         # with derive the tabulation failed outside the config layer, naming a level
         # above the crown in metres; without it the range was never checked
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(derive + text + "\n")
+
+    @pytest.mark.parametrize("fpcf", ["", "fpcf.derive = true\n",
+                                      "".join(f"fpcf.c{k} = 1.0\n" for k in range(7))],
+                             ids=["plain", "derive", "coefficients"])
+    def test_h_max_defaults_to_the_pipe_crown(self, fpcf):
+        # it defaulted to 250 mm on any pipe, so a 200 mm pipe alone was rejected
+        # with "fpcf.h_max_mm = 250 lies above the pipe crown at 200 mm"
+        config = parse_config(fpcf + "pipe.diameter_mm = 200\n")
+        assert config.fpcf_h_max_mm == 200.0
+        assert config.poly is None or config.poly.h_max_mm == 200.0
+        assert parse_config(fpcf).fpcf_h_max_mm == 250.0
+        assert parse_config(fpcf + "fpcf.h_max_mm = 180\n").fpcf_h_max_mm == 180.0
+        direct = RunConfig(pipe=PipeGeometry(0.3), params=EntropyParams(), chords=())
+        assert direct.fpcf_h_max_mm == 300.0
 
     @pytest.mark.parametrize("height,message", [
         ("300", "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"),

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from partialflow import (
+    DegenerateProfileError,
     DryPathError,
     FpcfPolynomial,
-    FpcfRangeError,
-    FpcfSample,
     OutOfRangeError,
     PartialFlowError,
     PipeGeometry,
@@ -14,7 +13,6 @@ from partialflow import (
     QuadratureSpec,
     WaterLevel,
     chord_half_width,
-    eval_fpcf,
     fit_polynomial,
     fpcf,
     mean_area_velocity,
@@ -26,6 +24,8 @@ import importlib
 
 fpcf_module = importlib.import_module("partialflow.fpcf")
 
+from partialflow.config import default_config
+from partialflow.measurement import STATUSES, process_lines
 from partialflow.profile import ProfilePoint
 from partialflow.quadrature import unit_integrate
 
@@ -113,6 +113,24 @@ class TestMeans:
         # values computed at rel_tol=1e-9; convergence is hardest above 200 mm
         assert fpcf(model_at(level_mm / 1000.0), 0.050) == pytest.approx(tight, rel=2e-6)
 
+    @pytest.mark.parametrize("area_mean", [0.0, -1.0, float("inf"), float("nan")],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_degenerate_ratio_rejected(self, monkeypatch, area_mean):
+        # fpcf() returns only a finite positive factor: simulate divided by -5.48
+        # with entropy.m = 0.3, and only the table record checked the sign
+        monkeypatch.setattr(fpcf_module, "mean_area_velocity", lambda model, quad: area_mean)
+        with pytest.raises(DegenerateProfileError, match=r"^FPCF undefined at Y=0\.05 m, "
+                           r"H=0\.125 m: area mean \S+ over chord mean 0\.372\d* is not finite"):
+            fpcf(model_at(0.125), 0.050)
+
+    @pytest.mark.parametrize("chord_mean", [0.0, -0.5, float("nan")], ids=["zero", "negative", "nan"])
+    def test_non_positive_chord_mean_rejected(self, monkeypatch, chord_mean):
+        # a negative area mean over a negative chord mean is no factor either
+        monkeypatch.setattr(fpcf_module, "mean_area_velocity", lambda model, quad: -0.4)
+        monkeypatch.setattr(fpcf_module, "mean_chord_velocity", lambda *args: chord_mean)
+        with pytest.raises(DegenerateProfileError, match="is not finite and positive"):
+            fpcf(model_at(0.125), 0.050)
+
     def test_area_mean_non_convergence_raises(self):
         with pytest.raises(QuadratureError) as excinfo:
             mean_area_velocity(model_at(0.215), QuadratureSpec(rel_tol=1e-15, max_depth=1))
@@ -123,14 +141,13 @@ class TestMeans:
 class TestTabulate:
     def test_standard_table(self, fpcf_table):
         assert len(fpcf_table) == 21
-        assert fpcf_table[0].level_mm == 50.0
-        assert fpcf_table[-1].level_mm == 250.0
-        assert all(np.isfinite(s.fpcf) and s.fpcf > 0 for s in fpcf_table)
+        assert [h for h, _ in fpcf_table] == [50.0 + 10.0 * k for k in range(21)]
+        assert all(type(value) is float and 0 < value < np.inf for _, value in fpcf_table)
 
     def test_step_larger_than_range(self, pipe, params):
         samples = tabulate_fpcf(pipe, params, 50.0, 60.0, 70.0, 200.0)
         assert len(samples) == 1
-        assert samples[0].level_mm == 60.0
+        assert samples[0][0] == 60.0
 
     def test_start_below_chord_rejected(self, pipe, params):
         with pytest.raises(OutOfRangeError):
@@ -199,9 +216,8 @@ class TestFit:
 
     def test_pipeline_fit_self_residuals(self, fpcf_table, full_range_fit):
         poly = full_range_fit.polynomial
-        for s in fpcf_table:
-            err = abs(eval_fpcf(poly, s.level_mm) - s.fpcf)
-            assert err <= full_range_fit.max_residual + 1e-12
+        errors = [abs(poly(level) - value) for level, value in fpcf_table]
+        assert max(errors) == full_range_fit.max_residual  # the vector residuals, bit for bit
 
     def test_operating_band_fit_is_tight(self, operating_fit):
         assert operating_fit.rms_residual < 1e-3
@@ -231,19 +247,30 @@ class TestFit:
 class TestEval:
     def test_reference_polynomial_values(self):
         poly = FpcfPolynomial(RIG_REFERENCE_FPCF_COEFFS, 50.0, 250.0)
-        assert eval_fpcf(poly, 125.0) == pytest.approx(1.017, abs=5e-4)
-        assert eval_fpcf(poly, 50.0) == pytest.approx(0.910, abs=5e-4)
+        assert poly(125.0) == pytest.approx(1.017, abs=5e-4)
+        assert poly(50.0) == pytest.approx(0.910, abs=5e-4)
+        # one evaluator for scalars and arrays, bit for bit
+        assert poly(np.array([125.0, 50.0])).tolist() == [poly(125.0), poly(50.0)]
 
     def test_out_of_range_guarded(self):
-        poly = FpcfPolynomial(RIG_REFERENCE_FPCF_COEFFS, 50.0, 250.0)
-        with pytest.raises(FpcfRangeError):
-            eval_fpcf(poly, 40.0)
-        with pytest.raises(FpcfRangeError):
-            eval_fpcf(poly, 251.0)
+        # the polynomial evaluates anywhere; process_lines's status is the range guard
+        poly = FpcfPolynomial(RIG_REFERENCE_FPCF_COEFFS, 60.0, 200.0)
+        assert np.isfinite(poly(40.0)) and np.isfinite(poly(240.0))
+        levels = (59.0, 60.0, 200.0, 201.0)
+        rows = [f"{k}.0,{chord},135000.0,135010.0,{h!r}"
+                for k, h in enumerate(levels) for chord in "ab"]
+        (chunk,) = process_lines(rows, default_config(), poly)
+        assert [STATUSES[s].value for s in chunk.status] == [
+            "fpcf_out_of_range", "ok", "ok", "fpcf_out_of_range"]
+        assert chunk.fpcf.tolist() == [1.0, poly(60.0), poly(200.0), 1.0]
 
-    def test_sample_positivity_enforced(self):
-        with pytest.raises(OutOfRangeError):
-            FpcfSample(100.0, 50.0, 0.0)
+    def test_sample_positivity_enforced(self, pipe, params, monkeypatch):
+        # a table row holds fpcf()'s factor, which is positive or raises
+        monkeypatch.setattr(fpcf_module, "mean_area_velocity", lambda model, quad: 0.0)
+        with pytest.raises(PartialFlowError, match="^FPCF tabulation failed at H = 100 mm: "
+                           "FPCF undefined") as excinfo:
+            tabulate_fpcf(pipe, params, 50.0, 100.0, 120.0, 10.0)
+        assert isinstance(excinfo.value.__cause__, DegenerateProfileError)
 
     @pytest.mark.parametrize("level,chord,value", [
         (100.0, 50.0, float("inf")), (float("nan"), 50.0, 1.0), (float("inf"), 50.0, 1.0),
@@ -251,9 +278,13 @@ class TestEval:
         (100.0, -5.0, 1.0), (100.0, 0.0, 1.0),
     ], ids=["fpcf_inf", "level_nan", "level_inf", "level_-inf", "chord_nan", "chord_inf",
             "chord_negative", "chord_zero"])
-    def test_non_finite_sample_rejected(self, level, chord, value):
-        with pytest.raises(OutOfRangeError, match="must be finite"):
-            FpcfSample(level, chord, value)
+    def test_non_finite_sample_rejected(self, pipe, params, monkeypatch, level, chord, value):
+        # a table row is (level, fpcf) at one chord height: tabulate_fpcf and fpcf()
+        # reject what the FpcfSample record did, an area mean of ``value`` giving the fpcf
+        monkeypatch.setattr(fpcf_module, "mean_area_velocity", lambda model, quad: value)
+        with pytest.raises(PartialFlowError,
+                           match="must be finite|must be positive|is not finite and positive"):
+            tabulate_fpcf(pipe, params, chord, level, level, 10.0)
 
     def test_bad_range_rejected(self):
         with pytest.raises(OutOfRangeError):

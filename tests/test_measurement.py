@@ -221,6 +221,24 @@ class TestProcessStream:
         assert len(items) == 1
         assert isinstance(items[0], FrameDiagnostic)
 
+    @pytest.mark.parametrize("tail", ["", "broken row\n"], ids=["loadtxt", "row_by_row"])
+    def test_non_finite_timestamp_rows_dropped(self, tail):
+        # nan rows made two one-chord frames (nan != nan) and inf rows a frame
+        # ts=inf, each estimated as ok
+        row = ",202696.0,202725.0,85.0\n"
+        text = "".join(f"{ts},{chord}{row}" for ts, chord in [
+            ("0.0", "a"), ("0.0", "b"), ("nan", "a"), ("nan", "b"), ("inf", "a"), ("-inf", "b"),
+            ("2.0", "a"), ("2.0", "b")]) + tail
+        chunk = self.run(text)
+        assert chunk.ts.tolist() == [0.0, 2.0]
+        assert [STATUSES[s] for s in chunk.status.tolist()] == [EstimateStatus.OK] * 2
+        assert [(f, d.line_no, d.timestamp_s, d.detail) for f, _, d in chunk.diags][:4] == [
+            (0, 3, None, "timestamp nan is not finite; row dropped"),
+            (0, 4, None, "timestamp nan is not finite; row dropped"),
+            (0, 5, None, "timestamp inf is not finite; row dropped"),
+            (0, 6, None, "timestamp -inf is not finite; row dropped")]
+        assert len(chunk.diags) == 4 + bool(tail)
+
     def test_non_finite_readings_dropped(self):
         # 0.1 m/s at 85 mm is below the clogging boundary: the alarm rises
         # on the fifth frame and a frame without a finite velocity must
