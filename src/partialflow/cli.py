@@ -196,15 +196,12 @@ def cmd_simulate(args) -> int:
 
     config = load_config(args.config)
     level = args.level_mm if args.level_mm is not None else baseline_level_mm(args.flow_lps)
-    scenario = ScenarioSpec(
-        flow_lps=args.flow_lps,
-        level_mm=level,
-        weir=WeirMode(args.weir),
-        noise_sigma_s=args.noise_ns * 1e-9,
-        seed=args.seed,
-        frame_count=args.frames,
-        frame_interval_s=args.interval,
-    )
+    # a flag left out is not in args, and its field keeps ScenarioSpec's default
+    given = {field: convert(getattr(args, flag)) for flag, field, convert in (
+        ("weir", "weir", WeirMode), ("noise_ns", "noise_sigma_s", lambda ns: ns * 1e-9),
+        ("seed", "seed", int), ("frames", "frame_count", int),
+        ("interval", "frame_interval_s", float)) if flag in args}
+    scenario = ScenarioSpec(flow_lps=args.flow_lps, level_mm=level, **given)
     frames = generate(scenario, config.chords, config.pipe, config.params, config.quad)
     with _out_stream(args.out) as fh:
         write_frame_rows(frames, fh)
@@ -257,16 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("simulate", help="generate synthetic sensor frames")
+    p = sub.add_parser("simulate", help="generate synthetic sensor frames",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--config", default=None)
     p.add_argument("--flow-lps", type=float, required=True)
     p.add_argument("--level-mm", type=float, default=None,
                    help="default: rig baseline level for the flow rate")
-    p.add_argument("--weir", choices=_WEIR_TEXT, default="none")
-    p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--interval", type=float, default=1.0)
-    p.add_argument("--noise-ns", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--weir", choices=_WEIR_TEXT)
+    p.add_argument("--frames", type=int)
+    p.add_argument("--interval", type=float)
+    p.add_argument("--noise-ns", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 

@@ -52,12 +52,6 @@ def classify(
     return Verdict.NORMAL
 
 
-class AlarmStage(Enum):
-    NORMAL = "normal"
-    SUSPECT = "suspect"
-    ALARM = "alarm"
-
-
 class AlarmEvent(Enum):
     RAISED = "raised"
     CLEARED = "cleared"
@@ -65,10 +59,11 @@ class AlarmEvent(Enum):
 
 @record
 class AlarmState:
-    """Debounce counter: ALARM after ``threshold`` consecutive clogging verdicts."""
+    """Debounce counter: ``alarm`` rises after ``threshold`` consecutive clogging
+    verdicts; ``count`` is the current run of them."""
 
     threshold: int
-    stage: AlarmStage = AlarmStage.NORMAL
+    alarm: bool = False
     count: int = 0
 
     def __post_init__(self):
@@ -79,16 +74,13 @@ class AlarmState:
 def step_alarms(state: AlarmState, clogging: Iterable[bool]) -> tuple[AlarmState, list]:
     """Advance the state machine over verdicts (True for clogging); one event or None each.
 
-    Exactly one RAISED event fires on entering ALARM and exactly one
+    Exactly one RAISED event fires on entering the alarm and exactly one
     CLEARED event on leaving it; a Normal verdict resets the counter.
     """
-    count = state.count
-    alarm = state.stage is AlarmStage.ALARM
-    events = []
+    alarm, count, events = state.alarm, state.count, []
     for clog in clogging:
         count = count + 1 if clog else 0
         fire = alarm != (clog and (alarm or count >= state.threshold))
         alarm ^= fire
         events.append((AlarmEvent.RAISED if alarm else AlarmEvent.CLEARED) if fire else None)
-    stage = AlarmStage.SUSPECT if count else AlarmStage.NORMAL
-    return AlarmState(state.threshold, AlarmStage.ALARM if alarm else stage, count), events
+    return AlarmState(state.threshold, alarm, count), events

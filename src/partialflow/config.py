@@ -15,7 +15,7 @@ from .fpcf import POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, tabula
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
-from .quadrature import QuadratureSpec
+from .quadrature import DEFAULT_QUADRATURE
 
 # The reference rig: a 250 mm pipe, its chords crossed at 45 degrees.
 _PIPE_DIAMETER_MM = 250.0
@@ -35,7 +35,7 @@ class RunConfig:
     k_cal: float = 1.0
     boundary: DecisionBoundary = DecisionBoundary()
     debounce: int = 5
-    quad: QuadratureSpec = QuadratureSpec()
+    quad = DEFAULT_QUADRATURE  # not a field: every run integrates to one tolerance
 
     def __post_init__(self):
         if self.fpcf_h_max_mm is None:
@@ -78,9 +78,6 @@ _SCALARS = {
     "pipe.diameter_mm": (PipeGeometry, "diameter_m", _parse_mm_as_m),
     "entropy.m": (EntropyParams, "m", _parse_float),
     "entropy.q": (EntropyParams, "q", _parse_float),
-    "quad.rel_tol": (QuadratureSpec, "rel_tol", _parse_float),
-    "quad.max_depth": (QuadratureSpec, "max_depth", _parse_int),
-    "quad.nodes": (QuadratureSpec, "nodes", _parse_int),
     "clog.slope_mps_per_mm": (DecisionBoundary, "slope_mps_per_mm", _parse_float),
     "clog.intercept_mps": (DecisionBoundary, "intercept_mps", _parse_float),
     "fpcf.h_min_mm": (RunConfig, "fpcf_h_min_mm", _parse_float),
@@ -160,10 +157,8 @@ def parse_config(text: str) -> RunConfig:
             missing = sorted(set(_COEFF_KEYS) - set(present))
             raise ConfigError(f"incomplete FPCF coefficients, missing: {', '.join(missing)}")
 
-        # a record none of whose keys is given keeps its RunConfig default
-        for name, rec in (("boundary", DecisionBoundary), ("quad", QuadratureSpec)):
-            if given[rec]:
-                run[name] = rec(**given[rec])
+        if given[DecisionBoundary]:  # else the RunConfig default
+            run["boundary"] = DecisionBoundary(**given[DecisionBoundary])
         config = RunConfig(pipe=pipe, params=EntropyParams(**given[EntropyParams]),
                            chords=tuple(chords), **run)
         if present:  # valid over the run's FPCF range, as a derived polynomial is
@@ -184,6 +179,9 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"calibration.factor must be finite and positive, got {config.k_cal!r}")
     if config.debounce < 1:
         raise ConfigError(f"clog.debounce must be >= 1, got {config.debounce!r}")
+    if not any(c.weight for c in config.chords):
+        keys = ", ".join(f"chord.{c.chord_id}.weight" for c in config.chords)
+        raise ConfigError(f"every chord weight is 0 ({keys}): no chord counts toward the flow")
     lo, hi, step = config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm
     for key, value in (("fpcf.h_min_mm", lo), ("fpcf.h_max_mm", hi)):
         if not math.isfinite(value):

@@ -176,20 +176,18 @@ def tabulate_fpcf(
     return table
 
 
-def fit_polynomial(samples, degree: int = POLY_DEGREE) -> FitResult:
-    """Least-squares polynomial of FPCF against level (mm), fitted to
-    ``(level_mm, fpcf)`` pairs such as ``tabulate_fpcf`` returns. Fitted on
+def fit_polynomial(samples) -> FitResult:
+    """Least-squares degree-``POLY_DEGREE`` polynomial of FPCF against level (mm),
+    fitted to ``(level_mm, fpcf)`` pairs such as ``tabulate_fpcf`` returns. Fitted on
     the scaled abscissa H/H_max and rescaled back, since raw mm^6 terms
     span ~14 orders of magnitude. Residual diagnostics are computed from
     the returned (rescaled) polynomial so the fit/eval round trip is exact
     by construction.
     """
-    if degree < 0:
-        raise OutOfRangeError(f"degree must be non-negative, got {degree!r}")
     levels, values = np.array([(h, f) for h, f in samples], dtype=float).reshape(-1, 2).T
-    if len(levels) <= degree:
+    if len(levels) <= POLY_DEGREE:
         raise OutOfRangeError(
-            f"need more than {degree} samples for a degree-{degree} fit, "
+            f"need more than {POLY_DEGREE} samples for a degree-{POLY_DEGREE} fit, "
             f"got {len(levels)}"
         )
     if not (np.isfinite(levels).all() and np.isfinite(values).all()):
@@ -198,11 +196,11 @@ def fit_polynomial(samples, degree: int = POLY_DEGREE) -> FitResult:
     if scale <= 0:
         raise OutOfRangeError("sample levels must not all be zero")
 
-    vander = np.vander(levels / scale, degree + 1, increasing=True)
+    vander = np.vander(levels / scale, POLY_DEGREE + 1, increasing=True)
     coeffs_scaled, _, rank, _ = np.linalg.lstsq(vander, values, rcond=None)
-    if rank < degree + 1:
+    if rank < POLY_DEGREE + 1:
         raise PartialFlowError(
-            f"rank-deficient fit (rank {rank} < {degree + 1}): "
+            f"rank-deficient fit (rank {rank} < {POLY_DEGREE + 1}): "
             "insufficient or collinear samples"
         )
     coeffs = tuple(float(c / scale**k) for k, c in enumerate(coeffs_scaled))

@@ -165,16 +165,17 @@ def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
     plain data row. Rows that cannot be read or have no finite timestamp, and rows
     whose level differs from their frame's first row, become line-numbered
     diagnostics; the rest of the frame counts. A chunk's last frame may go on in
-    the next, so its rows carry over as columns.
+    the next, so its rows carry over as columns, and the diagnostics from its
+    first line on carry over with them.
     """
     source, size, line_no = iter(lines), FIRST_CHUNK_ROWS, 1
-    carry = _parse_rows([])[0]
+    carry, held = _parse_rows([])[0], []
     while True:
         block = list(islice(source, size))
         at_end, size = len(block) < size, min(2 * size, CHUNK_ROWS_CAP)
         cols, diags = _parse_block(block) or _parse_rows(block)
         # line numbers; the carried rows' columns are extended, not parsed again
-        cols, diags = (cols[0] + line_no,) + cols[1:], [(no + line_no, d) for no, d in diags]
+        cols, diags = (cols[0] + line_no,) + cols[1:], held + [(no + line_no, d) for no, d in diags]
         line_no, block = line_no + len(block), None
         timed = np.isfinite(cols[1])
         if not timed.all():  # a row without a finite timestamp belongs to no frame
@@ -187,13 +188,18 @@ def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
             for old, new in zip(carry, cols))
         starts = np.flatnonzero(np.concatenate(([len(ts) > 0], ts[1:] != ts[:-1])))
         cut = len(ts) if at_end or not len(starts) else starts[-1]
-        # a frame is complete when the next one starts, and comes out then
+        # a frame is complete when the next one starts, and comes out then; the
+        # diagnostics from the open frame's first line on wait with its rows
+        open_line = nos[cut].item() if cut < len(ts) else line_no
+        held = [d for d in diags if d[0] >= open_line]
+        diags = [d for d in diags if d[0] < open_line]
         pos = np.maximum(np.searchsorted(nos[starts], [no for no, _ in diags], "right") - 1, 0)
         out = [(p, no, FrameDiagnostic(detail=detail, line_no=no))
                for p, (no, detail) in zip(pos.tolist(), diags)]
         starts = starts[starts < cut]
         frame = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, cut)))
-        keep = level[:cut] == level[starts][frame]
+        lead = level[starts][frame]  # a nan level matches a nan first row
+        keep = (level[:cut] == lead) | (np.isnan(level[:cut]) & np.isnan(lead))
         keep[starts] = True
         for k in np.flatnonzero(~keep).tolist():
             first = starts[frame[k]]
@@ -210,12 +216,11 @@ def _read_rows(lines: Iterable[str]) -> Iterator[tuple]:
 
 
 class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s status clog "
-                                           "chord_v events misfits diags")):
+                                           "events misfits diags")):
     """A chunk of estimated frames, an array per field: ``status`` indexes ``STATUSES``;
-    ``clog`` is 0 normal, 1 clogging, 2 no velocity (``v_line``, ``flow_m3s`` NaN);
-    ``chord_v`` is NaN for chords that do not count. ``events`` lists (frame,
-    alarm event), ``misfits`` (frame, out-of-pipe diagnostic), ``diags`` (frame
-    it precedes, line, diagnostic)."""
+    ``clog`` is 0 normal, 1 clogging, 2 no velocity (``v_line``, ``flow_m3s`` NaN).
+    ``events`` lists (frame, alarm event), ``misfits`` (frame, out-of-pipe
+    diagnostic), ``diags`` (frame it precedes, line, diagnostic)."""
 
     def in_order(self, records: list, diagnostic=lambda d: d) -> list:
         """A record per frame and, as ``diagnostic(d)``, each diagnostic before the frame
@@ -294,7 +299,7 @@ def _run(chunks, config, poly) -> Iterator[FrameChunk]:
                    for f in np.flatnonzero(~fits).tolist()]
         yield FrameChunk(ts, level, np.where(has_v, mean_v, np.nan), area, fpcf,
                          np.where(has_v, flow, np.nan), status, np.where(has_v, clog, 2),
-                         np.where(used, v, np.nan), list(compress(zip(judged, events), events)),
+                         list(compress(zip(judged, events), events)),
                          misfits, sorted(diags, key=itemgetter(0, 1)))
 
 

@@ -20,6 +20,7 @@ from .errors import OutOfRangeError, QuadratureError
 # that memory stays bounded at tight tolerances. A block's float64 arrays (32 KB each)
 # stay in cache; smaller blocks pay the kernels' ~0.1 ms fixed cost per call more often.
 _BLOCK_POINTS = 1 << 12
+NODES = 15  # the Gauss order of every panel
 
 
 @functools.cache
@@ -47,28 +48,25 @@ class QuadratureSpec:
     """Tolerance and limits of panel doubling.
 
     ``max_depth`` is the number of doublings (up to 2^max_depth panels per
-    piece) before the rule gives up; ``nodes`` is the Gauss order per panel.
+    piece) before the rule gives up.
     """
 
     rel_tol: float = 1e-6
     max_depth: int = 16
-    nodes: int = 15
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise OutOfRangeError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if self.max_depth < 1:
             raise OutOfRangeError(f"max_depth must be >= 1, got {self.max_depth!r}")
-        if self.nodes < 2:
-            raise OutOfRangeError(f"nodes per panel must be >= 2, got {self.nodes!r}")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _composite(breaks, n_panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+def _composite(breaks, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of n_panels Gauss panels per piece of [0, 1] cut at breaks."""
-    xi, wt = _nodes_weights(nodes)
+    xi, wt = _nodes_weights(NODES)
     pieces = [0.0, *sorted(breaks), 1.0]
     starts = [np.linspace(lo, hi, n_panels, endpoint=False) for lo, hi in zip(pieces, pieces[1:])]
     edges = np.concatenate(starts + [[1.0]])
@@ -78,9 +76,9 @@ def _composite(breaks, n_panels: int, nodes: int) -> tuple[np.ndarray, np.ndarra
 
 
 @functools.lru_cache(maxsize=32)
-def _unbroken(n_panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_composite((), n_panels, nodes)``, built once and read-only."""
-    x, w = _composite((), n_panels, nodes)
+def _unbroken(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_composite((), n_panels)``, built once and read-only."""
+    x, w = _composite((), n_panels)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -98,8 +96,8 @@ def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """
 
     def estimate(n_panels: int) -> float:
-        (x0, w0), *rest = [_composite(b, n_panels, spec.nodes) if b else
-                           _unbroken(n_panels, spec.nodes) for b in breaks]
+        (x0, w0), *rest = [_composite(b, n_panels) if b else _unbroken(n_panels)
+                           for b in breaks]
         step = max(1, _BLOCK_POINTS // math.prod(len(x) for x, _ in rest))
         total = 0.0
         for lo in range(0, len(x0), step):

@@ -33,11 +33,13 @@ EXPORTS = {
                   "generate", "transit_times", "weir_shift"],
 }
 HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
-# The per-frame object views, test-only helpers and duplicates that the package no
-# longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``; ``eval_fpcf(poly, h)`` and
-# ``horner(poly.coeffs, h)`` are ``poly(h)``, whose range ``process_lines`` checks).
-REMOVED = [("clogging", "step_alarm"), ("errors", "FpcfRangeError"), ("fpcf", "FpcfSample"),
-           ("fpcf", "eval_fpcf"), ("fpcf", "horner"), ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
+# The per-frame object views, test-only helpers, state that nothing read and duplicates
+# that the package no longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``;
+# ``eval_fpcf(poly, h)`` and ``horner(poly.coeffs, h)`` are ``poly(h)``, whose range
+# ``process_lines`` checks).
+REMOVED = [("clogging", "AlarmStage"), ("clogging", "step_alarm"), ("errors", "FpcfRangeError"),
+           ("fpcf", "FpcfSample"), ("fpcf", "eval_fpcf"), ("fpcf", "horner"),
+           ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
            ("measurement", "FlowEstimate"), ("measurement", "ProcessedFrame"),
            ("measurement", "_pack_frames"), ("measurement", "_VERDICTS"),
            ("measurement", "process_stream"), ("measurement", "estimate_flow"),
@@ -85,13 +87,15 @@ def test_fpcf_is_the_function_in_every_import_order(first):
 
 
 def test_run_settings_have_one_home(capsys):
-    """A run setting takes its value from ``RunConfig``, and the fit degree from
-    ``fpcf.POLY_DEGREE``; no function or flag keeps a second default beside them."""
+    """A run setting takes its value from ``RunConfig``, the fit degree from
+    ``fpcf.POLY_DEGREE``, the quadrature from ``quadrature.DEFAULT_QUADRATURE`` and a
+    simulated scenario from ``ScenarioSpec``; no function or flag keeps a second
+    default beside them, and no record keeps a field that nothing reads."""
     import inspect
 
-    cli, clogging, config, fpcf, measurement = map(importlib.import_module, (
+    cli, clogging, config, fpcf, measurement, quadrature = map(importlib.import_module, (
         "partialflow.cli", "partialflow.clogging", "partialflow.config", "partialflow.fpcf",
-        "partialflow.measurement"))
+        "partialflow.measurement", "partialflow.quadrature"))
 
     frame_params = inspect.signature(measurement.process_lines).parameters
     assert list(frame_params) == ["lines", "config", "poly"]
@@ -99,7 +103,7 @@ def test_run_settings_have_one_home(capsys):
     table_params = inspect.signature(fpcf.tabulate_fpcf).parameters
     assert all(table_params[name].default is inspect.Parameter.empty
                for name in ("h_min_mm", "h_max_mm", "step_mm"))
-    assert next(iter(clogging.AlarmState.__annotations__)) == "threshold"
+    assert tuple(clogging.AlarmState.__annotations__) == ("threshold", "alarm", "count")
     assert "threshold" not in vars(clogging.AlarmState)
     # metrics --k-cal is the one default of the metrics path's factor
     calibration = importlib.import_module("partialflow.calibration")
@@ -107,7 +111,18 @@ def test_run_settings_have_one_home(capsys):
     assert k_cal.default is inspect.Parameter.empty
     # the default configuration is the empty document, parsed like any other
     assert not hasattr(config, "_default_chords")
-    assert inspect.signature(fpcf.fit_polynomial).parameters["degree"].default == fpcf.POLY_DEGREE
+    assert list(inspect.signature(fpcf.fit_polynomial).parameters) == ["samples"]
+    assert "chord_v" not in measurement.FrameChunk._fields
+    # one quadrature: its Gauss order is a constant, and no config key or field sets it
+    assert tuple(quadrature.QuadratureSpec.__annotations__) == ("rel_tol", "max_depth")
+    assert not [key for key in config._SCALARS if key.startswith("quad.")]
+    assert "quad" not in config.RunConfig.__annotations__
+    assert config.default_config().quad is quadrature.DEFAULT_QUADRATURE
+    with pytest.raises(TypeError):
+        config.RunConfig(pipe=None, params=None, chords=(), quad=quadrature.DEFAULT_QUADRATURE)
+    # simulate's optional flags are left out of args, so ScenarioSpec's defaults hold
+    args = cli.build_parser().parse_args(["simulate", "--flow-lps", "3"])
+    assert set(vars(args)) == {"command", "func", "config", "flow_lps", "level_mm", "out"}
     assert len(config._COEFF_KEYS) == fpcf.POLY_DEGREE + 1
     assert not hasattr(config, "_POLY_DEGREE") and not hasattr(cli, "_STATUS_TEXT")
     with pytest.raises(SystemExit) as exc:

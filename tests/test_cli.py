@@ -366,6 +366,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"config error: {message}" in err
 
+    def test_all_zero_chord_weights_exit_2(self, capsys, tmp_path):
+        # a lone chord of weight 0 printed status=invalid_times for every frame, with exit 0
+        cfg = tmp_path / "weights.cfg"
+        cfg.write_text("chord.a.height_mm = 50\nchord.a.weight = 0\n")
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert err == ("config error: every chord weight is 0 (chord.a.weight): "
+                       "no chord counts toward the flow\n")
+
     def test_non_finite_polynomial_exits_2(self, capsys, tmp_path):
         # fpcf.c0 = nan printed fpcf=nan q_lps=nan status=ok with exit 0
         cfg = tmp_path / "poly.cfg"

@@ -9,7 +9,7 @@ from partialflow import (
     Verdict,
     classify,
 )
-from partialflow.clogging import AlarmStage, step_alarms
+from partialflow.clogging import step_alarms
 
 BOUNDARY = DecisionBoundary()
 
@@ -88,10 +88,13 @@ class TestAlarm:
     def test_stages(self):
         state = AlarmState(threshold=3)
         state, _ = step_alarms(state, [True])
-        assert state.stage is AlarmStage.SUSPECT
+        assert (state.alarm, state.count) == (False, 1)
         state, _ = step_alarms(state, [False])
-        assert state.stage is AlarmStage.NORMAL
-        assert state.count == 0
+        assert (state.alarm, state.count) == (False, 0)
+        state, _ = step_alarms(state, [True] * 3)
+        assert (state.alarm, state.count) == (True, 3)
+        state, _ = step_alarms(state, [False])
+        assert (state.alarm, state.count) == (False, 0)
 
     def test_no_repeat_raise_while_alarmed(self):
         _, events = run_verdicts([C] * 10, threshold=2)

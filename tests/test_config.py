@@ -27,9 +27,6 @@ pipe.diameter_mm = 250
 entropy.m = 0.89
 entropy.q = 1.15
 calibration.factor = 0.98
-quad.rel_tol = 1e-7
-quad.max_depth = 40
-quad.nodes = 11
 chord.low.height_mm = 50
 chord.low.beam_angle_deg = 45
 chord.low.weight = 2
@@ -56,7 +53,6 @@ class TestParsing:
         config = parse_config(FULL_DOC)
         assert config.pipe.diameter_m == 0.250
         assert config.k_cal == 0.98
-        assert config.quad.nodes == 11
         assert config.debounce == 3
         assert config.boundary.slope_mps_per_mm == 0.004
         assert [c.chord_id for c in config.chords] == ["low", "up"]
@@ -71,6 +67,30 @@ class TestParsing:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             parse_config("pipe.diametr_mm = 250\n")
+
+    @pytest.mark.parametrize("line", ["quad.rel_tol = 1e-7", "quad.max_depth = 40",
+                                      "quad.nodes = 11"], ids=["rel_tol", "max_depth", "nodes"])
+    def test_quadrature_keys_are_unknown(self, line, tmp_path, capsys):
+        # every run integrates with quadrature.DEFAULT_QUADRATURE; no run set these keys
+        from partialflow.cli import main
+
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=f"^unknown keys: {re.escape(key)}$"):
+            parse_config(line + "\n")
+        cfg = tmp_path / "quad.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["fpcf", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", f"config error: unknown keys: {key}\n")
+
+    def test_all_zero_chord_weights_rejected(self):
+        # every frame with valid times printed status=invalid_times and no flow
+        message = "every chord weight is 0 (chord.a.weight, chord.b.weight): no chord counts"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_config("".join(f"chord.{c}.height_mm = 50\nchord.{c}.weight = 0\n"
+                                 for c in "ab"))
+        config = parse_config("chord.a.height_mm = 50\nchord.a.weight = 0\n"
+                              "chord.b.height_mm = 50\nchord.b.weight = 0.5\n")
+        assert [c.weight for c in config.chords] == [0.0, 0.5]
 
     @pytest.mark.parametrize("key", ["fpcf.rms_residual", "fpcf.max_residual"])
     def test_fit_residual_keys_are_unknown(self, key):

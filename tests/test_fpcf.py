@@ -224,12 +224,14 @@ class TestFit:
         assert operating_fit.polynomial.h_max_mm == 180.0
 
     def test_degree_zero_constant(self):
-        fit = fit_polynomial([(50.0, 1.3), (100.0, 1.3), (150.0, 1.3)], degree=0)
-        assert fit.polynomial.coeffs == (pytest.approx(1.3, rel=1e-13),)
+        # constant samples fit the degree-zero polynomial 1.3
+        fit = fit_polynomial([(h, 1.3) for h in range(50, 260, 10)])
+        assert fit.polynomial.coeffs[0] == pytest.approx(1.3, rel=1e-12)
+        assert fit.polynomial(np.arange(50.0, 251.0)) == pytest.approx(1.3, rel=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(OutOfRangeError):
-            fit_polynomial([(50.0, 1.0)] * 5, degree=6)
+            fit_polynomial([(h, 1.0) for h in range(50, 110, 10)])
 
     @pytest.mark.parametrize("pair", [(60.0, float("inf")), (float("nan"), 1.0)],
                              ids=["fpcf_inf", "level_nan"])
@@ -237,11 +239,11 @@ class TestFit:
         # a nan level reached LAPACK, an inf FPCF gave nan coefficients
         samples = [(h, 1.0) for h in range(50, 130, 10)] + [pair]
         with pytest.raises(OutOfRangeError, match="must have finite levels and values"):
-            fit_polynomial(samples, degree=6)
+            fit_polynomial(samples)
 
     def test_rank_deficient(self):
         with pytest.raises(PartialFlowError, match="rank"):
-            fit_polynomial([(100.0, 1.0)] * 21, degree=6)
+            fit_polynomial([(100.0, 1.0)] * 21)
 
 
 class TestEval:

@@ -222,6 +222,25 @@ class TestProcessStream:
         assert isinstance(items[0], FrameDiagnostic)
 
     @pytest.mark.parametrize("tail", ["", "broken row\n"], ids=["loadtxt", "row_by_row"])
+    def test_nan_level_frame_is_one_diagnostic(self, tail, tmp_path, capsys):
+        # nan != nan: each further row of a nan-level frame was also dropped with
+        # "level nan mm differs from the frame's first row (nan mm)"
+        from partialflow.cli import main
+
+        text = "".join(f"{ts},{chord},202696.0,202725.0,{level}\n" for ts, level in [
+            ("0.0", "nan"), ("1.0", "80.0"), ("2.0", "300.0")] for chord in "ab") + tail
+        chunk = self.run(text)
+        assert [d.detail for *_, d in chunk.diags] == ["expected 5 fields, got 1"] * len(tail[:1])
+        assert [(f, d.detail) for f, d in chunk.misfits] == [
+            (0, "level nan mm is not within the pipe (0 to 250 mm)"),
+            (2, "level 300.0 mm is not within the pipe (0 to 250 mm)")]
+        frames = tmp_path / "frames.csv"
+        frames.write_text(text)
+        assert main(["process", "--frames", str(frames)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"summary frames=1 diagnostics={2 + bool(tail)} alarms=0 clears=0")
+
+    @pytest.mark.parametrize("tail", ["", "broken row\n"], ids=["loadtxt", "row_by_row"])
     def test_non_finite_timestamp_rows_dropped(self, tail):
         # nan rows made two one-chord frames (nan != nan) and inf rows a frame
         # ts=inf, each estimated as ok
@@ -257,8 +276,8 @@ class TestProcessStream:
             EstimateStatus.INVALID_TIMES, EstimateStatus.OK, EstimateStatus.OK]
         assert chunk.clog[5] == 2
         assert np.isnan(chunk.flow_m3s[:8]).tolist() == [False] * 5 + [True, False, False]
-        assert math.isnan(chunk.chord_v[6, 0])
-        assert chunk.chord_v[6, 1] == pytest.approx(0.1, rel=1e-9)
+        # frame 6 counts chord b alone
+        assert chunk.v_line[6] == pytest.approx(0.1, rel=1e-9)
         assert [event for _, event in chunk.events] == [AlarmEvent.RAISED]
 
     def test_dropped_readings_are_diagnosed(self):
@@ -439,3 +458,56 @@ def test_chunk_parse_takes_plain_rows_only():
                  "0.0,a,1,2,3 # note\n", '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n",
                  "0.0,,1,2,3\n", "0.0, ,1,2,3\n"]:
         assert _parse_block(plain + [line]) is None, line
+
+
+# Transit times of chords a and b at 0.05 m/s, which clogs at 60 and 85 mm, at
+# 0.5 m/s, which does not, and a pair with no finite time.
+_TIMES = {v: ",".join(f"{t * 1e9!r}" for t in transit_times(v, CHORD_A, 1480.0))
+          for v in (0.05, 0.5)} | {"bad": "nan,202725.0"}
+# Two clogging frames raise the alarm (debounce 2) and the third frame clears it; an
+# unknown chord z, a duplicate row, a level change within a frame, out-of-pipe and
+# nan levels and malformed rows follow.
+_EVERY_CASE = [
+    (85.0, [("a", 0.05), ("b", 0.05)], ""), (85.0, [("a", 0.05), ("b", 0.05)], ""),
+    (85.0, [("a", 0.5), ("z", 0.5), ("a", 0.5), ("b", 0.5)], ""),
+    (85.0, [("a", 0.5), ("b", 0.5, 90.0)], "malformed row"),
+    (float("nan"), [("a", 0.5), ("b", 0.5)], ""), (300.0, [("a", 0.5)], "1.0,a,1,2"),
+]
+
+
+def _frame_log(frames) -> str:
+    lines = [FRAME_CSV_HEADER]
+    for ts, (level, rows, after) in enumerate(frames):
+        lines += [f"{float(ts)!r},{chord},{_TIMES[v]},{row[0] if row else level!r}"
+                  for chord, v, *row in rows] + [after] * bool(after)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(
+    st.sampled_from([85.0, 60.0, 40.0, 200.0, float("nan"), 300.0, -1.0]),
+    st.lists(st.tuples(st.sampled_from("abz"), st.sampled_from(list(_TIMES))).map(list)
+             | st.tuples(st.sampled_from("ab"), st.sampled_from(list(_TIMES)),
+                         st.sampled_from([60.0, 90.0])).map(list), min_size=1, max_size=4),
+    st.sampled_from(["", "", "", "malformed row", "1.0,a,1,2", "# note"])), max_size=12),
+    st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 8)]))
+def test_process_output_does_not_depend_on_chunking(frames, sizes):
+    """``process`` records are the same bytes with one row per chunk, or a few, as with
+    the default chunks: frames, diagnostics in line order, and alarm events carried
+    from chunk to chunk."""
+    from partialflow import measurement
+    from partialflow.cli import _chunk_records
+
+    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B), debounce=2)
+    poly = FpcfPolynomial((0.6, 4e-3, -1e-5, 0.0, 0.0, 0.0, 0.0), 50.0, 180.0)
+    text = _frame_log(_EVERY_CASE + frames)
+
+    def output() -> str:
+        return "".join(map(_chunk_records, process_lines(io.StringIO(text), config, poly)))
+
+    whole = output()
+    assert "event=raised" in whole and "event=cleared" in whole
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measurement, "FIRST_CHUNK_ROWS", sizes[0])
+        mp.setattr(measurement, "CHUNK_ROWS_CAP", sizes[1])
+        assert output() == whole
