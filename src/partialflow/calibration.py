@@ -24,6 +24,8 @@ class TrialRecord:
     q_meas_lps: float
 
     def __post_init__(self):
+        if not self.flow_label.strip():
+            raise OutOfRangeError("flow_label must not be empty")
         if not 0 < self.q_ref_lps < math.inf:
             raise OutOfRangeError(
                 f"reference flow must be finite and positive, got {self.q_ref_lps!r}")
@@ -151,12 +153,7 @@ def read_trials(lines: Iterable[str]) -> Iterator[TrialRecord]:
                 f"trial CSV line {line_no}: expected 4 fields, got {len(parts)}"
             )
         try:
-            yield TrialRecord(
-                segment_id=int(parts[0]),
-                flow_label=parts[1].strip(),
-                q_ref_lps=float(parts[2]),
-                q_meas_lps=float(parts[3]),
-            )
+            yield TrialRecord(int(parts[0]), parts[1].strip(), float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise OutOfRangeError(f"trial CSV line {line_no}: {exc}") from exc
 

@@ -146,11 +146,10 @@ def cmd_process(args) -> int:
     from .config import load_config, resolve_polynomial
     from .measurement import process_lines
 
-    config = load_config(args.config)
-    poly, _ = resolve_polynomial(config)
+    config, _ = resolve_polynomial(load_config(args.config))
     frames_seen = diagnostics = raised = cleared = 0
     with _in_stream(args.frames) as src, _out_stream(args.out) as fh:
-        for chunk in process_lines(src, config, poly):
+        for chunk in process_lines(src, config):
             fh.write(_chunk_records(chunk))
             frames_seen += len(chunk.ts) - len(chunk.misfits)
             diagnostics += len(chunk.diags) + len(chunk.misfits)

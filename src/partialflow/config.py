@@ -40,6 +40,41 @@ class RunConfig:
     def __post_init__(self):
         if self.fpcf_h_max_mm is None:
             object.__setattr__(self, "fpcf_h_max_mm", 1000.0 * self.pipe.diameter_m)
+        if not 0 < self.k_cal < math.inf:
+            raise ConfigError(f"calibration.factor must be finite and positive, got {self.k_cal!r}")
+        if self.debounce < 1:
+            raise ConfigError(f"clog.debounce must be >= 1, got {self.debounce!r}")
+        if not self.chords:
+            raise ConfigError("no chord is configured: a run needs at least one chord.*.height_mm")
+        ids = [c.chord_id for c in self.chords]
+        if len(set(ids)) < len(ids):
+            raise ConfigError(f"chord ids must be unique, got {', '.join(ids)}")
+        if not any(c.weight for c in self.chords):
+            keys = ", ".join(f"chord.{i}.weight" for i in ids)
+            raise ConfigError(f"every chord weight is 0 ({keys}): no chord counts toward the flow")
+        lo, hi, step = self.fpcf_h_min_mm, self.fpcf_h_max_mm, self.fpcf_step_mm
+        for key, value in (("fpcf.h_min_mm", lo), ("fpcf.h_max_mm", hi)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        if hi < lo:
+            raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies below fpcf.h_min_mm = {lo:g}")
+        crown = 1000.0 * self.pipe.diameter_m
+        if hi > crown:
+            raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies above the pipe crown at {crown:g} mm")
+        if not 0 < step < math.inf:
+            raise ConfigError(f"fpcf.step_mm must be finite and positive, got {step!r}")
+        if self.poly is None and not self.fpcf_derive:
+            return
+        _lowest_chord_mm(self)  # a parsed or a derived polynomial starts at fpcf.h_min_mm
+        heights = sorted({c.height_mm for c in self.chords})
+        if len(heights) > 1:
+            raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
+                              f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
+        levels = int((hi - lo) / step + 1e-9) + 1  # as tabulate_fpcf counts them
+        if self.fpcf_derive and levels <= POLY_DEGREE:
+            raise ConfigError(f"fpcf.derive = true needs more than {POLY_DEGREE} levels, got "
+                              f"{levels} from fpcf.h_min_mm = {lo:g}, fpcf.h_max_mm = {hi:g} "
+                              f"and fpcf.step_mm = {step:g}")
 
 
 def default_config() -> RunConfig:
@@ -152,58 +187,29 @@ def parse_config(text: str) -> RunConfig:
             chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
 
         run = given[RunConfig]
-        present = [k for k in _COEFF_KEYS if k in pairs]
-        if present and len(present) != len(_COEFF_KEYS):
-            missing = sorted(set(_COEFF_KEYS) - set(present))
+        missing = [k for k in _COEFF_KEYS if k not in pairs]
+        if 0 < len(missing) < len(_COEFF_KEYS):
             raise ConfigError(f"incomplete FPCF coefficients, missing: {', '.join(missing)}")
+        if not missing and run.get("fpcf_derive"):
+            raise ConfigError("fpcf.derive = true and fpcf.c0..c6 both set the FPCF polynomial; "
+                              "give one of them")
 
         if given[DecisionBoundary]:  # else the RunConfig default
             run["boundary"] = DecisionBoundary(**given[DecisionBoundary])
         config = RunConfig(pipe=pipe, params=EntropyParams(**given[EntropyParams]),
                            chords=tuple(chords), **run)
-        if present:  # valid over the run's FPCF range, as a derived polynomial is
+        if not missing:  # valid over the run's FPCF range, as a derived polynomial is
+            lo, hi = config.fpcf_h_min_mm, config.fpcf_h_max_mm
+            if hi == lo:
+                raise ConfigError(f"fpcf.c0..c6 need fpcf.h_max_mm above fpcf.h_min_mm = {lo:g}")
             coeffs = tuple(_parse_float(pairs[k], k) for k in _COEFF_KEYS)
-            config = RunConfig(**{**vars(config), "poly": FpcfPolynomial(
-                coeffs, config.fpcf_h_min_mm, config.fpcf_h_max_mm)})
+            config = RunConfig(**{**vars(config), "poly": FpcfPolynomial(coeffs, lo, hi)})
     except ConfigError:
         raise
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
 
-    _validate(config)
     return config
-
-
-def _validate(config: RunConfig) -> None:
-    if not 0 < config.k_cal < math.inf:
-        raise ConfigError(f"calibration.factor must be finite and positive, got {config.k_cal!r}")
-    if config.debounce < 1:
-        raise ConfigError(f"clog.debounce must be >= 1, got {config.debounce!r}")
-    if not any(c.weight for c in config.chords):
-        keys = ", ".join(f"chord.{c.chord_id}.weight" for c in config.chords)
-        raise ConfigError(f"every chord weight is 0 ({keys}): no chord counts toward the flow")
-    lo, hi, step = config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm
-    for key, value in (("fpcf.h_min_mm", lo), ("fpcf.h_max_mm", hi)):
-        if not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
-    if hi < lo:
-        raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies below fpcf.h_min_mm = {lo:g}")
-    crown_mm = 1000.0 * config.pipe.diameter_m
-    if hi > crown_mm:
-        raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies above the pipe crown at {crown_mm:g} mm")
-    if not 0 < step < math.inf:
-        raise ConfigError(f"fpcf.step_mm must be finite and positive, got {step!r}")
-    if config.poly is not None and config.fpcf_derive:
-        raise ConfigError("fpcf.derive = true and fpcf.c0..c6 both set the FPCF polynomial; "
-                          "give one of them")
-    if config.poly is None and not config.fpcf_derive:
-        return
-    # a parsed polynomial's range starts at fpcf.h_min_mm, as a derived one does
-    _lowest_chord_mm(config)
-    heights = sorted({c.height_mm for c in config.chords})
-    if len(heights) > 1:
-        raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
-                          f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
 
 
 def _lowest_chord_mm(config: RunConfig) -> float:
@@ -224,14 +230,12 @@ def load_config(path: Optional[str]) -> RunConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def resolve_polynomial(config: RunConfig) -> tuple[Optional[FpcfPolynomial], Optional[FitResult]]:
-    """The polynomial to run with: explicit coefficients, or derived on demand."""
-    if config.poly is not None:
-        return config.poly, None
-    if not config.fpcf_derive:
-        return None, None
+def resolve_polynomial(config: RunConfig) -> tuple[RunConfig, Optional[FitResult]]:
+    """The run's config with its polynomial set, and the fit that derived it, if one did."""
+    if config.poly is not None or not config.fpcf_derive:
+        return config, None
     fit = fit_polynomial(fpcf_table(config))
-    return fit.polynomial, fit
+    return RunConfig(**{**vars(config), "poly": fit.polynomial}), fit
 
 
 def fpcf_table(config: RunConfig) -> list[tuple[float, float]]:

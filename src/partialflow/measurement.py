@@ -19,8 +19,7 @@ from typing import Iterable, Iterator, Optional
 from ._numpy import np
 from ._record import record
 from .clogging import AlarmState, step_alarms
-from .errors import InvalidTimesError, OutOfRangeError
-from .fpcf import FpcfPolynomial
+from .errors import ConfigError, InvalidTimesError, OutOfRangeError
 from .geometry import WaterLevel, segment_area
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
@@ -236,7 +235,7 @@ STATUSES = tuple(EstimateStatus)
 _OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(STATUSES))
 
 
-def _run(chunks, config, poly) -> Iterator[FrameChunk]:
+def _run(chunks, config) -> Iterator[FrameChunk]:
     """Q = k_cal * FPCF * v_line * A, verdicts and alarm events, a chunk at a time.
 
     A frame whose level does not fit the pipe, an unknown chord's row and a
@@ -244,8 +243,7 @@ def _run(chunks, config, poly) -> Iterator[FrameChunk]:
     times count, summed in configuration order. Levels outside the polynomial's
     validity range get FPCF = 1 and ``fpcf_out_of_range``: the polynomial is unguarded.
     """
-    pipe, k_cal, boundary = config.pipe, config.k_cal, config.boundary
-    specs = list({c.chord_id: c for c in config.chords}.values())
+    pipe, poly, specs = config.pipe, config.poly, config.chords
     index = {c.chord_id: i for i, c in enumerate(specs)}
     height, length, cos = np.array(
         [(c.height_mm, c.path_length_m, math.cos(c.beam_angle_rad)) for c in specs], float
@@ -289,9 +287,9 @@ def _run(chunks, config, poly) -> Iterator[FrameChunk]:
             levels = np.where(fits, level, 0.0).tolist()
             areas = {x: segment_area(WaterLevel(x / 1000.0), pipe) for x in set(levels)}
             area = np.fromiter(map(areas.__getitem__, levels), float, n_frames)
-            flow = k_cal * fpcf * mean_v * area
+            flow = config.k_cal * fpcf * mean_v * area
         status = np.where(wet.any(axis=1), np.where(has_v, status, _INVALID_TIMES), _DRY_CHORD)
-        clog = mean_v < boundary.threshold(level)
+        clog = mean_v < config.boundary.threshold(level)
         judged = np.flatnonzero(has_v).tolist()
         state, events = step_alarms(state, clog[judged].tolist())
         misfits = [(f, FrameDiagnostic(f"level {level[f].item()!r} mm is not within the pipe "
@@ -303,16 +301,17 @@ def _run(chunks, config, poly) -> Iterator[FrameChunk]:
                          misfits, sorted(diags, key=itemgetter(0, 1)))
 
 
-def process_lines(lines: Iterable[str], config, poly: Optional[FpcfPolynomial]
-                  ) -> Iterator[FrameChunk]:
+def process_lines(lines: Iterable[str], config) -> Iterator[FrameChunk]:
     """The frame CSV to a ``FrameChunk`` per chunk of rows, reading at most one chunk
-    ahead: estimates plus debounced clogging verdicts. The chords, pipe, ``k_cal``,
-    boundary and debounce count are those of ``config``, a ``RunConfig``.
+    ahead: estimates plus debounced clogging verdicts. Every setting, the polynomial
+    too, is that of ``config``, a ``RunConfig`` (``resolve_polynomial`` derives one).
 
     Malformed rows and frames become diagnostics and the stream continues.
     Frames without a usable mean velocity leave the alarm state untouched.
     """
-    return _run(_read_rows(lines), config, poly)
+    if config.fpcf_derive and config.poly is None:
+        raise ConfigError("fpcf.derive = true: pass the config through resolve_polynomial first")
+    return _run(_read_rows(lines), config)
 
 
 def write_frame_rows(frames: Iterable[SensorFrame], stream) -> None:

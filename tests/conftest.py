@@ -34,14 +34,14 @@ def rig_reference_fpcf(level_mm: float) -> float:
     return acc
 
 
-def process_frames(frames, chords, poly, pipe, **kwargs) -> list:
+def process_frames(frames, chords, pipe, **kwargs) -> list:
     """Frame objects written as the frame CSV and estimated by ``process_lines``:
-    its ``FrameChunk``s. ``kwargs`` are ``RunConfig`` fields (``k_cal``, ``debounce``...)."""
+    its ``FrameChunk``s. ``kwargs`` are ``RunConfig`` fields (``poly``, ``k_cal``...)."""
     buf = io.StringIO()
     write_frame_rows(frames, buf)
     buf.seek(0)
     config = RunConfig(pipe=pipe, params=EntropyParams(), chords=tuple(chords), **kwargs)
-    return list(process_lines(buf, config, poly))
+    return list(process_lines(buf, config))
 
 
 @pytest.fixture(scope="session")

@@ -65,7 +65,7 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
 
 
 def run_pipeline(frames, poly, k_cal=1.0, debounce=5):
-    return process_frames(frames, CONFIG.chords, poly, PIPE, k_cal=k_cal,
+    return process_frames(frames, CONFIG.chords, PIPE, poly=poly, k_cal=k_cal,
                           boundary=DecisionBoundary(), debounce=debounce)
 
 

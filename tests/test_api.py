@@ -97,8 +97,10 @@ def test_run_settings_have_one_home(capsys):
         "partialflow.cli", "partialflow.clogging", "partialflow.config", "partialflow.fpcf",
         "partialflow.measurement", "partialflow.quadrature"))
 
+    # the polynomial reaches the frame path as RunConfig.poly, which RunConfig checks itself
     frame_params = inspect.signature(measurement.process_lines).parameters
-    assert list(frame_params) == ["lines", "config", "poly"]
+    assert list(frame_params) == ["lines", "config"]
+    assert not hasattr(config, "_validate")
     assert all(p.default is inspect.Parameter.empty for p in frame_params.values())
     table_params = inspect.signature(fpcf.tabulate_fpcf).parameters
     assert all(table_params[name].default is inspect.Parameter.empty

@@ -170,3 +170,10 @@ class TestErrorTable:
     def test_bad_csv_rejected(self):
         with pytest.raises(OutOfRangeError):
             list(read_trials(io.StringIO("1,2,3\n")))
+
+    @pytest.mark.parametrize("label", ["", " ", "\t"])
+    def test_empty_flow_label_rejected(self, label):
+        # a blank label was read, and metrics printed a row without one
+        message = "^trial CSV line 2: flow_label must not be empty$"
+        with pytest.raises(OutOfRangeError, match=message):
+            list(read_trials(io.StringIO(f"1,2,2.0,2.0\n1,{label},2.0,2.1\n")))

@@ -396,6 +396,15 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert f"error: trial CSV line 3: {message}" in err
 
+    @pytest.mark.parametrize("command", ["metrics", "calibrate"])
+    def test_empty_flow_label_exits_1(self, capsys, tmp_path, command):
+        # metrics printed a row with a blank label and exited 0
+        trials = tmp_path / "trials.csv"
+        trials.write_text("1,2,2.0,2.02\n1, ,2.0,2.1\n")
+        code, out, err = run(capsys, command, "--trials", str(trials))
+        message = "error: trial CSV line 2: flow_label must not be empty\n"
+        assert (code, out, err) == (1, "", message)
+
     @pytest.mark.parametrize("argv", [
         ["metrics", "--k-cal", "nan"], ["metrics", "--k-cal", "0"], ["metrics", "--k-cal", "-1"],
         ["simulate", "--flow-lps", "nan", "--level-mm", "80"],
@@ -452,6 +461,22 @@ class TestExitCodes:
         code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
         assert (code, out) == (2, "")
         assert err.startswith(f"config error: {message}")
+
+    @pytest.mark.parametrize("text,message", [
+        ("fpcf.derive = true\nfpcf.h_max_mm = 100", "fpcf.derive = true needs more than 6 "
+         "levels, got 6 from fpcf.h_min_mm = 50, fpcf.h_max_mm = 100 and fpcf.step_mm = 10"),
+        ("".join(f"fpcf.c{k} = 1.0\n" for k in range(7)) + "fpcf.h_max_mm = 50",
+         "fpcf.c0..c6 need fpcf.h_max_mm above fpcf.h_min_mm = 50"),
+    ], ids=["derive", "coefficients"])
+    @pytest.mark.parametrize("command", ["process", "fpcf"])
+    def test_range_too_small_for_a_polynomial_exits_2(self, capsys, tmp_path, command, text,
+                                                      message):
+        # derive exited 1 after tabulating, with "error: need more than 6 samples for a
+        # degree-6 fit, got 6"; coefficients said "invalid validity range [50.0, 50.0]"
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     def test_fpcf_range_below_uncorrected_chord_exits_2(self, capsys, tmp_path):
         # process accepts the config, which corrects nothing; fpcf exited 1 with
@@ -537,14 +562,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_by_record(lines, config, poly) -> str:
+def _record_by_record(lines, config) -> str:
     """``process`` output as the per-frame formatter wrote it, one f-string per
     record, from the same estimates: the oracle for the chunk-wise formatter."""
     from partialflow.clogging import Verdict
     from partialflow.measurement import STATUSES, FrameDiagnostic, process_lines
 
     out, frames_seen, diagnostics, raised, cleared = [], 0, 0, 0, 0
-    for chunk in process_lines(lines, config, poly):
+    for chunk in process_lines(lines, config):
         events, misfits = dict(chunk.events), dict(chunk.misfits)
         diags, items = sorted(chunk.diags, key=lambda d: (d[0], d[1])), []
         columns = zip(*(column.tolist() for column in chunk[:8]))
@@ -628,7 +653,7 @@ def test_chunk_formatter_matches_record_by_record(capsys, tmp_path, with_poly):
     assert main(["process", "--config", str(cfg), "--frames", str(csv)]) == 0
     out = capsys.readouterr().out
     with csv.open() as fh:
-        want = _record_by_record(fh, parse_config(cfg.read_text()), poly if with_poly else None)
+        want = _record_by_record(fh, parse_config(cfg.read_text()))
     # the first differing record, not a diff of two 2,000-line texts
     assert next(((k, a, b) for k, (a, b) in enumerate(
         zip_longest(out.splitlines(True), want.splitlines(True))) if a != b), None) is None

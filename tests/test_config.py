@@ -3,9 +3,43 @@ import re
 
 import pytest
 
-from partialflow import ConfigError, EntropyParams, PipeGeometry, RunConfig, parse_config
-from partialflow.config import default_config, format_fit_document, resolve_polynomial
+from partialflow import (ChordSpec, ConfigError, EntropyParams, PipeGeometry, RunConfig,
+                         parse_config)
+from partialflow.config import _SCALARS, default_config, format_fit_document, resolve_polynomial
 from partialflow.fpcf import FitResult, FpcfPolynomial
+
+
+def _direct(doc: str) -> RunConfig:
+    """``doc``'s settings handed to ``RunConfig`` as a library caller hands them, past
+    every check of the document parser: chords as ``ChordSpec``s on 0.3 m paths at 45
+    degrees, and coefficients as a polynomial valid from 50 to 250 mm."""
+    pairs = dict(line.split(" = ") for line in doc.splitlines() if line)
+    fields = {field: parse(pairs[key], key) for key, (rec, field, parse) in _SCALARS.items()
+              if rec is RunConfig and key in pairs}
+    chords = {}
+    for key in sorted(k for k in pairs if k.startswith("chord.")):
+        _, chord_id, name = key.split(".")
+        chords.setdefault(chord_id, {})[name] = float(pairs[key])
+    if chords:
+        fields["chords"] = tuple(ChordSpec(chord_id, path_length_m=0.3, beam_angle_rad=math.pi / 4,
+                                           **values) for chord_id, values in chords.items())
+    if "fpcf.c0" in pairs:
+        coeffs = tuple(float(pairs[f"fpcf.c{k}"]) for k in range(7))
+        fields["poly"] = FpcfPolynomial(coeffs, 50.0, 250.0)
+    return RunConfig(**{**vars(default_config()), **fields})
+
+
+BUILDS = (parse_config, _direct)
+
+
+def parsed_and_direct(argnames: str, values: list, ids=None):
+    """Parametrize over ``values`` built by ``parse_config`` under their own ids, and
+    again by ``_direct`` under ``<id>-direct``: every check of a run's settings is
+    ``RunConfig``'s own, so a config built directly fails it as a parsed one does."""
+    rows = [v if isinstance(v, tuple) else (v,) for v in values]
+    return pytest.mark.parametrize(f"{argnames},build", [
+        pytest.param(*row, build, id=f"{i}{suffix}")
+        for build, suffix in zip(BUILDS, ("", "-direct")) for row, i in zip(rows, ids or values)])
 
 
 class TestDefaults:
@@ -85,29 +119,31 @@ class TestParsing:
     def test_all_zero_chord_weights_rejected(self):
         # every frame with valid times printed status=invalid_times and no flow
         message = "every chord weight is 0 (chord.a.weight, chord.b.weight): no chord counts"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
-            parse_config("".join(f"chord.{c}.height_mm = 50\nchord.{c}.weight = 0\n"
-                                 for c in "ab"))
-        config = parse_config("chord.a.height_mm = 50\nchord.a.weight = 0\n"
-                              "chord.b.height_mm = 50\nchord.b.weight = 0.5\n")
-        assert [c.weight for c in config.chords] == [0.0, 0.5]
+        for build in BUILDS:
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+                build("".join(f"chord.{c}.height_mm = 50\nchord.{c}.weight = 0\n"
+                              for c in "ab"))
+            config = build("chord.a.height_mm = 50\nchord.a.weight = 0\n"
+                           "chord.b.height_mm = 50\nchord.b.weight = 0.5\n")
+            assert [c.weight for c in config.chords] == [0.0, 0.5]
 
     @pytest.mark.parametrize("key", ["fpcf.rms_residual", "fpcf.max_residual"])
     def test_fit_residual_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match=f"unknown keys: {key}"):
             parse_config(f"{key} = 1e-4\n")
 
-    @pytest.mark.parametrize("factor", ["-2", "0", "nan", "inf"])
-    def test_k_cal_not_finite_and_positive_rejected(self, factor):
-        # calibration.factor = -2 gave negative flows with status=ok
+    @parsed_and_direct("factor", ["-2", "0", "nan", "inf"])
+    def test_k_cal_not_finite_and_positive_rejected(self, factor, build):
+        # calibration.factor = -2 gave negative flows with status=ok, and
+        # RunConfig(..., k_cal=-2.0) still did
         with pytest.raises(ConfigError, match="calibration.factor must be finite and positive"):
-            parse_config(f"calibration.factor = {factor}\n")
+            build(f"calibration.factor = {factor}\n")
 
-    @pytest.mark.parametrize("debounce", ["0", "-3"])
-    def test_debounce_below_one_rejected(self, debounce):
+    @parsed_and_direct("debounce", ["0", "-3"])
+    def test_debounce_below_one_rejected(self, debounce, build):
         # clog.debounce = 0 used to fail only once process built the alarm state
         with pytest.raises(ConfigError, match="clog.debounce must be >= 1"):
-            parse_config(f"clog.debounce = {debounce}\n")
+            build(f"clog.debounce = {debounce}\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", ["clog.slope_mps_per_mm", "clog.intercept_mps"])
@@ -119,8 +155,8 @@ class TestParsing:
     @pytest.mark.parametrize("key,value,message", [
         ("fpcf.c0", "nan", "FPCF coefficients must be finite"),
         ("fpcf.c6", "inf", "FPCF coefficients must be finite"),
-        ("fpcf.h_max_mm", "nan", "invalid validity range"),
-        ("fpcf.h_max_mm", "inf", "invalid validity range"),
+        ("fpcf.h_max_mm", "nan", "fpcf.h_max_mm must be finite, got nan"),
+        ("fpcf.h_max_mm", "inf", "fpcf.h_max_mm must be finite, got inf"),
     ], ids=["c0_nan", "c6_inf", "h_max_nan", "h_max_inf"])
     def test_non_finite_polynomial_rejected(self, key, value, message):
         # fpcf.c0 = nan loaded, and process printed fpcf=nan q_lps=nan status=ok
@@ -159,38 +195,72 @@ class TestParsing:
             + "\n".join(f"fpcf.c{k} = 1.0" for k in range(7))
             + "\n"
         )
-        with pytest.raises(ConfigError, match="below the lowest"):
-            parse_config(doc)
+        for build in BUILDS:
+            with pytest.raises(ConfigError, match="below the lowest"):
+                build(doc)
 
-    @pytest.mark.parametrize("fpcf", ["".join(f"fpcf.c{k} = 1.0\n" for k in range(7)),
-                                      "fpcf.derive = true\n"], ids=["coefficients", "derive"])
-    def test_chords_at_two_heights_rejected_with_a_polynomial(self, fpcf):
+    @parsed_and_direct("fpcf", ["".join(f"fpcf.c{k} = 1.0\n" for k in range(7)),
+                                "fpcf.derive = true\n"], ids=["coefficients", "derive"])
+    def test_chords_at_two_heights_rejected_with_a_polynomial(self, fpcf, build):
         # one curve at the lowest chord, applied to the mean of all wet chords,
-        # overstated the flow by 26-32% and still said status=ok
+        # overstated the flow by 26-32% and still said status=ok; so did a
+        # polynomial passed to process_lines beside the config
         chords = "chord.a.height_mm = 50\nchord.b.height_mm = 100\n"
         with pytest.raises(ConfigError, match="chords at 50, 100 mm"):
-            parse_config(chords + fpcf)
-        assert {c.height_mm for c in parse_config(chords).chords} == {50.0, 100.0}
+            build(chords + fpcf)
+        assert {c.height_mm for c in build(chords).chords} == {50.0, 100.0}
 
     def test_derive_and_coefficients_rejected_together(self):
         # the derive flag was parsed and then ignored in favour of the coefficients
         doc = "fpcf.derive = true\n" + "".join(f"fpcf.c{k} = 1.0\n" for k in range(7))
         with pytest.raises(ConfigError, match=r"fpcf\.derive = true and fpcf\.c0\.\.c6"):
             parse_config(doc)
+        # a document gives one of them; a resolved derive config holds both
+        assert _direct(doc).fpcf_derive and _direct(doc).poly is not None
 
     def test_derive_range_below_chords_rejected(self):
         doc = "chord.a.height_mm = 80\nfpcf.derive = true\nfpcf.h_min_mm = 50\n"
-        with pytest.raises(ConfigError, match="below the lowest"):
-            parse_config(doc)
+        for build in BUILDS:
+            with pytest.raises(ConfigError, match="below the lowest"):
+                build(doc)
 
-    @pytest.mark.parametrize("fpcf", ["".join(f"fpcf.c{k} = 1.0\n" for k in range(7)),
-                                      "fpcf.derive = true\n"], ids=["coefficients", "derive"])
-    def test_range_below_chords_names_the_key(self, fpcf):
+    @parsed_and_direct("fpcf", ["".join(f"fpcf.c{k} = 1.0\n" for k in range(7)),
+                                "fpcf.derive = true\n"], ids=["coefficients", "derive"])
+    def test_range_below_chords_names_the_key(self, fpcf, build):
         # one check for both sources; it said "FPCF range starts at 40 mm" for
         # coefficients and "FPCF derivation starts at 40 mm" for derive
         message = "fpcf.h_min_mm = 40 lies below the lowest chord at 50 mm"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            parse_config(fpcf + "fpcf.h_min_mm = 40\n")
+            build(fpcf + "fpcf.h_min_mm = 40\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("fpcf.derive = true\nfpcf.h_max_mm = 100", "fpcf.derive = true needs more than 6 "
+         "levels, got 6 from fpcf.h_min_mm = 50, fpcf.h_max_mm = 100 and fpcf.step_mm = 10"),
+        ("fpcf.derive = true\nfpcf.h_max_mm = 50", "fpcf.derive = true needs more than 6 "
+         "levels, got 1 from fpcf.h_min_mm = 50, fpcf.h_max_mm = 50 and fpcf.step_mm = 10"),
+        ("fpcf.derive = true\nfpcf.step_mm = 40", "fpcf.derive = true needs more than 6 "
+         "levels, got 6 from fpcf.h_min_mm = 50, fpcf.h_max_mm = 250 and fpcf.step_mm = 40"),
+        ("".join(f"fpcf.c{k} = 1.0\n" for k in range(7)) + "fpcf.h_max_mm = 50",
+         "fpcf.c0..c6 need fpcf.h_max_mm above fpcf.h_min_mm = 50"),
+    ], ids=["derive_6_levels", "derive_1_level", "derive_coarse_step", "coefficients_1_level"])
+    def test_range_too_small_for_a_polynomial_names_its_keys(self, text, message):
+        # derive failed in the fit, after the quadrature, with "need more than 6
+        # samples for a degree-6 fit, got 6"; coefficients gave "invalid validity range"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text + "\n")
+        assert parse_config("fpcf.derive = true\nfpcf.h_max_mm = 110\n").fpcf_derive  # 7 levels
+
+    def test_no_chord_rejected(self):
+        # RunConfig(..., chords=()) said "every chord weight is 0 ()"
+        message = "no chord is configured: a run needs at least one chord.*.height_mm"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RunConfig(pipe=PipeGeometry(0.25), params=EntropyParams(), chords=())
+
+    def test_duplicate_chord_ids_rejected(self):
+        # a parsed config cannot repeat an id; a built one counted the first of them only
+        chord = default_config().chords[0]
+        with pytest.raises(ConfigError, match="^chord ids must be unique, got a, a$"):
+            RunConfig(pipe=PipeGeometry(0.25), params=EntropyParams(), chords=(chord, chord))
 
     @pytest.mark.parametrize("diameter,message", [
         ("40", "chord.a.height_mm = 50 lies above the pipe crown at 40 mm"),
@@ -202,7 +272,7 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(f"pipe.diameter_mm = {diameter}\n")
 
-    @pytest.mark.parametrize("derive", ["", "fpcf.derive = true\n"], ids=["plain", "derive"])
+    @parsed_and_direct("derive", ["", "fpcf.derive = true\n"], ids=["plain", "derive"])
     @pytest.mark.parametrize("text,message", [
         ("fpcf.h_min_mm = nan", "fpcf.h_min_mm must be finite, got nan"),
         ("fpcf.h_min_mm = -inf", "fpcf.h_min_mm must be finite, got -inf"),
@@ -214,11 +284,11 @@ class TestParsing:
         ("fpcf.step_mm = nan", "fpcf.step_mm must be finite and positive, got nan"),
     ], ids=["h_min_nan", "h_min_neg_inf", "h_max_inf", "h_max_below_h_min", "h_max_above_crown",
             "step_0", "step_negative", "step_nan"])
-    def test_bad_fpcf_range_rejected(self, derive, text, message):
+    def test_bad_fpcf_range_rejected(self, derive, text, message, build):
         # with derive the tabulation failed outside the config layer, naming a level
         # above the crown in metres; without it the range was never checked
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            parse_config(derive + text + "\n")
+            build(derive + text + "\n")
 
     @pytest.mark.parametrize("fpcf", ["", "fpcf.derive = true\n",
                                       "".join(f"fpcf.c{k} = 1.0\n" for k in range(7))],
@@ -231,7 +301,8 @@ class TestParsing:
         assert config.poly is None or config.poly.h_max_mm == 200.0
         assert parse_config(fpcf).fpcf_h_max_mm == 250.0
         assert parse_config(fpcf + "fpcf.h_max_mm = 180\n").fpcf_h_max_mm == 180.0
-        direct = RunConfig(pipe=PipeGeometry(0.3), params=EntropyParams(), chords=())
+        direct = RunConfig(pipe=PipeGeometry(0.3), params=EntropyParams(),
+                           chords=default_config().chords)
         assert direct.fpcf_h_max_mm == 300.0
 
     @pytest.mark.parametrize("height,message", [
@@ -269,21 +340,23 @@ class TestFitDocument:
 
     def test_resolve_explicit_poly(self):
         config = parse_config(FULL_DOC)
-        poly, fit = resolve_polynomial(config)
-        assert poly is config.poly
+        resolved, fit = resolve_polynomial(config)
+        assert resolved is config
         assert fit is None
 
     def test_resolve_none(self):
         config = parse_config("")
-        poly, fit = resolve_polynomial(config)
-        assert poly is None and fit is None
+        resolved, fit = resolve_polynomial(config)
+        assert resolved is config and resolved.poly is None and fit is None
 
     def test_resolve_derive(self):
         config = parse_config(
             "fpcf.derive = true\nfpcf.h_min_mm = 50\nfpcf.h_max_mm = 120\n"
         )
-        poly, fit = resolve_polynomial(config)
-        assert poly is not None
-        assert fit is not None
-        assert poly.h_min_mm == 50.0
-        assert poly.h_max_mm == 120.0
+        resolved, fit = resolve_polynomial(config)
+        assert fit is not None and resolved.poly is fit.polynomial
+        assert resolved.poly.h_min_mm == 50.0
+        assert resolved.poly.h_max_mm == 120.0
+        # the run's config with its polynomial set, still saying where it came from
+        assert resolved == RunConfig(**{**vars(config), "poly": fit.polynomial})
+        assert resolved.fpcf_derive

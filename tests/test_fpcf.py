@@ -11,6 +11,7 @@ from partialflow import (
     ProfileModel,
     QuadratureError,
     QuadratureSpec,
+    RunConfig,
     WaterLevel,
     chord_half_width,
     fit_polynomial,
@@ -261,7 +262,7 @@ class TestEval:
         levels = (59.0, 60.0, 200.0, 201.0)
         rows = [f"{k}.0,{chord},135000.0,135010.0,{h!r}"
                 for k, h in enumerate(levels) for chord in "ab"]
-        (chunk,) = process_lines(rows, default_config(), poly)
+        (chunk,) = process_lines(rows, RunConfig(**{**vars(default_config()), "poly": poly}))
         assert [STATUSES[s].value for s in chunk.status] == [
             "fpcf_out_of_range", "ok", "ok", "fpcf_out_of_range"]
         assert chunk.fpcf.tolist() == [1.0, poly(60.0), poly(200.0), 1.0]

@@ -9,6 +9,7 @@ from partialflow import (
     AlarmEvent,
     ChordReading,
     ChordSpec,
+    ConfigError,
     EntropyParams,
     EstimateStatus,
     FpcfPolynomial,
@@ -46,7 +47,7 @@ def frame_for(velocities: dict, level_mm: float, chords=(CHORD_A, CHORD_B), c=14
 
 def estimate(frame, chords, poly, **kwargs):
     """The one-frame ``FrameChunk`` of ``frame``."""
-    (chunk,) = process_frames([frame], chords, poly, PIPE, **kwargs)
+    (chunk,) = process_frames([frame], chords, PIPE, poly=poly, **kwargs)
     return chunk
 
 
@@ -116,10 +117,11 @@ class TestEstimateFlow:
         assert math.isnan(est.flow_m3s[0])
 
     def test_partial_dry_uses_wet_only(self):
+        # uncorrected: one polynomial serves chords at one height only
         low = ChordSpec("lo", 30.0, 0.3, ANGLE)
         high = ChordSpec("hi", 120.0, 0.3, ANGLE)
         frame = frame_for({"lo": 0.3, "hi": 0.6}, 85.0, (low, high))
-        est = estimate(frame, [low, high], FLAT_POLY)
+        est = estimate(frame, [low, high], None)
         assert est.v_line[0] == pytest.approx(0.3, rel=1e-9)
 
     def test_invalid_times_status(self):
@@ -193,8 +195,9 @@ class TestFrameCsv:
 
 class TestProcessStream:
     def run(self, text):
-        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B))
-        (chunk,) = process_lines(io.StringIO(text), config, FLAT_POLY)
+        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
+                           poly=FLAT_POLY)
+        (chunk,) = process_lines(io.StringIO(text), config)
         return chunk
 
     def test_empty(self):
@@ -280,12 +283,18 @@ class TestProcessStream:
         assert chunk.v_line[6] == pytest.approx(0.1, rel=1e-9)
         assert [event for _, event in chunk.events] == [AlarmEvent.RAISED]
 
+    def test_underived_polynomial_refused(self):
+        # a fpcf.derive = true config without its derived polynomial ran uncorrected
+        config = parse_config("fpcf.derive = true\n")
+        with pytest.raises(ConfigError, match="resolve_polynomial"):
+            process_lines(io.StringIO(FRAME_TEXT), config)
+
     def test_dropped_readings_are_diagnosed(self):
         a, b = frame_for({"a": 0.2, "b": 0.4}, 85.0).readings
         stray = ChordReading("z", a.t_up_s, a.t_down_s)
         # written below a header: a on line 2, z on 3, b on 4 and 5
         (chunk,) = process_frames([SensorFrame(3.0, (a, stray, b, b), 85.0)],
-                                  [CHORD_A, CHORD_B], FLAT_POLY, PIPE)
+                                  [CHORD_A, CHORD_B], PIPE, poly=FLAT_POLY)
         *diags, processed = chunk.in_order(chunk.ts.tolist())
         assert [(d.detail, d.timestamp_s, d.line_no) for d in diags] == [
             ("unknown chord id 'z'; row dropped", 3.0, 3),
@@ -498,12 +507,13 @@ def test_process_output_does_not_depend_on_chunking(frames, sizes):
     from partialflow import measurement
     from partialflow.cli import _chunk_records
 
-    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B), debounce=2)
     poly = FpcfPolynomial((0.6, 4e-3, -1e-5, 0.0, 0.0, 0.0, 0.0), 50.0, 180.0)
+    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B), poly=poly,
+                       debounce=2)
     text = _frame_log(_EVERY_CASE + frames)
 
     def output() -> str:
-        return "".join(map(_chunk_records, process_lines(io.StringIO(text), config, poly)))
+        return "".join(map(_chunk_records, process_lines(io.StringIO(text), config)))
 
     whole = output()
     assert "event=raised" in whole and "event=cleared" in whole
