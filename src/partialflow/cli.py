@@ -25,10 +25,10 @@ from .calibration import (
     read_trials,
 )
 from .clogging import Verdict
-from .errors import ConfigError, PartialFlowError
+from .errors import ConfigError, DegenerateProfileError, PartialFlowError
 
 # The values of simulator.WeirMode, in order, written out so that building the parser
-# does not import the simulator and numpy.
+# does not import the simulator and the FPCF stack under it.
 _WEIR_TEXT = ("none", "weir1", "weir2")
 
 EXIT_OK = 0
@@ -57,11 +57,16 @@ def _in_stream(path: str):
 
 def cmd_profile(args) -> int:
     from .config import load_config
+    from .fpcf import mean_area_velocity
     from .geometry import WaterLevel
     from .profile import ProfileModel, profile_grid
 
     config = load_config(args.config)
     model = ProfileModel(config.pipe, WaterLevel(args.level_mm / 1000.0), config.params)
+    v_area = mean_area_velocity(model, config.quad)  # fpcf() refuses every chord unless > 0
+    if not 0 < v_area < math.inf:
+        raise DegenerateProfileError(f"profile undefined at H={model.level.level_m:g} m: area "
+                                     f"mean {v_area:g} is not finite and positive")
     grid = profile_grid(model, args.nx, args.ny)
     with _out_stream(args.out) as fh:
         grid.write_csv(fh)

@@ -52,13 +52,17 @@ class RunConfig:
         if not any(c.weight for c in self.chords):
             keys = ", ".join(f"chord.{i}.weight" for i in ids)
             raise ConfigError(f"every chord weight is 0 ({keys}): no chord counts toward the flow")
+        crown = 1000.0 * self.pipe.diameter_m
+        for c in self.chords:
+            if c.height_mm > crown:
+                raise ConfigError(f"chord.{c.chord_id}.height_mm = {c.height_mm:g} lies above "
+                                  f"the pipe crown at {crown:g} mm")
         lo, hi, step = self.fpcf_h_min_mm, self.fpcf_h_max_mm, self.fpcf_step_mm
         for key, value in (("fpcf.h_min_mm", lo), ("fpcf.h_max_mm", hi)):
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         if hi < lo:
             raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies below fpcf.h_min_mm = {lo:g}")
-        crown = 1000.0 * self.pipe.diameter_m
         if hi > crown:
             raise ConfigError(f"fpcf.h_max_mm = {hi:g} lies above the pipe crown at {crown:g} mm")
         if not 0 < step < math.inf:
@@ -176,12 +180,12 @@ def parse_config(text: str) -> RunConfig:
             if not 0 < height < math.inf:
                 raise ConfigError(f"chord height must be finite and positive, got {height!r} "
                                   f"for {key}")
-            above = height > crown_mm  # at the crown, a derived wall-to-wall path has no length
-            if above or (height == crown_mm and "path_length_m" not in values):
-                raise ConfigError(f"{key} = {height:g} lies {'above' if above else 'at'} the pipe "
-                                  f"crown at {crown_mm:g} mm")
             angle = math.radians(values.pop("beam_angle_deg", _BEAM_ANGLE_DEG))
             if "path_length_m" not in values:  # wall-mounted: the beam spans the full chord
+                if height >= crown_mm:  # where there is no chord to span
+                    where = "at" if height == crown_mm else "above"
+                    raise ConfigError(f"{key} = {height:g} lies {where} the pipe crown at "
+                                      f"{crown_mm:g} mm")
                 half_width = chord_half_width(height / 1000.0, pipe)
                 values["path_length_m"] = 2.0 * half_width / math.sin(angle)
             chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))

@@ -7,6 +7,8 @@ left-right symmetric, and a signed x would put a negative base under
 non-integer powers.
 """
 
+from __future__ import annotations
+
 import math
 
 from ._numpy import np
@@ -191,6 +193,31 @@ def evaluate_velocity(model: ProfileModel, x, y):
             + bracket ** (1.0 / model.params.q) / model.params.m
         )
     return out
+
+
+def point_velocity(model: ProfileModel):
+    """``evaluate_velocity`` for one point at a time, in plain floats: returns v(x, y),
+    with what depends on the model alone worked out once."""
+    r, diameter, level, ratio = (model.pipe.radius_m, model.pipe.diameter_m,
+                                 model.level.level_m, model.dip_ratio)
+    m, q, c, wall_value = model.params.m, model.params.q, model.params.tail_weight, model.wall_value
+    log_d, tail = math.log(diameter), 2.0 * (1.0 - ratio)
+
+    def velocity(x: float, y: float) -> float:
+        x = abs(x)
+        wall = r - math.sqrt(max(r * r - x * x, 0.0))
+        y_local, dip_local = y - wall, ratio * (level - wall)
+        if not (y_local > 0.0 and y > 0.0 and dip_local > 0.0):
+            return wall_value
+        s = math.log(2.0) / (log_d - math.log(dip_local))
+        t_s = math.exp(s * math.log(y_local / diameter))
+        u = y_local / dip_local - 1.0  # below the dip, else clamped above it
+        shape = 1.0 - u * u if u <= 0.0 else max(1.0 - u ** (4.0 * ratio), 0.0) ** tail
+        lateral = 1.0 - (x / (0.5 * diameter)) ** (diameter / level)
+        cdf = min(max(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0), 1.0)
+        return 1.0 - 1.0 / m + (y_local / y * (1.0 - c) * cdf + c) ** (1.0 / q) / m
+
+    return velocity
 
 
 @record

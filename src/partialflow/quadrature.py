@@ -4,13 +4,16 @@ One rule and one refinement loop. The rule is a tensor product of
 fixed-order Gauss panels on [0, 1] per axis, each axis optionally split at
 break points where the integrand has kinks. The loop evaluates it with 1,
 2, 4, ... panels per piece until two successive estimates agree to the
-relative tolerance. Integrands take one node array per axis and return
-their values on the tensor grid (shape: one dimension per axis), so each
-estimate is a few vectorized calls.
+relative tolerance. It runs two ways on the same nodes: ``unit_integrate`` hands
+the integrand one node array per axis and takes its values on the tensor grid,
+and ``point_integrate`` calls it one point at a time in plain floats.
 """
+
+from __future__ import annotations
 
 import functools
 import math
+from operator import add, mul, truediv
 
 from ._numpy import np
 from ._record import record
@@ -24,23 +27,30 @@ NODES = 15  # the Gauss order of every panel
 
 
 @functools.cache
-def _nodes_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The n-point Gauss-Legendre rule on [-1, 1]: Newton's method on the Legendre recurrence
     from Tricomi's root estimates, weights 2 / ((1 - x^2) P_n'^2), then symmetrised and scaled
-    as numpy.polynomial.legendre.leggauss does (not imported: it loads six basis modules)."""
-    x, step = np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)), 1.0
+    as numpy.polynomial.legendre.leggauss does (not imported: it loads six basis modules).
+    Plain floats, so that the point rule loads no numpy; the weights are summed in numpy's
+    pairwise order (n <= 128), which keeps both rules' nodes bit for bit those of numpy."""
+    x, step = [math.cos(math.pi * (k - 0.25) / (n + 0.5)) for k in range(n, 0, -1)], [1.0]
     for _ in range(50):
-        p_prev, p = np.ones_like(x), x
+        p_prev, p = [1.0] * n, x
         for k in range(2, n + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
-        if np.abs(step).max() <= 1e-15:
+            p_prev, p = p, [((2 * k - 1) * a * b - (k - 1) * c) / k
+                            for a, b, c in zip(x, p, p_prev)]
+        dp = [n * (c - a * b) / ((1.0 - a) * (1.0 + a)) for a, b, c in zip(x, p, p_prev)]
+        if max(map(abs, step)) <= 1e-15:
             break
-        step = p / dp
-        x = x - step
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
-    return x, w * (2.0 / w.sum())
+        step = list(map(truediv, p, dp))
+        x = [a - s for a, s in zip(x, step)]
+    w = [2.0 / ((1.0 - a) * (1.0 + a) * d * d) for a, d in zip(x, dp)]
+    x, w = [0.5 * (a - b) for a, b in zip(x, x[::-1])], [0.5 * (a + b) for a, b in zip(w, w[::-1])]
+    head = n - n % 8  # numpy's sum of up to 128 floats: eight running sums, then the rest
+    r = [functools.reduce(add, w[j:head:8], 0.0) for j in range(8)]
+    pairs = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    scale = 2.0 / functools.reduce(add, w[head:], pairs)
+    return tuple(x), tuple(v * scale for v in w)
 
 
 @record
@@ -60,16 +70,35 @@ class QuadratureSpec:
         if self.max_depth < 1:
             raise OutOfRangeError(f"max_depth must be >= 1, got {self.max_depth!r}")
 
+    def refine(self, estimate) -> tuple[float, float]:
+        """Panel doubling: ``estimate(n)`` with n = 1, 2, 4, ... panels per piece until two
+        successive estimates differ by at most rel_tol times the finer one; returns that
+        estimate and the difference as its error bound. Raises QuadratureError (carrying
+        both) if max_depth doublings do not get there."""
+        coarse = estimate(1)
+        for depth in range(1, self.max_depth + 1):
+            fine = estimate(2**depth)
+            err = abs(fine - coarse)
+            if err <= self.rel_tol * abs(fine):
+                return fine, err
+            coarse = fine
+        raise QuadratureError(estimate=fine, error_bound=err, max_depth=self.max_depth)
+
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+
+def _edges(breaks, n_panels: int) -> list[float]:
+    """The ends of n_panels equal panels per piece of [0, 1] cut at breaks."""
+    pieces = [0.0, *sorted(breaks), 1.0]
+    return [lo + k * ((hi - lo) / n_panels)  # where numpy.linspace puts them
+            for lo, hi in zip(pieces, pieces[1:]) for k in range(n_panels)] + [1.0]
 
 
 def _composite(breaks, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of n_panels Gauss panels per piece of [0, 1] cut at breaks."""
     xi, wt = _nodes_weights(NODES)
-    pieces = [0.0, *sorted(breaks), 1.0]
-    starts = [np.linspace(lo, hi, n_panels, endpoint=False) for lo, hi in zip(pieces, pieces[1:])]
-    edges = np.concatenate(starts + [[1.0]])
+    edges = np.array(_edges(breaks, n_panels))
     half = 0.5 * np.diff(edges)
     mid = edges[:-1] + half
     return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wt).ravel()
@@ -84,15 +113,12 @@ def _unbroken(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Integrate ``f`` over the unit cube [0, 1]^d by panel doubling.
+    """Integrate ``f`` over the unit cube [0, 1]^d by panel doubling (``spec.refine``).
 
     ``breaks`` holds, for each of the d axes, the interior points in (0, 1)
     where panels must end. ``f(x_1, ..., x_d)`` gets each axis's nodes as a
-    read-only 1-D array and returns the integrand on their grid. Starting
-    from one panel per piece, the panel count doubles until two successive
-    estimates differ by at most rel_tol times the finer one; returns that
-    estimate and the difference as its error bound. Raises QuadratureError
-    (carrying both) if max_depth doublings do not get there.
+    read-only 1-D array and returns the integrand on their grid, so each
+    estimate is a few vectorized calls.
     """
 
     def estimate(n_panels: int) -> float:
@@ -107,14 +133,32 @@ def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
             total += float(values @ w0[lo:lo + step])
         return total
 
-    coarse = estimate(1)
-    for depth in range(1, spec.max_depth + 1):
-        fine = estimate(2**depth)
-        err = abs(fine - coarse)
-        if err <= spec.rel_tol * abs(fine):
-            return fine, err
-        coarse = fine
-    raise QuadratureError(estimate=fine, error_bound=err, max_depth=spec.max_depth)
+    return spec.refine(estimate)
+
+
+def point_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """``unit_integrate`` on the same nodes, one point at a time in plain floats: no numpy.
+    ``f(x_1)`` returns the integrand at x_1, or with more axes the integrand over the
+    rest, taken the same way; work that depends on x_1 alone is done once per x_1 node.
+    """
+    xi, wt = _nodes_weights(NODES)
+
+    def estimate(n_panels: int) -> float:
+        axes = []
+        for edges in (_edges(b, n_panels) for b in breaks):
+            halves = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+            axes.append(([lo + h + h * x for lo, h in zip(edges, halves) for x in xi],
+                         [h * w for h in halves for w in wt]))
+
+        def over(g, k: int) -> float:
+            nodes, weights = axes[k]
+            if k + 1 == len(axes):
+                return sum(map(mul, weights, map(g, nodes)))
+            return sum(w * over(g(x), k + 1) for x, w in zip(nodes, weights))
+
+        return over(f, 0)
+
+    return spec.refine(estimate)
 
 
 def adaptive_integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:

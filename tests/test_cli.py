@@ -518,6 +518,18 @@ class TestExitCodes:
         assert err.startswith("error: FPCF undefined at Y=0.05 m, H=0.05 m: area mean -")
         assert err.endswith(" is not finite and positive\n")
 
+    def test_degenerate_profile_profile_exits_1(self, capsys, tmp_path):
+        # the profile command printed v_norm -2.02 at the bed centre for this model,
+        # which fpcf() and simulate refuse, and exited 0
+        cfg = tmp_path / "m03.cfg"
+        cfg.write_text("entropy.m = 0.3\n")
+        code, out, err = run(capsys, "profile", "--config", str(cfg), "--level-mm", "50")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: profile undefined at H=0.05 m: area mean -")
+        assert err.endswith(" is not finite and positive\n")
+        code, out, err = run(capsys, "profile", "--level-mm", "0")
+        assert (code, out, err) == (1, "", "error: area mean undefined for an empty pipe\n")
+
     @pytest.mark.parametrize("level", ["nan", "inf", "300"])
     def test_zero_flow_simulate_checks_the_level(self, capsys, level):
         # at zero flow no FPCF is computed, and rows were written at any level

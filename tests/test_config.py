@@ -317,6 +317,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(f"chord.a.height_mm = {height}\n")
 
+    @parsed_and_direct("doc", ["chord.a.height_mm = 300\n",
+                               "chord.a.height_mm = 300\nchord.b.height_mm = 50\n"],
+                       ids=["one_chord", "beside_a_wet_chord"])
+    def test_chord_above_the_crown_rejected(self, doc, build):
+        # a built config took a chord at 300 mm on the 250 mm pipe, and process_lines
+        # then gave every frame dry_chord, as at 240 mm
+        message = "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(doc)
+
+    def test_chord_above_the_crown_with_a_path_rejected(self):
+        # a given path skips the wall-to-wall derivation; the run's own check remains
+        message = "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config("chord.a.height_mm = 300\nchord.a.path_length_m = 0.3\n")
+        assert parse_config("chord.a.height_mm = 250\nchord.a.path_length_m = 0.3\n")
+
     def test_domain_violation_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_config("entropy.m = 1.5\n")

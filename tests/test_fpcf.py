@@ -4,6 +4,7 @@ import pytest
 from partialflow import (
     DegenerateProfileError,
     DryPathError,
+    EntropyParams,
     FpcfPolynomial,
     OutOfRangeError,
     PartialFlowError,
@@ -26,6 +27,7 @@ import importlib
 fpcf_module = importlib.import_module("partialflow.fpcf")
 
 from partialflow.config import default_config
+from partialflow.fpcf import point_fpcf
 from partialflow.measurement import STATUSES, process_lines
 from partialflow.profile import ProfilePoint
 from partialflow.quadrature import unit_integrate
@@ -137,6 +139,41 @@ class TestMeans:
             mean_area_velocity(model_at(0.215), QuadratureSpec(rel_tol=1e-15, max_depth=1))
         assert excinfo.value.max_depth == 1
         assert excinfo.value.error_bound > 0
+
+
+class TestPointRule:
+    """``point_fpcf``, the simulator's numpy-free factor, against ``fpcf``."""
+
+    @pytest.mark.parametrize("chord_mm", [30.0, 50.0])
+    def test_matches_the_array_rule(self, chord_mm):
+        checked = 0
+        for level_mm in np.arange(50.0, 250.1, 5.0).tolist():
+            m = model_at(level_mm / 1000.0)
+            try:
+                expected = fpcf(m, chord_mm / 1000.0)
+            except DegenerateProfileError:  # a 30 mm chord's mean turns negative near the crown
+                with pytest.raises(DegenerateProfileError):
+                    point_fpcf(m, chord_mm / 1000.0)
+                continue
+            assert point_fpcf(m, chord_mm / 1000.0) == pytest.approx(expected, rel=1e-14, abs=0)
+            checked += 1
+        assert checked >= 40
+
+    def test_dry_chord_rejected(self):
+        with pytest.raises(DryPathError):
+            point_fpcf(model_at(0.049), 0.050)
+        with pytest.raises(OutOfRangeError, match="chord height must be positive"):
+            point_fpcf(model_at(0.1), 0.0)
+
+    def test_degenerate_profile_rejected(self):
+        # entropy.m = 0.3 gives a negative area mean: fpcf() refuses it, and so must the
+        # simulator's rule, or simulate divides the flow by a negative factor
+        m = ProfileModel(PIPE, WaterLevel(0.065), EntropyParams(m=0.3))
+        with pytest.raises(DegenerateProfileError) as array_rule:
+            fpcf(m, 0.050)
+        with pytest.raises(DegenerateProfileError) as point_rule:
+            point_fpcf(m, 0.050)
+        assert str(point_rule.value) == str(array_rule.value)
 
 
 class TestTabulate:

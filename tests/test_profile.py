@@ -19,6 +19,7 @@ from partialflow.profile import (
     DIP_RATIO_FLOOR,
     _evaluate_cdf,
     evaluate_velocity,
+    point_velocity,
 )
 
 PIPE = PipeGeometry(0.250)
@@ -247,3 +248,38 @@ class TestParams:
         vec = evaluate_velocity(m, xs, ys)
         for k, (x, y) in enumerate(pts):
             assert vec[k] == normalized_velocity(ProfilePoint(x, y), m)
+
+
+class TestPointVelocity:
+    """``point_velocity``, the point rule's evaluator in plain floats, against the
+    vectorized ``evaluate_velocity`` that the array rule and the profile grid run."""
+
+    @pytest.mark.parametrize("level_mm", [5.0, 50.0, 82.5, 125.0, 180.0, 240.0, 250.0])
+    def test_matches_vectorized_on_a_dense_grid(self, level_mm):
+        m = model_at(level_mm / 1000.0)
+        r, height = m.pipe.radius_m, m.level.level_m
+        xs, ys = np.meshgrid(np.linspace(-r, r, 81), np.linspace(0.0, height, 61))
+        xs, ys = xs[xs**2 + (ys - r) ** 2 <= r * r], ys[xs**2 + (ys - r) ** 2 <= r * r]
+        # the bottom, the wall at every sampled height, the dip and either side of it
+        walls = np.sqrt(np.maximum(r * r - (ys - r) ** 2, 0.0))
+        dip = m.dip_height_m
+        xs = np.concatenate((xs, [0.0, 0.0, 0.0, 0.0], walls, -walls))
+        ys = np.concatenate((ys, [0.0, dip, dip * (1 - 1e-9), min(dip * (1 + 1e-9), height)],
+                             ys, ys))
+        point = point_velocity(m)
+        got = np.array([point(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+        np.testing.assert_allclose(got, evaluate_velocity(m, xs, ys), rtol=0, atol=1e-13)
+        assert point(0.0, 0.0) == m.wall_value
+        assert point(0.0, dip) == pytest.approx(1.0, abs=1e-12)
+
+    def test_clamp_above_the_dip_matches(self):
+        # a dip ratio under 1/2 puts the clamp height 2h' below the surface: the base
+        # 1 - u^(2L) is clamped at zero above it
+        m = model_at(0.240)
+        assert 2.0 * m.dip_height_m < m.level.level_m
+        ys = np.linspace(2.0 * m.dip_height_m, m.level.level_m, 201)
+        xs = np.full_like(ys, 0.01)
+        point = point_velocity(m)
+        got = np.array([point(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+        np.testing.assert_allclose(got, evaluate_velocity(m, xs, ys), rtol=0, atol=1e-13)
+        assert point(0.01, m.level.level_m) == m.wall_value  # clamped: F = 0

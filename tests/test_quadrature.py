@@ -102,7 +102,7 @@ def test_spec_validation():
 def test_gauss_rule_matches_leggauss(n):
     from numpy.polynomial.legendre import leggauss
 
-    x, w = _nodes_weights(n)
+    x, w = map(np.array, _nodes_weights(n))
     ref_x, ref_w = leggauss(n)
     np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=0)
     # leggauss's own weights differ from 40-digit values by up to 1.8e-12

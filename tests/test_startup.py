@@ -1,10 +1,10 @@
-"""Start-up and exit: a command loads numpy only if it runs a layer that uses it, and
-then with a one-thread OpenBLAS pool, unless the user set a thread count or imported
-numpy first; ``os.environ`` is left as it was found. numpy is loaded with the garbage
-collector paused, which is then left as the caller had it. No command loads
-``dataclasses`` or ``numpy.polynomial``, nor ``numpy.random`` with the ``secrets`` and
-``_hashlib`` it pulls in, noisy ``simulate`` included. The program freezes the heap
-before it exits; an in-process ``main`` call does not."""
+"""Start-up and exit: importing a partialflow module loads no numpy, and a command
+loads it only if it runs a layer that uses it (``simulate`` runs none), then with a
+one-thread OpenBLAS pool, unless the user set a thread count or imported numpy first;
+``os.environ`` is left as it was found, and so is the garbage collector. No command
+loads ``dataclasses`` or ``numpy.polynomial``, nor ``numpy.random`` with the
+``secrets`` and ``_hashlib`` it pulls in. The program freezes the heap before it exits;
+an in-process ``main`` call does not."""
 
 import gc
 import json
@@ -155,15 +155,17 @@ def test_output_does_not_depend_on_the_pool(children):
     assert table == children["user"][-1]
 
 
-# Imports partialflow._numpy with the collector on, or off as a caller may set it, and
-# prints whether the collector is on after.
+# Loads numpy through partialflow._numpy, by reading an attribute of its stand-in, with
+# the collector on, or off as a caller may set it, and prints whether numpy was loaded
+# and whether the collector is on after.
 GC_PROBE = """
-import gc, json
+import gc, json, sys
 import partialflow
 if {disable}:
     gc.disable()
 import partialflow._numpy
-print(json.dumps(gc.isenabled()))
+partialflow._numpy.np.ndarray
+print(json.dumps(["numpy" in sys.modules, gc.isenabled()]))
 """
 
 
@@ -172,7 +174,67 @@ def test_numpy_import_leaves_the_collector_as_it_was(enabled):
     out = subprocess.run([sys.executable, "-c", GC_PROBE.format(disable=not enabled)],
                          env=_base_env(), capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) is enabled
+    assert json.loads(out.stdout) == [True, enabled]
+
+
+# Imports every module of the package, then prints whether numpy is loaded.
+IMPORT_PROBE = """
+import importlib, pkgutil, sys
+import partialflow
+names = [m.name for m in pkgutil.iter_modules(partialflow.__path__, "partialflow.")]
+for name in names:
+    importlib.import_module(name)
+print(len(names), "numpy" in sys.modules)
+"""
+
+
+def test_importing_every_module_loads_no_numpy():
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=_base_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "13 False\n"
+
+
+# Runs ``python -m partialflow.cli`` with the command line after ``-c``; at exit it
+# reports on stderr whether numpy was loaded.
+NUMPY_PROBE = """
+import atexit, runpy, sys
+atexit.register(lambda: print(f"numpy={'numpy' in sys.modules}", file=sys.stderr))
+runpy.run_module("partialflow.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_simulate_loads_no_numpy(tmp_path):
+    """One FPCF per chord height is integrated point by point in plain floats, which costs
+    less than loading numpy does; every simulate scenario stays numpy-free."""
+    coeffs, heights = tmp_path / "coeffs.cfg", tmp_path / "heights.cfg"
+    coeffs.write_text("".join(f"fpcf.c{k} = {c!r}\n" for k, c in
+                              enumerate((0.603, 0.0124, -1.81e-4, 1.24e-6, -1.96e-9, 0.0, 0.0))))
+    heights.write_text("chord.a.height_mm = 50\nchord.b.height_mm = 30\n")
+    runs = {
+        "noise_free": ["--flow-lps", "3"],
+        "noisy": ["--flow-lps", "3", "--noise-ns", "2", "--seed", "5", "--frames", "50"],
+        "weir2": ["--flow-lps", "4", "--weir", "weir2", "--frames", "10"],
+        "zero_flow": ["--flow-lps", "0", "--level-mm", "80"],
+        "level": ["--flow-lps", "2", "--level-mm", "140"],
+        "coefficients": ["--flow-lps", "3", "--config", str(coeffs)],
+        "two_heights": ["--flow-lps", "3", "--config", str(heights)],
+    }
+    procs = {name: subprocess.Popen([sys.executable, "-c", NUMPY_PROBE, "simulate", *argv],
+                                    env=_base_env(), stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for name, argv in runs.items()}
+    results = {}
+    try:
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            results[name] = (proc.returncode, out.startswith("timestamp_s,chord_id,"), err)
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert results == {name: (0, True, "numpy=False\n") for name in runs}
 
 
 @pytest.fixture(scope="module")
