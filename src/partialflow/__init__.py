@@ -21,7 +21,7 @@ _EXPORTS = {
     "clogging": ("AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"),
     "config": ("RunConfig", "default_config", "load_config", "parse_config"),
     "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
-               "NumericalDomainError", "OutOfRangeError", "PartialFlowError", "QuadratureError"),
+               "OutOfRangeError", "PartialFlowError", "QuadratureError"),
     "fpcf": ("FitResult", "FpcfPolynomial", "fit_polynomial", "fpcf", "mean_area_velocity",
              "mean_chord_velocity", "tabulate_fpcf"),
     "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",

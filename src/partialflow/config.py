@@ -10,8 +10,9 @@ from typing import Optional
 
 from ._record import record
 from .clogging import DecisionBoundary
-from .errors import ConfigError
-from .fpcf import POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, tabulate_fpcf
+from .errors import ConfigError, PartialFlowError
+from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, table_levels,
+                   tabulate_fpcf)
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
@@ -74,7 +75,7 @@ class RunConfig:
         if len(heights) > 1:
             raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
                               f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
-        levels = int((hi - lo) / step + 1e-9) + 1  # as tabulate_fpcf counts them
+        levels = table_levels(lo, hi, step)
         if self.fpcf_derive and levels <= POLY_DEGREE:
             raise ConfigError(f"fpcf.derive = true needs more than {POLY_DEGREE} levels, got "
                               f"{levels} from fpcf.h_min_mm = {lo:g}, fpcf.h_max_mm = {hi:g} "
@@ -244,10 +245,15 @@ def resolve_polynomial(config: RunConfig) -> tuple[RunConfig, Optional[FitResult
 
 def fpcf_table(config: RunConfig) -> list[tuple[float, float]]:
     """The run's FPCF table: at the lowest chord, from ``fpcf.h_min_mm`` to
-    ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``."""
-    return tabulate_fpcf(config.pipe, config.params, _lowest_chord_mm(config),
-                         config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm,
-                         config.quad)
+    ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``. A level with no FPCF is the
+    config's to change, so it is a ConfigError."""
+    chord_mm = _lowest_chord_mm(config)
+    try:
+        return tabulate_fpcf(config.pipe, config.params, chord_mm, config.fpcf_h_min_mm,
+                             config.fpcf_h_max_mm, config.fpcf_step_mm, config.quad)
+    except PartialFlowError as exc:
+        raise ConfigError(f"{exc}; the chord at {chord_mm:g} mm needs fpcf.h_max_mm "
+                          f"({config.fpcf_h_max_mm:g}) below that level") from exc
 
 
 def format_fit_document(fit: FitResult) -> str:

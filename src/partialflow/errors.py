@@ -17,10 +17,6 @@ class DegenerateProfileError(PartialFlowError):
     """The area-mean over chord-mean ratio is not finite and positive: no FPCF exists."""
 
 
-class NumericalDomainError(PartialFlowError):
-    """A non-integer power received a negative base; indicates a bug, not bad input."""
-
-
 class QuadratureError(PartialFlowError):
     """Adaptive refinement hit its depth limit before reaching tolerance.
 

@@ -57,29 +57,7 @@ class FitResult:
     max_residual: float
 
 
-def _wet_half_width(model: ProfileModel, chord_height_m: float) -> float:
-    """The chord's half width, checked to be wet: at the water line (Y = H) it still is."""
-    if chord_height_m <= 0:
-        raise OutOfRangeError(f"chord height must be positive, got {chord_height_m!r}")
-    if chord_height_m > model.level.level_m:
-        raise DryPathError(
-            f"chord at {chord_height_m:g} m is above the water line "
-            f"({model.level.level_m:g} m)"
-        )
-    return chord_half_width(chord_height_m, model.pipe)
-
-
-def _area_kinks(model: ProfileModel) -> list[float]:
-    """The t at which the dip height h' and clamp height 2h' lie, if below the surface."""
-    height = model.level.level_m
-    if height <= 0:
-        raise OutOfRangeError("area mean undefined for an empty pipe")
-    dip = model.dip_height_m
-    return [2.0 / math.pi * math.asin(math.sqrt(z / height))
-            for z in (dip, 2.0 * dip) if z < height]
-
-
-def _ratio(model: ProfileModel, chord_height_m: float, v_area: float, v_line: float) -> float:
+def _ratio(model: ProfileModel, chord_height_m: float, v_line: float, v_area: float) -> float:
     ratio = v_area / v_line if v_line > 0 else math.nan
     if not 0 < ratio < math.inf:
         raise DegenerateProfileError(
@@ -89,48 +67,68 @@ def _ratio(model: ProfileModel, chord_height_m: float, v_area: float, v_line: fl
     return ratio
 
 
-def mean_chord_velocity(
-    model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Mean of v/v_max along the horizontal chord at the sensor height.
-
-    The integrand is even in x by the |x| convention, so the half chord
-    [0, w] is mapped onto [0, 1] by the graded map x = w sin(pi u / 2).
-    """
-    w = _wet_half_width(model, chord_height_m)
+# Each mean is written once, for both quadrature rules: ``lib`` is ``math`` or numpy,
+# ``velocity(x, y)`` the model's v/v_max and ``integrate`` the rule.
+def _chord_mean(model, chord_height_m, quad, lib, velocity, integrate) -> float:
+    """The chord must be wet: at the water line (Y = H) it still is. The integrand
+    is even in x by the |x| convention, so the half chord [0, w] is mapped onto
+    [0, 1] by the graded map x = w sin(pi u / 2)."""
+    if chord_height_m <= 0:
+        raise OutOfRangeError(f"chord height must be positive, got {chord_height_m!r}")
+    if chord_height_m > model.level.level_m:
+        raise DryPathError(
+            f"chord at {chord_height_m:g} m is above the water line "
+            f"({model.level.level_m:g} m)"
+        )
+    w = chord_half_width(chord_height_m, model.pipe)
 
     def integrand(u):
         angle = 0.5 * math.pi * u
-        return evaluate_velocity(model, w * np.sin(angle), chord_height_m) * (
-            0.5 * math.pi * np.cos(angle)
-        )
+        return velocity(w * lib.sin(angle), chord_height_m) * (0.5 * math.pi * lib.cos(angle))
 
-    value, _ = unit_integrate(integrand, spec=quad)
+    value, _ = integrate(integrand, spec=quad)
     return value
 
 
-def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Mean of v/v_max over the wetted segment.
-
-    One tensor-product rule over the graded maps y = H sin^2(pi t / 2) and
+def _area_mean(model, quad, lib, velocity, integrate) -> float:
+    """One tensor-product rule over the graded maps y = H sin^2(pi t / 2) and
     x = w(y) sin(pi u / 2), which cover the half segment x >= 0 (the
     integrand is even in x). The t panels end where the centreline dip
     height h' and the clamp height 2h' fall below the surface: the profile
-    has kinks there.
-    """
-    kinks = _area_kinks(model)
-    height, diameter = model.level.level_m, model.pipe.diameter_m
+    has kinks there."""
+    height, diameter, dip = model.level.level_m, model.pipe.diameter_m, model.dip_height_m
+    if height <= 0:
+        raise OutOfRangeError("area mean undefined for an empty pipe")
+    kinks = [2.0 / math.pi * math.asin(math.sqrt(z / height))
+             for z in (dip, 2.0 * dip) if z < height]
 
-    def integrand(t, u):
-        y = height * np.sin(0.5 * math.pi * t) ** 2
-        w = np.sqrt(y * (diameter - y))
-        angle = 0.5 * math.pi * u
-        x = w[:, None] * np.sin(angle)
-        jac = (w * height * math.pi * np.sin(math.pi * t))[:, None] * np.cos(angle)
-        return evaluate_velocity(model, x, y[:, None]) * (0.5 * math.pi * jac)
+    def row(t):  # the integrand over u on the row y(t)
+        y = height * lib.sin(0.5 * math.pi * t) ** 2
+        w = lib.sqrt(y * (diameter - y))
+        jac = w * height * math.pi * lib.sin(math.pi * t)
+        return lambda u: velocity(w * lib.sin(0.5 * math.pi * u), y) * (
+            0.5 * math.pi * (jac * lib.cos(0.5 * math.pi * u)))
 
-    value, _ = unit_integrate(integrand, (kinks, ()), quad)
+    value, _ = integrate(row, (kinks, ()), quad)
     return value / segment_area(model.level, model.pipe)
+
+
+def _array_rule(model: ProfileModel):
+    """The array rule's (lib, velocity, integrate): ``evaluate_velocity`` and
+    ``unit_integrate`` are looked up when a mean runs, so that they can be replaced."""
+    return np, lambda x, y: evaluate_velocity(model, x, y), unit_integrate
+
+
+def mean_chord_velocity(
+    model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> float:
+    """Mean of v/v_max along the horizontal chord at the sensor height."""
+    return _chord_mean(model, chord_height_m, quad, *_array_rule(model))
+
+
+def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """Mean of v/v_max over the wetted segment."""
+    return _area_mean(model, quad, *_array_rule(model))
 
 
 def fpcf(
@@ -141,33 +139,24 @@ def fpcf(
     Every factor this returns is finite and positive, the only kind a flow can be
     corrected by; a profile that gives any other raises ``DegenerateProfileError``.
     """
-    v_line = mean_chord_velocity(model, chord_height_m, quad)
-    return _ratio(model, chord_height_m, mean_area_velocity(model, quad), v_line)
+    return _ratio(model, chord_height_m, mean_chord_velocity(model, chord_height_m, quad),
+                  mean_area_velocity(model, quad))
 
 
 def point_fpcf(
     model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
-    """``fpcf`` by the point rule, on the same maps, nodes and checks, to ~1e-15 and
-    without numpy: one level costs a few ms, against ~0.1 s to load numpy. A table of
-    levels runs ``fpcf``, the faster of the two per level."""
-    w, kinks = _wet_half_width(model, chord_height_m), _area_kinks(model)
-    height, diameter, velocity = model.level.level_m, model.pipe.diameter_m, point_velocity(model)
+    """``fpcf`` by the point rule, on the same means and checks, to ~1e-15 and without
+    numpy: one level costs a few ms, against ~0.1 s to load numpy. A table of levels
+    runs ``fpcf``, the faster of the two per level."""
+    rule = math, point_velocity(model), point_integrate
+    return _ratio(model, chord_height_m, _chord_mean(model, chord_height_m, quad, *rule),
+                  _area_mean(model, quad, *rule))
 
-    def chord(u: float) -> float:
-        angle = 0.5 * math.pi * u
-        return velocity(w * math.sin(angle), chord_height_m) * (0.5 * math.pi * math.cos(angle))
 
-    def area(t: float):  # the integrand over u on the row y(t)
-        y = height * math.sin(0.5 * math.pi * t) ** 2
-        w_y = math.sqrt(y * (diameter - y))
-        jac = w_y * height * math.pi * math.sin(math.pi * t)
-        return lambda u: velocity(w_y * math.sin(0.5 * math.pi * u), y) * (
-            0.5 * math.pi * (jac * math.cos(0.5 * math.pi * u)))
-
-    v_line, _ = point_integrate(chord, spec=quad)
-    v_area, _ = point_integrate(area, (kinks, ()), quad)
-    return _ratio(model, chord_height_m, v_area / segment_area(model.level, model.pipe), v_line)
+def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> int:
+    """How many levels ``tabulate_fpcf`` takes from h_min to h_max in steps of step."""
+    return int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
 
 
 def tabulate_fpcf(
@@ -198,9 +187,8 @@ def tabulate_fpcf(
     if h_max_mm < h_min_mm:
         raise OutOfRangeError("h_max_mm must be >= h_min_mm")
 
-    count = int(math.floor((h_max_mm - h_min_mm) / step_mm + 1e-9)) + 1
     table = []
-    for k in range(count):
+    for k in range(table_levels(h_min_mm, h_max_mm, step_mm)):
         level_mm = h_min_mm + k * step_mm
         model = ProfileModel(pipe=pipe, level=WaterLevel(level_mm / 1000.0), params=params)
         try:

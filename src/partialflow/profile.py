@@ -13,7 +13,7 @@ import math
 
 from ._numpy import np
 from ._record import record
-from .errors import NumericalDomainError, OutOfRangeError
+from .errors import OutOfRangeError
 from .geometry import PipeGeometry, WaterLevel
 
 # Calibrated entropy constants for the velocity-distribution model.
@@ -120,49 +120,6 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
     return float(evaluate_velocity(model, np.asarray([point.x]), np.asarray([point.y]))[0])
 
 
-def _evaluate_cdf(x_abs, y_local, dip_local, model: ProfileModel, ratio: float):
-    """Vectorized CDF for points with y' >= 0 and h' > 0, ``ratio`` being the model's
-    dip ratio; F(y'=0) = 0."""
-    # boundary points can round to y' = -epsilon; anything further negative
-    # would put a negative base under a non-integer power
-    tol = 1e-12 * model.pipe.diameter_m
-    if (y_local < -tol).any():
-        raise NumericalDomainError("negative y' reached a non-integer power")
-    y_local = np.maximum(y_local, 0.0)
-    two_r = model.pipe.diameter_m
-
-    result = np.zeros_like(y_local)
-    pos = y_local > 0
-    if not pos.any():
-        return result
-    yl = y_local[pos]
-    dl = dip_local[pos]
-
-    s = math.log(2.0) / (np.log(two_r) - np.log(dl))
-    t_s = np.exp(s * np.log(yl / two_r))
-    first = 4.0 * (t_s - t_s * t_s)
-
-    u = yl / dl - 1.0
-    below = u <= 0.0
-    shape = np.empty_like(yl)
-    shape[below] = 1.0 - u[below] ** 2
-    # Above the dip the exponent pair is L = 2h/H, K = 2(H-h)/H.
-    # The base 1 - u^(2L) can cross zero below the free surface when the
-    # dip ratio drops under 1/2: the model's virtual zero-velocity height
-    # 2h' then sits inside the water column. Clamp the base at zero so F
-    # stays a real CDF value.
-    above = ~below
-    base = 1.0 - u[above] ** (4.0 * ratio)
-    shape[above] = np.maximum(base, 0.0) ** (2.0 * (1.0 - ratio))
-
-    lateral = 1.0 - (x_abs[pos] / (0.5 * two_r)) ** (
-        model.pipe.diameter_m / model.level.level_m
-    )
-
-    result[pos] = np.minimum(np.maximum(first * shape * lateral, 0.0), 1.0)
-    return result
-
-
 def evaluate_velocity(model: ProfileModel, x, y):
     """Vectorized v/v_max over broadcastable coordinate arrays.
 
@@ -174,18 +131,36 @@ def evaluate_velocity(model: ProfileModel, x, y):
     if x_abs.shape != y_arr.shape:
         x_abs, y_arr = np.broadcast_arrays(x_abs, y_arr)
 
-    r = model.pipe.radius_m
+    r, diameter = model.pipe.radius_m, model.pipe.diameter_m
     wall = r - np.sqrt(np.maximum(r * r - x_abs * x_abs, 0.0))
     y_local = y_arr - wall
     depth_local = model.level.level_m - wall
 
     out = np.full(x_abs.shape, model.wall_value, dtype=float)
+    # y' > 0 inside the core: no negative base meets a non-integer power below
     core = (y_local > 0.0) & (y_arr > 0.0) & (depth_local > 0.0)
     if core.any():
         ratio = model.dip_ratio
         yl = y_local[core]
-        dl = ratio * depth_local[core]
-        f_cdf = _evaluate_cdf(x_abs[core], yl, dl, model, ratio)
+        dl = ratio * depth_local[core]  # the local dip height h'
+        s = math.log(2.0) / (np.log(diameter) - np.log(dl))
+        t_s = np.exp(s * np.log(yl / diameter))
+
+        u = yl / dl - 1.0
+        below = u <= 0.0
+        shape = np.empty_like(yl)
+        shape[below] = 1.0 - u[below] ** 2
+        # Above the dip the exponent pair is L = 2h/H, K = 2(H-h)/H.
+        # The base 1 - u^(2L) can cross zero below the free surface when the
+        # dip ratio drops under 1/2: the model's virtual zero-velocity height
+        # 2h' then sits inside the water column. Clamp the base at zero so F
+        # stays a real CDF value.
+        above = ~below
+        base = 1.0 - u[above] ** (4.0 * ratio)
+        shape[above] = np.maximum(base, 0.0) ** (2.0 * (1.0 - ratio))
+
+        lateral = 1.0 - (x_abs[core] / (0.5 * diameter)) ** (diameter / model.level.level_m)
+        f_cdf = np.minimum(np.maximum(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0), 1.0)
         c = model.params.tail_weight
         bracket = yl / y_arr[core] * (1.0 - c) * f_cdf + c  # the CDF weighted by y'/y
         out[core] = (

@@ -4,9 +4,10 @@ One rule and one refinement loop. The rule is a tensor product of
 fixed-order Gauss panels on [0, 1] per axis, each axis optionally split at
 break points where the integrand has kinks. The loop evaluates it with 1,
 2, 4, ... panels per piece until two successive estimates agree to the
-relative tolerance. It runs two ways on the same nodes: ``unit_integrate`` hands
-the integrand one node array per axis and takes its values on the tensor grid,
-and ``point_integrate`` calls it one point at a time in plain floats.
+relative tolerance. It runs two ways on the same nodes and the same integrand,
+``f(x_1)`` returning the integrand or a function of the next axis:
+``unit_integrate`` hands it one node array per axis and takes its values on the
+tensor grid, and ``point_integrate`` one point at a time in plain floats.
 """
 
 from __future__ import annotations
@@ -88,26 +89,22 @@ class QuadratureSpec:
 DEFAULT_QUADRATURE = QuadratureSpec()
 
 
-def _edges(breaks, n_panels: int) -> list[float]:
-    """The ends of n_panels equal panels per piece of [0, 1] cut at breaks."""
-    pieces = [0.0, *sorted(breaks), 1.0]
-    return [lo + k * ((hi - lo) / n_panels)  # where numpy.linspace puts them
-            for lo, hi in zip(pieces, pieces[1:]) for k in range(n_panels)] + [1.0]
-
-
-def _composite(breaks, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of n_panels Gauss panels per piece of [0, 1] cut at breaks."""
+def _axis(breaks, n_panels: int) -> tuple[list[float], list[float]]:
+    """Nodes and weights, in plain floats, of n_panels Gauss panels per piece of [0, 1]
+    cut at breaks."""
     xi, wt = _nodes_weights(NODES)
-    edges = np.array(_edges(breaks, n_panels))
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    return (mid[:, None] + half[:, None] * xi).ravel(), (half[:, None] * wt).ravel()
+    pieces = [0.0, *sorted(breaks), 1.0]
+    edges = [lo + k * ((hi - lo) / n_panels)  # where numpy.linspace puts them
+             for lo, hi in zip(pieces, pieces[1:]) for k in range(n_panels)] + [1.0]
+    halves = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+    return ([lo + h + h * x for lo, h in zip(edges, halves) for x in xi],
+            [h * w for h in halves for w in wt])
 
 
 @functools.lru_cache(maxsize=32)
 def _unbroken(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_composite((), n_panels)``, built once and read-only."""
-    x, w = _composite((), n_panels)
+    """``_axis((), n_panels)`` as arrays, built once and read-only."""
+    x, w = map(np.array, _axis((), n_panels))
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -116,19 +113,27 @@ def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Integrate ``f`` over the unit cube [0, 1]^d by panel doubling (``spec.refine``).
 
     ``breaks`` holds, for each of the d axes, the interior points in (0, 1)
-    where panels must end. ``f(x_1, ..., x_d)`` gets each axis's nodes as a
-    read-only 1-D array and returns the integrand on their grid, so each
-    estimate is a few vectorized calls.
+    where panels must end. ``f(x_1)`` returns the integrand at x_1, or with
+    more axes a function of x_2 taken the same way, and so on. Each axis's
+    nodes arrive as one array shaped to broadcast against the others' (with
+    two axes a column, then a row), so each estimate is a few vectorized
+    calls and work that depends on x_1 alone is done once per x_1 node.
     """
 
     def estimate(n_panels: int) -> float:
-        (x0, w0), *rest = [_composite(b, n_panels) if b else _unbroken(n_panels)
-                           for b in breaks]
-        step = max(1, _BLOCK_POINTS // math.prod(len(x) for x, _ in rest))
+        axes = [tuple(map(np.array, _axis(b, n_panels))) if b else _unbroken(n_panels)
+                for b in breaks]
+        x0, *rest = [x.reshape((-1,) + (1,) * (len(axes) - 1 - k))
+                     for k, (x, _) in enumerate(axes)]
+        w0, *weights = [w for _, w in axes]
+        step = max(1, _BLOCK_POINTS // math.prod(map(len, rest)))
         total = 0.0
         for lo in range(0, len(x0), step):
-            values = np.asarray(f(x0[lo:lo + step], *(x for x, _ in rest)), dtype=float)
-            for _, w in reversed(rest):
+            values = f(x0[lo:lo + step])
+            for x in rest:
+                values = values(x)
+            values = np.asarray(values, dtype=float)
+            for w in reversed(weights):
                 values = values @ w
             total += float(values @ w0[lo:lo + step])
         return total
@@ -137,18 +142,11 @@ def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
 
 
 def point_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """``unit_integrate`` on the same nodes, one point at a time in plain floats: no numpy.
-    ``f(x_1)`` returns the integrand at x_1, or with more axes the integrand over the
-    rest, taken the same way; work that depends on x_1 alone is done once per x_1 node.
-    """
-    xi, wt = _nodes_weights(NODES)
+    """``unit_integrate`` on the same nodes and integrand, one point at a time in plain
+    floats: no numpy."""
 
     def estimate(n_panels: int) -> float:
-        axes = []
-        for edges in (_edges(b, n_panels) for b in breaks):
-            halves = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
-            axes.append(([lo + h + h * x for lo, h in zip(edges, halves) for x in xi],
-                         [h * w for h in halves for w in wt]))
+        axes = [_axis(b, n_panels) for b in breaks]
 
         def over(g, k: int) -> float:
             nodes, weights = axes[k]

@@ -478,6 +478,20 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--config", str(cfg))
         assert (code, out, err) == (2, "", f"config error: {message}\n")
 
+    @pytest.mark.parametrize("command", ["process", "fpcf"])
+    def test_level_with_no_fpcf_exits_2(self, capsys, tmp_path, command):
+        # a chord at 30 mm has a negative chord mean at 250 mm: the config passed its
+        # checks and the table then exited 1 naming no key
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text("chord.a.height_mm = 30\nfpcf.h_min_mm = 30\nfpcf.derive = true\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: FPCF tabulation failed at H = 250 mm: ")
+        assert err.endswith("; the chord at 30 mm needs fpcf.h_max_mm (250) below that level\n")
+        cfg.write_text("chord.a.height_mm = 30\nfpcf.h_min_mm = 30\nfpcf.derive = true\n"
+                       "fpcf.h_max_mm = 240\n")
+        assert run(capsys, "fpcf", "--config", str(cfg))[0] == 0
+
     def test_fpcf_range_below_uncorrected_chord_exits_2(self, capsys, tmp_path):
         # process accepts the config, which corrects nothing; fpcf exited 1 with
         # "error: tabulation start 50 mm is below the chord height 80 mm", naming no key

@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 
@@ -5,7 +6,8 @@ import pytest
 
 from partialflow import (ChordSpec, ConfigError, EntropyParams, PipeGeometry, RunConfig,
                          parse_config)
-from partialflow.config import _SCALARS, default_config, format_fit_document, resolve_polynomial
+from partialflow.config import (_SCALARS, default_config, format_fit_document, fpcf_table,
+                                resolve_polynomial)
 from partialflow.fpcf import FitResult, FpcfPolynomial
 
 
@@ -249,6 +251,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(text + "\n")
         assert parse_config("fpcf.derive = true\nfpcf.h_max_mm = 110\n").fpcf_derive  # 7 levels
+
+    @pytest.mark.parametrize("h_max,step,levels", [(110, 10, 7), (109.99, 10, 6), (51.8, 0.3, 7)],
+                             ids=["110_by_10", "109.99_by_10", "51.8_by_0.3"])
+    def test_config_counts_levels_as_the_table_does(self, monkeypatch, h_max, step, levels):
+        # RunConfig re-derived tabulate_fpcf's count beside it; both now call table_levels.
+        # (51.8 - 50) / 0.3 is 5.999999999999991: truncated alone, it would give 6 levels
+        fpcf_module = importlib.import_module("partialflow.fpcf")
+        monkeypatch.setattr(fpcf_module, "fpcf", lambda *args: 1.0)
+        text = f"fpcf.h_max_mm = {h_max}\nfpcf.step_mm = {step}\n"
+        assert fpcf_module.table_levels(50.0, h_max, step) == levels
+        assert len(fpcf_table(parse_config(text))) == levels
+        if levels > 6:
+            assert parse_config("fpcf.derive = true\n" + text).fpcf_derive
+        else:
+            with pytest.raises(ConfigError, match=f"more than 6 levels, got {levels} "):
+                parse_config("fpcf.derive = true\n" + text)
 
     def test_no_chord_rejected(self):
         # RunConfig(..., chords=()) said "every chord weight is 0 ()"

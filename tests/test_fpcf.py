@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ from partialflow.config import default_config
 from partialflow.fpcf import point_fpcf
 from partialflow.measurement import STATUSES, process_lines
 from partialflow.profile import ProfilePoint
-from partialflow.quadrature import unit_integrate
+from partialflow.quadrature import DEFAULT_QUADRATURE, point_integrate, unit_integrate
 
 from conftest import RIG_REFERENCE_FPCF_COEFFS
 
@@ -49,17 +51,38 @@ def constant_profile(monkeypatch):
         return np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0] * 0.0 + 1.0
 
     monkeypatch.setattr(fpcf_module, "evaluate_velocity", ones)
+    monkeypatch.setattr(fpcf_module, "point_velocity", lambda model: lambda x, y: 1.0)
+
+
+def point_rule(model):
+    return math, fpcf_module.point_velocity(model), point_integrate
+
+
+# (area mean, chord mean, FPCF) by each rule: the point rule runs the same definition
+# of each mean as the array rule's public functions, on plain floats.
+RULES = {
+    "array": (mean_area_velocity, mean_chord_velocity, fpcf),
+    "point": (lambda m: fpcf_module._area_mean(m, DEFAULT_QUADRATURE, *point_rule(m)),
+              lambda m, h: fpcf_module._chord_mean(m, h, DEFAULT_QUADRATURE, *point_rule(m)),
+              point_fpcf),
+}
 
 
 class TestMeans:
-    def test_constant_profile_area_mean(self, constant_profile):
-        assert mean_area_velocity(model_at(0.125)) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_constant_profile_area_mean(self, constant_profile, rule):
+        area_mean, _, _ = RULES[rule]
+        assert area_mean(model_at(0.125)) == pytest.approx(1.0, rel=1e-9)
 
-    def test_constant_profile_chord_mean(self, constant_profile):
-        assert mean_chord_velocity(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_constant_profile_chord_mean(self, constant_profile, rule):
+        _, chord_mean, _ = RULES[rule]
+        assert chord_mean(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
 
-    def test_constant_profile_fpcf(self, constant_profile):
-        assert fpcf(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("rule", RULES)
+    def test_constant_profile_fpcf(self, constant_profile, rule):
+        _, _, factor = RULES[rule]
+        assert factor(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
 
     def test_area_mean_regression(self):
         # frozen from a converged run; guards against silent model drift

@@ -17,7 +17,6 @@ from partialflow import (
 from partialflow.profile import (
     DEFAULT_DIP_POLY,
     DIP_RATIO_FLOOR,
-    _evaluate_cdf,
     evaluate_velocity,
     point_velocity,
 )
@@ -29,22 +28,21 @@ def model_at(level_m):
     return ProfileModel(pipe=PIPE, level=WaterLevel(level_m))
 
 
-def cdf(point, m):
-    """F at a wetted point, in the wall-relative frame: y' above the local wall,
-    h' the dip ratio times the local depth."""
-    r = m.pipe.radius_m
-    wall = r - math.sqrt(max(r * r - point.x**2, 0.0))
-    return float(_evaluate_cdf(np.array([abs(point.x)]), np.array([point.y - wall]),
-                               np.array([m.dip_ratio * (m.level.level_m - wall)]), m,
-                               m.dip_ratio)[0])
+def through_bracket(m, point, y_local, f):
+    """v/v_max from the CDF value F at a point y' above its local wall."""
+    c, p = m.params.tail_weight, m.params
+    return 1.0 - 1.0 / p.m + ((y_local / point.y) * (1.0 - c) * f + c) ** (1.0 / p.q) / p.m
 
 
 def velocity_from_local(m, point, y_local, dip_local):
-    """v/v_max by the velocity bracket at the given y' and h'."""
-    f = _evaluate_cdf(np.array([abs(point.x)]), np.array([y_local]), np.array([dip_local]), m,
-                      m.dip_ratio)[0]
-    c, p = m.params.tail_weight, m.params
-    return 1.0 - 1.0 / p.m + ((y_local / point.y) * (1.0 - c) * f + c) ** (1.0 / p.q) / p.m
+    """v/v_max by the model's formulas, written out in scalars, at the given y' and h'."""
+    d, ratio = m.pipe.diameter_m, m.dip_ratio
+    s = math.log(2.0) / math.log(d / dip_local)
+    first = 4.0 * ((y_local / d) ** s - (y_local / d) ** (2 * s))
+    u = y_local / dip_local - 1.0
+    shape = 1.0 - u * u if u <= 0 else max(1.0 - u ** (4 * ratio), 0.0) ** (2 * (1 - ratio))
+    lateral = 1.0 - (abs(point.x) / (d / 2)) ** (d / m.level.level_m)
+    return through_bracket(m, point, y_local, min(max(first * shape * lateral, 0.0), 1.0))
 
 
 class TestDipRatio:
@@ -118,22 +116,28 @@ class TestLocalFrame:
 
 
 class TestVelocityCdf:
+    """The CDF F, seen through the velocity: v = 1 where F = 1 (the dip) and the
+    wall value where F = 0 (the wall)."""
+
     def test_unity_at_dip(self):
         m = model_at(0.125)
-        assert cdf(ProfilePoint(0.0, m.dip_height_m), m) == pytest.approx(1.0, abs=1e-9)
+        v = evaluate_velocity(m, np.array([0.0]), np.array([m.dip_height_m]))
+        assert v[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_at_wall(self):
         m = model_at(0.125)
         y = 0.05
         w = math.sqrt(0.125**2 - (y - 0.125) ** 2)
-        assert cdf(ProfilePoint(w, y), m) == 0.0
+        assert evaluate_velocity(m, np.array([w, -w]), np.array([y, y])).tolist() == [
+            m.wall_value, m.wall_value]
 
     def test_small_positive_near_wall(self):
+        # just inside the wall F is small and positive: v lies just above the wall value
         m = model_at(0.125)
         y = 0.05
         w = math.sqrt(0.125**2 - (y - 0.125) ** 2)
-        value = cdf(ProfilePoint(0.999 * w, y), m)
-        assert 0.0 < value < 0.2
+        value = normalized_velocity(ProfilePoint(0.999 * w, y), m)
+        assert m.wall_value < value < m.wall_value + 1e-3
 
     def test_against_straight_line_reimplementation(self):
         # independent scalar evaluation of the same formulas
@@ -149,8 +153,8 @@ class TestVelocityCdf:
         first = 4.0 * ((y_loc / (2 * r)) ** s - (y_loc / (2 * r)) ** (2 * s))
         shape = 1.0 - (y_loc / dip - 1.0) ** 2
         lateral = 1.0 - (x / r) ** (0.25 / level)
-        expected = first * shape * lateral
-        assert cdf(ProfilePoint(x, y), m) == pytest.approx(expected, rel=1e-12)
+        expected = through_bracket(m, ProfilePoint(x, y), y_loc, first * shape * lateral)
+        assert normalized_velocity(ProfilePoint(x, y), m) == pytest.approx(expected, rel=1e-12)
 
 
 class TestNormalizedVelocity:

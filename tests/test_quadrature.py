@@ -5,10 +5,11 @@ import pytest
 
 from partialflow import OutOfRangeError, QuadratureError, QuadratureSpec
 from partialflow.quadrature import (
-    _composite,
+    _axis,
     _nodes_weights,
     _unbroken,
     adaptive_integrate,
+    point_integrate,
     unit_integrate,
 )
 
@@ -72,13 +73,22 @@ def test_refinement_monotonicity():
 
 def test_breaks_and_tensor_product():
     # |x - 0.3| * y on the unit square: with a break at the kink every
-    # panel integrand is a polynomial, so the first estimates are exact
-    def f(x, y):
-        return np.abs(x - 0.3)[:, None] * y[None, :]
+    # panel integrand is a polynomial, so the first estimates are exact.
+    # The nodes of x arrive as a column and those of y as a row.
+    def f(x):
+        assert x.ndim == 2 and x.shape[1] == 1
+        return lambda y: np.abs(x - 0.3) * y
 
     value, err = unit_integrate(f, ((0.3,), ()))
     assert value == pytest.approx(0.29 * 0.5, rel=1e-13)
     assert err < 1e-15
+
+
+@pytest.mark.parametrize("integrate", [unit_integrate, point_integrate], ids=["array", "point"])
+def test_both_rules_take_one_nested_integrand(integrate):
+    # the same integrand, unchanged, on node arrays and on plain floats
+    value, _ = integrate(lambda x: lambda y: abs(x - 0.3) * y, ((0.3,), ()))
+    assert value == pytest.approx(0.145, rel=1e-13)
 
 
 def test_non_convergence_carries_estimate():
@@ -117,9 +127,9 @@ def test_gauss_rule_matches_leggauss(n):
 
 def test_unbroken_axis_nodes_are_shared_and_read_only():
     x, w = _unbroken(4)
-    again, built = _unbroken(4), _composite((), 4)
+    again, built = _unbroken(4), _axis((), 4)
     assert again[0] is x and again[1] is w
-    assert np.array_equal(x, built[0]) and np.array_equal(w, built[1])
+    assert x.tolist() == built[0] and w.tolist() == built[1]
 
     def scribble(u):
         u *= 2.0
