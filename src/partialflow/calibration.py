@@ -49,14 +49,11 @@ def fwme(errors: Iterable[tuple[float, float]]) -> float:
     pairs = list(errors)
     if not pairs:
         raise OutOfRangeError("FWME needs at least one (flow, error) pair")
-    q_max = max(q for q, _ in pairs)
-    if not q_max > 0:
-        raise OutOfRangeError("all reference flows must be positive")
-    weights = []
     for q, _ in pairs:
         if not q > 0:
             raise OutOfRangeError(f"reference flow must be positive, got {q!r}")
-        weights.append(q / q_max)
+    q_max = max(q for q, _ in pairs)
+    weights = [q / q_max for q, _ in pairs]
     return sum(w * e for w, (_, e) in zip(weights, pairs)) / sum(weights)
 
 

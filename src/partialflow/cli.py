@@ -38,20 +38,12 @@ EXIT_ALARM = 3
 
 
 @contextlib.contextmanager
-def _out_stream(path: str):
+def _stream(path: str, mode: str = "r"):
+    """The file at ``path`` opened in ``mode``; "-" is stdin to read and stdout to write."""
     if path == "-":
-        yield sys.stdout
+        yield sys.stdout if mode == "w" else sys.stdin
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-
-
-@contextlib.contextmanager
-def _in_stream(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             yield fh
 
 
@@ -68,7 +60,7 @@ def cmd_profile(args) -> int:
         raise DegenerateProfileError(f"profile undefined at H={model.level.level_m:g} m: area "
                                      f"mean {v_area:g} is not finite and positive")
     grid = profile_grid(model, args.nx, args.ny)
-    with _out_stream(args.out) as fh:
+    with _stream(args.out, "w") as fh:
         grid.write_csv(fh)
     return EXIT_OK
 
@@ -77,7 +69,7 @@ def cmd_fpcf(args) -> int:
     from .config import fpcf_table, load_config
 
     table = fpcf_table(load_config(args.config))
-    with _out_stream(args.out) as fh:
+    with _stream(args.out, "w") as fh:
         fh.write("H_mm,fpcf\n")
         for level_mm, value in table:
             fh.write(f"{level_mm!r},{value!r}\n")
@@ -89,7 +81,7 @@ def cmd_fit(args) -> int:
     from .fpcf import fit_polynomial
 
     samples = []
-    with _in_stream(args.table) as fh:
+    with _stream(args.table) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#") or line.lower().startswith("h_mm"):
@@ -105,7 +97,7 @@ def cmd_fit(args) -> int:
                 raise PartialFlowError(f"fpcf table line {line_no}: level and FPCF must be finite")
             samples.append((level, value))
     fit = fit_polynomial(samples)
-    with _out_stream(args.out) as fh:
+    with _stream(args.out, "w") as fh:
         fh.write(format_fit_document(fit))
     return EXIT_OK
 
@@ -153,7 +145,7 @@ def cmd_process(args) -> int:
 
     config, _ = resolve_polynomial(load_config(args.config))
     frames_seen = diagnostics = raised = cleared = 0
-    with _in_stream(args.frames) as src, _out_stream(args.out) as fh:
+    with _stream(args.frames) as src, _stream(args.out, "w") as fh:
         for chunk in process_lines(src, config):
             fh.write(_chunk_records(chunk))
             frames_seen += len(chunk.ts) - len(chunk.misfits)
@@ -173,22 +165,22 @@ def cmd_process(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    with _in_stream(args.trials) as fh:
+    with _stream(args.trials) as fh:
         trials = list(read_trials(fh))
     k_cal = calibration_factor(first_segments(trials))
-    with _out_stream(args.out) as fh:
+    with _stream(args.out, "w") as fh:
         fh.write(f"calibration.factor = {k_cal!r}\n")
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
-    with _in_stream(args.trials) as fh:
+    with _stream(args.trials) as fh:
         trials = list(read_trials(fh))
     table = error_table(trials, k_cal=args.k_cal)
-    with _out_stream(args.out) as fh:
+    with _stream(args.out, "w") as fh:
         fh.write(format_error_table(table) + "\n")
     if args.csv_out:
-        with _out_stream(args.csv_out) as fh:
+        with _stream(args.csv_out, "w") as fh:
             fh.write(error_table_csv(table))
     return EXIT_OK
 
@@ -207,7 +199,7 @@ def cmd_simulate(args) -> int:
         ("interval", "frame_interval_s", float)) if flag in args}
     scenario = ScenarioSpec(flow_lps=args.flow_lps, level_mm=level, **given)
     frames = generate(scenario, config.chords, config.pipe, config.params, config.quad)
-    with _out_stream(args.out) as fh:
+    with _stream(args.out, "w") as fh:
         write_frame_rows(frames, fh)
     return EXIT_OK
 

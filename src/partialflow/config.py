@@ -10,7 +10,7 @@ from typing import Optional
 
 from ._record import record
 from .clogging import DecisionBoundary
-from .errors import ConfigError, PartialFlowError
+from .errors import ConfigError, OutOfRangeError, PartialFlowError
 from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, table_levels,
                    tabulate_fpcf)
 from .geometry import PipeGeometry, chord_half_width
@@ -168,7 +168,12 @@ def parse_config(text: str) -> RunConfig:
         given = {rec: {} for rec, _, _ in _SCALARS.values()}
         for key, (rec, field, parse) in _SCALARS.items():
             if key in pairs:
-                given[rec][field] = parse(pairs[key], key)
+                value = given[rec][field] = parse(pairs[key], key)
+                if rec is not RunConfig:  # a value its record refuses is named by its key
+                    try:
+                        rec(**{field: value})
+                    except OutOfRangeError as exc:
+                        raise ConfigError(f"{exc} for {key}") from exc
         pipe = PipeGeometry(given[PipeGeometry].get("diameter_m", _PIPE_DIAMETER_MM / 1000.0))
 
         chords: list[ChordSpec] = []
@@ -189,7 +194,11 @@ def parse_config(text: str) -> RunConfig:
                                       f"{crown_mm:g} mm")
                 half_width = chord_half_width(height / 1000.0, pipe)
                 values["path_length_m"] = 2.0 * half_width / math.sin(angle)
-            chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
+            try:
+                chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
+            except OutOfRangeError as exc:
+                keys = (f"chord.{chord_id}.{k}" for k in fields if k != "height_mm")
+                raise ConfigError(f"{exc} for {', '.join(keys)}") from exc
 
         run = given[RunConfig]
         missing = [k for k in _COEFF_KEYS if k not in pairs]

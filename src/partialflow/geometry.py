@@ -20,8 +20,9 @@ class PipeGeometry:
     diameter_m: float
 
     def __post_init__(self):
-        if not self.diameter_m > 0:
-            raise OutOfRangeError(f"pipe diameter must be positive, got {self.diameter_m!r}")
+        if not 0 < self.diameter_m < math.inf:
+            raise OutOfRangeError(
+                f"pipe diameter must be finite and positive, got {self.diameter_m!r}")
 
     @property
     def radius_m(self) -> float:

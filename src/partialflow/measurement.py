@@ -45,16 +45,15 @@ class ChordSpec:
         if not 0 < self.height_mm < math.inf:
             raise OutOfRangeError(
                 f"chord height must be finite and positive, got {self.height_mm!r}")
-        if not self.path_length_m > 0:
-            raise OutOfRangeError(f"path length must be positive, got {self.path_length_m!r}")
+        if not 0 < self.path_length_m < math.inf:
+            raise OutOfRangeError(
+                f"path length must be finite and positive, got {self.path_length_m!r}")
         if not 0 < self.beam_angle_rad < math.pi / 2:
             raise OutOfRangeError(
                 f"beam angle must lie in (0, pi/2), got {self.beam_angle_rad!r}"
             )
-        if not math.isfinite(self.weight):
-            raise OutOfRangeError(f"chord weight must be finite, got {self.weight!r}")
-        if self.weight < 0:
-            raise OutOfRangeError(f"chord weight must be non-negative, got {self.weight!r}")
+        if not 0 <= self.weight < math.inf:
+            raise OutOfRangeError(f"chord weight must be finite, non-negative, got {self.weight!r}")
 
 
 @record
@@ -226,9 +225,11 @@ class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s st
         still open at its line: a bad row just after frame k's rows comes before frame k."""
         for f, d in self.misfits:
             records[f] = diagnostic(d)
-        for pos, _, d in reversed(self.diags):  # sorted: last first keeps positions put
-            records.insert(pos, diagnostic(d))
-        return records
+        out, at = [], 0
+        for pos, _, d in self.diags:  # sorted by position: one pass, no inserts
+            out += [*records[at:pos], diagnostic(d)]
+            at = pos
+        return out + records[at:]
 
 
 STATUSES = tuple(EstimateStatus)

@@ -10,6 +10,7 @@ non-integer powers.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 from ._numpy import np
 from ._record import record
@@ -42,8 +43,8 @@ class EntropyParams:
     def __post_init__(self):
         if not 0 < self.m < 1:
             raise OutOfRangeError(f"M must lie in (0, 1), got {self.m!r}")
-        if not self.q > 1:
-            raise OutOfRangeError(f"q must exceed 1, got {self.q!r}")
+        if not 1 < self.q < math.inf:
+            raise OutOfRangeError(f"q must be finite and exceed 1, got {self.q!r}")
 
     @property
     def tail_weight(self) -> float:
@@ -117,82 +118,62 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
         raise OutOfRangeError(f"point {point} lies outside the pipe bore")
     if point.y > model.level.level_m * (1.0 + 1e-12) + 1e-15:
         raise OutOfRangeError(f"point {point} lies above the water line")
-    return float(evaluate_velocity(model, np.asarray([point.x]), np.asarray([point.y]))[0])
+    return point_velocity(model)(point.x, point.y)
 
 
-def evaluate_velocity(model: ProfileModel, x, y):
-    """Vectorized v/v_max over broadcastable coordinate arrays.
-
-    Points must lie in the closed wetted region, unchecked; boundary points
-    (local wall, pipe bottom) evaluate to the model's wall value.
-    """
-    x_abs = np.abs(np.asarray(x, dtype=float))
-    y_arr = np.asarray(y, dtype=float)
-    if x_abs.shape != y_arr.shape:
-        x_abs, y_arr = np.broadcast_arrays(x_abs, y_arr)
-
-    r, diameter = model.pipe.radius_m, model.pipe.diameter_m
-    wall = r - np.sqrt(np.maximum(r * r - x_abs * x_abs, 0.0))
-    y_local = y_arr - wall
-    depth_local = model.level.level_m - wall
-
-    out = np.full(x_abs.shape, model.wall_value, dtype=float)
-    # y' > 0 inside the core: no negative base meets a non-integer power below
-    core = (y_local > 0.0) & (y_arr > 0.0) & (depth_local > 0.0)
-    if core.any():
-        ratio = model.dip_ratio
-        yl = y_local[core]
-        dl = ratio * depth_local[core]  # the local dip height h'
-        s = math.log(2.0) / (np.log(diameter) - np.log(dl))
-        t_s = np.exp(s * np.log(yl / diameter))
-
-        u = yl / dl - 1.0
-        below = u <= 0.0
-        shape = np.empty_like(yl)
-        shape[below] = 1.0 - u[below] ** 2
-        # Above the dip the exponent pair is L = 2h/H, K = 2(H-h)/H.
-        # The base 1 - u^(2L) can cross zero below the free surface when the
-        # dip ratio drops under 1/2: the model's virtual zero-velocity height
-        # 2h' then sits inside the water column. Clamp the base at zero so F
-        # stays a real CDF value.
-        above = ~below
-        base = 1.0 - u[above] ** (4.0 * ratio)
-        shape[above] = np.maximum(base, 0.0) ** (2.0 * (1.0 - ratio))
-
-        lateral = 1.0 - (x_abs[core] / (0.5 * diameter)) ** (diameter / model.level.level_m)
-        f_cdf = np.minimum(np.maximum(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0), 1.0)
-        c = model.params.tail_weight
-        bracket = yl / y_arr[core] * (1.0 - c) * f_cdf + c  # the CDF weighted by y'/y
-        out[core] = (
-            1.0 - 1.0 / model.params.m
-            + bracket ** (1.0 / model.params.q) / model.params.m
-        )
-    return out
+# numpy's names for one point in plain floats; max and min written out run ~3x faster
+_Floats = SimpleNamespace(
+    abs=abs, log=math.log, exp=math.exp, sqrt=math.sqrt,
+    maximum=lambda a, b: b if b > a else a,
+    minimum=lambda a, b: b if b < a else a,
+    where=lambda condition, a, b: a if condition else b)
 
 
-def point_velocity(model: ProfileModel):
-    """``evaluate_velocity`` for one point at a time, in plain floats: returns v(x, y),
-    with what depends on the model alone worked out once."""
+def _velocity(model: ProfileModel, lib):
+    """v/v_max, written once for both quadrature rules: returns v(x, y), with what
+    depends on the model alone worked out once. ``lib`` is numpy, for broadcastable
+    arrays, or ``_Floats``, for one point. Points must lie in the closed wetted region,
+    unchecked. Boundary points (local wall, pipe bottom) take the wall value: there the
+    formula runs on placeholders (y = 1, wall = 0), so no log or power meets y' <= 0."""
     r, diameter, level, ratio = (model.pipe.radius_m, model.pipe.diameter_m,
                                  model.level.level_m, model.dip_ratio)
     m, q, c, wall_value = model.params.m, model.params.q, model.params.tail_weight, model.wall_value
-    log_d, tail = math.log(diameter), 2.0 * (1.0 - ratio)
+    depth = level or r  # an empty pipe has no core: its depth is a placeholder too
+    absolute, log, exp, sqrt, where, maximum, minimum = (
+        lib.abs, lib.log, lib.exp, lib.sqrt, lib.where, lib.maximum, lib.minimum)
+    log_2, log_d, tail = math.log(2.0), log(diameter), 2.0 * (1.0 - ratio)
 
-    def velocity(x: float, y: float) -> float:
-        x = abs(x)
-        wall = r - math.sqrt(max(r * r - x * x, 0.0))
-        y_local, dip_local = y - wall, ratio * (level - wall)
-        if not (y_local > 0.0 and y > 0.0 and dip_local > 0.0):
-            return wall_value
-        s = math.log(2.0) / (log_d - math.log(dip_local))
-        t_s = math.exp(s * math.log(y_local / diameter))
-        u = y_local / dip_local - 1.0  # below the dip, else clamped above it
-        shape = 1.0 - u * u if u <= 0.0 else max(1.0 - u ** (4.0 * ratio), 0.0) ** tail
-        lateral = 1.0 - (x / (0.5 * diameter)) ** (diameter / level)
-        cdf = min(max(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0), 1.0)
-        return 1.0 - 1.0 / m + (y_local / y * (1.0 - c) * cdf + c) ** (1.0 / q) / m
+    def velocity(x, y):
+        x = absolute(x)
+        wall = r - sqrt(maximum(r * r - x * x, 0.0))
+        core = (y - wall > 0.0) & (y > 0.0) & (level - wall > 0.0)
+        y, wall = where(core, y, 1.0), where(core, wall, 0.0)
+        y_local, dip_local = y - wall, ratio * (depth - wall)  # y' and the local dip h'
+        s = log_2 / (log_d - log(dip_local))
+        t_s = exp(s * log(y_local / diameter))
+        # Below the dip 1 - u^2; above it the exponent pair is L = 2h/H, K = 2(H-h)/H. The
+        # base 1 - u^(2L) can cross zero below the free surface when the dip ratio drops
+        # under 1/2: the model's virtual zero-velocity height 2h' then sits inside the
+        # water column. Clamp the base at zero so F stays a real CDF value.
+        u = y_local / dip_local - 1.0
+        shape = where(u <= 0.0, 1.0 - u * u,
+                      maximum(1.0 - maximum(u, 0.0) ** (4.0 * ratio), 0.0) ** tail)
+        lateral = 1.0 - (x / (0.5 * diameter)) ** (diameter / depth)
+        cdf = minimum(maximum(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0), 1.0)
+        bracket = y_local / y * (1.0 - c) * cdf + c  # the CDF weighted by y'/y
+        return where(core, 1.0 - 1.0 / m + bracket ** (1.0 / q) / m, wall_value)
 
     return velocity
+
+
+def evaluate_velocity(model: ProfileModel, x, y):
+    """v/v_max over broadcastable coordinate arrays (``_velocity`` on numpy)."""
+    return _velocity(model, np)(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+def point_velocity(model: ProfileModel):
+    """v(x, y) for one point at a time, in plain floats (``_velocity`` on floats)."""
+    return _velocity(model, _Floats)
 
 
 @record
@@ -224,6 +205,5 @@ def profile_grid(model: ProfileModel, nx: int, ny: int) -> ProfileGrid:
     xg, yg = np.meshgrid(xs, ys)
     wetted = xg**2 + (yg - r) ** 2 <= r * r * (1.0 + 1e-12)
     v = np.full(xg.shape, np.nan)
-    if np.any(wetted):
-        v[wetted] = evaluate_velocity(model, xg[wetted], yg[wetted])
+    v[wetted] = evaluate_velocity(model, xg[wetted], yg[wetted])
     return ProfileGrid(x_m=xs, y_m=ys, v=v)

@@ -66,6 +66,13 @@ class TestFwme:
         with pytest.raises(OutOfRangeError):
             fwme([])
 
+    @pytest.mark.parametrize("pairs", [[(0.0, 1.0)], [(2.0, 1.0), (-1.0, 2.0)],
+                                       [(-2.0, 1.0), (-1.0, 2.0)], [(2.0, 1.0), (math.nan, 2.0)]],
+                             ids=["zero", "one_negative", "all_negative", "nan"])
+    def test_non_positive_flow_rejected(self, pairs):
+        with pytest.raises(OutOfRangeError, match="reference flow must be positive"):
+            fwme(pairs)
+
 
 def trial(seg, label, ref, meas):
     return TrialRecord(seg, label, ref, meas)
@@ -152,6 +159,10 @@ class TestErrorTable:
         trials = list(read_trials(io.StringIO(TRIAL_TEXT)))
         with pytest.raises(OutOfRangeError, match="k_cal must be finite and positive"):
             error_table(trials, k_cal=k_cal)
+
+    def test_no_trial_rejected(self):
+        with pytest.raises(OutOfRangeError, match="error table needs at least one trial"):
+            error_table([], k_cal=1.0)
 
     def test_first_segments(self):
         trials = list(read_trials(io.StringIO(TRIAL_TEXT)))

@@ -72,16 +72,20 @@ class TestFpcfAndFit:
         config = parse_config(doc)
         assert config.poly is not None
 
-    @pytest.mark.parametrize("row", ["60,inf", "nan,1.0"], ids=["fpcf_inf", "level_nan"])
-    def test_fit_rejects_non_finite_row(self, capsys, tmp_path, row):
+    @pytest.mark.parametrize("row,message", [
+        ("60,inf", "level and FPCF must be finite"),
+        ("nan,1.0", "level and FPCF must be finite"),
+        ("60,1.0,2", "expected 2 fields"),
+    ], ids=["fpcf_inf", "level_nan", "three_fields"])
+    def test_fit_rejects_non_finite_row(self, capsys, tmp_path, row, message):
         # 60,inf printed seven nan coefficients with exit 0; a nan level also
-        # printed LAPACK noise on stderr
+        # printed LAPACK noise on stderr. A row of three fields is refused by its line too.
         table = tmp_path / "table.csv"
         table.write_text("H_mm,fpcf\n" + "".join(f"{h},1.0\n" for h in range(50, 130, 10))
                          + row + "\n")
         code, out, err = run(capsys, "fit", "--table", str(table))
         assert (code, out) == (1, "")
-        assert err == "error: fpcf table line 10: level and FPCF must be finite\n"
+        assert err == f"error: fpcf table line 10: {message}\n"
 
     def test_fit_names_the_line_of_an_unparsable_field(self, capsys, tmp_path):
         # printed "error: could not convert string to float: 'abc'" with no line
@@ -358,13 +362,45 @@ class TestExitCodes:
     @pytest.mark.parametrize("text,message", [
         ("clog.debounce = 0", "clog.debounce must be >= 1"),
         ("clog.intercept_mps = nan", "boundary intercept must be finite"),
-    ], ids=["debounce_0", "intercept_nan"])
+        ("clog.debounce = 2.5", "clog.debounce: expected an integer, got '2.5'"),
+    ], ids=["debounce_0", "intercept_nan", "debounce_2.5"])
     def test_bad_clogging_setting_exits_2(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "clog.cfg"
         cfg.write_text(text + "\n")
         code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
         assert (code, out) == (2, "")
         assert f"config error: {message}" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q"),
+        ("chord.a.height_mm = 50\nchord.a.path_length_m = inf",
+         "path length must be finite and positive, got inf for chord.a.path_length_m"),
+        ("pipe.diameter_mm = inf",
+         "pipe diameter must be finite and positive, got inf for pipe.diameter_mm"),
+    ], ids=["q_inf", "path_length_inf", "diameter_inf"])
+    @pytest.mark.parametrize("argv", [["fpcf"], ["profile", "--level-mm", "80"],
+                                      ["simulate", "--flow-lps", "3"], ["process"]],
+                             ids=["fpcf", "profile", "simulate", "process"])
+    def test_non_finite_model_or_geometry_exits_2(self, capsys, tmp_path, argv, text, message):
+        # q = inf made every v/v_max 1.0, so every FPCF was 1.0; an infinite path wrote
+        # inf transit times; an infinite diameter exited 2 with "path length must be
+        # positive, got nan", naming no key
+        cfg, frames = tmp_path / "model.cfg", tmp_path / "empty.csv"
+        cfg.write_text(text + "\n")
+        frames.write_text("")
+        extra = ["--frames", str(frames)] if argv[0] == "process" else []
+        code, out, err = run(capsys, *argv, "--config", str(cfg), *extra)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    @pytest.mark.parametrize("text,message", [
+        ("fpcf.derive = maybe", "fpcf.derive: expected a boolean, got 'maybe'"),
+        ("pipe.diameter_mm =", "line 1: empty key or value"),
+    ], ids=["derive_maybe", "diameter_empty"])
+    def test_unparsable_value_exits_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "value.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run(capsys, "fpcf", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     def test_all_zero_chord_weights_exit_2(self, capsys, tmp_path):
         # a lone chord of weight 0 printed status=invalid_times for every frame, with exit 0
@@ -410,7 +446,10 @@ class TestExitCodes:
         ["simulate", "--flow-lps", "nan", "--level-mm", "80"],
         ["simulate", "--flow-lps", "3", "--noise-ns", "nan"],
         ["simulate", "--flow-lps", "3", "--interval", "nan"],
-    ], ids=["k_cal_nan", "k_cal_0", "k_cal_neg", "flow_nan", "noise_nan", "interval_nan"])
+        ["simulate", "--flow-lps", "3", "--interval", "0"],
+        ["simulate", "--flow-lps", "3", "--interval", "-1"],
+    ], ids=["k_cal_nan", "k_cal_0", "k_cal_neg", "flow_nan", "noise_nan", "interval_nan",
+            "interval_0", "interval_neg"])
     def test_non_finite_or_non_positive_input_exits_1(self, capsys, tmp_path, argv):
         trials = tmp_path / "trials.csv"
         trials.write_text("1,2,2.0,2.02\n1,4,4.0,4.05\n")
@@ -432,7 +471,10 @@ class TestExitCodes:
          "chord height must be finite and positive"),
         ("chord.a.height_mm = 300\nchord.a.path_length_m = 0.3",
          "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"),
-    ], ids=["weight_inf", "weight_nan", "height_nan", "height_negative", "height_above_crown"])
+        ("chord.a.height_mm = 50\nchord.a.path_length_m = inf",
+         "path length must be finite and positive, got inf for chord.a.path_length_m"),
+    ], ids=["weight_inf", "weight_nan", "height_nan", "height_negative", "height_above_crown",
+            "path_length_inf"])
     def test_bad_chord_exits_2(self, capsys, tmp_path, text, message):
         # weight = inf printed q_lps=nan with exit 0, a nan height made every frame
         # dry_chord, and a negative height counted the chord as wet

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from partialflow import (ChordSpec, ConfigError, EntropyParams, PipeGeometry, RunConfig,
-                         parse_config)
+from partialflow import (ChordSpec, ConfigError, EntropyParams, OutOfRangeError, PipeGeometry,
+                         RunConfig, parse_config)
 from partialflow.config import (_SCALARS, default_config, format_fit_document, fpcf_table,
                                 resolve_polynomial)
 from partialflow.fpcf import FitResult, FpcfPolynomial
@@ -165,6 +165,35 @@ class TestParsing:
         pairs = {f"fpcf.c{k}": "1.0" for k in range(7)} | {key: value}
         with pytest.raises(ConfigError, match=message):
             parse_config("".join(f"{k} = {v}\n" for k, v in pairs.items()))
+
+    @pytest.mark.parametrize("text,message", [
+        ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q"),
+        ("entropy.m = nan", "M must lie in (0, 1), got nan for entropy.m"),
+        ("pipe.diameter_mm = inf",
+         "pipe diameter must be finite and positive, got inf for pipe.diameter_mm"),
+        ("chord.a.height_mm = 50\nchord.a.path_length_m = inf",
+         "path length must be finite and positive, got inf for chord.a.path_length_m"),
+    ], ids=["q_inf", "m_nan", "diameter_inf", "path_length_inf"])
+    def test_non_finite_model_and_geometry_named_by_key(self, text, message):
+        # q = inf gave FPCF 1.0 at every level, an infinite path inf transit times, and an
+        # infinite diameter "path length must be positive, got nan"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text + "\n")
+
+    def test_records_refuse_infinite_values(self):
+        with pytest.raises(OutOfRangeError, match="q must be finite"):
+            EntropyParams(q=math.inf)
+        with pytest.raises(OutOfRangeError, match="pipe diameter must be finite"):
+            PipeGeometry(math.inf)
+        with pytest.raises(OutOfRangeError, match="path length must be finite"):
+            ChordSpec("a", 50.0, math.inf, math.pi / 4)
+
+    @pytest.mark.parametrize("value,derive", [
+        ("true", True), ("Yes", True), ("1", True), ("on", True),
+        ("false", False), ("no", False), ("0", False), ("OFF", False),
+    ])
+    def test_derive_flag_spellings(self, value, derive):
+        assert parse_config(f"fpcf.derive = {value}\n").fpcf_derive is derive
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

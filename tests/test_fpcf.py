@@ -302,6 +302,10 @@ class TestFit:
         with pytest.raises(OutOfRangeError, match="must have finite levels and values"):
             fit_polynomial(samples)
 
+    def test_all_zero_levels_rejected(self):
+        with pytest.raises(OutOfRangeError, match="sample levels must not all be zero"):
+            fit_polynomial([(0.0, 1.0 + k) for k in range(10)])
+
     def test_rank_deficient(self):
         with pytest.raises(PartialFlowError, match="rank"):
             fit_polynomial([(100.0, 1.0)] * 21)

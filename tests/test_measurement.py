@@ -24,7 +24,7 @@ from partialflow import (
     process_lines,
     write_frame_rows,
 )
-from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, _read_rows
+from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, FrameChunk, _read_rows
 from partialflow.simulator import transit_times
 
 from conftest import process_frames
@@ -282,6 +282,31 @@ class TestProcessStream:
         # frame 6 counts chord b alone
         assert chunk.v_line[6] == pytest.approx(0.1, rel=1e-9)
         assert [event for _, event in chunk.events] == [AlarmEvent.RAISED]
+
+    def test_stuck_clock_diagnostics_come_in_line_order(self):
+        # every row at ts 0.0: the one frame stays open to the end, and each chunk put its
+        # duplicate-row diagnostics in place by list.insert, O(records x diagnostics)
+        text = "0.0,a,202696.0,202725.0,85.0\n0.0,b,202696.0,202725.0,85.0\n" * 2500
+        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
+                           poly=FLAT_POLY)
+        chunks = list(process_lines(io.StringIO(text), config))
+        assert len(chunks) > 1
+        *diags, frame = [item for c in chunks for item in c.in_order(c.ts.tolist())]
+        assert frame == 0.0
+        assert [(d.line_no, d.detail) for d in diags] == [
+            (n, f"duplicate row for chord {'ba'[n % 2]!r}; row dropped") for n in range(3, 5001)]
+
+    def test_diagnostics_without_a_frame(self):
+        chunk = self.run("broken row\n0.0,a,1,2\n")
+        assert len(chunk.ts) == 0
+        assert [(d.line_no, d.detail) for d in chunk.in_order([])] == [
+            (1, "expected 5 fields, got 1"), (2, "expected 5 fields, got 4")]
+
+    def test_in_order_places_each_diagnostic_before_its_frame(self):
+        diags = [(0, 1, "d1"), (0, 2, "d2"), (2, 7, "d7"), (3, 9, "d9")]
+        chunk = FrameChunk._make([None] * 9 + [[(1, "m1")], diags])
+        assert chunk.in_order(["r0", "r1", "r2"], str.upper) == [
+            "D1", "D2", "r0", "M1", "D7", "r2", "D9"]
 
     def test_underived_polynomial_refused(self):
         # a fpcf.derive = true config without its derived polynomial ran uncorrected

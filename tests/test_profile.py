@@ -276,6 +276,21 @@ class TestPointVelocity:
         assert point(0.0, 0.0) == m.wall_value
         assert point(0.0, dip) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("level_mm", [0.0, 5.0, 82.5, 125.0, 240.0, 250.0])
+    def test_boundary_points_take_exactly_the_wall_value(self, level_mm):
+        # the formula runs there on placeholders (y = 1, wall = 0, and in an empty pipe
+        # the depth); both forms must still return the wall value itself, and numpy must
+        # not warn (RuntimeWarnings fail)
+        m = model_at(level_mm / 1000.0)
+        r = m.pipe.radius_m
+        xs = np.linspace(0.0, r, 17)  # x = 0 is the pipe bottom
+        walls = r - np.sqrt(np.maximum(r * r - xs * xs, 0.0))  # the local wall under x
+        xs, walls = xs[walls <= m.level.level_m], walls[walls <= m.level.level_m]
+        xs, ys = np.concatenate((xs, -xs)), np.concatenate((walls, walls))
+        point = point_velocity(m)
+        assert evaluate_velocity(m, xs, ys).tolist() == [m.wall_value] * len(xs)
+        assert [point(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == [m.wall_value] * len(xs)
+
     def test_clamp_above_the_dip_matches(self):
         # a dip ratio under 1/2 puts the clamp height 2h' below the surface: the base
         # 1 - u^(2L) is clamped at zero above it
