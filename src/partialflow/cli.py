@@ -66,9 +66,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_fpcf(args) -> int:
-    from .config import fpcf_table, load_config
+    from .config import load_config
+    from .fpcf import tabulate_fpcf
 
-    table = fpcf_table(load_config(args.config))
+    table = tabulate_fpcf(load_config(args.config))
     with _stream(args.out, "w") as fh:
         fh.write("H_mm,fpcf\n")
         for level_mm, value in table:

@@ -10,9 +10,9 @@ from typing import Optional
 
 from ._record import record
 from .clogging import DecisionBoundary
-from .errors import ConfigError, OutOfRangeError, PartialFlowError
-from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, table_levels,
-                   tabulate_fpcf)
+from .errors import ConfigError, OutOfRangeError
+from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, lowest_chord_mm,
+                   table_levels, tabulate_fpcf)
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
 from .profile import EntropyParams
@@ -70,7 +70,7 @@ class RunConfig:
             raise ConfigError(f"fpcf.step_mm must be finite and positive, got {step!r}")
         if self.poly is None and not self.fpcf_derive:
             return
-        _lowest_chord_mm(self)  # a parsed or a derived polynomial starts at fpcf.h_min_mm
+        lowest_chord_mm(self)  # a parsed or a derived polynomial starts at fpcf.h_min_mm
         heights = sorted({c.height_mm for c in self.chords})
         if len(heights) > 1:
             raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
@@ -173,7 +173,7 @@ def parse_config(text: str) -> RunConfig:
                     try:
                         rec(**{field: value})
                     except OutOfRangeError as exc:
-                        raise ConfigError(f"{exc} for {key}") from exc
+                        raise ConfigError(f"{exc} for {key} = {pairs[key]}") from exc
         pipe = PipeGeometry(given[PipeGeometry].get("diameter_m", _PIPE_DIAMETER_MM / 1000.0))
 
         chords: list[ChordSpec] = []
@@ -185,7 +185,7 @@ def parse_config(text: str) -> RunConfig:
             key, height = f"chord.{chord_id}.height_mm", values["height_mm"]
             if not 0 < height < math.inf:
                 raise ConfigError(f"chord height must be finite and positive, got {height!r} "
-                                  f"for {key}")
+                                  f"for {key} = {fields['height_mm']}")
             angle = math.radians(values.pop("beam_angle_deg", _BEAM_ANGLE_DEG))
             if "path_length_m" not in values:  # wall-mounted: the beam spans the full chord
                 if height >= crown_mm:  # where there is no chord to span
@@ -197,8 +197,9 @@ def parse_config(text: str) -> RunConfig:
             try:
                 chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
             except OutOfRangeError as exc:
-                keys = (f"chord.{chord_id}.{k}" for k in fields if k != "height_mm")
-                raise ConfigError(f"{exc} for {', '.join(keys)}") from exc
+                keys = ", ".join(f"chord.{chord_id}.{k} = {v}"
+                                 for k, v in fields.items() if k != "height_mm")
+                raise ConfigError(f"{exc} for {keys}") from exc
 
         run = given[RunConfig]
         missing = [k for k in _COEFF_KEYS if k not in pairs]
@@ -226,14 +227,6 @@ def parse_config(text: str) -> RunConfig:
     return config
 
 
-def _lowest_chord_mm(config: RunConfig) -> float:
-    """The lowest chord's height, checked to lie at or below ``fpcf.h_min_mm``."""
-    lowest, lo = min(c.height_mm for c in config.chords), config.fpcf_h_min_mm
-    if lo < lowest:
-        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord at {lowest:g} mm")
-    return lowest
-
-
 def load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return default_config()
@@ -248,21 +241,8 @@ def resolve_polynomial(config: RunConfig) -> tuple[RunConfig, Optional[FitResult
     """The run's config with its polynomial set, and the fit that derived it, if one did."""
     if config.poly is not None or not config.fpcf_derive:
         return config, None
-    fit = fit_polynomial(fpcf_table(config))
+    fit = fit_polynomial(tabulate_fpcf(config))
     return RunConfig(**{**vars(config), "poly": fit.polynomial}), fit
-
-
-def fpcf_table(config: RunConfig) -> list[tuple[float, float]]:
-    """The run's FPCF table: at the lowest chord, from ``fpcf.h_min_mm`` to
-    ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``. A level with no FPCF is the
-    config's to change, so it is a ConfigError."""
-    chord_mm = _lowest_chord_mm(config)
-    try:
-        return tabulate_fpcf(config.pipe, config.params, chord_mm, config.fpcf_h_min_mm,
-                             config.fpcf_h_max_mm, config.fpcf_step_mm, config.quad)
-    except PartialFlowError as exc:
-        raise ConfigError(f"{exc}; the chord at {chord_mm:g} mm needs fpcf.h_max_mm "
-                          f"({config.fpcf_h_max_mm:g}) below that level") from exc
 
 
 def format_fit_document(fit: FitResult) -> str:

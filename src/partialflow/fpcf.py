@@ -12,13 +12,14 @@ import math
 from ._numpy import np
 from ._record import record
 from .errors import (
+    ConfigError,
     DegenerateProfileError,
     DryPathError,
     OutOfRangeError,
     PartialFlowError,
 )
-from .geometry import PipeGeometry, WaterLevel, chord_half_width, segment_area
-from .profile import EntropyParams, ProfileModel, evaluate_velocity, point_velocity
+from .geometry import WaterLevel, chord_half_width, segment_area
+from .profile import ProfileModel, evaluate_velocity, point_velocity
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, point_integrate, unit_integrate
 
 # The degree of the correction polynomial: the paper fits c0..c6.
@@ -159,44 +160,31 @@ def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> int:
     return int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
 
 
-def tabulate_fpcf(
-    pipe: PipeGeometry,
-    params: EntropyParams,
-    chord_height_mm: float,
-    h_min_mm: float,
-    h_max_mm: float,
-    step_mm: float,
-    quad: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> list[tuple[float, float]]:
-    """``(level_mm, fpcf)`` at regularly spaced levels from h_min upward.
+def lowest_chord_mm(config) -> float:
+    """The height of a ``RunConfig``'s lowest chord, where its FPCF table is taken,
+    checked to lie at or below ``fpcf.h_min_mm``: below it the chord is dry."""
+    lowest, lo = min(c.height_mm for c in config.chords), config.fpcf_h_min_mm
+    if lo < lowest:
+        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord at {lowest:g} mm")
+    return lowest
 
-    The first level may equal the chord height (chord at the surface);
-    levels below it are rejected since the chord would be dry.
-    """
-    for name, value in (("chord_height_mm", chord_height_mm), ("h_min_mm", h_min_mm),
-                        ("h_max_mm", h_max_mm), ("step_mm", step_mm)):
-        if not math.isfinite(value):
-            raise OutOfRangeError(f"{name} must be finite, got {value!r}")
-    if h_min_mm < chord_height_mm:
-        raise OutOfRangeError(
-            f"tabulation start {h_min_mm:g} mm is below the chord height "
-            f"{chord_height_mm:g} mm"
-        )
-    if step_mm <= 0:
-        raise OutOfRangeError(f"step must be positive, got {step_mm!r}")
-    if h_max_mm < h_min_mm:
-        raise OutOfRangeError("h_max_mm must be >= h_min_mm")
 
+def tabulate_fpcf(config) -> list[tuple[float, float]]:
+    """A ``RunConfig``'s ``(level_mm, fpcf)`` table: at the lowest chord, from
+    ``fpcf.h_min_mm`` to ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``, a range the
+    config has checked. A level with no FPCF is the config's to change, so it is a
+    ConfigError."""
+    chord_mm, lo, hi = lowest_chord_mm(config), config.fpcf_h_min_mm, config.fpcf_h_max_mm
     table = []
-    for k in range(table_levels(h_min_mm, h_max_mm, step_mm)):
-        level_mm = h_min_mm + k * step_mm
-        model = ProfileModel(pipe=pipe, level=WaterLevel(level_mm / 1000.0), params=params)
+    for k in range(table_levels(lo, hi, config.fpcf_step_mm)):
+        level_mm = lo + k * config.fpcf_step_mm
         try:
-            table.append((level_mm, fpcf(model, chord_height_mm / 1000.0, quad)))
+            model = ProfileModel(config.pipe, WaterLevel(level_mm / 1000.0), config.params)
+            table.append((level_mm, fpcf(model, chord_mm / 1000.0, config.quad)))
         except PartialFlowError as exc:
-            raise PartialFlowError(
-                f"FPCF tabulation failed at H = {level_mm:g} mm: {exc}"
-            ) from exc
+            raise ConfigError(f"FPCF tabulation failed at H = {level_mm:g} mm: {exc}; the chord "
+                              f"at {chord_mm:g} mm needs fpcf.h_max_mm ({hi:g}) below that "
+                              "level") from exc
     return table
 
 

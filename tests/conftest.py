@@ -5,8 +5,8 @@ import pytest
 
 from partialflow import (
     EntropyParams,
-    PipeGeometry,
     RunConfig,
+    default_config,
     fit_polynomial,
     process_lines,
     tabulate_fpcf,
@@ -45,25 +45,16 @@ def process_frames(frames, chords, pipe, **kwargs) -> list:
 
 
 @pytest.fixture(scope="session")
-def pipe() -> PipeGeometry:
-    return PipeGeometry(0.250)
-
-
-@pytest.fixture(scope="session")
-def params() -> EntropyParams:
-    return EntropyParams()
-
-
-@pytest.fixture(scope="session")
 def default_chord_kwargs():
     angle = math.radians(45.0)
     return dict(height_mm=50.0, path_length_m=0.2 / math.sin(angle), beam_angle_rad=angle)
 
 
 @pytest.fixture(scope="session")
-def fpcf_table(pipe, params):
-    """The 21 (level_mm, fpcf) pairs from 50 to 250 mm, 10 mm apart, chord at 50 mm."""
-    return tabulate_fpcf(pipe, params, 50.0, 50.0, 250.0, 10.0)
+def fpcf_table():
+    """The default config's table: 21 (level_mm, fpcf) pairs from 50 to 250 mm, 10 mm
+    apart, chord at 50 mm."""
+    return tabulate_fpcf(default_config())
 
 
 @pytest.fixture(scope="session")

@@ -105,9 +105,9 @@ def test_run_settings_have_one_home(capsys):
     assert list(frame_params) == ["lines", "config"]
     assert not hasattr(config, "_validate")
     assert all(p.default is inspect.Parameter.empty for p in frame_params.values())
-    table_params = inspect.signature(fpcf.tabulate_fpcf).parameters
-    assert all(table_params[name].default is inspect.Parameter.empty
-               for name in ("h_min_mm", "h_max_mm", "step_mm"))
+    # the FPCF table reads its pipe, chords, range and quadrature from the RunConfig alone
+    assert list(inspect.signature(fpcf.tabulate_fpcf).parameters) == ["config"]
+    assert not hasattr(config, "fpcf_table") and not hasattr(config, "_lowest_chord_mm")
     assert tuple(clogging.AlarmState.__annotations__) == ("threshold", "alarm", "count")
     assert "threshold" not in vars(clogging.AlarmState)
     # metrics --k-cal is the one default of the metrics path's factor

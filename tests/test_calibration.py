@@ -132,6 +132,7 @@ class TestRepeatability:
 TRIAL_TEXT = """segment_id,flow_label,q_ref_lps,q_meas_lps
 1,2,2.0,2.1
 2,2,2.0,2.08
+# a comment line is skipped
 1,4,4.0,4.05
 2,4,4.0,4.06
 """

@@ -372,11 +372,11 @@ class TestExitCodes:
         assert f"config error: {message}" in err
 
     @pytest.mark.parametrize("text,message", [
-        ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q"),
+        ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q = inf"),
         ("chord.a.height_mm = 50\nchord.a.path_length_m = inf",
-         "path length must be finite and positive, got inf for chord.a.path_length_m"),
+         "path length must be finite and positive, got inf for chord.a.path_length_m = inf"),
         ("pipe.diameter_mm = inf",
-         "pipe diameter must be finite and positive, got inf for pipe.diameter_mm"),
+         "pipe diameter must be finite and positive, got inf for pipe.diameter_mm = inf"),
     ], ids=["q_inf", "path_length_inf", "diameter_inf"])
     @pytest.mark.parametrize("argv", [["fpcf"], ["profile", "--level-mm", "80"],
                                       ["simulate", "--flow-lps", "3"], ["process"]],

@@ -6,8 +6,7 @@ import pytest
 
 from partialflow import (ChordSpec, ConfigError, EntropyParams, OutOfRangeError, PipeGeometry,
                          RunConfig, parse_config)
-from partialflow.config import (_SCALARS, default_config, format_fit_document, fpcf_table,
-                                resolve_polynomial)
+from partialflow.config import _SCALARS, default_config, format_fit_document, resolve_polynomial
 from partialflow.fpcf import FitResult, FpcfPolynomial
 
 
@@ -167,16 +166,27 @@ class TestParsing:
             parse_config("".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
     @pytest.mark.parametrize("text,message", [
-        ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q"),
-        ("entropy.m = nan", "M must lie in (0, 1), got nan for entropy.m"),
+        ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q = inf"),
+        ("entropy.m = nan", "M must lie in (0, 1), got nan for entropy.m = nan"),
         ("pipe.diameter_mm = inf",
-         "pipe diameter must be finite and positive, got inf for pipe.diameter_mm"),
+         "pipe diameter must be finite and positive, got inf for pipe.diameter_mm = inf"),
         ("chord.a.height_mm = 50\nchord.a.path_length_m = inf",
-         "path length must be finite and positive, got inf for chord.a.path_length_m"),
-    ], ids=["q_inf", "m_nan", "diameter_inf", "path_length_inf"])
+         "path length must be finite and positive, got inf for chord.a.path_length_m = inf"),
+        ("pipe.diameter_mm = -1",
+         "pipe diameter must be finite and positive, got -0.001 for pipe.diameter_mm = -1"),
+        ("chord.a.height_mm = 50\nchord.a.beam_angle_deg = 95",
+         "beam angle must lie in (0, pi/2), got 1.6580627893946132 "
+         "for chord.a.beam_angle_deg = 95"),
+        ("chord.a.height_mm = 50\nchord.a.path_length_m = 0.3\nchord.a.beam_angle_deg = 95\n"
+         "chord.a.weight = 1",
+         "beam angle must lie in (0, pi/2), got 1.6580627893946132 for chord.a.path_length_m = "
+         "0.3, chord.a.beam_angle_deg = 95, chord.a.weight = 1"),
+    ], ids=["q_inf", "m_nan", "diameter_inf", "path_length_inf", "diameter_negative",
+            "angle_95", "angle_95_beside_path_and_weight"])
     def test_non_finite_model_and_geometry_named_by_key(self, text, message):
         # q = inf gave FPCF 1.0 at every level, an infinite path inf transit times, and an
-        # infinite diameter "path length must be positive, got nan"
+        # infinite diameter "path length must be positive, got nan"; each key is shown with
+        # its value as written, since the record holds it in metres or radians
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config(text + "\n")
 
@@ -290,7 +300,7 @@ class TestParsing:
         monkeypatch.setattr(fpcf_module, "fpcf", lambda *args: 1.0)
         text = f"fpcf.h_max_mm = {h_max}\nfpcf.step_mm = {step}\n"
         assert fpcf_module.table_levels(50.0, h_max, step) == levels
-        assert len(fpcf_table(parse_config(text))) == levels
+        assert len(fpcf_module.tabulate_fpcf(parse_config(text))) == levels
         if levels > 6:
             assert parse_config("fpcf.derive = true\n" + text).fpcf_derive
         else:
@@ -355,8 +365,8 @@ class TestParsing:
     @pytest.mark.parametrize("height,message", [
         ("300", "chord.a.height_mm = 300 lies above the pipe crown at 250 mm"),
         ("250", "chord.a.height_mm = 250 lies at the pipe crown at 250 mm"),
-        ("nan", "chord height must be finite and positive, got nan for chord.a.height_mm"),
-        ("-5", "chord height must be finite and positive, got -5.0 for chord.a.height_mm"),
+        ("nan", "chord height must be finite and positive, got nan for chord.a.height_mm = nan"),
+        ("-5", "chord height must be finite and positive, got -5.0 for chord.a.height_mm = -5"),
     ], ids=["above_crown", "at_crown", "nan", "negative"])
     def test_bad_chord_height_without_path_named_in_mm(self, height, message):
         # the wall-to-wall path was computed first, and its error gave the height

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from partialflow import (
+    ChordSpec,
+    ConfigError,
     DegenerateProfileError,
     DryPathError,
     EntropyParams,
@@ -41,6 +43,14 @@ PIPE = PipeGeometry(0.250)
 
 def model_at(level_m):
     return ProfileModel(pipe=PIPE, level=WaterLevel(level_m))
+
+
+def table_config(chord_height_mm=50.0, h_min_mm=50.0, h_max_mm=250.0, step_mm=10.0):
+    """A config built as a library caller builds one, past the document parser: one chord
+    on a 0.3 m path at 45 degrees, and the FPCF range ``tabulate_fpcf`` reads."""
+    chord = ChordSpec("a", chord_height_mm, 0.3, math.pi / 4)
+    return RunConfig(PIPE, EntropyParams(), (chord,), fpcf_h_min_mm=h_min_mm,
+                     fpcf_h_max_mm=h_max_mm, fpcf_step_mm=step_mm)
 
 
 @pytest.fixture
@@ -205,25 +215,37 @@ class TestTabulate:
         assert [h for h, _ in fpcf_table] == [50.0 + 10.0 * k for k in range(21)]
         assert all(type(value) is float and 0 < value < np.inf for _, value in fpcf_table)
 
-    def test_step_larger_than_range(self, pipe, params):
-        samples = tabulate_fpcf(pipe, params, 50.0, 60.0, 70.0, 200.0)
+    def test_step_larger_than_range(self):
+        samples = tabulate_fpcf(table_config(h_min_mm=60.0, h_max_mm=70.0, step_mm=200.0))
         assert len(samples) == 1
         assert samples[0][0] == 60.0
 
-    def test_start_below_chord_rejected(self, pipe, params):
-        with pytest.raises(OutOfRangeError):
-            tabulate_fpcf(pipe, params, 50.0, 40.0, 250.0, 10.0)
+    def test_start_below_chord_rejected(self):
+        # an uncorrected config may start below its chords; its table may not
+        config = table_config(h_min_mm=40.0)
+        message = "fpcf.h_min_mm = 40 lies below the lowest chord at 50 mm"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            tabulate_fpcf(config)
+
+    def test_table_is_taken_at_the_lowest_chord(self):
+        # the lowest of three chords, listed neither first nor last
+        chords = tuple(ChordSpec(chord_id, height, 0.3, math.pi / 4)
+                       for chord_id, height in zip("abc", (100.0, 50.0, 120.0)))
+        one_level = table_config(h_min_mm=60.0, h_max_mm=60.0)
+        config = RunConfig(**{**vars(one_level), "chords": chords})
+        assert tabulate_fpcf(config) == [(60.0, fpcf(model_at(0.060), 0.050))]
 
     @pytest.mark.parametrize("name", ["chord_height_mm", "h_min_mm", "h_max_mm", "step_mm"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
-    def test_non_finite_argument_named(self, pipe, params, name, value):
-        # h_max_mm = inf overflowed in int(), step_mm = nan failed to convert, and a
-        # nan chord height blamed the profile
+    def test_non_finite_argument_named(self, name, value):
+        # h_max_mm = inf overflowed in int(), step_mm = nan failed to convert, and a nan
+        # chord height blamed the profile; the table's config now refuses each, by name
         args = dict(chord_height_mm=50.0, h_min_mm=50.0, h_max_mm=250.0, step_mm=10.0)
-        with pytest.raises(OutOfRangeError, match=f"^{name} must be finite"):
-            tabulate_fpcf(pipe, params, **{**args, name: value})
+        key = "chord height" if name == "chord_height_mm" else f"fpcf.{name}"
+        with pytest.raises(PartialFlowError, match=f"^{key} must be finite"):
+            table_config(**{**args, name: value})
 
-    def test_sample_failure_names_level(self, pipe, params, monkeypatch):
+    def test_sample_failure_names_level(self, monkeypatch):
         calls = []
 
         def failing(model, chord_height_m, quad):
@@ -233,10 +255,13 @@ class TestTabulate:
             return 1.0
 
         monkeypatch.setattr(fpcf_module, "fpcf", failing)
-        with pytest.raises(PartialFlowError, match="H = 60"):
-            tabulate_fpcf(pipe, params, 50.0, 50.0, 80.0, 10.0)
+        with pytest.raises(ConfigError) as excinfo:
+            tabulate_fpcf(table_config(h_max_mm=80.0))
+        assert str(excinfo.value) == ("FPCF tabulation failed at H = 60 mm: forced; the chord "
+                                      "at 50 mm needs fpcf.h_max_mm (80) below that level")
+        assert type(excinfo.value.__cause__) is DryPathError  # one wrapping, not two
 
-    def test_each_level_runs_the_traced_layers_once(self, pipe, params, monkeypatch):
+    def test_each_level_runs_the_traced_layers_once(self, monkeypatch):
         # A profiler that wraps these module globals reads its per-layer figures
         # from one call of each per level; a batched table would zero them.
         calls = {}
@@ -246,11 +271,11 @@ class TestTabulate:
                 return _inner(*args, **kwargs)
 
             monkeypatch.setattr(fpcf_module, name, counted)
-        samples = tabulate_fpcf(pipe, params, 50.0, 50.0, 110.0, 20.0)
+        samples = tabulate_fpcf(table_config(h_max_mm=110.0, step_mm=20.0))
         assert len(samples) == 4
         assert calls == {"fpcf": 4, "mean_area_velocity": 4, "mean_chord_velocity": 4}
 
-    def test_per_millimeter_continuity(self, pipe, params):
+    def test_per_millimeter_continuity(self):
         # no jumps from the piecewise model; the extreme top end (above
         # ~240 mm) steepens smoothly beyond this figure and is excluded
         for level in (60.0, 90.0, 127.0, 150.0, 187.0, 215.0, 239.0):
@@ -331,27 +356,27 @@ class TestEval:
             "fpcf_out_of_range", "ok", "ok", "fpcf_out_of_range"]
         assert chunk.fpcf.tolist() == [1.0, poly(60.0), poly(200.0), 1.0]
 
-    def test_sample_positivity_enforced(self, pipe, params, monkeypatch):
+    def test_sample_positivity_enforced(self, monkeypatch):
         # a table row holds fpcf()'s factor, which is positive or raises
         monkeypatch.setattr(fpcf_module, "mean_area_velocity", lambda model, quad: 0.0)
-        with pytest.raises(PartialFlowError, match="^FPCF tabulation failed at H = 100 mm: "
+        with pytest.raises(ConfigError, match="^FPCF tabulation failed at H = 100 mm: "
                            "FPCF undefined") as excinfo:
-            tabulate_fpcf(pipe, params, 50.0, 100.0, 120.0, 10.0)
+            tabulate_fpcf(table_config(h_min_mm=100.0, h_max_mm=120.0))
         assert isinstance(excinfo.value.__cause__, DegenerateProfileError)
 
     @pytest.mark.parametrize("level,chord,value", [
         (100.0, 50.0, float("inf")), (float("nan"), 50.0, 1.0), (float("inf"), 50.0, 1.0),
         (float("-inf"), 50.0, 1.0), (100.0, float("nan"), 1.0), (100.0, float("inf"), 1.0),
-        (100.0, -5.0, 1.0), (100.0, 0.0, 1.0),
+        (100.0, -1.0, 1.0), (100.0, 0.0, 1.0),
     ], ids=["fpcf_inf", "level_nan", "level_inf", "level_-inf", "chord_nan", "chord_inf",
             "chord_negative", "chord_zero"])
-    def test_non_finite_sample_rejected(self, pipe, params, monkeypatch, level, chord, value):
-        # a table row is (level, fpcf) at one chord height: tabulate_fpcf and fpcf()
-        # reject what the FpcfSample record did, an area mean of ``value`` giving the fpcf
+    def test_non_finite_sample_rejected(self, monkeypatch, level, chord, value):
+        # a table row is (level, fpcf) at one chord height: the config's ChordSpec and
+        # RunConfig, and fpcf(), reject what the FpcfSample record did, an area mean of
+        # ``value`` giving the fpcf
         monkeypatch.setattr(fpcf_module, "mean_area_velocity", lambda model, quad: value)
-        with pytest.raises(PartialFlowError,
-                           match="must be finite|must be positive|is not finite and positive"):
-            tabulate_fpcf(pipe, params, chord, level, level, 10.0)
+        with pytest.raises(PartialFlowError, match="must be finite|is not finite and positive"):
+            tabulate_fpcf(table_config(chord, level, level))
 
     def test_bad_range_rejected(self):
         with pytest.raises(OutOfRangeError):
