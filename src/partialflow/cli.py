@@ -11,7 +11,6 @@ import contextlib
 import gc
 import math
 import sys
-from itertools import chain, repeat
 
 # Each command imports the layers it runs, so calibrate, metrics and --help load no
 # numpy. calibration and clogging are numpy-free; calibration stays here, where the
@@ -114,29 +113,24 @@ def _diagnostic_record(diag) -> str:
 
 def _chunk_records(chunk) -> str:
     """A chunk's records in input order, each alarm after its frame. Per frame only ts,
-    v and q are converted (``%s`` of a float is its repr); the rest is memoised per
-    distinct level (which sets the area), fpcf, status and verdict, keyed on the bits
-    of the floats so that -0.0 keeps its sign, and looked up once per run of frames."""
-    from ._numpy import np  # both loaded by process, before the first chunk
+    v and q are converted (``%s`` of a float is its repr); the rest is a template per
+    distinct level, fpcf, status and verdict. A zero keys by its text, so that -0.0
+    keeps its sign."""
     from .measurement import STATUSES
 
-    ts, v, q = chunk.ts.tolist(), chunk.v_line.tolist(), (1000.0 * chunk.flow_m3s).tolist()
-    for f in np.flatnonzero(chunk.clog == 2).tolist():
-        v[f] = q[f] = "-"
-    key = np.stack((chunk.level.view(np.int64), chunk.fpcf.view(np.int64), chunk.status, chunk.clog))
-    runs = np.flatnonzero(np.concatenate(([len(ts) > 0], (key[:, 1:] != key[:, :-1]).any(axis=0))))
-    level, area, fpcf, memo, text = chunk.level, chunk.area, chunk.fpcf, {}, []
-    for f, k in zip(runs.tolist(), map(tuple, key[:, runs].T.tolist())):
-        if k not in memo:
-            memo[k] = (f"frame ts=%s level_mm={level[f].item()!r} v_line_mps=%s"
-                       f" area_m2={area[f].item()!r} fpcf={fpcf[f].item()!r} q_lps=%s"
-                       f" status={STATUSES[k[2]].value} clog={_CLOG_TEXT[k[3]]}\n")
-        text.append(memo[k])
-    templates = map(repeat, text, np.diff(np.append(runs, len(ts))).tolist())
-    records = list(map(str.__mod__, chain.from_iterable(templates), zip(ts, v, q)))
+    templates, records = {}, []
+    for ts, level, v, area, fpcf, flow, status, clog in zip(*chunk[:8]):
+        key = (level, fpcf, status, clog) if level and fpcf else (
+            repr(level), repr(fpcf), status, clog)
+        text = templates.get(key)
+        if text is None:
+            text = templates[key] = (
+                f"frame ts=%s level_mm={level!r} v_line_mps=%s area_m2={area!r} fpcf={fpcf!r}"
+                f" q_lps=%s status={STATUSES[status].value} clog={_CLOG_TEXT[clog]}\n")
+        records.append(text % ((ts, "-", "-") if clog == 2 else (ts, v, 1000.0 * flow)))
     for f, event in chunk.events:
-        records[f] += (f"alarm ts={ts[f]!r} event={event.value}"
-                       f" level_mm={level[f].item()!r} v_line_mps={v[f]!r}\n")
+        records[f] += (f"alarm ts={chunk.ts[f]!r} event={event.value}"
+                       f" level_mm={chunk.level[f]!r} v_line_mps={chunk.v_line[f]!r}\n")
     return "".join(chunk.in_order(records, _diagnostic_record))
 
 

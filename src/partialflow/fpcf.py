@@ -172,19 +172,27 @@ def lowest_chord_mm(config) -> float:
 def tabulate_fpcf(config) -> list[tuple[float, float]]:
     """A ``RunConfig``'s ``(level_mm, fpcf)`` table: at the lowest chord, from
     ``fpcf.h_min_mm`` to ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``, a range the
-    config has checked. A level with no FPCF is the config's to change, so it is a
-    ConfigError."""
+    config has checked; the last level, which the count's slack can round past
+    ``fpcf.h_max_mm``, is taken at it. A level with no FPCF is the config's to change,
+    so it is a ConfigError that names the setting to change: the range if a level
+    above the first fails, else the profile."""
     chord_mm, lo, hi = lowest_chord_mm(config), config.fpcf_h_min_mm, config.fpcf_h_max_mm
     table = []
     for k in range(table_levels(lo, hi, config.fpcf_step_mm)):
-        level_mm = lo + k * config.fpcf_step_mm
+        level_mm = min(lo + k * config.fpcf_step_mm, hi)
         try:
             model = ProfileModel(config.pipe, WaterLevel(level_mm / 1000.0), config.params)
             table.append((level_mm, fpcf(model, chord_mm / 1000.0, config.quad)))
         except PartialFlowError as exc:
-            raise ConfigError(f"FPCF tabulation failed at H = {level_mm:g} mm: {exc}; the chord "
-                              f"at {chord_mm:g} mm needs fpcf.h_max_mm ({hi:g}) below that "
-                              "level") from exc
+            if k:
+                advice = (f"the chord at {chord_mm:g} mm needs fpcf.h_max_mm ({hi:g}) below "
+                          "that level")
+            else:  # no range may start above fpcf.h_min_mm
+                advice = (f"the profile (entropy.m = {config.params.m:g}, entropy.q = "
+                          f"{config.params.q:g}) gives none at the first level, "
+                          f"fpcf.h_min_mm ({lo:g})")
+            raise ConfigError(f"FPCF tabulation failed at H = {level_mm:g} mm: {exc}; "
+                              f"{advice}") from exc
     return table
 
 

@@ -214,7 +214,7 @@ def test_c08_end_to_end_round_trip(operating_fit):
         frames = generate(scenario, CONFIG.chords, PIPE)
         for chunk in run_pipeline(frames, poly):
             assert chunk.diags == [] and chunk.misfits == []
-            for status, flow_m3s in zip(chunk.status.tolist(), chunk.flow_m3s.tolist()):
+            for status, flow_m3s in zip(chunk.status, chunk.flow_m3s):
                 assert STATUSES[status] is EstimateStatus.OK
                 worst = max(worst, abs(1000.0 * flow_m3s - flow_lps) / flow_lps)
     ok = worst <= 0.005
@@ -232,7 +232,7 @@ def test_c09_calibration_efficacy(operating_fit):
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
         (chunk,) = run_pipeline(frames, poly)
-        for segment, flow_m3s in enumerate(chunk.flow_m3s.tolist(), start=1):
+        for segment, flow_m3s in enumerate(chunk.flow_m3s, start=1):
             trials.append(
                 TrialRecord(segment, f"{flow_lps:g}", flow_lps,
                             bias * 1000.0 * flow_m3s)
@@ -303,7 +303,7 @@ def test_c11_repeatability(operating_fit):
         flows = [
             1000.0 * flow_m3s
             for chunk in run_pipeline(frames, poly)
-            for flow_m3s in chunk.flow_m3s.tolist()
+            for flow_m3s in chunk.flow_m3s
         ]
         assert len(flows) == 600
         values.append(repeatability(flows))

@@ -1,10 +1,12 @@
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
 from partialflow.cli import main
 
 DERIVE_CFG = "fpcf.derive = true\nfpcf.h_max_mm = 180\n"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -640,7 +642,7 @@ def _record_by_record(lines, config) -> str:
     for chunk in process_lines(lines, config):
         events, misfits = dict(chunk.events), dict(chunk.misfits)
         diags, items = sorted(chunk.diags, key=lambda d: (d[0], d[1])), []
-        columns = zip(*(column.tolist() for column in chunk[:8]))
+        columns = zip(*chunk[:8])
         for f, (ts, level, v, area, fpcf, flow, status, clog) in enumerate(columns):
             items += [d for pos, _, d in diags if pos == f]
             judged = clog != 2
@@ -731,3 +733,20 @@ def test_chunk_formatter_matches_record_by_record(capsys, tmp_path, with_poly):
                  "is not within the pipe", "unknown chord id", "duplicate row for chord",
                  "differs from the frame's first row", "expected 5 fields", "unparseable row"]:
         assert text in out, text
+
+
+@pytest.mark.parametrize("polynomial", ["stored", "none", "derive"])
+def test_process_output_of_the_mixed_log_is_unchanged(capsys, polynomial):
+    """``data/mixed_frames.csv`` holds none, weir1 and weir2 segments, NaN and infinite
+    transit times, zero and negative ones, a duplicate row, an unknown chord, level
+    changes within a frame (a nan one too), out-of-pipe, dry, -0.0, 0.0, nan and
+    infinite levels, non-finite and signed-zero timestamps, malformed, blank and comment
+    lines and repeated headers, with frames straddling chunks. ``process`` writes, byte
+    for byte, the output that the numpy frame path wrote for it, stored beside it, with
+    a stored polynomial, none (uncorrected) and a derived one."""
+    config = [] if polynomial == "none" else ["--config", str(DATA / f"mixed_{polynomial}.cfg")]
+    code, out, err = run(capsys, "process", *config, "--frames", str(DATA / "mixed_frames.csv"))
+    assert (code, err) == (0, "")
+    want = (DATA / f"mixed_frames_{polynomial}.out").read_text(encoding="utf-8")
+    assert next(((k, a, b) for k, (a, b) in enumerate(
+        zip_longest(out.splitlines(True), want.splitlines(True))) if a != b), None) is None

@@ -434,3 +434,18 @@ class TestFitDocument:
         # the run's config with its polynomial set, still saying where it came from
         assert resolved == RunConfig(**{**vars(config), "poly": fit.polynomial})
         assert resolved.fpcf_derive
+
+    @pytest.mark.parametrize("text,level,advice", [
+        ("entropy.m = 0.3\n", 50, "the profile (entropy.m = 0.3, entropy.q = 1.15) gives none at "
+         "the first level, fpcf.h_min_mm (50)"),
+        ("chord.a.height_mm = 30\nfpcf.h_min_mm = 30\n", 250,
+         "the chord at 30 mm needs fpcf.h_max_mm (250) below that level"),
+    ], ids=["first_level", "last_level"])
+    def test_resolve_derive_names_what_to_change(self, text, level, advice):
+        # at the first level only the profile can mend the table: the advice to lower
+        # fpcf.h_max_mm below it named a value RunConfig refuses
+        with pytest.raises(ConfigError) as excinfo:
+            resolve_polynomial(parse_config(text + "fpcf.derive = true\n"))
+        message = str(excinfo.value)
+        assert message.startswith(f"FPCF tabulation failed at H = {level} mm: ")
+        assert message.endswith(f"; {advice}")

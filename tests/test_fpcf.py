@@ -261,6 +261,27 @@ class TestTabulate:
                                       "at 50 mm needs fpcf.h_max_mm (80) below that level")
         assert type(excinfo.value.__cause__) is DryPathError  # one wrapping, not two
 
+    def test_first_level_failure_names_the_profile(self, monkeypatch):
+        # the advice was to lower fpcf.h_max_mm below the first level, which RunConfig
+        # refuses; at the first level the profile is at fault
+        def failing(model, chord_height_m, quad):
+            raise DegenerateProfileError("forced")
+
+        monkeypatch.setattr(fpcf_module, "fpcf", failing)
+        with pytest.raises(ConfigError) as excinfo:
+            tabulate_fpcf(table_config(h_max_mm=80.0))
+        assert str(excinfo.value) == (
+            "FPCF tabulation failed at H = 50 mm: forced; the profile (entropy.m = "
+            f"{EntropyParams().m:g}, entropy.q = {EntropyParams().q:g}) gives none at the first "
+            "level, fpcf.h_min_mm (50)")
+
+    def test_last_level_is_taken_at_h_max(self):
+        # 50.9 + 11 * 18.1 rounds to 250.00000000000003, above the crown: "FPCF
+        # tabulation failed at H = 250 mm: water level 0.25 m exceeds pipe diameter"
+        table = tabulate_fpcf(table_config(h_min_mm=50.9, step_mm=18.1))
+        assert len(table) == 12 and table[-1][0] == 250.0
+        assert max(level for level, _ in table) <= 250.0
+
     def test_each_level_runs_the_traced_layers_once(self, monkeypatch):
         # A profiler that wraps these module globals reads its per-layer figures
         # from one call of each per level; a batched table would zero them.
@@ -354,7 +375,7 @@ class TestEval:
         (chunk,) = process_lines(rows, RunConfig(**{**vars(default_config()), "poly": poly}))
         assert [STATUSES[s].value for s in chunk.status] == [
             "fpcf_out_of_range", "ok", "ok", "fpcf_out_of_range"]
-        assert chunk.fpcf.tolist() == [1.0, poly(60.0), poly(200.0), 1.0]
+        assert chunk.fpcf == [1.0, poly(60.0), poly(200.0), 1.0]
 
     def test_sample_positivity_enforced(self, monkeypatch):
         # a table row holds fpcf()'s factor, which is positive or raises

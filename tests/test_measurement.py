@@ -1,7 +1,7 @@
 import io
 import math
+import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +24,7 @@ from partialflow import (
     process_lines,
     write_frame_rows,
 )
-from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, FrameChunk, _read_rows
+from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, FrameChunk
 from partialflow.simulator import transit_times
 
 from conftest import process_frames
@@ -159,45 +159,51 @@ not-a-number,a,1,2,85.0
 """
 
 
+def _chunks(text: str) -> list:
+    """The ``FrameChunk``s of ``text`` with chords a and b and a flat polynomial."""
+    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
+                       poly=FLAT_POLY)
+    return list(process_lines(io.StringIO(text), config))
+
+
 class TestFrameCsv:
     def test_parse_groups_by_timestamp(self):
-        ((ts, level, frame, _, t_up, _, _, diags),) = _read_rows(io.StringIO(FRAME_TEXT))
-        assert len(ts) == 3
+        ((ts, level, v_line, *_, diags),) = _chunks(FRAME_TEXT)
+        assert ts == [0.0, 1.0, 2.0]
         assert len(diags) == 1
-        assert frame.tolist().count(0) == 2
         assert level[0] == 85.0
-        assert t_up[0] == pytest.approx(202696e-9, rel=1e-12)
+        # frame 0 has both rows, the others chord a's alone: the same times, so the same
+        # v, from times read in ns
+        v = line_velocity(202696e-9, 202725e-9, CHORD_A)
+        assert v_line == pytest.approx([v, v, v], rel=1e-12)
 
     def test_round_trip(self):
         frames = [SensorFrame(float(k), frame_for({"a": 0.2, "b": 0.1 * k}, 85.0).readings,
                               80.0 + k) for k in range(3)]
         buf = io.StringIO()
         write_frame_rows(frames, buf)
-        buf.seek(0)
-        ((ts, level, frame, chord, t_up, t_down, _, diags),) = _read_rows(buf)
-        readings = [r for f in frames for r in f.readings]
-        assert diags == [] and frame.tolist() == [0, 0, 1, 1, 2, 2]
-        assert ts.tolist() == [f.timestamp_s for f in frames]
-        assert level.tolist() == [f.level_mm for f in frames]
-        assert chord == [r.chord_id for r in readings]
-        assert t_up.tolist() == pytest.approx([r.t_up_s for r in readings], rel=1e-12)
-        assert t_down.tolist() == pytest.approx([r.t_down_s for r in readings], rel=1e-12)
+        (chunk,) = _chunks(buf.getvalue())
+        assert chunk.diags == [] and chunk.misfits == []
+        assert chunk.ts == [f.timestamp_s for f in frames]
+        assert chunk.level == [f.level_mm for f in frames]
+        means = [(line_velocity(a.t_up_s, a.t_down_s, CHORD_A)
+                  + line_velocity(b.t_up_s, b.t_down_s, CHORD_B)) / 2
+                 for a, b in (f.readings for f in frames)]
+        assert chunk.v_line == pytest.approx(means, rel=1e-9)
 
     def test_bad_field_count(self):
-        ((ts, *_, diags),) = _read_rows(io.StringIO("1.0,a,5,6\n"))
+        ((ts, *_, diags),) = _chunks("1.0,a,5,6\n")
         assert len(ts) == 0
         assert [(d.line_no, d.detail) for _, _, d in diags] == [(1, "expected 5 fields, got 4")]
 
     def test_empty_input(self):
-        ((ts, *_, diags),) = _read_rows(io.StringIO(""))
+        ((ts, *_, diags),) = _chunks("")
         assert len(ts) == 0 and diags == []
 
 
 class TestProcessStream:
     def run(self, text):
-        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
-                           poly=FLAT_POLY)
-        (chunk,) = process_lines(io.StringIO(text), config)
+        (chunk,) = _chunks(text)
         return chunk
 
     def test_empty(self):
@@ -206,21 +212,19 @@ class TestProcessStream:
 
     def test_mixed_frames_and_diagnostics(self):
         chunk = self.run(FRAME_TEXT)
-        items = chunk.in_order(chunk.ts.tolist())
+        items = chunk.in_order(chunk.ts)
         # the bad row may belong to frame 1.0, which ends only at 2.0's row
         assert items[:1] + items[2:] == [0.0, 1.0, 2.0]
         assert isinstance(items[1], FrameDiagnostic) and items[1].line_no == 5
-        assert [STATUSES[s] for s in chunk.status.tolist()] == [EstimateStatus.OK] * 3
+        assert [STATUSES[s] for s in chunk.status] == [EstimateStatus.OK] * 3
 
     def test_determinism(self):
         first, second = self.run(FRAME_TEXT), self.run(FRAME_TEXT)
-        as_bytes = [[c.tobytes() if isinstance(c, np.ndarray) else c for c in chunk]
-                    for chunk in (first, second)]
-        assert as_bytes[0] == as_bytes[1]
+        assert repr(first) == repr(second)  # the repr of a float is exact, NaN too
 
     def test_overfull_level_becomes_diagnostic(self):
         chunk = self.run("0.0,a,202696.0,202725.0,900.0\n")
-        items = chunk.in_order(chunk.ts.tolist())
+        items = chunk.in_order(chunk.ts)
         assert len(items) == 1
         assert isinstance(items[0], FrameDiagnostic)
 
@@ -252,8 +256,8 @@ class TestProcessStream:
             ("0.0", "a"), ("0.0", "b"), ("nan", "a"), ("nan", "b"), ("inf", "a"), ("-inf", "b"),
             ("2.0", "a"), ("2.0", "b")]) + tail
         chunk = self.run(text)
-        assert chunk.ts.tolist() == [0.0, 2.0]
-        assert [STATUSES[s] for s in chunk.status.tolist()] == [EstimateStatus.OK] * 2
+        assert chunk.ts == [0.0, 2.0]
+        assert [STATUSES[s] for s in chunk.status] == [EstimateStatus.OK] * 2
         assert [(f, d.line_no, d.timestamp_s, d.detail) for f, _, d in chunk.diags][:4] == [
             (0, 3, None, "timestamp nan is not finite; row dropped"),
             (0, 4, None, "timestamp nan is not finite; row dropped"),
@@ -275,13 +279,23 @@ class TestProcessStream:
         chunk = self.run("\n".join(rows) + "\n")
         assert chunk.diags == []
         assert [(f, d.timestamp_s) for f, d in chunk.misfits] == [(8, 8.0), (9, 9.0)]
-        assert [STATUSES[s] for s in chunk.status[:8].tolist()] == [EstimateStatus.OK] * 5 + [
+        assert [STATUSES[s] for s in chunk.status[:8]] == [EstimateStatus.OK] * 5 + [
             EstimateStatus.INVALID_TIMES, EstimateStatus.OK, EstimateStatus.OK]
         assert chunk.clog[5] == 2
-        assert np.isnan(chunk.flow_m3s[:8]).tolist() == [False] * 5 + [True, False, False]
+        assert [math.isnan(q) for q in chunk.flow_m3s[:8]] == [False] * 5 + [True, False, False]
         # frame 6 counts chord b alone
         assert chunk.v_line[6] == pytest.approx(0.1, rel=1e-9)
         assert [event for _, event in chunk.events] == [AlarmEvent.RAISED]
+
+    def test_underflowing_times_leave_the_chord_out(self):
+        # 2 * t_up * t_down * cos(theta) underflows to 0 at these times: numpy's v was
+        # inf or nan, so the chord counted for nothing; a plain division would raise
+        t_up, t_down = (f"{t * 1e9!r}" for t in transit_times(0.2, CHORD_B, 1480.0))
+        chunk = self.run(f"0.0,a,1e-200,2e-200,85.0\n0.0,b,{t_up},{t_down},85.0\n"
+                         "1.0,a,1e-200,1e-200,85.0\n")
+        assert chunk.v_line[0] == pytest.approx(0.2, rel=1e-9)
+        assert [STATUSES[s] for s in chunk.status] == [EstimateStatus.OK,
+                                                       EstimateStatus.INVALID_TIMES]
 
     def test_stuck_clock_diagnostics_come_in_line_order(self):
         # every row at ts 0.0: the one frame stays open to the end, and each chunk put its
@@ -291,10 +305,33 @@ class TestProcessStream:
                            poly=FLAT_POLY)
         chunks = list(process_lines(io.StringIO(text), config))
         assert len(chunks) > 1
-        *diags, frame = [item for c in chunks for item in c.in_order(c.ts.tolist())]
+        *diags, frame = [item for c in chunks for item in c.in_order(c.ts)]
         assert frame == 0.0
         assert [(d.line_no, d.detail) for d in diags] == [
             (n, f"duplicate row for chord {'ba'[n % 2]!r}; row dropped") for n in range(3, 5001)]
+
+    def test_stuck_clock_runs_in_bounded_memory(self):
+        # the frame that never ends was carried whole from chunk to chunk and joined
+        # again each time: 87 MB peak RSS on 80k rows, 4x the traced peak of 20k rows.
+        # Every row here is a diagnostic, whose allocations tracemalloc makes ~15x
+        # slower, so 12k and 3k rows, 13 and 5 chunks, show the bound.
+        from partialflow.cli import _chunk_records
+
+        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
+                           poly=FLAT_POLY)
+
+        def peak(rows: int) -> int:
+            lines = (f"0.0,{'ab'[k % 2]},202696.0,202725.0,85.0\n" for k in range(rows))
+            tracemalloc.start()
+            try:
+                for chunk in process_lines(lines, config):
+                    _chunk_records(chunk)  # the output, discarded
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # what a first run loads lazily is not the frame path's
+        assert peak(12_000) <= 1.5 * peak(3_000)
 
     def test_diagnostics_without_a_frame(self):
         chunk = self.run("broken row\n0.0,a,1,2\n")
@@ -320,7 +357,7 @@ class TestProcessStream:
         # written below a header: a on line 2, z on 3, b on 4 and 5
         (chunk,) = process_frames([SensorFrame(3.0, (a, stray, b, b), 85.0)],
                                   [CHORD_A, CHORD_B], PIPE, poly=FLAT_POLY)
-        *diags, processed = chunk.in_order(chunk.ts.tolist())
+        *diags, processed = chunk.in_order(chunk.ts)
         assert [(d.detail, d.timestamp_s, d.line_no) for d in diags] == [
             ("unknown chord id 'z'; row dropped", 3.0, 3),
             ("duplicate row for chord 'b'; row dropped", 3.0, 5),
@@ -435,21 +472,12 @@ def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
                     *(["fpcf_out_of_range"] if poly else [])}
 
 
-# Fields that both parsers read alike, and ones that ``float`` and ``np.loadtxt``
-# read differently or not at all, so the chunk must go row by row.
+# Fields that ``float`` reads as they stand, and ones it reads only stripped or not at all.
 _NUMBERS = ["202696.0", "85.0", "1e5", " 3.5 ", "nan", "inf", "-Infinity", "-0.0", "0.0",
             "1_0", '"1.0"', "x", "", "1.0 # note"]
 _CHORDS = ["a", "b", " a ", "", "z", '"a"']
 _OTHER_LINES = ["", "   ", "# comment", "1.0,a,5,6", "1.0,a,1,2,3,4",
                 "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm", "\t1.0 , b ,1,2,3 "]
-
-
-def _chunks_as_bytes(chunks) -> list:
-    """``_read_rows`` chunks with arrays as their exact bytes (NaN, -0.0) and
-    diagnostics as text (NaN timestamps compare unequal)."""
-    return [tuple((c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray)
-                  else [(int(p), no, repr(d)) for p, no, d in c] if k == 7 else c
-                  for k, c in enumerate(chunk)) for chunk in chunks]
 
 
 @settings(max_examples=150, deadline=None)
@@ -460,38 +488,45 @@ def _chunks_as_bytes(chunks) -> list:
     st.tuples(st.sampled_from(["0.0", "1.0", "2.0"]), st.sampled_from("ab"),
               st.sampled_from(["85.0", "-0.0"])).map(lambda r: f"{r[0]},{r[1]},1,2,{r[2]}"),
     st.sampled_from(_OTHER_LINES),
-    st.text(alphabet="0123456789.,-+eEinfa #\"_\t\x00\x0c\u2028\u0661", max_size=20),
+    st.text(alphabet="0123456789.,-+eEinfa #\"_\t\x00\x0c\x1c\u2028\u0661", max_size=20),
 ), max_size=60), st.sampled_from(["\n", "\r\n", ""]), st.sampled_from([(2, 4), (3, 8)]))
 def test_chunk_parse_matches_row_by_row(lines, end, sizes):
     """Blank and odd lines, 4- and 6-field rows, ``1_0``, inline ``#``, quotes,
     a header anywhere, CRLF, padded and empty chord ids, non-finite and signed
-    zero values, and frames straddling chunks: ``np.loadtxt`` chunks and
-    row-by-row chunks give the same columns, line numbers and diagnostics."""
+    zero values, and frames straddling chunks: the rows that the frame path reads as
+    they stand give the same chunks, line numbers and diagnostics as when every row
+    goes through ``_split_row``, which strips it first."""
     from partialflow import measurement
 
     text = [line + end for line in lines]
+    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
+                       poly=FLAT_POLY, debounce=1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(measurement, "FIRST_CHUNK_ROWS", sizes[0])
         mp.setattr(measurement, "CHUNK_ROWS_CAP", sizes[1])
-        fast = _chunks_as_bytes(measurement._read_rows(text))
-        mp.setattr(measurement, "_parse_block", lambda block: None)
-        assert _chunks_as_bytes(measurement._read_rows(text)) == fast
+        fast = repr(list(process_lines(text, config)))  # exact floats, NaN too
+        mp.setattr(measurement, "_ROW_START", "")
+        assert repr(list(process_lines(text, config))) == fast
 
 
-def test_chunk_parse_takes_plain_rows_only():
-    from partialflow.measurement import _parse_block
+def test_chunk_parse_takes_plain_rows_only(monkeypatch):
+    """A row goes to ``_split_row`` only when the frame path cannot read it as it stands."""
+    from partialflow import measurement
 
+    split, inner = [], measurement._split_row
+    monkeypatch.setattr(measurement, "_split_row", lambda raw: split.append(raw) or inner(raw))
     plain = ["0.0,a,202696.0,202725.0,85.0\n", "0.0, b ,-0.0,nan,-Infinity\r\n"]
-    (nos, ts, chord, t_up, t_down, level), diags = _parse_block(plain)
-    assert chord == ["a", "b"] and nos.tolist() == [0, 1] and diags == []
-    assert math.copysign(1.0, t_up[1]) == -1.0 and math.isnan(t_down[1]) and level[1] == -math.inf
-    header = " Timestamp_s, chord_id,t_up_ns,t_down_ns,level_mm\r\n"
-    (nos, _, chord, *_), diags = _parse_block([header] + plain)
-    assert chord == ["a", "b"] and nos.tolist() == [1, 2] and diags == []
-    for line in ["\n", "   \n", "0.0,a,1,2\n", "0.0,a,1,2,3,4\n", "1_0,a,1,2,3\n",
-                 "0.0,a,1,2,3 # note\n", '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n",
-                 "0.0,,1,2,3\n", "0.0, ,1,2,3\n"]:
-        assert _parse_block(plain + [line]) is None, line
+    ((ts, level, *_, diags),) = _chunks("".join(plain))
+    assert split == [] and ts == [0.0] and level == [85.0]
+    assert [d.detail for *_, d in diags] == [
+        "level -inf mm differs from the frame's first row (85.0 mm); row dropped"]
+    for line in [" Timestamp_s, chord_id,t_up_ns,t_down_ns,level_mm\r\n", "\n", "   \n",
+                 "0.0,a,1,2\n", "0.0,a,1,2,3,4\n", "0.0,a,1,2,3 # note\n",
+                 '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n", "0.0,,1,2,3\n", "0.0, ,1,2,3\n",
+                 " 0.0,a,1,2,3\n", "0.0,a,1,2,3\x1c\n"]:
+        split.clear()
+        _chunks("".join(plain) + line)
+        assert split == [line], line
 
 
 # Transit times of chords a and b at 0.05 m/s, which clogs at 60 and 85 mm, at

@@ -36,5 +36,5 @@ def test_frame_path_example_runs(capsys, tmp_path, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 1
     chunk = namespace["chunk"]
     assert namespace["config"].poly == namespace["fit"].polynomial
-    assert (1000 * chunk.flow_m3s).tolist() == pytest.approx([3.0] * 3, rel=1e-3)
+    assert [1000 * q for q in chunk.flow_m3s] == pytest.approx([3.0] * 3, rel=1e-3)
     assert [STATUSES[s].value for s in chunk.status] == ["ok"] * 3

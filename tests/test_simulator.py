@@ -230,5 +230,5 @@ def test_tuned_noise_repeatability_under_one_percent():
     frames = generate(scenario, chords, PIPE)
     poly = FpcfPolynomial((1.0, 0, 0, 0, 0, 0, 0), 50.0, 250.0)
     flows = [1000.0 * q for chunk in process_frames(frames, chords, PIPE, poly=poly)
-             for q in chunk.flow_m3s.tolist()]
+             for q in chunk.flow_m3s]
     assert len(flows) == 600 and repeatability(flows) < 1.0

@@ -204,6 +204,26 @@ runpy.run_module("partialflow.cli", run_name="__main__", alter_sys=True)
 """
 
 
+def _numpy_probes(command: str, runs: dict) -> dict:
+    """(exit code, stdout, stderr) of ``command`` with each run's arguments, run side by side
+    under NUMPY_PROBE."""
+    procs = {name: subprocess.Popen([sys.executable, "-c", NUMPY_PROBE, command, *argv],
+                                    env=_base_env(), stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True)
+             for name, argv in runs.items()}
+    results = {}
+    try:
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            results[name] = (proc.returncode, out, err)
+    finally:
+        for proc in procs.values():
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    return results
+
+
 def test_simulate_loads_no_numpy(tmp_path):
     """One FPCF per chord height is integrated point by point in plain floats, which costs
     less than loading numpy does; every simulate scenario stays numpy-free."""
@@ -220,21 +240,38 @@ def test_simulate_loads_no_numpy(tmp_path):
         "coefficients": ["--flow-lps", "3", "--config", str(coeffs)],
         "two_heights": ["--flow-lps", "3", "--config", str(heights)],
     }
-    procs = {name: subprocess.Popen([sys.executable, "-c", NUMPY_PROBE, "simulate", *argv],
-                                    env=_base_env(), stdout=subprocess.PIPE,
-                                    stderr=subprocess.PIPE, text=True)
-             for name, argv in runs.items()}
-    results = {}
-    try:
-        for name, proc in procs.items():
-            out, err = proc.communicate(timeout=60)
-            results[name] = (proc.returncode, out.startswith("timestamp_s,chord_id,"), err)
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+    results = {name: (code, out.startswith("timestamp_s,chord_id,"), err)
+               for name, (code, out, err) in _numpy_probes("simulate", runs).items()}
     assert results == {name: (0, True, "numpy=False\n") for name in runs}
+
+
+def test_process_loads_numpy_only_to_derive(tmp_path):
+    """Frames are read and estimated in plain floats, so process loads numpy only when
+    fpcf.derive = true has it tabulate and fit the polynomial."""
+    from partialflow.cli import main
+
+    coeffs, derive = tmp_path / "coeffs.cfg", tmp_path / "derive.cfg"
+    coeffs.write_text("".join(f"fpcf.c{k} = {c!r}\n" for k, c in
+                              enumerate((0.603, 0.0124, -1.81e-4, 1.24e-6, -1.96e-9, 0.0, 0.0))))
+    derive.write_text("fpcf.derive = true\n")
+    frames, bad = tmp_path / "frames.csv", tmp_path / "bad.csv"
+    assert main(["simulate", "--flow-lps", "3", "--frames", "300", "--noise-ns", "1",
+                 "--seed", "3", "--out", str(frames)]) == 0
+    lines = frames.read_text().splitlines(True)
+    for k, (up, down) in enumerate([("nan", None), (None, "inf"), ("nan", "nan")], start=5):
+        ts, chord, t_up, t_down, level = lines[k].split(",")
+        lines[k] = f"{ts},{chord},{up or t_up},{down or t_down},{level}"
+    bad.write_text("".join(lines) + "nan,a,1,2,3\n")
+    runs = {
+        "coefficients": ["--config", str(coeffs), "--frames", str(frames)],
+        "uncorrected": ["--frames", str(frames)],
+        "nan_rows": ["--config", str(coeffs), "--frames", str(bad)],
+        "derive": ["--config", str(derive), "--frames", str(frames)],
+    }
+    results = {name: (code, err, "diagnostic line=" in out, out.endswith(" alarms=0 clears=0\n"))
+               for name, (code, out, err) in _numpy_probes("process", runs).items()}
+    assert results == {name: (0, f"numpy={name == 'derive'}\n", name == "nan_rows", True)
+                       for name in runs}
 
 
 @pytest.fixture(scope="module")
@@ -255,8 +292,10 @@ def lazy_child(tmp_path_factory):
 
 
 def test_package_calibrate_metrics_and_help_load_no_numpy(lazy_child):
+    """process without fpcf.derive and simulate load none either; fpcf and a derived
+    process do, for the table and the fit."""
     stages, codes, _ = lazy_child
-    assert [stage[0] for stage in stages] == [False] * 4 + [True] * 4
+    assert [stage[0] for stage in stages] == [False] * 6 + [True] * 2
     assert codes == [0, 0, 0, 0]
 
 
