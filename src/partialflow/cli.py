@@ -23,7 +23,7 @@ from .calibration import (
     format_error_table,
     read_trials,
 )
-from .clogging import Verdict
+from .clogging import AlarmEvent, Verdict
 from .errors import ConfigError, DegenerateProfileError, PartialFlowError
 
 # The values of simulator.WeirMode, in order, written out so that building the parser
@@ -38,12 +38,19 @@ EXIT_ALARM = 3
 
 @contextlib.contextmanager
 def _stream(path: str, mode: str = "r"):
-    """The file at ``path`` opened in ``mode``; "-" is stdin to read and stdout to write."""
-    if path == "-":
-        yield sys.stdout if mode == "w" else sys.stdin
-    else:
+    """The file at ``path`` opened in ``mode``; "-" is stdin to read and stdout to write,
+    block-buffered even under PYTHONUNBUFFERED, where each record would be a system call."""
+    if path != "-":
         with open(path, mode, encoding="utf-8") as fh:
             yield fh
+    elif mode != "w" or not getattr(sys.stdout, "write_through", False):
+        yield sys.stdout if mode == "w" else sys.stdin
+    else:
+        sys.stdout.reconfigure(write_through=False)
+        try:
+            yield sys.stdout
+        finally:
+            sys.stdout.reconfigure(write_through=True)
 
 
 def cmd_profile(args) -> int:
@@ -102,55 +109,48 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_CLOG_TEXT = (*(v.value for v in Verdict), "-")  # FrameChunk.clog codes
-
-
-def _diagnostic_record(diag) -> str:
-    where = "" if diag.line_no is None else f" line={diag.line_no}"
-    ts = "" if diag.timestamp_s is None else f" ts={diag.timestamp_s!r}"
-    return f"diagnostic{where}{ts} detail={diag.detail!r}\n"
-
-
-def _chunk_records(chunk) -> str:
-    """A chunk's records in input order, each alarm after its frame. Per frame only ts,
-    v and q are converted (``%s`` of a float is its repr); the rest is a template per
-    distinct level, fpcf, status and verdict. A zero keys by its text, so that -0.0
-    keeps its sign."""
-    from .measurement import STATUSES
-
-    templates, records = {}, []
-    for ts, level, v, area, fpcf, flow, status, clog in zip(*chunk[:8]):
-        key = (level, fpcf, status, clog) if level and fpcf else (
-            repr(level), repr(fpcf), status, clog)
-        text = templates.get(key)
-        if text is None:
-            text = templates[key] = (
-                f"frame ts=%s level_mm={level!r} v_line_mps=%s area_m2={area!r} fpcf={fpcf!r}"
-                f" q_lps=%s status={STATUSES[status].value} clog={_CLOG_TEXT[clog]}\n")
-        records.append(text % ((ts, "-", "-") if clog == 2 else (ts, v, 1000.0 * flow)))
-    for f, event in chunk.events:
-        records[f] += (f"alarm ts={chunk.ts[f]!r} event={event.value}"
-                       f" level_mm={chunk.level[f]!r} v_line_mps={chunk.v_line[f]!r}\n")
-    return "".join(chunk.in_order(records, _diagnostic_record))
+_CLOG_TEXT = (*(v.value for v in Verdict), "-")  # Frame.clog codes
+_TEMPLATES_KEPT = 1024  # frame record templates kept: the dict starts over when full
 
 
 def cmd_process(args) -> int:
+    """Each record written as it comes. Per frame only ts, v and q are converted (``%s``
+    of a float is its repr); the rest is a template per distinct level, fpcf, status and
+    verdict. A zero keys by its text, so that -0.0 keeps its sign."""
     from .config import load_config, resolve_polynomial
-    from .measurement import process_lines
+    from .measurement import STATUSES, Frame, process_lines
 
     config, _ = resolve_polynomial(load_config(args.config))
     frames_seen = diagnostics = raised = cleared = 0
+    templates = {}
     with _stream(args.frames) as src, _stream(args.out, "w") as fh:
-        for chunk in process_lines(src, config):
-            fh.write(_chunk_records(chunk))
-            frames_seen += len(chunk.ts) - len(chunk.misfits)
-            diagnostics += len(chunk.diags) + len(chunk.misfits)
-            up = sum(event.value == "raised" for _, event in chunk.events)
-            raised, cleared = raised + up, cleared + len(chunk.events) - up
-        fh.write(
-            f"summary frames={frames_seen} diagnostics={diagnostics}"
-            f" alarms={raised} clears={cleared}\n"
-        )
+        for item in process_lines(src, config):
+            if type(item) is not Frame:
+                diagnostics += 1
+                where = "" if item.line_no is None else f" line={item.line_no}"
+                when = "" if item.timestamp_s is None else f" ts={item.timestamp_s!r}"
+                fh.write(f"diagnostic{where}{when} detail={item.detail!r}\n")
+                continue
+            ts, level, v, area, fpcf, flow, status, clog, event = item
+            key = (level, fpcf, status, clog) if level and fpcf else (
+                repr(level), repr(fpcf), status, clog)
+            text = templates.get(key)
+            if text is None:
+                if len(templates) == _TEMPLATES_KEPT:
+                    templates.clear()
+                text = templates[key] = (
+                    f"frame ts=%s level_mm={level!r} v_line_mps=%s area_m2={area!r}"
+                    f" fpcf={fpcf!r} q_lps=%s status={STATUSES[status].value}"
+                    f" clog={_CLOG_TEXT[clog]}\n")
+            fh.write(text % ((ts, "-", "-") if clog == 2 else (ts, v, 1000.0 * flow)))
+            frames_seen += 1
+            if event is not None:
+                fh.write(f"alarm ts={ts!r} event={event.value} level_mm={level!r}"
+                         f" v_line_mps={v!r}\n")
+                raised += event is AlarmEvent.RAISED
+                cleared += event is AlarmEvent.CLEARED
+        fh.write(f"summary frames={frames_seen} diagnostics={diagnostics}"
+                 f" alarms={raised} clears={cleared}\n")
     if diagnostics and not frames_seen:
         print("error: no frame in the input could be estimated", file=sys.stderr)
         return EXIT_BAD_INPUT

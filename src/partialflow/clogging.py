@@ -4,7 +4,6 @@ plus the debounced alarm state machine driven by the stream processor.
 
 import math
 from enum import Enum
-from typing import Iterable
 
 from ._record import record
 from .errors import OutOfRangeError
@@ -71,16 +70,18 @@ class AlarmState:
             raise OutOfRangeError(f"debounce threshold must be >= 1, got {self.threshold!r}")
 
 
-def step_alarms(state: AlarmState, clogging: Iterable[bool]) -> tuple[AlarmState, list]:
-    """Advance the state machine over verdicts (True for clogging); one event or None each.
+class Debounce:
+    """The alarm state machine, stepped in place from an ``AlarmState``: ``step`` gives
+    the event that one more verdict (True for clogging) fires, or None. Exactly one
+    RAISED event fires on entering the alarm and exactly one CLEARED event on leaving
+    it; a Normal verdict resets the counter."""
 
-    Exactly one RAISED event fires on entering the alarm and exactly one
-    CLEARED event on leaving it; a Normal verdict resets the counter.
-    """
-    alarm, count, events = state.alarm, state.count, []
-    for clog in clogging:
-        count = count + 1 if clog else 0
-        fire = alarm != (clog and (alarm or count >= state.threshold))
-        alarm ^= fire
-        events.append((AlarmEvent.RAISED if alarm else AlarmEvent.CLEARED) if fire else None)
-    return AlarmState(state.threshold, alarm, count), events
+    def __init__(self, state: AlarmState):
+        self.threshold, self.alarm, self.count = state.threshold, state.alarm, state.count
+
+    def step(self, clog: bool) -> AlarmEvent | None:
+        self.count = count = self.count + 1 if clog else 0
+        if self.alarm == (clog and (self.alarm or count >= self.threshold)):
+            return None
+        self.alarm = alarm = not self.alarm
+        return AlarmEvent.RAISED if alarm else AlarmEvent.CLEARED

@@ -6,30 +6,23 @@ Transit times travel as nanoseconds and are converted to seconds here;
 levels stay in millimeters up to the geometry calls.
 
 Frames take one path in plain floats: ``process_lines`` reads the CSV a row at
-a time, keeps one frame open, and yields a ``FrameChunk`` of lists per chunk of
-rows.
+a time, keeps one frame open, and yields each ``Frame`` and ``FrameDiagnostic`` in
+input order.
 """
 
+import functools
 import math
-import struct
 from collections import namedtuple
 from enum import Enum
-from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from ._record import record
-from .clogging import AlarmState, step_alarms
+from .clogging import AlarmState, Debounce
 from .errors import ConfigError, InvalidTimesError, OutOfRangeError
 from .geometry import WaterLevel, segment_area
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
-
-# Rows per chunk: the first chunk is small so that the first records come
-# out early; later ones double up to the cap, which bounds the read-ahead
-# and the memory of a chunk.
-FIRST_CHUNK_ROWS = 256
-CHUNK_ROWS_CAP = 1024
 
 
 @record
@@ -107,6 +100,13 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
     return _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
 
 
+def _number(text: str) -> float:
+    """``float(text)``, refusing the digit separators ``float`` takes (``1_0``)."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _split_row(raw: str):
     """A data line as (ts, chord id, t_up_ns, t_down_ns, level_mm); None for a blank,
     comment or header line; else the detail of its diagnostic, for its first bad field."""
@@ -119,7 +119,7 @@ def _split_row(raw: str):
     if len(parts) != 5:
         return f"expected 5 fields, got {len(parts)}"
     try:
-        ts, t_up, t_down, level = map(float, itemgetter(0, 2, 3, 4)(parts))
+        ts, t_up, t_down, level = map(_number, itemgetter(0, 2, 3, 4)(parts))
         if not parts[1].strip():
             raise ValueError("empty chord id")
     except ValueError as exc:
@@ -127,24 +127,10 @@ def _split_row(raw: str):
     return ts, parts[1].strip(), t_up, t_down, level
 
 
-class FrameChunk(namedtuple("FrameChunk", "ts level v_line area fpcf flow_m3s status clog "
-                                           "events misfits diags")):
-    """The frames estimated from one chunk of rows, a list per field: ``status`` indexes
-    ``STATUSES``; ``clog`` is 0 normal, 1 clogging, 2 no velocity (``v_line``,
-    ``flow_m3s`` NaN). ``events`` lists (frame, alarm event), ``misfits`` (frame,
-    out-of-pipe diagnostic), ``diags`` (frame it precedes, line, diagnostic) in line
-    order; a frame index past the last is a frame that a later chunk closes."""
-
-    def in_order(self, records: list, diagnostic=lambda d: d) -> list:
-        """A record per frame and, as ``diagnostic(d)``, each diagnostic before the frame
-        still open at its line: a bad row just after frame k's rows comes before frame k."""
-        for f, d in self.misfits:
-            records[f] = diagnostic(d)
-        out, at = [], 0
-        for pos, _, d in self.diags:  # sorted by position: one pass, no inserts
-            out += [*records[at:pos], diagnostic(d)]
-            at = pos
-        return out + records[at:]
+# One frame's estimate: ``status`` indexes ``STATUSES``; ``clog`` is 0 normal, 1 clogging,
+# 2 no velocity (``v_line``, ``flow_m3s`` NaN); ``event`` is the alarm event that its
+# verdict fires, or None.
+Frame = namedtuple("Frame", "ts level v_line area fpcf flow_m3s status clog event")
 
 
 STATUSES = tuple(EstimateStatus)
@@ -152,21 +138,10 @@ _OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(ST
 # First characters of a line that is a data row as it stands: no blank, comment or
 # header line starts with one, and stripping the line leaves its first field alone.
 _ROW_START = "0123456789+-.iInN"
-_BITS = struct.Struct("<d").pack
 
 
-def _frames(lines: Iterable[str], config) -> Iterator[FrameChunk]:
-    """Q = k_cal * FPCF * v_line * A, verdicts and alarm events, a chunk of rows at a time.
-
-    Rows are read as they come into the one open frame, a slot per configured chord;
-    a row with another timestamp closes it. Rows that cannot be read or have no finite
-    timestamp, rows whose level differs from their frame's first row, an unknown
-    chord's row and a chord's second row become diagnostics when they are read; the
-    rest of the frame counts. A frame whose level does not fit the pipe becomes a
-    diagnostic too. Wet chords with finite, positive times count, summed in
-    configuration order. Levels outside the polynomial's validity range get FPCF = 1
-    and ``fpcf_out_of_range``: the polynomial is unguarded.
-    """
+def _frames(lines: Iterable[str], config) -> Iterator:
+    """The records of ``process_lines``, each made as soon as it is known."""
     pipe, poly, boundary, k_cal = config.pipe, config.poly, config.boundary, config.k_cal
     chords = [(c.height_mm, c.path_length_m, math.cos(c.beam_angle_rad), c.weight)
               for c in config.chords]
@@ -174,12 +149,16 @@ def _frames(lines: Iterable[str], config) -> Iterator[FrameChunk]:
     index = {c.chord_id: i for i, c in enumerate(config.chords) if c.chord_id == c.chord_id.strip()}
     misfit = f"mm is not within the pipe (0 to {1000 * pipe.diameter_m:g} mm)"
     isfinite, nan, n_chords = math.isfinite, math.nan, len(chords)
+    alarm, new = Debounce(AlarmState(config.debounce)).step, tuple.__new__  # Frame(...), faster
 
-    def at_level(level: float) -> tuple:
-        """What a frame's level alone sets: whether it fits the pipe, the area, the FPCF
-        and status of a frame with a velocity, the status of one without, the slot and
-        constants of each wet chord, and the clogging threshold."""
-        fits = math.isfinite(level) and level / 1000.0 >= 0 and level / 1000.0 <= pipe.diameter_m
+    @functools.lru_cache(maxsize=1024)  # bounded for a log with a new level each frame
+    def at_level(text: str) -> tuple:
+        """What a frame's level, given as its repr (-0.0 keeps its sign), alone sets:
+        whether it fits the pipe, the area, the FPCF and status of a frame with a
+        velocity, the status of one without, the slot and constants of each wet chord,
+        and the clogging threshold."""
+        level = float(text)
+        fits = 0 <= level / 1000.0 <= pipe.diameter_m  # False for a nan or infinite level
         wet = [(i, length, cos, weight)
                for i, (height, length, cos, weight) in enumerate(chords) if height < level]
         if poly is None:
@@ -193,8 +172,9 @@ def _frames(lines: Iterable[str], config) -> Iterator[FrameChunk]:
                 boundary.threshold(level))
 
     def close():
-        """Estimate the open frame into ``frames``, by the formulas of ``line_velocity``
-        and in the operation order the sums always had."""
+        """The open frame's ``Frame``, or its diagnostic if its level does not fit the
+        pipe: by the formulas of ``line_velocity``, in the operation order the sums
+        always had."""
         fits, area, fpcf, status, no_v_status, wet, threshold = kind
         num = den = 0.0
         for i, length, cos, weight in wet:
@@ -211,95 +191,83 @@ def _frames(lines: Iterable[str], config) -> Iterator[FrameChunk]:
         if fits and den > 0:
             v = num / den
             clog = v < threshold
-            judged.append(len(frames))
-            clogging.append(clog)
-            frames.append((frame_ts, frame_level, v, area, fpcf, k_cal * fpcf * v * area, status,
-                           int(clog)))
-        else:
-            if not fits:
-                misfits.append((len(frames), FrameDiagnostic(f"level {frame_level!r} {misfit}",
-                                                             frame_ts)))
-            frames.append((frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, 2))
+            return new(Frame, (frame_ts, frame_level, v, area, fpcf, k_cal * fpcf * v * area,
+                               status, int(clog), alarm(clog)))
+        if not fits:
+            return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
+        return new(Frame, (frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, 2, None))
 
-    state, memo = AlarmState(config.debounce), {}
-    source, size, line_no = iter(lines), FIRST_CHUNK_ROWS, 0
     # the ts and level texts that the last rows read as they stand, and their values
     ts_text = level_text = None
     ts_value = level_value = math.nan
-    # the open frame: its ts and level, what its level sets, its t_up_ns and t_down_ns
-    # per chord
+    # the open frame: its ts and level, what its level sets, t_up_ns and t_down_ns per chord
     frame_ts = frame_level = kind = ups = downs = None
-    while True:
-        block = list(islice(source, size))
-        at_end, size = len(block) < size, min(2 * size, CHUNK_ROWS_CAP)
-        frames, misfits, diags, judged, clogging = [], [], [], [], []
-        memo.clear()  # held for a run, it would grow with every distinct level
-        for no, raw in enumerate(block, line_no + 1):
-            parts = raw.split(",")
-            try:  # what _split_row reads, faster; a line it cannot read goes on to it
-                if len(parts) != 5 or raw[0] not in _ROW_START:
+    for no, raw in enumerate(lines, 1):
+        parts = raw.split(",")
+        try:  # what _split_row reads, faster; a line it cannot read goes on to it
+            if len(parts) != 5 or raw[0] not in _ROW_START:
+                raise ValueError
+            t_text, chord, up_text, down_text, l_text = parts
+            if "_" in raw and "_" in t_text + up_text + down_text + l_text:
+                raise ValueError  # a digit separator, which float alone would read
+            if t_text != ts_text:
+                ts_value, ts_text = float(t_text), t_text
+            t_up, t_down = float(up_text), float(down_text)
+            if l_text != level_text:
+                level_value, level_text = float(l_text), l_text
+            ts, level, slot = ts_value, level_value, index.get(chord)
+            if slot is None:
+                chord = chord.strip()
+                if not chord:
                     raise ValueError
-                t_text, chord, up_text, down_text, l_text = parts
-                if t_text != ts_text:
-                    ts_value, ts_text = float(t_text), t_text
-                t_up, t_down = float(up_text), float(down_text)
-                if l_text != level_text:
-                    level_value, level_text = float(l_text), l_text
-                ts, level, slot = ts_value, level_value, index.get(chord)
-                if slot is None:
-                    chord = chord.strip()
-                    if not chord:
-                        raise ValueError
-                    slot = index.get(chord)
-            except ValueError:
-                row = _split_row(raw)
-                if row is None or isinstance(row, str):
-                    if row:
-                        diags.append((len(frames), no,
-                                      FrameDiagnostic(detail=row, line_no=no)))
-                    continue
-                ts, chord, t_up, t_down, level = row
                 slot = index.get(chord)
-            if ts != frame_ts:
-                if not isfinite(ts):  # a row without a finite timestamp is in no frame
-                    diags.append((len(frames), no, FrameDiagnostic(
-                        detail=f"timestamp {ts!r} is not finite; row dropped", line_no=no)))
-                    continue
-                if ups is not None:
-                    close()
-                if level is not frame_level:  # one float object, read from one text
-                    key = _BITS(level)  # -0.0 keeps its sign, and a nan level is found
-                    kind = memo.get(key) or memo.setdefault(key, at_level(level))
-                frame_ts, frame_level = ts, level
-                ups, downs = [None] * n_chords, [None] * n_chords
-            elif level != frame_level and (level == level or frame_level == frame_level):
-                diags.append((len(frames), no, FrameDiagnostic(
-                    f"level {level!r} mm differs from the frame's first row "
-                    f"({frame_level!r} mm); row dropped", frame_ts, no)))
+        except ValueError:
+            row = _split_row(raw)
+            if row is None or isinstance(row, str):
+                if row:
+                    yield FrameDiagnostic(detail=row, line_no=no)
                 continue
-            if slot is None or ups[slot] is not None:
-                what = "unknown chord id" if slot is None else "duplicate row for chord"
-                diags.append((len(frames), no, FrameDiagnostic(
-                    f"{what} {chord!r}; row dropped", frame_ts, no)))
-            else:
-                ups[slot], downs[slot] = t_up, t_down
-        line_no += len(block)
-        if at_end and ups is not None:
-            close()
-        state, events = step_alarms(state, clogging)
-        columns = [list(column) for column in zip(*frames)] or [[] for _ in range(8)]
-        yield FrameChunk(*columns, [(f, e) for f, e in zip(judged, events) if e], misfits, diags)
-        if at_end:
-            return
+            ts, chord, t_up, t_down, level = row
+            slot = index.get(chord)
+        if ts != frame_ts:
+            if not isfinite(ts):  # a row without a finite timestamp is in no frame
+                yield FrameDiagnostic(f"timestamp {ts!r} is not finite; row dropped", line_no=no)
+                continue
+            if ups is not None:
+                yield close()
+            if level is not frame_level:  # one float object, read from one text
+                kind = at_level(repr(level))
+            frame_ts, frame_level = ts, level
+            ups, downs = [None] * n_chords, [None] * n_chords
+        elif level != frame_level and (level == level or frame_level == frame_level):
+            yield FrameDiagnostic(f"level {level!r} mm differs from the frame's first row "
+                                  f"({frame_level!r} mm); row dropped", frame_ts, no)
+            continue
+        if slot is None or ups[slot] is not None:
+            what = "unknown chord id" if slot is None else "duplicate row for chord"
+            yield FrameDiagnostic(f"{what} {chord!r}; row dropped", frame_ts, no)
+        else:
+            ups[slot], downs[slot] = t_up, t_down
+    if ups is not None:
+        yield close()
 
 
-def process_lines(lines: Iterable[str], config) -> Iterator[FrameChunk]:
-    """The frame CSV to a ``FrameChunk`` per chunk of rows, reading at most one chunk
-    ahead: estimates plus debounced clogging verdicts. Every setting, the polynomial
-    too, is that of ``config``, a ``RunConfig`` (``resolve_polynomial`` derives one).
+def process_lines(lines: Iterable[str], config) -> Iterator:
+    """The frame CSV to its records in input order, each as soon as it is known: Q =
+    k_cal * FPCF * v_line * A and the debounced clogging verdict and alarm event of a
+    frame, as a ``Frame``, when the next frame's first row (or the end) is read, and a
+    ``FrameDiagnostic`` when a bad row is read. Every setting, the polynomial too, is
+    that of ``config``, a ``RunConfig`` (``resolve_polynomial`` derives one).
 
-    Malformed rows and frames become diagnostics and the stream continues.
-    Frames without a usable mean velocity leave the alarm state untouched.
+    Rows are read as they come into the one open frame, a slot per configured chord;
+    a row with another timestamp closes it. Rows that cannot be read or have no finite
+    timestamp, rows whose level differs from their frame's first row, an unknown
+    chord's row and a chord's second row become diagnostics; the rest of the frame
+    counts. A frame whose level does not fit the pipe becomes a diagnostic in its
+    place. Wet chords with finite, positive times count, summed in configuration
+    order; a frame without any leaves the alarm state untouched. Levels outside the
+    polynomial's validity range get FPCF = 1 and ``fpcf_out_of_range``: the
+    polynomial is unguarded.
     """
     if config.fpcf_derive and config.poly is None:
         raise ConfigError("fpcf.derive = true: pass the config through resolve_polynomial first")

@@ -35,13 +35,58 @@ def rig_reference_fpcf(level_mm: float) -> float:
 
 
 def process_frames(frames, chords, pipe, **kwargs) -> list:
-    """Frame objects written as the frame CSV and estimated by ``process_lines``:
-    its ``FrameChunk``s. ``kwargs`` are ``RunConfig`` fields (``poly``, ``k_cal``...)."""
+    """Frame objects written as the frame CSV and estimated by ``process_lines``: its
+    ``Frame`` and ``FrameDiagnostic`` records. ``kwargs`` are ``RunConfig`` fields
+    (``poly``, ``k_cal``...)."""
     buf = io.StringIO()
     write_frame_rows(frames, buf)
     buf.seek(0)
     config = RunConfig(pipe=pipe, params=EntropyParams(), chords=tuple(chords), **kwargs)
     return list(process_lines(buf, config))
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def record_by_record(items) -> str:
+    """``process`` output as the per-frame formatter wrote it, one f-string per record,
+    from the records of ``process_lines``: the oracle for the templates of ``process``."""
+    from partialflow.clogging import Verdict
+    from partialflow.measurement import STATUSES, FrameDiagnostic
+
+    out, frames_seen, diagnostics, raised, cleared = [], 0, 0, 0, 0
+    for item in items:
+        if isinstance(item, FrameDiagnostic):
+            diagnostics += 1
+            where = f" line={item.line_no}" if item.line_no is not None else ""
+            ts = f" ts={_fmt(item.timestamp_s)}" if item.timestamp_s is not None else ""
+            out.append(f"diagnostic{where}{ts} detail={item.detail!r}\n")
+            continue
+        frames_seen += 1
+        ts, level, v, area, fpcf, flow, status, clog, event = item
+        judged = clog != 2
+        verdict = (Verdict.NORMAL, Verdict.CLOGGING, None)[clog]
+        out.append(
+            f"frame ts={ts!r} level_mm={level!r} v_line_mps={_fmt(v if judged else None)}"
+            f" area_m2={area!r} fpcf={fpcf!r}"
+            f" q_lps={repr(1000.0 * flow) if judged else '-'}"
+            f" status={STATUSES[status].value} clog={verdict.value if verdict else '-'}\n"
+        )
+        if event is not None:
+            if event.value == "raised":
+                raised += 1
+            else:
+                cleared += 1
+            out.append(f"alarm ts={ts!r} event={event.value}"
+                       f" level_mm={level!r} v_line_mps={v!r}\n")
+    out.append(f"summary frames={frames_seen} diagnostics={diagnostics}"
+               f" alarms={raised} clears={cleared}\n")
+    return "".join(out)
 
 
 @pytest.fixture(scope="session")

@@ -40,7 +40,7 @@ from partialflow import (
 from partialflow.calibration import first_segments
 from partialflow.clogging import AlarmEvent, DecisionBoundary, Verdict
 from partialflow.config import default_config
-from partialflow.measurement import STATUSES, ChordSpec, EstimateStatus
+from partialflow.measurement import STATUSES, ChordSpec, EstimateStatus, Frame
 from partialflow.quadrature import adaptive_integrate
 from partialflow.simulator import (
     ScenarioSpec,
@@ -212,11 +212,9 @@ def test_c08_end_to_end_round_trip(operating_fit):
             flow_lps=flow_lps, level_mm=baseline_level_mm(flow_lps), frame_count=2
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
-        for chunk in run_pipeline(frames, poly):
-            assert chunk.diags == [] and chunk.misfits == []
-            for status, flow_m3s in zip(chunk.status, chunk.flow_m3s):
-                assert STATUSES[status] is EstimateStatus.OK
-                worst = max(worst, abs(1000.0 * flow_m3s - flow_lps) / flow_lps)
+        for frame in run_pipeline(frames, poly):
+            assert type(frame) is Frame and STATUSES[frame.status] is EstimateStatus.OK
+            worst = max(worst, abs(1000.0 * frame.flow_m3s - flow_lps) / flow_lps)
     ok = worst <= 0.005
     report("8 noiseless end-to-end round trip", ok, f"worst rel err={worst:.2e}")
     assert ok
@@ -231,11 +229,10 @@ def test_c09_calibration_efficacy(operating_fit):
             flow_lps=flow_lps, level_mm=baseline_level_mm(flow_lps), frame_count=2
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
-        (chunk,) = run_pipeline(frames, poly)
-        for segment, flow_m3s in enumerate(chunk.flow_m3s, start=1):
+        for segment, frame in enumerate(run_pipeline(frames, poly), start=1):
             trials.append(
                 TrialRecord(segment, f"{flow_lps:g}", flow_lps,
-                            bias * 1000.0 * flow_m3s)
+                            bias * 1000.0 * frame.flow_m3s)
             )
     evaluation = [t for t in trials if t.segment_id > 1]
     pre = error_table(evaluation, k_cal=1.0)
@@ -261,9 +258,9 @@ def test_c10_clogging_detection(operating_fit):
                 frame_count=8,
             )
             frames = generate(scenario, CONFIG.chords, PIPE)
-            (chunk,) = run_pipeline(frames, poly, debounce=debounce)
-            assert chunk.diags == [] and chunk.misfits == []
-            raised = [k for k, event in chunk.events if event is AlarmEvent.RAISED]
+            records = run_pipeline(frames, poly, debounce=debounce)
+            assert all(type(record) is Frame for record in records)
+            raised = [k for k, record in enumerate(records) if record.event is AlarmEvent.RAISED]
             if weir is WeirMode.NONE:
                 ok &= raised == []
             else:
@@ -300,11 +297,7 @@ def test_c11_repeatability(operating_fit):
             frame_count=600,
         )
         frames = generate(scenario, CONFIG.chords, PIPE)
-        flows = [
-            1000.0 * flow_m3s
-            for chunk in run_pipeline(frames, poly)
-            for flow_m3s in chunk.flow_m3s
-        ]
+        flows = [1000.0 * frame.flow_m3s for frame in run_pipeline(frames, poly)]
         assert len(flows) == 600
         values.append(repeatability(flows))
     monotone = values[0] == 0.0 and all(b > a for a, b in zip(values, values[1:]))

@@ -37,9 +37,14 @@ HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
 # that the package no longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``;
 # ``eval_fpcf(poly, h)`` and ``horner(poly.coeffs, h)`` are ``poly(h)``, whose range
 # ``process_lines`` checks; ``_evaluate_cdf`` is part of ``evaluate_velocity`` and
-# ``_composite`` of ``quadrature._axis``) and an error that nothing raises.
-REMOVED = [("clogging", "AlarmStage"), ("clogging", "step_alarm"), ("errors", "FpcfRangeError"),
-           ("errors", "NumericalDomainError"),
+# ``_composite`` of ``quadrature._axis``), an error that nothing raises, and what only
+# row chunks needed (``process_lines`` yields each record as it comes, and
+# ``clogging.Debounce`` steps the alarm one verdict at a time).
+REMOVED = [("cli", "_chunk_records"), ("cli", "_diagnostic_record"), ("clogging", "AlarmStage"),
+           ("clogging", "step_alarm"), ("clogging", "step_alarms"), ("errors", "FpcfRangeError"),
+           ("errors", "NumericalDomainError"), ("measurement", "CHUNK_ROWS_CAP"),
+           ("measurement", "FIRST_CHUNK_ROWS"), ("measurement", "FrameChunk"),
+           ("measurement", "_BITS"),
            ("fpcf", "FpcfSample"), ("fpcf", "eval_fpcf"), ("fpcf", "horner"),
            ("measurement", "DEFAULT_PLAUSIBILITY_CAP"),
            ("measurement", "FlowEstimate"), ("measurement", "ProcessedFrame"),
@@ -67,6 +72,18 @@ def test_removed_name_is_gone(module, name):
     with pytest.raises(AttributeError, match=name):
         getattr(partialflow, name)
     assert not hasattr(importlib.import_module(f"partialflow.{module}"), name)
+
+
+def test_process_lines_yields_frames_and_diagnostics():
+    """``process_lines`` yields a ``Frame`` per estimated frame and a ``FrameDiagnostic``
+    per bad row or out-of-pipe frame, nothing else, and no chunk of them."""
+    from partialflow import FrameDiagnostic, default_config, process_lines
+    from partialflow.measurement import Frame
+
+    rows = ["0.0,a,202696.0,202725.0,85.0\n", "broken row\n", "1.0,a,1,2,900.0\n",
+            "2.0,a,202696.0,202725.0,85.0\n"]
+    items = list(process_lines(rows, default_config()))
+    assert [type(item) for item in items] == [FrameDiagnostic, Frame, FrameDiagnostic, Frame]
 
 
 def test_unknown_name_raises_attribute_error():
@@ -117,7 +134,8 @@ def test_run_settings_have_one_home(capsys):
     # the default configuration is the empty document, parsed like any other
     assert not hasattr(config, "_default_chords")
     assert list(inspect.signature(fpcf.fit_polynomial).parameters) == ["samples"]
-    assert "chord_v" not in measurement.FrameChunk._fields
+    assert measurement.Frame._fields == ("ts", "level", "v_line", "area", "fpcf", "flow_m3s",
+                                         "status", "clog", "event")
     # one quadrature: its Gauss order is a constant, and no config key or field sets it
     assert tuple(quadrature.QuadratureSpec.__annotations__) == ("rel_tol", "max_depth")
     assert not [key for key in config._SCALARS if key.startswith("quad.")]

@@ -182,17 +182,15 @@ class TestProcessCommand:
         assert "error" in err
 
     def test_first_record_before_whole_input(self, monkeypatch, tmp_path):
-        # guards start-up latency: records must follow a bounded read-ahead,
-        # never a parse of the whole input
+        # guards start-up latency and alarm delay: a frame's record, and its alarm, are
+        # written once the next frame's first row is read, before any later row
         import io
         import sys
 
-        from partialflow.measurement import CHUNK_ROWS_CAP
-
         sim = tmp_path / "frames.csv"
-        main(["simulate", "--flow-lps", "4", "--frames", "4000", "--out", str(sim)])
+        main(["simulate", "--flow-lps", "4", "--weir", "weir1", "--frames", "40",
+              "--out", str(sim)])
         text = sim.read_text().splitlines(keepends=True)
-        assert len(text) > 3 * CHUNK_ROWS_CAP
         consumed = 0
 
         def counting():
@@ -202,21 +200,60 @@ class TestProcessCommand:
                 yield line
 
         class Recorder(io.StringIO):
-            at_first_frame = None
+            def __init__(self):
+                super().__init__()
+                self.read_at = []  # (rows read, record) per record written
 
             def write(self, s):
-                if self.at_first_frame is None and s.startswith("frame "):
-                    self.at_first_frame = consumed
+                self.read_at += [(consumed, line) for line in s.splitlines()]
                 return super().write(s)
+
+        def closing_line(ts: str) -> int:
+            """The line number of the first row of the frame after the one at ``ts``."""
+            return next(no for no, line in enumerate(text, 1)
+                        if line[0].isdigit() and float(line.split(",")[0]) > float(ts))
 
         out = Recorder()
         monkeypatch.setattr(sys, "stdin", counting())
         monkeypatch.setattr(sys, "stdout", out)
         assert main(["process", "--frames", "-"]) == 0
         assert consumed == len(text)
-        assert out.at_first_frame is not None
-        assert out.at_first_frame <= CHUNK_ROWS_CAP
-        assert out.getvalue().count("\nframe ") == 3999
+        records = [line for _, line in out.read_at]
+        assert sum(line.startswith("frame ") for line in records) == 40
+        first = next(at for at, line in out.read_at if line.startswith("frame "))
+        assert first == closing_line("0.0") == 4  # the header, two rows, the next row
+        raised = [(at, line) for at, line in out.read_at if "event=raised" in line]
+        assert raised, "no alarm raised"
+        at, line = raised[0]
+        assert at == closing_line(line.split()[1].removeprefix("ts="))
+
+    def test_unbuffered_stdout_gathers_records(self, monkeypatch, tmp_path):
+        # PYTHONUNBUFFERED makes stdout pass each write on to the OS: a system call per
+        # record cost process ~30% of its frame rate. Records are gathered while the
+        # command runs, all of them reach the output, and stdout is left as it was.
+        import io
+        import sys
+
+        class Raw(io.RawIOBase):
+            calls, data = 0, b""
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                Raw.calls += 1
+                Raw.data += bytes(b)
+                return len(b)
+
+        sim = tmp_path / "frames.csv"
+        main(["simulate", "--flow-lps", "4", "--frames", "400", "--out", str(sim)])
+        out = io.TextIOWrapper(Raw(), encoding="utf-8", write_through=True)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["process", "--frames", str(sim)]) == 0
+        assert out.write_through
+        text = Raw.data.decode()
+        assert text.count("frame ") == 400 and text.endswith("alarms=0 clears=0\n")
+        assert Raw.calls <= len(text) // 8192 + 2
 
     def test_simulate_process_chain(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -598,7 +635,7 @@ class TestExitCodes:
 
 def test_literals_match_their_enums():
     """The CLI writes out the weir modes rather than load the simulator to build its parser;
-    the clogging texts come from the verdicts, in the order of FrameChunk.clog's codes."""
+    the clogging texts come from the verdicts, in the order of Frame.clog's codes."""
     from partialflow import cli
     from partialflow.clogging import Verdict
     from partialflow.simulator import WeirMode
@@ -624,71 +661,20 @@ def test_fpcf_of_a_config_fits_the_polynomial_process_derives(capsys, tmp_path):
     assert doc == format_fit_document(resolve_polynomial(load_config(str(cfg)))[1])
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _record_by_record(lines, config) -> str:
-    """``process`` output as the per-frame formatter wrote it, one f-string per
-    record, from the same estimates: the oracle for the chunk-wise formatter."""
-    from partialflow.clogging import Verdict
-    from partialflow.measurement import STATUSES, FrameDiagnostic, process_lines
-
-    out, frames_seen, diagnostics, raised, cleared = [], 0, 0, 0, 0
-    for chunk in process_lines(lines, config):
-        events, misfits = dict(chunk.events), dict(chunk.misfits)
-        diags, items = sorted(chunk.diags, key=lambda d: (d[0], d[1])), []
-        columns = zip(*chunk[:8])
-        for f, (ts, level, v, area, fpcf, flow, status, clog) in enumerate(columns):
-            items += [d for pos, _, d in diags if pos == f]
-            judged = clog != 2
-            items.append(misfits.get(f) or (
-                ts, level, v if judged else None, area, fpcf, flow if judged else None,
-                STATUSES[status], (Verdict.NORMAL, Verdict.CLOGGING, None)[clog], events.get(f)))
-        items += [d for pos, _, d in diags if pos >= len(chunk.ts)]
-        for item in items:
-            if isinstance(item, FrameDiagnostic):
-                diagnostics += 1
-                where = f" line={item.line_no}" if item.line_no is not None else ""
-                ts = f" ts={_fmt(item.timestamp_s)}" if item.timestamp_s is not None else ""
-                out.append(f"diagnostic{where}{ts} detail={item.detail!r}\n")
-                continue
-            frames_seen += 1
-            ts, level, v, area, fpcf, flow, status, verdict, event = item
-            out.append(
-                f"frame ts={ts!r} level_mm={level!r} v_line_mps={_fmt(v)}"
-                f" area_m2={area!r} fpcf={fpcf!r}"
-                f" q_lps={'-' if flow is None else repr(1000.0 * flow)}"
-                f" status={status.value} clog={verdict.value if verdict else '-'}\n"
-            )
-            if event is not None:
-                if event.value == "raised":
-                    raised += 1
-                else:
-                    cleared += 1
-                out.append(f"alarm ts={ts!r} event={event.value}"
-                           f" level_mm={level!r} v_line_mps={v!r}\n")
-    out.append(f"summary frames={frames_seen} diagnostics={diagnostics}"
-               f" alarms={raised} clears={cleared}\n")
-    return "".join(out)
-
-
 @pytest.mark.parametrize("with_poly", [True, False], ids=["polynomial", "uncorrected"])
 def test_chunk_formatter_matches_record_by_record(capsys, tmp_path, with_poly):
-    """Every status, an alarm raised and cleared, every diagnostic kind, an
-    out-of-pipe level, a 0.0 level then a -0.0 one, and frames straddling
-    chunks of FIRST_CHUNK_ROWS and CHUNK_ROWS_CAP rows, byte for byte."""
+    """The templated records of ``process`` against one f-string per record: every
+    status, an alarm raised and cleared, every diagnostic kind, an out-of-pipe level,
+    a 0.0 level then a -0.0 one, byte for byte."""
     import io
 
     from partialflow import (ChordReading, FpcfPolynomial, ScenarioSpec, SensorFrame, WeirMode,
                              baseline_level_mm, default_config, generate, write_frame_rows)
     from partialflow.config import format_fit_document, parse_config
     from partialflow.fpcf import FitResult
-    from partialflow.measurement import CHUNK_ROWS_CAP, FIRST_CHUNK_ROWS
+    from partialflow.measurement import process_lines
+
+    from conftest import record_by_record
 
     config = default_config()
     frames = []
@@ -708,12 +694,9 @@ def test_chunk_formatter_matches_record_by_record(capsys, tmp_path, with_poly):
     lines = buf.getvalue().splitlines(keepends=True)
     ts, chord, t_up, t_down, level = lines[41].split(",")
     # unknown chord, duplicate row, level differing within a frame, a comment
-    # (six lines keep each chunk boundary inside a frame)
     lines[42:42] = [f"{ts},z,{t_up},{t_down},{level}", lines[41],
                     f"{ts},b,{t_up},{t_down},{float(level) + 1.0!r}\n",
                     "broken row\n", "x,a,1,2,85.0\n", "# comment\n"]
-    for end in (FIRST_CHUNK_ROWS, 3 * FIRST_CHUNK_ROWS, 3 * FIRST_CHUNK_ROWS + CHUNK_ROWS_CAP):
-        assert lines[end - 1].split(",")[0] == lines[end].split(",")[0]
     csv = tmp_path / "frames.csv"
     csv.write_text("".join(lines))
     cfg = tmp_path / "run.cfg"
@@ -723,7 +706,7 @@ def test_chunk_formatter_matches_record_by_record(capsys, tmp_path, with_poly):
     assert main(["process", "--config", str(cfg), "--frames", str(csv)]) == 0
     out = capsys.readouterr().out
     with csv.open() as fh:
-        want = _record_by_record(fh, parse_config(cfg.read_text()))
+        want = record_by_record(process_lines(fh, parse_config(cfg.read_text())))
     # the first differing record, not a diff of two 2,000-line texts
     assert next(((k, a, b) for k, (a, b) in enumerate(
         zip_longest(out.splitlines(True), want.splitlines(True))) if a != b), None) is None
@@ -741,9 +724,10 @@ def test_process_output_of_the_mixed_log_is_unchanged(capsys, polynomial):
     transit times, zero and negative ones, a duplicate row, an unknown chord, level
     changes within a frame (a nan one too), out-of-pipe, dry, -0.0, 0.0, nan and
     infinite levels, non-finite and signed-zero timestamps, malformed, blank and comment
-    lines and repeated headers, with frames straddling chunks. ``process`` writes, byte
-    for byte, the output that the numpy frame path wrote for it, stored beside it, with
-    a stored polynomial, none (uncorrected) and a derived one."""
+    lines and repeated headers. ``process`` writes, byte for byte, the output stored
+    beside it, with a stored polynomial, none (uncorrected) and a derived one: what the
+    numpy frame path wrote, except that line 211, ``1_0,a,1,2,3``, is a diagnostic
+    where ``float`` read a frame at ts 10.0."""
     config = [] if polynomial == "none" else ["--config", str(DATA / f"mixed_{polynomial}.cfg")]
     code, out, err = run(capsys, "process", *config, "--frames", str(DATA / "mixed_frames.csv"))
     assert (code, err) == (0, "")

@@ -9,7 +9,7 @@ from partialflow import (
     Verdict,
     classify,
 )
-from partialflow.clogging import step_alarms
+from partialflow.clogging import Debounce
 
 BOUNDARY = DecisionBoundary()
 
@@ -60,7 +60,8 @@ class TestClassify:
 
 
 def run_verdicts(verdicts, threshold):
-    state, events = step_alarms(AlarmState(threshold=threshold), [v is C for v in verdicts])
+    state = Debounce(AlarmState(threshold=threshold))
+    events = [state.step(v is C) for v in verdicts]
     return state, [(k, event) for k, event in enumerate(events) if event is not None]
 
 
@@ -86,15 +87,20 @@ class TestAlarm:
         assert events == [(2, AlarmEvent.RAISED), (3, AlarmEvent.CLEARED)]
 
     def test_stages(self):
-        state = AlarmState(threshold=3)
-        state, _ = step_alarms(state, [True])
+        state = Debounce(AlarmState(threshold=3))
+        state.step(True)
         assert (state.alarm, state.count) == (False, 1)
-        state, _ = step_alarms(state, [False])
+        state.step(False)
         assert (state.alarm, state.count) == (False, 0)
-        state, _ = step_alarms(state, [True] * 3)
+        for _ in range(3):
+            state.step(True)
         assert (state.alarm, state.count) == (True, 3)
-        state, _ = step_alarms(state, [False])
+        state.step(False)
         assert (state.alarm, state.count) == (False, 0)
+        # a state taken up again goes on from where it was
+        state = Debounce(AlarmState(threshold=3, alarm=True, count=7))
+        assert state.step(True) is None and state.count == 8
+        assert state.step(False) is AlarmEvent.CLEARED
 
     def test_no_repeat_raise_while_alarmed(self):
         _, events = run_verdicts([C] * 10, threshold=2)

@@ -372,10 +372,10 @@ class TestEval:
         levels = (59.0, 60.0, 200.0, 201.0)
         rows = [f"{k}.0,{chord},135000.0,135010.0,{h!r}"
                 for k, h in enumerate(levels) for chord in "ab"]
-        (chunk,) = process_lines(rows, RunConfig(**{**vars(default_config()), "poly": poly}))
-        assert [STATUSES[s].value for s in chunk.status] == [
+        frames = list(process_lines(rows, RunConfig(**{**vars(default_config()), "poly": poly})))
+        assert [STATUSES[f.status].value for f in frames] == [
             "fpcf_out_of_range", "ok", "ok", "fpcf_out_of_range"]
-        assert chunk.fpcf == [1.0, poly(60.0), poly(200.0), 1.0]
+        assert [f.fpcf for f in frames] == [1.0, poly(60.0), poly(200.0), 1.0]
 
     def test_sample_positivity_enforced(self, monkeypatch):
         # a table row holds fpcf()'s factor, which is positive or raises

@@ -24,7 +24,7 @@ from partialflow import (
     process_lines,
     write_frame_rows,
 )
-from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, FrameChunk
+from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, Frame
 from partialflow.simulator import transit_times
 
 from conftest import process_frames
@@ -46,9 +46,9 @@ def frame_for(velocities: dict, level_mm: float, chords=(CHORD_A, CHORD_B), c=14
 
 
 def estimate(frame, chords, poly, **kwargs):
-    """The one-frame ``FrameChunk`` of ``frame``."""
-    (chunk,) = process_frames([frame], chords, PIPE, poly=poly, **kwargs)
-    return chunk
+    """The ``Frame`` of ``frame``."""
+    (item,) = process_frames([frame], chords, PIPE, poly=poly, **kwargs)
+    return item
 
 
 class TestLineVelocity:
@@ -91,30 +91,30 @@ class TestChordSpec:
 class TestEstimateFlow:
     def test_zero_velocity_zero_flow(self):
         est = estimate(frame_for({"a": 0.0}, 85.0), [CHORD_A], FLAT_POLY)
-        assert STATUSES[est.status[0]] is EstimateStatus.OK
-        assert est.flow_m3s[0] == 0.0
+        assert STATUSES[est.status] is EstimateStatus.OK
+        assert est.flow_m3s == 0.0
 
     def test_velocity_scaling_doubles_flow(self):
         est1 = estimate(frame_for({"a": 0.2, "b": 0.2}, 85.0), [CHORD_A, CHORD_B], FLAT_POLY)
         est2 = estimate(frame_for({"a": 0.4, "b": 0.4}, 85.0), [CHORD_A, CHORD_B], FLAT_POLY)
-        assert est2.flow_m3s[0] == pytest.approx(2.0 * est1.flow_m3s[0], rel=1e-9)
+        assert est2.flow_m3s == pytest.approx(2.0 * est1.flow_m3s, rel=1e-9)
 
     def test_multi_chord_reduces_to_single(self):
         single = estimate(frame_for({"a": 0.3}, 85.0), [CHORD_A], FLAT_POLY)
         double = estimate(frame_for({"a": 0.3, "b": 0.3}, 85.0), [CHORD_A, CHORD_B], FLAT_POLY)
-        assert double.flow_m3s[0] == pytest.approx(single.flow_m3s[0], rel=1e-12)
+        assert double.flow_m3s == pytest.approx(single.flow_m3s, rel=1e-12)
 
     def test_weighted_mean(self):
         heavy = ChordSpec("a", 50.0, 0.3, ANGLE, weight=3.0)
         light = ChordSpec("b", 50.0, 0.3, ANGLE, weight=1.0)
         est = estimate(frame_for({"a": 0.4, "b": 0.2}, 85.0, (heavy, light)), [heavy, light],
                        FLAT_POLY)
-        assert est.v_line[0] == pytest.approx(0.35, rel=1e-9)
+        assert est.v_line == pytest.approx(0.35, rel=1e-9)
 
     def test_all_chords_dry(self):
         est = estimate(frame_for({"a": 0.2}, 40.0), [CHORD_A], FLAT_POLY)
-        assert STATUSES[est.status[0]] is EstimateStatus.DRY_CHORD
-        assert math.isnan(est.flow_m3s[0])
+        assert STATUSES[est.status] is EstimateStatus.DRY_CHORD
+        assert math.isnan(est.flow_m3s)
 
     def test_partial_dry_uses_wet_only(self):
         # uncorrected: one polynomial serves chords at one height only
@@ -122,32 +122,32 @@ class TestEstimateFlow:
         high = ChordSpec("hi", 120.0, 0.3, ANGLE)
         frame = frame_for({"lo": 0.3, "hi": 0.6}, 85.0, (low, high))
         est = estimate(frame, [low, high], None)
-        assert est.v_line[0] == pytest.approx(0.3, rel=1e-9)
+        assert est.v_line == pytest.approx(0.3, rel=1e-9)
 
     def test_invalid_times_status(self):
         frame = SensorFrame(0.0, (ChordReading("a", -1.0, 1e-4),), 85.0)
         est = estimate(frame, [CHORD_A], FLAT_POLY)
-        assert STATUSES[est.status[0]] is EstimateStatus.INVALID_TIMES
-        assert math.isnan(est.flow_m3s[0])
+        assert STATUSES[est.status] is EstimateStatus.INVALID_TIMES
+        assert math.isnan(est.flow_m3s)
 
     def test_fpcf_fallback_below_range(self):
         poly = FpcfPolynomial((2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 50.0, 250.0)
         low = ChordSpec("a", 20.0, 0.3, ANGLE)
         est = estimate(frame_for({"a": 0.2}, 40.0, (low,)), [low], poly)
-        assert STATUSES[est.status[0]] is EstimateStatus.FPCF_OUT_OF_RANGE
-        assert est.fpcf[0] == 1.0
-        assert est.flow_m3s[0] == pytest.approx(0.2 * est.area[0], rel=1e-9)
+        assert STATUSES[est.status] is EstimateStatus.FPCF_OUT_OF_RANGE
+        assert est.fpcf == 1.0
+        assert est.flow_m3s == pytest.approx(0.2 * est.area, rel=1e-9)
 
     def test_no_polynomial_raw_product(self):
         est = estimate(frame_for({"a": 0.2}, 85.0), [CHORD_A], None)
-        assert STATUSES[est.status[0]] is EstimateStatus.UNCORRECTED
-        assert est.fpcf[0] == 1.0
-        assert est.flow_m3s[0] == est.v_line[0] * est.area[0]
+        assert STATUSES[est.status] is EstimateStatus.UNCORRECTED
+        assert est.fpcf == 1.0
+        assert est.flow_m3s == est.v_line * est.area
 
     def test_k_cal_scales_flow(self):
         est1 = estimate(frame_for({"a": 0.2}, 85.0), [CHORD_A], FLAT_POLY, k_cal=1.0)
         est2 = estimate(frame_for({"a": 0.2}, 85.0), [CHORD_A], FLAT_POLY, k_cal=1.1)
-        assert est2.flow_m3s[0] == pytest.approx(1.1 * est1.flow_m3s[0], rel=1e-12)
+        assert est2.flow_m3s == pytest.approx(1.1 * est1.flow_m3s, rel=1e-12)
 
 
 FRAME_TEXT = """timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm
@@ -159,72 +159,71 @@ not-a-number,a,1,2,85.0
 """
 
 
-def _chunks(text: str) -> list:
-    """The ``FrameChunk``s of ``text`` with chords a and b and a flat polynomial."""
+def _items(text: str) -> list:
+    """The records of ``text`` with chords a and b and a flat polynomial."""
     config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
                        poly=FLAT_POLY)
     return list(process_lines(io.StringIO(text), config))
 
 
+def _split(items) -> tuple:
+    """``items`` as its frames and its diagnostics, each in order."""
+    return ([i for i in items if isinstance(i, Frame)],
+            [i for i in items if isinstance(i, FrameDiagnostic)])
+
+
 class TestFrameCsv:
     def test_parse_groups_by_timestamp(self):
-        ((ts, level, v_line, *_, diags),) = _chunks(FRAME_TEXT)
-        assert ts == [0.0, 1.0, 2.0]
+        frames, diags = _split(_items(FRAME_TEXT))
+        assert [f.ts for f in frames] == [0.0, 1.0, 2.0]
         assert len(diags) == 1
-        assert level[0] == 85.0
+        assert frames[0].level == 85.0
         # frame 0 has both rows, the others chord a's alone: the same times, so the same
         # v, from times read in ns
         v = line_velocity(202696e-9, 202725e-9, CHORD_A)
-        assert v_line == pytest.approx([v, v, v], rel=1e-12)
+        assert [f.v_line for f in frames] == pytest.approx([v, v, v], rel=1e-12)
 
     def test_round_trip(self):
         frames = [SensorFrame(float(k), frame_for({"a": 0.2, "b": 0.1 * k}, 85.0).readings,
                               80.0 + k) for k in range(3)]
         buf = io.StringIO()
         write_frame_rows(frames, buf)
-        (chunk,) = _chunks(buf.getvalue())
-        assert chunk.diags == [] and chunk.misfits == []
-        assert chunk.ts == [f.timestamp_s for f in frames]
-        assert chunk.level == [f.level_mm for f in frames]
+        items = _items(buf.getvalue())
+        assert all(type(i) is Frame for i in items)
+        assert [i.ts for i in items] == [f.timestamp_s for f in frames]
+        assert [i.level for i in items] == [f.level_mm for f in frames]
         means = [(line_velocity(a.t_up_s, a.t_down_s, CHORD_A)
                   + line_velocity(b.t_up_s, b.t_down_s, CHORD_B)) / 2
                  for a, b in (f.readings for f in frames)]
-        assert chunk.v_line == pytest.approx(means, rel=1e-9)
+        assert [i.v_line for i in items] == pytest.approx(means, rel=1e-9)
 
     def test_bad_field_count(self):
-        ((ts, *_, diags),) = _chunks("1.0,a,5,6\n")
-        assert len(ts) == 0
-        assert [(d.line_no, d.detail) for _, _, d in diags] == [(1, "expected 5 fields, got 4")]
+        assert [(d.line_no, d.detail) for d in _items("1.0,a,5,6\n")] == [
+            (1, "expected 5 fields, got 4")]
 
     def test_empty_input(self):
-        ((ts, *_, diags),) = _chunks("")
-        assert len(ts) == 0 and diags == []
+        assert _items("") == []
 
 
 class TestProcessStream:
-    def run(self, text):
-        (chunk,) = _chunks(text)
-        return chunk
+    run = staticmethod(_items)
 
     def test_empty(self):
-        chunk = self.run("")
-        assert len(chunk.ts) == 0 and chunk.in_order([]) == []
+        assert self.run("") == []
 
     def test_mixed_frames_and_diagnostics(self):
-        chunk = self.run(FRAME_TEXT)
-        items = chunk.in_order(chunk.ts)
+        items = self.run(FRAME_TEXT)
         # the bad row may belong to frame 1.0, which ends only at 2.0's row
-        assert items[:1] + items[2:] == [0.0, 1.0, 2.0]
+        assert [i.ts for i in items[:1] + items[2:]] == [0.0, 1.0, 2.0]
         assert isinstance(items[1], FrameDiagnostic) and items[1].line_no == 5
-        assert [STATUSES[s] for s in chunk.status] == [EstimateStatus.OK] * 3
+        assert [STATUSES[i.status] for i in _split(items)[0]] == [EstimateStatus.OK] * 3
 
     def test_determinism(self):
         first, second = self.run(FRAME_TEXT), self.run(FRAME_TEXT)
         assert repr(first) == repr(second)  # the repr of a float is exact, NaN too
 
     def test_overfull_level_becomes_diagnostic(self):
-        chunk = self.run("0.0,a,202696.0,202725.0,900.0\n")
-        items = chunk.in_order(chunk.ts)
+        items = self.run("0.0,a,202696.0,202725.0,900.0\n")
         assert len(items) == 1
         assert isinstance(items[0], FrameDiagnostic)
 
@@ -236,11 +235,12 @@ class TestProcessStream:
 
         text = "".join(f"{ts},{chord},202696.0,202725.0,{level}\n" for ts, level in [
             ("0.0", "nan"), ("1.0", "80.0"), ("2.0", "300.0")] for chord in "ab") + tail
-        chunk = self.run(text)
-        assert [d.detail for *_, d in chunk.diags] == ["expected 5 fields, got 1"] * len(tail[:1])
-        assert [(f, d.detail) for f, d in chunk.misfits] == [
-            (0, "level nan mm is not within the pipe (0 to 250 mm)"),
-            (2, "level 300.0 mm is not within the pipe (0 to 250 mm)")]
+        # the broken row comes before the frame still open at its line
+        assert [(getattr(i, "line_no", None), i.ts if type(i) is Frame else i.detail)
+                for i in self.run(text)] == [
+            (None, "level nan mm is not within the pipe (0 to 250 mm)"), (None, 1.0),
+            *[(7, "expected 5 fields, got 1")] * len(tail[:1]),
+            (None, "level 300.0 mm is not within the pipe (0 to 250 mm)")]
         frames = tmp_path / "frames.csv"
         frames.write_text(text)
         assert main(["process", "--frames", str(frames)]) == 0
@@ -255,15 +255,18 @@ class TestProcessStream:
         text = "".join(f"{ts},{chord}{row}" for ts, chord in [
             ("0.0", "a"), ("0.0", "b"), ("nan", "a"), ("nan", "b"), ("inf", "a"), ("-inf", "b"),
             ("2.0", "a"), ("2.0", "b")]) + tail
-        chunk = self.run(text)
-        assert chunk.ts == [0.0, 2.0]
-        assert [STATUSES[s] for s in chunk.status] == [EstimateStatus.OK] * 2
-        assert [(f, d.line_no, d.timestamp_s, d.detail) for f, _, d in chunk.diags][:4] == [
-            (0, 3, None, "timestamp nan is not finite; row dropped"),
-            (0, 4, None, "timestamp nan is not finite; row dropped"),
-            (0, 5, None, "timestamp inf is not finite; row dropped"),
-            (0, 6, None, "timestamp -inf is not finite; row dropped")]
-        assert len(chunk.diags) == 4 + bool(tail)
+        items = self.run(text)
+        frames, diags = _split(items)
+        assert [f.ts for f in frames] == [0.0, 2.0]
+        assert [STATUSES[f.status] for f in frames] == [EstimateStatus.OK] * 2
+        # each before frame 0.0, still open at its line
+        assert items[4] is frames[0]
+        assert [(d.line_no, d.timestamp_s, d.detail) for d in items[:4]] == [
+            (3, None, "timestamp nan is not finite; row dropped"),
+            (4, None, "timestamp nan is not finite; row dropped"),
+            (5, None, "timestamp inf is not finite; row dropped"),
+            (6, None, "timestamp -inf is not finite; row dropped")]
+        assert len(diags) == 4 + bool(tail)
 
     def test_non_finite_readings_dropped(self):
         # 0.1 m/s at 85 mm is below the clogging boundary: the alarm rises
@@ -276,37 +279,34 @@ class TestProcessStream:
             b = (t_up, "nan") if k == 5 else (t_up, t_down)
             rows += [f"{k}.0,a,{a[0]},{a[1]},85.0", f"{k}.0,b,{b[0]},{b[1]},85.0"]
         rows += ["8.0,a,1,2,nan", "9.0,a,1,2,inf"]
-        chunk = self.run("\n".join(rows) + "\n")
-        assert chunk.diags == []
-        assert [(f, d.timestamp_s) for f, d in chunk.misfits] == [(8, 8.0), (9, 9.0)]
-        assert [STATUSES[s] for s in chunk.status[:8]] == [EstimateStatus.OK] * 5 + [
+        *frames, nan_level, inf_level = self.run("\n".join(rows) + "\n")
+        assert all(type(f) is Frame for f in frames)
+        assert [(d.timestamp_s, d.line_no) for d in (nan_level, inf_level)] == [
+            (8.0, None), (9.0, None)]
+        assert [STATUSES[f.status] for f in frames] == [EstimateStatus.OK] * 5 + [
             EstimateStatus.INVALID_TIMES, EstimateStatus.OK, EstimateStatus.OK]
-        assert chunk.clog[5] == 2
-        assert [math.isnan(q) for q in chunk.flow_m3s[:8]] == [False] * 5 + [True, False, False]
+        assert frames[5].clog == 2
+        assert [math.isnan(f.flow_m3s) for f in frames] == [False] * 5 + [True, False, False]
         # frame 6 counts chord b alone
-        assert chunk.v_line[6] == pytest.approx(0.1, rel=1e-9)
-        assert [event for _, event in chunk.events] == [AlarmEvent.RAISED]
+        assert frames[6].v_line == pytest.approx(0.1, rel=1e-9)
+        assert [f.event for f in frames] == [None] * 4 + [AlarmEvent.RAISED] + [None] * 3
 
     def test_underflowing_times_leave_the_chord_out(self):
         # 2 * t_up * t_down * cos(theta) underflows to 0 at these times: numpy's v was
         # inf or nan, so the chord counted for nothing; a plain division would raise
         t_up, t_down = (f"{t * 1e9!r}" for t in transit_times(0.2, CHORD_B, 1480.0))
-        chunk = self.run(f"0.0,a,1e-200,2e-200,85.0\n0.0,b,{t_up},{t_down},85.0\n"
-                         "1.0,a,1e-200,1e-200,85.0\n")
-        assert chunk.v_line[0] == pytest.approx(0.2, rel=1e-9)
-        assert [STATUSES[s] for s in chunk.status] == [EstimateStatus.OK,
-                                                       EstimateStatus.INVALID_TIMES]
+        frames = self.run(f"0.0,a,1e-200,2e-200,85.0\n0.0,b,{t_up},{t_down},85.0\n"
+                          "1.0,a,1e-200,1e-200,85.0\n")
+        assert frames[0].v_line == pytest.approx(0.2, rel=1e-9)
+        assert [STATUSES[f.status] for f in frames] == [EstimateStatus.OK,
+                                                        EstimateStatus.INVALID_TIMES]
 
     def test_stuck_clock_diagnostics_come_in_line_order(self):
         # every row at ts 0.0: the one frame stays open to the end, and each chunk put its
         # duplicate-row diagnostics in place by list.insert, O(records x diagnostics)
         text = "0.0,a,202696.0,202725.0,85.0\n0.0,b,202696.0,202725.0,85.0\n" * 2500
-        config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
-                           poly=FLAT_POLY)
-        chunks = list(process_lines(io.StringIO(text), config))
-        assert len(chunks) > 1
-        *diags, frame = [item for c in chunks for item in c.in_order(c.ts)]
-        assert frame == 0.0
+        *diags, frame = self.run(text)
+        assert type(frame) is Frame and frame.ts == 0.0
         assert [(d.line_no, d.detail) for d in diags] == [
             (n, f"duplicate row for chord {'ba'[n % 2]!r}; row dropped") for n in range(3, 5001)]
 
@@ -314,36 +314,49 @@ class TestProcessStream:
         # the frame that never ends was carried whole from chunk to chunk and joined
         # again each time: 87 MB peak RSS on 80k rows, 4x the traced peak of 20k rows.
         # Every row here is a diagnostic, whose allocations tracemalloc makes ~15x
-        # slower, so 12k and 3k rows, 13 and 5 chunks, show the bound.
-        from partialflow.cli import _chunk_records
+        # slower, so 12k and 3k rows show the bound.
+        def rows(count: int):
+            return (f"0.0,{'ab'[k % 2]},202696.0,202725.0,85.0\n" for k in range(count))
+
+        _peak(rows(10), True)  # what a first run loads lazily is not the frame path's
+        assert _peak(rows(12_000), True) <= 1.5 * _peak(rows(3_000), True)
+
+    @pytest.mark.parametrize("through_cli", [False, True], ids=["process_lines", "process"])
+    def test_new_level_every_frame_runs_in_bounded_memory(self, through_cli):
+        # what a level sets, and the text of its records, are kept for at most 1024
+        # levels: a log whose every frame has a new level does not grow them. Each new
+        # level costs ~0.1 ms under tracemalloc, so 1,200 and 4,800 frames show the bound.
+        def rows(count: int):
+            return (f"{k}.0,a,202696.0,202725.0,{80.0 + k * 1e-4!r}\n" for k in range(count))
+
+        _peak(rows(10), through_cli)
+        assert _peak(rows(4_800), through_cli) <= 1.5 * _peak(rows(1_200), through_cli)
+
+    def test_diagnostics_without_a_frame(self):
+        assert [(d.line_no, d.detail) for d in self.run("broken row\n0.0,a,1,2\n")] == [
+            (1, "expected 5 fields, got 1"), (2, "expected 5 fields, got 4")]
+
+    def test_each_record_comes_out_when_its_row_is_read(self):
+        # a diagnostic at its row's line; a frame, or the diagnostic in place of one that
+        # does not fit the pipe, at the next frame's first row or at the end of the input
+        text = ["broken row\n", "0.0,a,1\n", "0.0,a,202696.0,202725.0,85.0\n",
+                "1.0,a,202696.0,202725.0,900.0\n", "1.0,z,1,2,900.0\n",
+                "2.0,a,202696.0,202725.0,85.0\n", "3.0,a,202696.0,202725.0,85.0\n",
+                "x\n", "4.0,a,202696.0,202725.0,85.0\n", "# comment\n"]
+        read = 0
+
+        def counting():
+            nonlocal read
+            for line in text:
+                read += 1
+                yield line
 
         config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
                            poly=FLAT_POLY)
-
-        def peak(rows: int) -> int:
-            lines = (f"0.0,{'ab'[k % 2]},202696.0,202725.0,85.0\n" for k in range(rows))
-            tracemalloc.start()
-            try:
-                for chunk in process_lines(lines, config):
-                    _chunk_records(chunk)  # the output, discarded
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        peak(10)  # what a first run loads lazily is not the frame path's
-        assert peak(12_000) <= 1.5 * peak(3_000)
-
-    def test_diagnostics_without_a_frame(self):
-        chunk = self.run("broken row\n0.0,a,1,2\n")
-        assert len(chunk.ts) == 0
-        assert [(d.line_no, d.detail) for d in chunk.in_order([])] == [
-            (1, "expected 5 fields, got 1"), (2, "expected 5 fields, got 4")]
-
-    def test_in_order_places_each_diagnostic_before_its_frame(self):
-        diags = [(0, 1, "d1"), (0, 2, "d2"), (2, 7, "d7"), (3, 9, "d9")]
-        chunk = FrameChunk._make([None] * 9 + [[(1, "m1")], diags])
-        assert chunk.in_order(["r0", "r1", "r2"], str.upper) == [
-            "D1", "D2", "r0", "M1", "D7", "r2", "D9"]
+        got = [(read, i.ts if type(i) is Frame else i.line_no or i.timestamp_s)
+               for i in process_lines(counting(), config)]
+        assert got == [(1, 1), (2, 2), (4, 0.0), (5, 5), (6, 1.0), (7, 2.0), (8, 8), (9, 3.0),
+                       (10, 4.0)]
 
     def test_underived_polynomial_refused(self):
         # a fpcf.derive = true config without its derived polynomial ran uncorrected
@@ -355,16 +368,45 @@ class TestProcessStream:
         a, b = frame_for({"a": 0.2, "b": 0.4}, 85.0).readings
         stray = ChordReading("z", a.t_up_s, a.t_down_s)
         # written below a header: a on line 2, z on 3, b on 4 and 5
-        (chunk,) = process_frames([SensorFrame(3.0, (a, stray, b, b), 85.0)],
-                                  [CHORD_A, CHORD_B], PIPE, poly=FLAT_POLY)
-        *diags, processed = chunk.in_order(chunk.ts)
+        *diags, processed = process_frames([SensorFrame(3.0, (a, stray, b, b), 85.0)],
+                                           [CHORD_A, CHORD_B], PIPE, poly=FLAT_POLY)
         assert [(d.detail, d.timestamp_s, d.line_no) for d in diags] == [
             ("unknown chord id 'z'; row dropped", 3.0, 3),
             ("duplicate row for chord 'b'; row dropped", 3.0, 5),
         ]
-        assert processed == 3.0
-        assert STATUSES[chunk.status[0]] is EstimateStatus.OK
-        assert chunk.v_line[0] == pytest.approx(0.3, rel=1e-9)
+        assert processed.ts == 3.0
+        assert STATUSES[processed.status] is EstimateStatus.OK
+        assert processed.v_line == pytest.approx(0.3, rel=1e-9)
+
+
+def _peak(lines, through_cli: bool = False) -> int:
+    """The traced peak memory of ``lines`` through ``process_lines``, or through
+    ``process`` with its records written to a sink that keeps nothing."""
+    import gc
+    import sys
+
+    from partialflow.cli import main
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
+                       poly=FLAT_POLY)
+    gc.collect()  # empties the free lists, whose blocks a run would reuse untraced
+    tracemalloc.start()
+    try:
+        if through_cli:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sys, "stdin", lines)
+                mp.setattr(sys, "stdout", Sink())
+                main(["process", "--frames", "-"])
+        else:
+            for _ in process_lines(lines, config):
+                pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _closed_form_flow_lps(rows, level_mm, chords, poly, pipe, k_cal):
@@ -391,14 +433,13 @@ def _closed_form_flow_lps(rows, level_mm, chords, poly, pipe, k_cal):
 def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
     """Simulated segments through ``process``, against the written CSV and the frames.
 
-    The log holds dry, invalid-time, out-of-range and overfull frames, a
-    malformed row, and frames whose rows straddle the first chunk boundary.
+    The log holds dry, invalid-time, out-of-range and overfull frames and a
+    malformed row.
     """
     from partialflow import ScenarioSpec, default_config, generate
     from partialflow.cli import main
     from partialflow.config import format_fit_document
     from partialflow.fpcf import FitResult
-    from partialflow.measurement import FIRST_CHUNK_ROWS
 
     config = default_config()
     low = ChordSpec("low", 20.0, 0.3, ANGLE, weight=0.5)
@@ -421,8 +462,6 @@ def test_columnar_path_matches_closed_form(tmp_path, capsys, poly):
     write_frame_rows(frames, buf)
     lines = buf.getvalue().splitlines()
     lines.insert(20, "malformed row")
-    # the last line of the first chunk and the next one belong to one frame
-    assert lines[FIRST_CHUNK_ROWS - 1][:5] == lines[FIRST_CHUNK_ROWS][:5] == "84.0,"
     csv = tmp_path / "frames.csv"
     csv.write_text("\n".join(lines) + "\n")
     cfg = tmp_path / "run.cfg"
@@ -489,22 +528,20 @@ _OTHER_LINES = ["", "   ", "# comment", "1.0,a,5,6", "1.0,a,1,2,3,4",
               st.sampled_from(["85.0", "-0.0"])).map(lambda r: f"{r[0]},{r[1]},1,2,{r[2]}"),
     st.sampled_from(_OTHER_LINES),
     st.text(alphabet="0123456789.,-+eEinfa #\"_\t\x00\x0c\x1c\u2028\u0661", max_size=20),
-), max_size=60), st.sampled_from(["\n", "\r\n", ""]), st.sampled_from([(2, 4), (3, 8)]))
-def test_chunk_parse_matches_row_by_row(lines, end, sizes):
+), max_size=60), st.sampled_from(["\n", "\r\n", ""]))
+def test_chunk_parse_matches_row_by_row(lines, end):
     """Blank and odd lines, 4- and 6-field rows, ``1_0``, inline ``#``, quotes,
     a header anywhere, CRLF, padded and empty chord ids, non-finite and signed
-    zero values, and frames straddling chunks: the rows that the frame path reads as
-    they stand give the same chunks, line numbers and diagnostics as when every row
-    goes through ``_split_row``, which strips it first."""
+    zero values: the rows that the frame path reads as they stand give the same
+    records, line numbers and diagnostics as when every row goes through
+    ``_split_row``, which strips it first."""
     from partialflow import measurement
 
     text = [line + end for line in lines]
     config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
                        poly=FLAT_POLY, debounce=1)
+    fast = repr(list(process_lines(text, config)))  # exact floats, NaN too
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measurement, "FIRST_CHUNK_ROWS", sizes[0])
-        mp.setattr(measurement, "CHUNK_ROWS_CAP", sizes[1])
-        fast = repr(list(process_lines(text, config)))  # exact floats, NaN too
         mp.setattr(measurement, "_ROW_START", "")
         assert repr(list(process_lines(text, config))) == fast
 
@@ -516,17 +553,48 @@ def test_chunk_parse_takes_plain_rows_only(monkeypatch):
     split, inner = [], measurement._split_row
     monkeypatch.setattr(measurement, "_split_row", lambda raw: split.append(raw) or inner(raw))
     plain = ["0.0,a,202696.0,202725.0,85.0\n", "0.0, b ,-0.0,nan,-Infinity\r\n"]
-    ((ts, level, *_, diags),) = _chunks("".join(plain))
-    assert split == [] and ts == [0.0] and level == [85.0]
-    assert [d.detail for *_, d in diags] == [
-        "level -inf mm differs from the frame's first row (85.0 mm); row dropped"]
+    diag, frame = _items("".join(plain))
+    assert split == [] and (frame.ts, frame.level) == (0.0, 85.0)
+    assert diag.detail == (
+        "level -inf mm differs from the frame's first row (85.0 mm); row dropped")
     for line in [" Timestamp_s, chord_id,t_up_ns,t_down_ns,level_mm\r\n", "\n", "   \n",
                  "0.0,a,1,2\n", "0.0,a,1,2,3,4\n", "0.0,a,1,2,3 # note\n",
                  '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n", "0.0,,1,2,3\n", "0.0, ,1,2,3\n",
                  " 0.0,a,1,2,3\n", "0.0,a,1,2,3\x1c\n"]:
         split.clear()
-        _chunks("".join(plain) + line)
+        _items("".join(plain) + line)
         assert split == [line], line
+
+
+@pytest.mark.parametrize("field", [0, 2, 3, 4], ids=["ts", "t_up", "t_down", "level"])
+@pytest.mark.parametrize("as_it_stands", [True, False], ids=["as_it_stands", "split_row"])
+def test_digit_separator_is_unparseable(monkeypatch, field, as_it_stands):
+    """``float`` reads ``1_0`` as 10.0, so a numeric frame field holding it was read as
+    data. It is a bad row, on the path that reads rows as they stand and through
+    ``_split_row`` alike."""
+    from partialflow import measurement
+
+    if not as_it_stands:
+        monkeypatch.setattr(measurement, "_ROW_START", "")
+    row = "0.0,a,202696.0,202725.0,85.0".split(",")
+    row[field] = "1_0"
+    diag, frame = _items(f"0.0,b,202696.0,202725.0,85.0\n{','.join(row)}\n")
+    assert (diag.line_no, diag.timestamp_s, diag.detail) == (
+        2, None, "unparseable row: could not convert string to float: '1_0'")
+    assert (frame.ts, frame.level) == (0.0, 85.0)
+
+
+def test_chord_id_with_an_underscore_reads_as_it_stands(monkeypatch):
+    """Only a numeric field's ``_`` sends a row to ``_split_row``."""
+    from partialflow import measurement
+
+    split, inner = [], measurement._split_row
+    monkeypatch.setattr(measurement, "_split_row", lambda raw: split.append(raw) or inner(raw))
+    chord = ChordSpec("path_1", 50.0, 0.3, ANGLE)
+    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(chord,), poly=FLAT_POLY)
+    (frame,) = process_lines(["0.0,path_1,202696.0,202725.0,85.0\n"], config)
+    assert split == [] and frame.v_line == pytest.approx(line_velocity(202696e-9, 202725e-9,
+                                                                        chord), rel=1e-12)
 
 
 # Transit times of chords a and b at 0.05 m/s, which clogs at 60 and 85 mm, at
@@ -558,26 +626,35 @@ def _frame_log(frames) -> str:
     st.lists(st.tuples(st.sampled_from("abz"), st.sampled_from(list(_TIMES))).map(list)
              | st.tuples(st.sampled_from("ab"), st.sampled_from(list(_TIMES)),
                          st.sampled_from([60.0, 90.0])).map(list), min_size=1, max_size=4),
-    st.sampled_from(["", "", "", "malformed row", "1.0,a,1,2", "# note"])), max_size=12),
-    st.sampled_from([(1, 1), (1, 2), (2, 3), (3, 8)]))
-def test_process_output_does_not_depend_on_chunking(frames, sizes):
-    """``process`` records are the same bytes with one row per chunk, or a few, as with
-    the default chunks: frames, diagnostics in line order, and alarm events carried
-    from chunk to chunk."""
-    from partialflow import measurement
-    from partialflow.cli import _chunk_records
+    st.sampled_from(["", "", "", "malformed row", "1.0,a,1,2", "# note"])), max_size=12))
+def test_process_output_does_not_depend_on_chunking(tmp_path_factory, frames):
+    """``process`` writes, byte for byte, one f-string per record of ``process_lines``:
+    frames, diagnostics in line order, and alarm events raised and cleared."""
+    import sys
+
+    from partialflow.cli import main
+    from partialflow.config import format_fit_document
+    from partialflow.fpcf import FitResult
+
+    from conftest import record_by_record
 
     poly = FpcfPolynomial((0.6, 4e-3, -1e-5, 0.0, 0.0, 0.0, 0.0), 50.0, 180.0)
-    config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B), poly=poly,
-                       debounce=2)
+    cfg_text = format_fit_document(FitResult(poly, 0.0, 0.0)) + "clog.debounce = 2\n" + "".join(
+        f"chord.{c.chord_id}.height_mm = {c.height_mm!r}\n"
+        f"chord.{c.chord_id}.path_length_m = {c.path_length_m!r}\n"
+        f"chord.{c.chord_id}.beam_angle_deg = {math.degrees(c.beam_angle_rad)!r}\n"
+        for c in (CHORD_A, CHORD_B))
     text = _frame_log(_EVERY_CASE + frames)
-
-    def output() -> str:
-        return "".join(map(_chunk_records, process_lines(io.StringIO(text), config)))
-
-    whole = output()
+    items = list(process_lines(io.StringIO(text), parse_config(cfg_text)))
+    lines = [d.line_no for d in items if isinstance(d, FrameDiagnostic) and d.line_no]
+    assert lines == sorted(lines)
+    whole = record_by_record(items)
     assert "event=raised" in whole and "event=cleared" in whole
+    cfg = tmp_path_factory.mktemp("process") / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measurement, "FIRST_CHUNK_ROWS", sizes[0])
-        mp.setattr(measurement, "CHUNK_ROWS_CAP", sizes[1])
-        assert output() == whole
+        mp.setattr(sys, "stdin", io.StringIO(text))
+        mp.setattr(sys, "stdout", out)
+        assert main(["process", "--config", str(cfg)]) == 0
+    assert out.getvalue() == whole

@@ -33,8 +33,9 @@ def test_frame_path_example_runs(capsys, tmp_path, monkeypatch):
     assert main(["simulate", "--flow-lps", "3", "--frames", "3", "--out", "frames.csv"]) == 0
     capsys.readouterr()
     exec(compile(second, str(README), "exec"), namespace)
-    assert len(capsys.readouterr().out.splitlines()) == 1
-    chunk = namespace["chunk"]
+    assert [line.split()[2:] for line in capsys.readouterr().out.splitlines()] == [
+        ["ok", "None"]] * 3
+    records = namespace["records"]
     assert namespace["config"].poly == namespace["fit"].polynomial
-    assert [1000 * q for q in chunk.flow_m3s] == pytest.approx([3.0] * 3, rel=1e-3)
-    assert [STATUSES[s].value for s in chunk.status] == ["ok"] * 3
+    assert [1000 * r.flow_m3s for r in records] == pytest.approx([3.0] * 3, rel=1e-3)
+    assert [STATUSES[r.status].value for r in records] == ["ok"] * 3

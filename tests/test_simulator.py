@@ -213,8 +213,8 @@ def test_round_trip_through_estimator():
     model = ProfileModel(pipe=PIPE, level=WaterLevel(0.085))
     correction = fpcf_quad(model, CHORD.height_mm / 1000.0)
     poly = FpcfPolynomial((correction, 0, 0, 0, 0, 0, 0), 50.0, 250.0)
-    (chunk,) = process_frames(frames[:1], [CHORD], PIPE, poly=poly)
-    assert 1000.0 * chunk.flow_m3s[0] == pytest.approx(4.0, rel=1e-9)
+    (frame,) = process_frames(frames[:1], [CHORD], PIPE, poly=poly)
+    assert 1000.0 * frame.flow_m3s == pytest.approx(4.0, rel=1e-9)
 
 
 def test_tuned_noise_repeatability_under_one_percent():
@@ -229,6 +229,6 @@ def test_tuned_noise_repeatability_under_one_percent():
     chords = [CHORD, ChordSpec("b", 50.0, CHORD.path_length_m, ANGLE)]
     frames = generate(scenario, chords, PIPE)
     poly = FpcfPolynomial((1.0, 0, 0, 0, 0, 0, 0), 50.0, 250.0)
-    flows = [1000.0 * q for chunk in process_frames(frames, chords, PIPE, poly=poly)
-             for q in chunk.flow_m3s]
+    flows = [1000.0 * frame.flow_m3s
+             for frame in process_frames(frames, chords, PIPE, poly=poly)]
     assert len(flows) == 600 and repeatability(flows) < 1.0

@@ -282,7 +282,7 @@ def lazy_child(tmp_path_factory):
     trials, frames, derive = tmp / "trials.csv", tmp / "frames.csv", tmp / "derive.cfg"
     trials.write_text("1,2.0,2.0,2.02\n1,4.0,4.0,4.05\n", encoding="utf-8")
     derive.write_text("fpcf.derive = true\n", encoding="utf-8")
-    # 2 chords x 400 frames: chunks of 256, 512 and 32 rows.
+    # 2 chords x 400 frames: 400 frame records, each written as it comes.
     assert main(["simulate", "--flow-lps", "3", "--frames", "400", "--out", str(frames)]) == 0
     out = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(trials), str(frames), str(derive),
                           _step20(tmp_path_factory)],
@@ -322,7 +322,7 @@ def test_no_command_loads_numpy_random(lazy_child):
 
 def test_process_imports_nothing_between_frame_records(lazy_child):
     _, codes, modules = lazy_child
-    assert codes[0] == 0 and len(modules) == 3
+    assert codes[0] == 0 and len(modules) == 400
     assert len(set(modules)) == 1
 
 
