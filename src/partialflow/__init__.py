@@ -7,8 +7,8 @@ and error metrics, clogging detection, and a synthetic flow-loop
 simulator. The :mod:`partialflow.cli` module wires them into a CLI.
 
 Importing the package loads none of them: each exported name imports its
-module on first use (PEP 562), so a command loads numpy only if it runs a
-layer that uses it.
+module on first use (PEP 562), so a command loads only the layers it runs.
+No layer uses numpy.
 """
 
 import importlib
@@ -29,7 +29,7 @@ _EXPORTS = {
     "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
                     "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"),
     "profile": ("DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint",
-                "evaluate_velocity", "normalized_velocity", "profile_grid"),
+                "normalized_velocity", "profile_grid"),
     "quadrature": ("QuadratureSpec", "adaptive_integrate"),
     "simulator": ("ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
                   "generate", "transit_times", "weir_shift"),

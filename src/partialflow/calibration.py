@@ -35,8 +35,10 @@ class TrialRecord:
 
 def percent_error(q_meas: float, q_ref: float) -> float:
     """Signed percent deviation of the measurement from the reference."""
-    if not q_ref > 0:
-        raise OutOfRangeError(f"reference flow must be positive, got {q_ref!r}")
+    if not 0 < q_ref < math.inf:
+        raise OutOfRangeError(f"reference flow must be positive and finite, got {q_ref!r}")
+    if not math.isfinite(q_meas):
+        raise OutOfRangeError(f"measured flow must be finite, got {q_meas!r}")
     return 100.0 * (q_meas - q_ref) / q_ref
 
 
@@ -49,9 +51,11 @@ def fwme(errors: Iterable[tuple[float, float]]) -> float:
     pairs = list(errors)
     if not pairs:
         raise OutOfRangeError("FWME needs at least one (flow, error) pair")
-    for q, _ in pairs:
-        if not q > 0:
-            raise OutOfRangeError(f"reference flow must be positive, got {q!r}")
+    for q, e in pairs:
+        if not 0 < q < math.inf:
+            raise OutOfRangeError(f"reference flow must be positive and finite, got {q!r}")
+        if not math.isfinite(e):
+            raise OutOfRangeError(f"error must be finite, got {e!r}")
     q_max = max(q for q, _ in pairs)
     weights = [q / q_max for q, _ in pairs]
     return sum(w * e for w, (_, e) in zip(weights, pairs)) / sum(weights)
@@ -136,6 +140,14 @@ def first_segments(trials: Sequence[TrialRecord]) -> list[TrialRecord]:
     return [firsts[label] for label in sorted(firsts, key=lambda lb: firsts[lb].q_ref_lps)]
 
 
+def _decimal(convert, text: str):
+    """``convert(text)``, ``int`` or ``float``, refusing the digit separators that both
+    accept: ``2_0`` would read as 20."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text.strip()!r}")
+    return convert(text)
+
+
 def read_trials(lines: Iterable[str]) -> Iterator[TrialRecord]:
     """Parse the paired CSV ``segment_id,flow_label,q_ref_lps,q_meas_lps``."""
     for line_no, raw in enumerate(lines, start=1):
@@ -150,7 +162,8 @@ def read_trials(lines: Iterable[str]) -> Iterator[TrialRecord]:
                 f"trial CSV line {line_no}: expected 4 fields, got {len(parts)}"
             )
         try:
-            yield TrialRecord(int(parts[0]), parts[1].strip(), float(parts[2]), float(parts[3]))
+            yield TrialRecord(_decimal(int, parts[0]), parts[1].strip(),
+                              _decimal(float, parts[2]), _decimal(float, parts[3]))
         except ValueError as exc:
             raise OutOfRangeError(f"trial CSV line {line_no}: {exc}") from exc
 

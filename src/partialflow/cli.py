@@ -12,10 +12,11 @@ import gc
 import math
 import sys
 
-# Each command imports the layers it runs, so calibrate, metrics and --help load no
-# numpy. calibration and clogging are numpy-free; calibration stays here, where the
-# benchmark's tracer expects to find it loaded after any command has run.
+# Each command imports the layers it runs, so calibrate, metrics and --help load none of
+# the FPCF stack; calibration stays here, where the benchmark's tracer expects to find it
+# loaded after any command has run.
 from .calibration import (
+    _decimal,
     calibration_factor,
     error_table,
     error_table_csv,
@@ -97,7 +98,7 @@ def cmd_fit(args) -> int:
             if len(parts) != 2:
                 raise PartialFlowError(f"fpcf table line {line_no}: expected 2 fields")
             try:
-                level, value = float(parts[0]), float(parts[1])
+                level, value = _decimal(float, parts[0]), _decimal(float, parts[1])
             except ValueError as exc:
                 raise PartialFlowError(f"fpcf table line {line_no}: {exc}") from exc
             if not (math.isfinite(level) and math.isfinite(value)):
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
 def entry() -> None:
     """``python -m partialflow.cli`` and the ``partialflow`` script: run one command and
     exit with its code. Its files are closed by then, so the heap is frozen first and the
-    shutdown collections skip it (~35 ms with numpy). ``main`` alone never freezes."""
+    shutdown collections skip it. ``main`` alone never freezes."""
     code = main()
     gc.freeze()
     sys.exit(code)

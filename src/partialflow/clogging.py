@@ -44,8 +44,10 @@ def classify(
     Points exactly on the boundary count as Normal, which avoids alarm
     chatter at the threshold.
     """
-    if level_mm < 0:
-        raise OutOfRangeError(f"level must be non-negative, got {level_mm!r}")
+    if not 0 <= level_mm < math.inf:
+        raise OutOfRangeError(f"level must be finite and non-negative, got {level_mm!r}")
+    if not math.isfinite(velocity_mps):
+        raise OutOfRangeError(f"velocity must be finite, got {velocity_mps!r}")
     if velocity_mps < boundary.threshold(level_mm):
         return Verdict.CLOGGING
     return Verdict.NORMAL

@@ -8,8 +8,9 @@ wall) so the near-wall algebraic behavior does not stall refinement.
 """
 
 import math
+import sys
+from operator import mul
 
-from ._numpy import np
 from ._record import record
 from .errors import (
     ConfigError,
@@ -19,8 +20,8 @@ from .errors import (
     PartialFlowError,
 )
 from .geometry import WaterLevel, chord_half_width, segment_area
-from .profile import ProfileModel, evaluate_velocity, point_velocity
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, point_integrate, unit_integrate
+from .profile import ProfileModel, _velocity
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _axis
 
 # The degree of the correction polynomial: the paper fits c0..c6.
 POLY_DEGREE = 6
@@ -42,8 +43,8 @@ class FpcfPolynomial:
                 f"invalid validity range [{self.h_min_mm!r}, {self.h_max_mm!r}]"
             )
 
-    def __call__(self, level_mm):
-        """c0 + c1*H + ... + cN*H^N for a level or an array of levels in mm, unguarded:
+    def __call__(self, level_mm: float) -> float:
+        """c0 + c1*H + ... + cN*H^N at a level H in mm, by Horner's rule, unguarded:
         checking ``h_min_mm <= H <= h_max_mm`` is the caller's."""
         acc = 0.0
         for c in reversed(self.coeffs):
@@ -68,12 +69,29 @@ def _ratio(model: ProfileModel, chord_height_m: float, v_line: float, v_area: fl
     return ratio
 
 
-# Each mean is written once, for both quadrature rules: ``lib`` is ``math`` or numpy,
-# ``velocity(x, y)`` the model's v/v_max and ``integrate`` the rule.
-def _chord_mean(model, chord_height_m, quad, lib, velocity, integrate) -> float:
-    """The chord must be wet: at the water line (Y = H) it still is. The integrand
-    is even in x by the |x| convention, so the half chord [0, w] is mapped onto
-    [0, 1] by the graded map x = w sin(pi u / 2)."""
+def _u_nodes(n_panels: int, power: float) -> list[tuple[float, float, float]]:
+    """An estimate's nodes along a row, on the graded map x = w sin(pi u / 2), worked out
+    once for every row: (sin, sin^power, weight times dx/du over w)."""
+    nodes = []
+    for u, weight in zip(*_axis((), n_panels)):
+        angle = 0.5 * math.pi * u
+        sin = math.sin(angle)
+        nodes.append((sin, sin**power, 0.5 * math.pi * weight * math.cos(angle)))
+    return nodes
+
+
+def _row_mean(velocity, nodes, y: float, w: float, w_p: float) -> float:
+    """Mean of v over the half chord [0, w] at height y by the row ``nodes`` (the integrand
+    is even in x by the |x| convention); w_p is (w / (D/2))^power, so that each point's
+    lateral term takes a product, not a power."""
+    return sum(dx * velocity(w * sin, y, w_p * sin_p) for sin, sin_p, dx in nodes)
+
+
+def mean_chord_velocity(
+    model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> float:
+    """Mean of v/v_max along the horizontal chord at the sensor height. The chord must be
+    wet: at the water line (Y = H) it still is."""
     if chord_height_m <= 0:
         raise OutOfRangeError(f"chord height must be positive, got {chord_height_m!r}")
     if chord_height_m > model.level.level_m:
@@ -82,54 +100,38 @@ def _chord_mean(model, chord_height_m, quad, lib, velocity, integrate) -> float:
             f"({model.level.level_m:g} m)"
         )
     w = chord_half_width(chord_height_m, model.pipe)
-
-    def integrand(u):
-        angle = 0.5 * math.pi * u
-        return velocity(w * lib.sin(angle), chord_height_m) * (0.5 * math.pi * lib.cos(angle))
-
-    value, _ = integrate(integrand, spec=quad)
+    velocity, power = _velocity(model)
+    w_p = (w / model.pipe.radius_m) ** power
+    value, _ = quad.refine(
+        lambda n: _row_mean(velocity, _u_nodes(n, power), chord_height_m, w, w_p))
     return value
 
 
-def _area_mean(model, quad, lib, velocity, integrate) -> float:
-    """One tensor-product rule over the graded maps y = H sin^2(pi t / 2) and
-    x = w(y) sin(pi u / 2), which cover the half segment x >= 0 (the
-    integrand is even in x). The t panels end where the centreline dip
-    height h' and the clamp height 2h' fall below the surface: the profile
-    has kinks there."""
+def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+    """Mean of v/v_max over the wetted segment: rows y = H sin^2(pi t / 2), each a half
+    chord as in ``mean_chord_velocity``, cover the half segment x >= 0 (the integrand is
+    even in x). The t panels end where the centreline dip height h' and the clamp height
+    2h' fall below the surface: the profile has kinks there. Beyond two panels per piece
+    the u axis, along each row, doubles first: it carries most of the error."""
     height, diameter, dip = model.level.level_m, model.pipe.diameter_m, model.dip_height_m
     if height <= 0:
         raise OutOfRangeError("area mean undefined for an empty pipe")
     kinks = [2.0 / math.pi * math.asin(math.sqrt(z / height))
              for z in (dip, 2.0 * dip) if z < height]
+    velocity, power = _velocity(model)
+    r = model.pipe.radius_m
 
-    def row(t):  # the integrand over u on the row y(t)
-        y = height * lib.sin(0.5 * math.pi * t) ** 2
-        w = lib.sqrt(y * (diameter - y))
-        jac = w * height * math.pi * lib.sin(math.pi * t)
-        return lambda u: velocity(w * lib.sin(0.5 * math.pi * u), y) * (
-            0.5 * math.pi * (jac * lib.cos(0.5 * math.pi * u)))
+    def estimate(n_panels: int) -> float:  # n_panels u panels, and half as many t panels past 2
+        nodes, total = _u_nodes(n_panels, power), 0.0
+        for t, weight in zip(*_axis(kinks, n_panels if n_panels <= 2 else n_panels // 2)):
+            y = height * math.sin(0.5 * math.pi * t) ** 2
+            w = math.sqrt(y * (diameter - y))
+            row = _row_mean(velocity, nodes, y, w, (w / r) ** power)
+            total += weight * w * height * math.pi * math.sin(math.pi * t) * row
+        return total
 
-    value, _ = integrate(row, (kinks, ()), quad)
+    value, _ = quad.refine(estimate)
     return value / segment_area(model.level, model.pipe)
-
-
-def _array_rule(model: ProfileModel):
-    """The array rule's (lib, velocity, integrate): ``evaluate_velocity`` and
-    ``unit_integrate`` are looked up when a mean runs, so that they can be replaced."""
-    return np, lambda x, y: evaluate_velocity(model, x, y), unit_integrate
-
-
-def mean_chord_velocity(
-    model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Mean of v/v_max along the horizontal chord at the sensor height."""
-    return _chord_mean(model, chord_height_m, quad, *_array_rule(model))
-
-
-def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Mean of v/v_max over the wetted segment."""
-    return _area_mean(model, quad, *_array_rule(model))
 
 
 def fpcf(
@@ -142,17 +144,6 @@ def fpcf(
     """
     return _ratio(model, chord_height_m, mean_chord_velocity(model, chord_height_m, quad),
                   mean_area_velocity(model, quad))
-
-
-def point_fpcf(
-    model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """``fpcf`` by the point rule, on the same means and checks, to ~1e-15 and without
-    numpy: one level costs a few ms, against ~0.1 s to load numpy. A table of levels
-    runs ``fpcf``, the faster of the two per level."""
-    rule = math, point_velocity(model), point_integrate
-    return _ratio(model, chord_height_m, _chord_mean(model, chord_height_m, quad, *rule),
-                  _area_mean(model, quad, *rule))
 
 
 def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> int:
@@ -199,36 +190,55 @@ def tabulate_fpcf(config) -> list[tuple[float, float]]:
 def fit_polynomial(samples) -> FitResult:
     """Least-squares degree-``POLY_DEGREE`` polynomial of FPCF against level (mm),
     fitted to ``(level_mm, fpcf)`` pairs such as ``tabulate_fpcf`` returns. Fitted on
-    the scaled abscissa H/H_max and rescaled back, since raw mm^6 terms
-    span ~14 orders of magnitude. Residual diagnostics are computed from
-    the returned (rescaled) polynomial so the fit/eval round trip is exact
-    by construction.
+    the scaled abscissa H/H_max and rescaled back, since raw mm^6 terms span ~14 orders
+    of magnitude, by Householder QR of the scaled Vandermonde matrix (Golub & Van Loan,
+    Matrix Computations, 5.3). Residual diagnostics are computed from the returned
+    (rescaled) polynomial so the fit/eval round trip is exact by construction.
     """
-    levels, values = np.array([(h, f) for h, f in samples], dtype=float).reshape(-1, 2).T
-    if len(levels) <= POLY_DEGREE:
+    samples = [(float(h), float(f)) for h, f in samples]
+    n_coeffs = POLY_DEGREE + 1
+    if len(samples) <= POLY_DEGREE:
         raise OutOfRangeError(
             f"need more than {POLY_DEGREE} samples for a degree-{POLY_DEGREE} fit, "
-            f"got {len(levels)}"
+            f"got {len(samples)}"
         )
-    if not (np.isfinite(levels).all() and np.isfinite(values).all()):
+    if not all(map(math.isfinite, (x for pair in samples for x in pair))):
         raise OutOfRangeError("FPCF samples must have finite levels and values")
-    scale = float(np.max(np.abs(levels)))
+    scale = max(abs(h) for h, _ in samples)
     if scale <= 0:
         raise OutOfRangeError("sample levels must not all be zero")
 
-    vander = np.vander(levels / scale, POLY_DEGREE + 1, increasing=True)
-    coeffs_scaled, _, rank, _ = np.linalg.lstsq(vander, values, rcond=None)
-    if rank < POLY_DEGREE + 1:
+    # [a | b] column by column: the powers of H/H_max, then the values
+    cols = [[(h / scale) ** k for h, _ in samples] for k in range(n_coeffs)]
+    cols.append([f for _, f in samples])
+    diagonal = []
+    for k in range(n_coeffs):  # a reflection takes column k from row k down onto row k
+        x = cols[k][k:]
+        alpha = math.copysign(math.sqrt(math.fsum(e * e for e in x)), -x[0])
+        v = [x[0] - alpha, *x[1:]]
+        vv = math.fsum(e * e for e in v)
+        diagonal.append(alpha)
+        for col in cols[k + 1:] if vv else ():
+            factor = 2.0 * math.fsum(map(mul, v, col[k:])) / vv
+            col[k:] = [c - factor * e for c, e in zip(col[k:], v)]
+    tol = len(samples) * sys.float_info.epsilon * abs(diagonal[0])
+    rank = sum(abs(d) > tol for d in diagonal)
+    if rank < n_coeffs:
         raise PartialFlowError(
-            f"rank-deficient fit (rank {rank} < {POLY_DEGREE + 1}): "
-            "insufficient or collinear samples"
+            f"rank-deficient fit (rank {rank} < {n_coeffs}): insufficient or collinear samples"
         )
-    coeffs = tuple(float(c / scale**k) for k, c in enumerate(coeffs_scaled))
-    poly = FpcfPolynomial(coeffs, float(levels.min()), float(levels.max()))
+    scaled = [0.0] * n_coeffs
+    rhs = cols[-1]
+    for k in reversed(range(n_coeffs)):  # back substitution on R
+        scaled[k] = (rhs[k] - math.fsum(cols[j][k] * scaled[j]
+                                        for j in range(k + 1, n_coeffs))) / diagonal[k]
+    coeffs = tuple(c / scale**k for k, c in enumerate(scaled))
+    levels = [h for h, _ in samples]
+    poly = FpcfPolynomial(coeffs, min(levels), max(levels))
 
-    residuals = poly(levels) - values
+    residuals = [poly(h) - f for h, f in samples]
     return FitResult(
         polynomial=poly,
-        rms_residual=float(np.sqrt(np.mean(residuals**2))),
-        max_residual=float(np.max(np.abs(residuals))),
+        rms_residual=math.sqrt(math.fsum(r * r for r in residuals) / len(residuals)),
+        max_residual=max(map(abs, residuals)),
     )

@@ -83,8 +83,8 @@ def hydraulic_diameter(level: WaterLevel, pipe: PipeGeometry) -> float:
 
 def reynolds(flow_rate_m3s: float, level: WaterLevel, pipe: PipeGeometry) -> float:
     """Reynolds number (Q/A) * D_h / nu of water near 20 degC in the partially filled section."""
-    if flow_rate_m3s < 0:
-        raise OutOfRangeError(f"flow rate must be non-negative, got {flow_rate_m3s!r}")
+    if not 0 <= flow_rate_m3s < math.inf:
+        raise OutOfRangeError(f"flow rate must be finite and non-negative, got {flow_rate_m3s!r}")
     if flow_rate_m3s == 0:
         return 0.0
     velocity = flow_rate_m3s / segment_area(level, pipe)

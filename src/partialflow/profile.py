@@ -7,12 +7,8 @@ left-right symmetric, and a signed x would put a negative base under
 non-integer powers.
 """
 
-from __future__ import annotations
-
 import math
-from types import SimpleNamespace
 
-from ._numpy import np
 from ._record import record
 from .errors import OutOfRangeError
 from .geometry import PipeGeometry, WaterLevel
@@ -118,79 +114,71 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
         raise OutOfRangeError(f"point {point} lies outside the pipe bore")
     if point.y > model.level.level_m * (1.0 + 1e-12) + 1e-15:
         raise OutOfRangeError(f"point {point} lies above the water line")
-    return point_velocity(model)(point.x, point.y)
+    velocity, power = _velocity(model)
+    return velocity(point.x, point.y, (abs(point.x) / r) ** power)
 
 
-# numpy's names for one point in plain floats; max and min written out run ~3x faster
-_Floats = SimpleNamespace(
-    abs=abs, log=math.log, exp=math.exp, sqrt=math.sqrt,
-    maximum=lambda a, b: b if b > a else a,
-    minimum=lambda a, b: b if b < a else a,
-    where=lambda condition, a, b: a if condition else b)
-
-
-def _velocity(model: ProfileModel, lib):
-    """v/v_max, written once for both quadrature rules: returns v(x, y), with what
-    depends on the model alone worked out once. ``lib`` is numpy, for broadcastable
-    arrays, or ``_Floats``, for one point. Points must lie in the closed wetted region,
-    unchecked. Boundary points (local wall, pipe bottom) take the wall value: there the
-    formula runs on placeholders (y = 1, wall = 0), so no log or power meets y' <= 0."""
+def _velocity(model: ProfileModel):
+    """v/v_max, the one formula: returns v(x, y, x_p) and the lateral power p, with what
+    depends on the model alone worked out once. The caller passes x_p = (|x| / (D/2))^p,
+    so that a row of points at one height can work out its share once. Points must lie
+    in the closed wetted region, unchecked. Boundary points (local wall, pipe bottom)
+    take the wall value, so no log or power meets y' <= 0."""
     r, diameter, level, ratio = (model.pipe.radius_m, model.pipe.diameter_m,
                                  model.level.level_m, model.dip_ratio)
     m, q, c, wall_value = model.params.m, model.params.q, model.params.tail_weight, model.wall_value
-    depth = level or r  # an empty pipe has no core: its depth is a placeholder too
-    absolute, log, exp, sqrt, where, maximum, minimum = (
-        lib.abs, lib.log, lib.exp, lib.sqrt, lib.where, lib.maximum, lib.minimum)
-    log_2, log_d, tail = math.log(2.0), log(diameter), 2.0 * (1.0 - ratio)
+    depth = level or r  # an empty pipe has no core: its depth is a placeholder
+    r2, log, sqrt = r * r, math.log, math.sqrt
+    log_2, log_d, kink, tail = math.log(2.0), math.log(diameter), 4.0 * ratio, 2.0 * (1.0 - ratio)
 
-    def velocity(x, y):
-        x = absolute(x)
-        wall = r - sqrt(maximum(r * r - x * x, 0.0))
-        core = (y - wall > 0.0) & (y > 0.0) & (level - wall > 0.0)
-        y, wall = where(core, y, 1.0), where(core, wall, 0.0)
-        y_local, dip_local = y - wall, ratio * (depth - wall)  # y' and the local dip h'
-        s = log_2 / (log_d - log(dip_local))
-        t_s = exp(s * log(y_local / diameter))
+    def velocity(x, y, x_p):
+        under = r2 - x * x
+        wall = r - sqrt(under) if under > 0.0 else r  # the local wall under x
+        y_local = y - wall  # y'
+        if not (y_local > 0.0 and level > wall):
+            return wall_value
+        dip_local = ratio * (depth - wall)  # the local dip h'
+        t_s = (y_local / diameter) ** (log_2 / (log_d - log(dip_local)))
         # Below the dip 1 - u^2; above it the exponent pair is L = 2h/H, K = 2(H-h)/H. The
         # base 1 - u^(2L) can cross zero below the free surface when the dip ratio drops
         # under 1/2: the model's virtual zero-velocity height 2h' then sits inside the
         # water column. Clamp the base at zero so F stays a real CDF value.
         u = y_local / dip_local - 1.0
-        shape = where(u <= 0.0, 1.0 - u * u,
-                      maximum(1.0 - maximum(u, 0.0) ** (4.0 * ratio), 0.0) ** tail)
-        lateral = 1.0 - (x / (0.5 * diameter)) ** (diameter / depth)
-        cdf = minimum(maximum(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0), 1.0)
+        if u <= 0.0:
+            shape = 1.0 - u * u
+        else:
+            shape = 1.0 - u**kink
+            shape = (shape if shape > 0.0 else 0.0) ** tail
+        cdf = 4.0 * (t_s - t_s * t_s) * shape * (1.0 - x_p)
+        if cdf < 0.0:
+            cdf = 0.0
+        elif cdf > 1.0:
+            cdf = 1.0
         bracket = y_local / y * (1.0 - c) * cdf + c  # the CDF weighted by y'/y
-        return where(core, 1.0 - 1.0 / m + bracket ** (1.0 / q) / m, wall_value)
+        return 1.0 - 1.0 / m + bracket ** (1.0 / q) / m
 
-    return velocity
-
-
-def evaluate_velocity(model: ProfileModel, x, y):
-    """v/v_max over broadcastable coordinate arrays (``_velocity`` on numpy)."""
-    return _velocity(model, np)(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-
-
-def point_velocity(model: ProfileModel):
-    """v(x, y) for one point at a time, in plain floats (``_velocity`` on floats)."""
-    return _velocity(model, _Floats)
+    return velocity, diameter / depth
 
 
 @record
 class ProfileGrid:
-    """Rectangular sample grid; v is NaN outside the wetted region."""
+    """Rectangular sample grid, rows by y; v is NaN outside the wetted region."""
 
-    x_m: np.ndarray
-    y_m: np.ndarray
-    v: np.ndarray
+    x_m: list
+    y_m: list
+    v: list
 
     def write_csv(self, stream) -> None:
         stream.write("x_mm,y_mm,v_norm\n")
-        for j, yv in enumerate(self.y_m):
-            for i, xv in enumerate(self.x_m):
-                stream.write(
-                    f"{float(1000.0 * xv)!r},{float(1000.0 * yv)!r},{float(self.v[j, i])!r}\n"
-                )
+        for yv, row in zip(self.y_m, self.v):
+            for xv, value in zip(self.x_m, row):
+                stream.write(f"{1000.0 * xv!r},{1000.0 * yv!r},{value!r}\n")
+
+
+def _linspace(start: float, stop: float, num: int) -> list:
+    """numpy.linspace(start, stop, num) in plain floats."""
+    step = (stop - start) / (num - 1)
+    return [k * step + start for k in range(num - 1)] + [stop]
 
 
 def profile_grid(model: ProfileModel, nx: int, ny: int) -> ProfileGrid:
@@ -198,12 +186,10 @@ def profile_grid(model: ProfileModel, nx: int, ny: int) -> ProfileGrid:
     if nx < 2 or ny < 2:
         raise OutOfRangeError(f"grid needs at least 2 points per axis, got {nx}x{ny}")
     r = model.pipe.radius_m
-    height = model.level.level_m
-    xs = np.linspace(-r, r, nx)
-    xs = 0.5 * (xs - xs[::-1])  # force exact mirror symmetry
-    ys = np.linspace(0.0, height, ny)
-    xg, yg = np.meshgrid(xs, ys)
-    wetted = xg**2 + (yg - r) ** 2 <= r * r * (1.0 + 1e-12)
-    v = np.full(xg.shape, np.nan)
-    v[wetted] = evaluate_velocity(model, xg[wetted], yg[wetted])
+    xs = _linspace(-r, r, nx)
+    xs = [0.5 * (a - b) for a, b in zip(xs, xs[::-1])]  # force exact mirror symmetry
+    ys = _linspace(0.0, model.level.level_m, ny)
+    velocity, power = _velocity(model)
+    v = [[velocity(x, y, (abs(x) / r) ** power)
+          if x**2 + (y - r) ** 2 <= r * r * (1.0 + 1e-12) else math.nan for x in xs] for y in ys]
     return ProfileGrid(x_m=xs, y_m=ys, v=v)

@@ -1,29 +1,20 @@
-"""Composite Gauss-Legendre quadrature by panel doubling.
+"""Composite Gauss-Legendre quadrature by panel doubling, in plain floats.
 
-One rule and one refinement loop. The rule is a tensor product of
-fixed-order Gauss panels on [0, 1] per axis, each axis optionally split at
-break points where the integrand has kinks. The loop evaluates it with 1,
-2, 4, ... panels per piece until two successive estimates agree to the
-relative tolerance. It runs two ways on the same nodes and the same integrand,
-``f(x_1)`` returning the integrand or a function of the next axis:
-``unit_integrate`` hands it one node array per axis and takes its values on the
-tensor grid, and ``point_integrate`` one point at a time in plain floats.
+One rule and one refinement loop. The rule sums fixed-order Gauss panels on
+[0, 1] per axis (``_axis``), each axis optionally split at break points where
+the integrand has kinks. The loop (``QuadratureSpec.refine``) evaluates an
+estimate with 1, 2, 4, ... panels per piece until two successive estimates
+agree to the relative tolerance. ``adaptive_integrate`` runs it on an
+interval; the FPCF means build their estimates on the same nodes.
 """
-
-from __future__ import annotations
 
 import functools
 import math
-from operator import add, mul, truediv
+from operator import add, truediv
 
-from ._numpy import np
 from ._record import record
 from .errors import OutOfRangeError, QuadratureError
 
-# Integrand points per call: fine grids are evaluated in slices along the first axis so
-# that memory stays bounded at tight tolerances. A block's float64 arrays (32 KB each)
-# stay in cache; smaller blocks pay the kernels' ~0.1 ms fixed cost per call more often.
-_BLOCK_POINTS = 1 << 12
 NODES = 15  # the Gauss order of every panel
 
 
@@ -32,8 +23,7 @@ def _nodes_weights(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The n-point Gauss-Legendre rule on [-1, 1]: Newton's method on the Legendre recurrence
     from Tricomi's root estimates, weights 2 / ((1 - x^2) P_n'^2), then symmetrised and scaled
     as numpy.polynomial.legendre.leggauss does (not imported: it loads six basis modules).
-    Plain floats, so that the point rule loads no numpy; the weights are summed in numpy's
-    pairwise order (n <= 128), which keeps both rules' nodes bit for bit those of numpy."""
+    The weights are summed in numpy's pairwise order (n <= 128), as leggauss sums them."""
     x, step = [math.cos(math.pi * (k - 0.25) / (n + 0.5)) for k in range(n, 0, -1)], [1.0]
     for _ in range(50):
         p_prev, p = [1.0] * n, x
@@ -101,64 +91,6 @@ def _axis(breaks, n_panels: int) -> tuple[list[float], list[float]]:
             [h * w for h in halves for w in wt])
 
 
-@functools.lru_cache(maxsize=32)
-def _unbroken(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_axis((), n_panels)`` as arrays, built once and read-only."""
-    x, w = map(np.array, _axis((), n_panels))
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def unit_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Integrate ``f`` over the unit cube [0, 1]^d by panel doubling (``spec.refine``).
-
-    ``breaks`` holds, for each of the d axes, the interior points in (0, 1)
-    where panels must end. ``f(x_1)`` returns the integrand at x_1, or with
-    more axes a function of x_2 taken the same way, and so on. Each axis's
-    nodes arrive as one array shaped to broadcast against the others' (with
-    two axes a column, then a row), so each estimate is a few vectorized
-    calls and work that depends on x_1 alone is done once per x_1 node.
-    """
-
-    def estimate(n_panels: int) -> float:
-        axes = [tuple(map(np.array, _axis(b, n_panels))) if b else _unbroken(n_panels)
-                for b in breaks]
-        x0, *rest = [x.reshape((-1,) + (1,) * (len(axes) - 1 - k))
-                     for k, (x, _) in enumerate(axes)]
-        w0, *weights = [w for _, w in axes]
-        step = max(1, _BLOCK_POINTS // math.prod(map(len, rest)))
-        total = 0.0
-        for lo in range(0, len(x0), step):
-            values = f(x0[lo:lo + step])
-            for x in rest:
-                values = values(x)
-            values = np.asarray(values, dtype=float)
-            for w in reversed(weights):
-                values = values @ w
-            total += float(values @ w0[lo:lo + step])
-        return total
-
-    return spec.refine(estimate)
-
-
-def point_integrate(f, breaks=((),), spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """``unit_integrate`` on the same nodes and integrand, one point at a time in plain
-    floats: no numpy."""
-
-    def estimate(n_panels: int) -> float:
-        axes = [_axis(b, n_panels) for b in breaks]
-
-        def over(g, k: int) -> float:
-            nodes, weights = axes[k]
-            if k + 1 == len(axes):
-                return sum(map(mul, weights, map(g, nodes)))
-            return sum(w * over(g(x), k + 1) for x, w in zip(nodes, weights))
-
-        return over(f, 0)
-
-    return spec.refine(estimate)
-
-
 def adaptive_integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
     """Integrate ``f`` over [a, b] to the spec's relative tolerance.
 
@@ -169,4 +101,9 @@ def adaptive_integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUA
     if a == b:
         return 0.0, 0.0
     span = b - a
-    return unit_integrate(lambda s: span * np.asarray(f(a + span * s), dtype=float), spec=spec)
+
+    def estimate(n_panels: int) -> float:
+        nodes, weights = _axis((), n_panels)
+        return span * sum(w * f(a + span * x) for x, w in zip(nodes, weights))
+
+    return spec.refine(estimate)

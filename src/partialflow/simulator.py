@@ -14,7 +14,7 @@ from typing import Iterable
 
 from ._record import record
 from .errors import OutOfRangeError
-from .fpcf import point_fpcf
+from .fpcf import fpcf
 from .geometry import PipeGeometry, WaterLevel, segment_area
 from .measurement import ChordReading, ChordSpec, SensorFrame
 from .profile import EntropyParams, ProfileModel
@@ -103,8 +103,7 @@ def chord_velocity_from_truth(
     """Chord velocity consistent with a true flow: v = Q / (A * FPCF).
 
     The correction factor comes straight from quadrature, not from any
-    fitted polynomial, and by the point rule: one level costs less that way
-    than loading numpy. The level is checked against the pipe even at zero
+    fitted polynomial. The level is checked against the pipe even at zero
     flow, where no correction factor is needed.
     """
     if chord.height_mm > level_mm:
@@ -117,7 +116,7 @@ def chord_velocity_from_truth(
         return 0.0
     model = ProfileModel(pipe=pipe, level=level, params=params)
     area = segment_area(level, pipe)
-    correction = point_fpcf(model, chord.height_mm / 1000.0, quad)
+    correction = fpcf(model, chord.height_mm / 1000.0, quad)
     return flow_m3s / (area * correction)
 
 
@@ -161,7 +160,7 @@ def generate(
             )
         base_times.append(transit_times(velocity[chord.height_mm], chord, DEFAULT_SOUND_SPEED))
 
-    # the standard library's gauss, so numpy.random never loads; no noise, no draws
+    # the standard library's gauss; no noise, no draws
     sigma = scenario.noise_sigma_s
     gauss = random.Random(scenario.seed).gauss if sigma > 0.0 else lambda mu, sigma: mu
     # by position: a record binds keywords at ~3x the cost

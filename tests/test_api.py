@@ -27,7 +27,7 @@ EXPORTS = {
     "measurement": ["ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
                     "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"],
     "profile": ["DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint",
-                "evaluate_velocity", "normalized_velocity", "profile_grid"],
+                "normalized_velocity", "profile_grid"],
     "quadrature": ["QuadratureSpec", "adaptive_integrate"],
     "simulator": ["ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
                   "generate", "transit_times", "weir_shift"],
@@ -36,10 +36,11 @@ HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
 # The per-frame object views, test-only helpers, state that nothing read, duplicates
 # that the package no longer has (``dip_ratio(t)`` was ``DEFAULT_DIP_POLY(t)``;
 # ``eval_fpcf(poly, h)`` and ``horner(poly.coeffs, h)`` are ``poly(h)``, whose range
-# ``process_lines`` checks; ``_evaluate_cdf`` is part of ``evaluate_velocity`` and
-# ``_composite`` of ``quadrature._axis``), an error that nothing raises, and what only
+# ``process_lines`` checks; ``_evaluate_cdf`` is part of ``profile._velocity`` and
+# ``_composite`` of ``quadrature._axis``), an error that nothing raises, what only
 # row chunks needed (``process_lines`` yields each record as it comes, and
-# ``clogging.Debounce`` steps the alarm one verdict at a time).
+# ``clogging.Debounce`` steps the alarm one verdict at a time), and the names of the
+# two quadrature rules, an array rule and a point rule, that are now one in plain floats.
 REMOVED = [("cli", "_chunk_records"), ("cli", "_diagnostic_record"), ("clogging", "AlarmStage"),
            ("clogging", "step_alarm"), ("clogging", "step_alarms"), ("errors", "FpcfRangeError"),
            ("errors", "NumericalDomainError"), ("measurement", "CHUNK_ROWS_CAP"),
@@ -52,11 +53,13 @@ REMOVED = [("cli", "_chunk_records"), ("cli", "_diagnostic_record"), ("clogging"
            ("measurement", "process_stream"), ("measurement", "estimate_flow"),
            ("measurement", "read_frame_rows"), ("profile", "dip_ratio"),
            ("profile", "local_frame"), ("profile", "velocity_cdf"), ("profile", "_evaluate_cdf"),
-           ("quadrature", "_composite")]
+           ("quadrature", "_composite"), ("profile", "evaluate_velocity"),
+           ("profile", "point_velocity"), ("fpcf", "point_fpcf"),
+           ("quadrature", "unit_integrate"), ("quadrature", "point_integrate")]
 
 
 def test_all_lists_the_public_names():
-    assert len(HOME) == 62
+    assert len(HOME) == 61
     assert sorted(partialflow.__all__) == sorted(name for _, name in HOME)
     assert set(partialflow.__all__) <= set(dir(partialflow))
 

@@ -42,6 +42,16 @@ class TestPercentError:
         with pytest.raises(OutOfRangeError):
             percent_error(1.0, 0.0)
 
+    @pytest.mark.parametrize("q_meas,q_ref,message", [
+        (math.nan, 2.0, "measured flow must be finite, got nan"),
+        (math.inf, 2.0, "measured flow must be finite, got inf"),
+        (1.0, math.inf, "reference flow must be positive and finite, got inf"),
+    ], ids=["meas_nan", "meas_inf", "ref_inf"])
+    def test_non_finite_flow_rejected(self, q_meas, q_ref, message):
+        # percent_error(nan, 2.0) returned nan
+        with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+            percent_error(q_meas, q_ref)
+
 
 class TestFwme:
     def test_reference_tables(self):
@@ -71,6 +81,15 @@ class TestFwme:
                              ids=["zero", "one_negative", "all_negative", "nan"])
     def test_non_positive_flow_rejected(self, pairs):
         with pytest.raises(OutOfRangeError, match="reference flow must be positive"):
+            fwme(pairs)
+
+    @pytest.mark.parametrize("pairs,message", [
+        ([(math.inf, 1.0)], "reference flow must be positive and finite, got inf"),
+        ([(2.0, 1.0), (3.0, math.nan)], "error must be finite, got nan"),
+    ], ids=["flow_inf", "error_nan"])
+    def test_non_finite_pair_rejected(self, pairs, message):
+        # fwme([(inf, 1.0)]) returned nan
+        with pytest.raises(OutOfRangeError, match=f"^{message}$"):
             fwme(pairs)
 
 
@@ -182,6 +201,17 @@ class TestErrorTable:
     def test_bad_csv_rejected(self):
         with pytest.raises(OutOfRangeError):
             list(read_trials(io.StringIO("1,2,3\n")))
+
+    @pytest.mark.parametrize("row", ["1_0,2,2.0,2.1", "2,2,2_0,2.1", "2,2,2.0,2_1"],
+                             ids=["segment", "q_ref", "q_meas"])
+    def test_digit_separator_rejected(self, row):
+        # int() and float() take digit separators: 1_0 was segment 10 and 2_0 a 20 L/s flow
+        with pytest.raises(OutOfRangeError, match=r"^trial CSV line 2: digit separator in '\d_\d'$"):
+            list(read_trials(io.StringIO(f"1,2,2.0,2.0\n{row}\n")))
+
+    def test_underscore_in_a_flow_label_is_text(self):
+        (trial,) = read_trials(io.StringIO("1,flow_2,2.0,2.1\n"))
+        assert trial.flow_label == "flow_2"
 
     @pytest.mark.parametrize("label", ["", " ", "\t"])
     def test_empty_flow_label_rejected(self, label):

@@ -89,6 +89,17 @@ class TestFpcfAndFit:
         assert (code, out) == (1, "")
         assert err == f"error: fpcf table line 10: {message}\n"
 
+    @pytest.mark.parametrize("row", ["6_0,1.0", "60,1_0"], ids=["level", "fpcf"])
+    def test_fit_refuses_digit_separators(self, capsys, tmp_path, row):
+        # float() reads 6_0 as 60: a corrupted level was fitted as data
+        table = tmp_path / "table.csv"
+        table.write_text("H_mm,fpcf\n" + "".join(f"{h},1.0\n" for h in range(70, 150, 10))
+                         + row + "\n")
+        code, out, err = run(capsys, "fit", "--table", str(table))
+        field = next(f for f in row.split(",") if "_" in f)
+        assert (code, out, err) == (1, "", f"error: fpcf table line 10: digit separator in "
+                                           f"{field!r}\n")
+
     def test_fit_names_the_line_of_an_unparsable_field(self, capsys, tmp_path):
         # printed "error: could not convert string to float: 'abc'" with no line
         table = tmp_path / "table.csv"
@@ -471,6 +482,18 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert f"error: trial CSV line 3: {message}" in err
 
+    @pytest.mark.parametrize("row", ["1_0,2,2.0,2.1", "2,2,2_0,2.1", "2,2,2.0,2_1"],
+                             ids=["segment", "q_ref", "q_meas"])
+    @pytest.mark.parametrize("command", ["metrics", "calibrate"])
+    def test_digit_separator_in_a_trial_exits_1(self, capsys, tmp_path, command, row):
+        # int() and float() read 1_0 as 10 and 2_0 as 20: calibrate printed k_cal 5.79
+        trials = tmp_path / "trials.csv"
+        trials.write_text(f"1,2,2.0,2.02\n{row}\n1,flow_4,4.0,4.05\n")
+        code, out, err = run(capsys, command, "--trials", str(trials))
+        field = next(f for f in row.split(",") if "_" in f)
+        assert (code, out, err) == (1, "", f"error: trial CSV line 2: digit separator in "
+                                           f"{field!r}\n")
+
     @pytest.mark.parametrize("command", ["metrics", "calibrate"])
     def test_empty_flow_label_exits_1(self, capsys, tmp_path, command):
         # metrics printed a row with a blank label and exited 0
@@ -727,7 +750,9 @@ def test_process_output_of_the_mixed_log_is_unchanged(capsys, polynomial):
     lines and repeated headers. ``process`` writes, byte for byte, the output stored
     beside it, with a stored polynomial, none (uncorrected) and a derived one: what the
     numpy frame path wrote, except that line 211, ``1_0,a,1,2,3``, is a diagnostic
-    where ``float`` read a frame at ts 10.0."""
+    where ``float`` read a frame at ts 10.0, and that the derived polynomial, tabulated
+    by the plain-float rule and fitted by QR, moves each ``fpcf`` and ``q_lps`` by up
+    to 8.8e-9 relative."""
     config = [] if polynomial == "none" else ["--config", str(DATA / f"mixed_{polynomial}.cfg")]
     code, out, err = run(capsys, "process", *config, "--frames", str(DATA / "mixed_frames.csv"))
     assert (code, err) == (0, "")

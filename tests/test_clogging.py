@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,6 +32,17 @@ class TestClassify:
     def test_negative_level_rejected(self):
         with pytest.raises(OutOfRangeError):
             classify(-1.0, 0.3, BOUNDARY)
+
+    @pytest.mark.parametrize("level,velocity,message", [
+        (math.nan, 0.1, "level must be finite and non-negative, got nan"),
+        (math.inf, 0.1, "level must be finite and non-negative, got inf"),
+        (80.0, math.nan, "velocity must be finite, got nan"),
+        (80.0, -math.inf, "velocity must be finite, got -inf"),
+    ], ids=["level_nan", "level_inf", "velocity_nan", "velocity_-inf"])
+    def test_non_finite_input_rejected(self, level, velocity, message):
+        # a nan level or velocity was classified NORMAL
+        with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+            classify(level, velocity, BOUNDARY)
 
     def test_low_level_boundary_is_negative(self):
         # below ~6.2 mm the threshold is negative: nothing classifies as

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from partialflow import (
     QuadratureSpec,
     RunConfig,
     WaterLevel,
+    adaptive_integrate,
     chord_half_width,
     fit_polynomial,
     fpcf,
@@ -31,14 +33,14 @@ import importlib
 fpcf_module = importlib.import_module("partialflow.fpcf")
 
 from partialflow.config import default_config
-from partialflow.fpcf import point_fpcf
 from partialflow.measurement import STATUSES, process_lines
 from partialflow.profile import ProfilePoint
-from partialflow.quadrature import DEFAULT_QUADRATURE, point_integrate, unit_integrate
 
 from conftest import RIG_REFERENCE_FPCF_COEFFS
 
 PIPE = PipeGeometry(0.250)
+ROOT = Path(__file__).resolve().parents[1]
+ARRAY_RULE = ROOT / "tests" / "data" / "fpcf_array_rule.csv"
 
 
 def model_at(level_m):
@@ -56,43 +58,18 @@ def table_config(chord_height_mm=50.0, h_min_mm=50.0, h_max_mm=250.0, step_mm=10
 @pytest.fixture
 def constant_profile(monkeypatch):
     """Inject v/v_max = 1 everywhere; integral means must come out 1."""
-
-    def ones(model, x, y, validate=False):
-        return np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[0] * 0.0 + 1.0
-
-    monkeypatch.setattr(fpcf_module, "evaluate_velocity", ones)
-    monkeypatch.setattr(fpcf_module, "point_velocity", lambda model: lambda x, y: 1.0)
-
-
-def point_rule(model):
-    return math, fpcf_module.point_velocity(model), point_integrate
-
-
-# (area mean, chord mean, FPCF) by each rule: the point rule runs the same definition
-# of each mean as the array rule's public functions, on plain floats.
-RULES = {
-    "array": (mean_area_velocity, mean_chord_velocity, fpcf),
-    "point": (lambda m: fpcf_module._area_mean(m, DEFAULT_QUADRATURE, *point_rule(m)),
-              lambda m, h: fpcf_module._chord_mean(m, h, DEFAULT_QUADRATURE, *point_rule(m)),
-              point_fpcf),
-}
+    monkeypatch.setattr(fpcf_module, "_velocity", lambda model: (lambda x, y, x_p: 1.0, 1.0))
 
 
 class TestMeans:
-    @pytest.mark.parametrize("rule", RULES)
-    def test_constant_profile_area_mean(self, constant_profile, rule):
-        area_mean, _, _ = RULES[rule]
-        assert area_mean(model_at(0.125)) == pytest.approx(1.0, rel=1e-9)
+    def test_constant_profile_area_mean(self, constant_profile):
+        assert mean_area_velocity(model_at(0.125)) == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_constant_profile_chord_mean(self, constant_profile, rule):
-        _, chord_mean, _ = RULES[rule]
-        assert chord_mean(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
+    def test_constant_profile_chord_mean(self, constant_profile):
+        assert mean_chord_velocity(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
 
-    @pytest.mark.parametrize("rule", RULES)
-    def test_constant_profile_fpcf(self, constant_profile, rule):
-        _, _, factor = RULES[rule]
-        assert factor(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
+    def test_constant_profile_fpcf(self, constant_profile):
+        assert fpcf(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
 
     def test_area_mean_regression(self):
         # frozen from a converged run; guards against silent model drift
@@ -114,16 +91,18 @@ class TestMeans:
             mean_chord_velocity(model_at(0.049), 0.050)
 
     def test_half_span_doubling_matches_full_span(self):
-        # even integrand: the full chord split at x = 0 and the half chord
-        # get mirrored meshes at every doubling and agree to roundoff
-        from partialflow.profile import evaluate_velocity
-
+        # even integrand: the two halves of the chord, each on the graded map, get
+        # mirrored meshes at every doubling; each is the half chord's mean
         m = model_at(0.125)
         w = chord_half_width(0.050, PIPE)
-        full, _ = unit_integrate(lambda s: 2 * w * evaluate_velocity(m, w * (2 * s - 1), 0.050),
-                                 ((0.5,),))
-        half, _ = unit_integrate(lambda s: w * evaluate_velocity(m, w * s, 0.050))
-        assert full == pytest.approx(2.0 * half, rel=1e-12)
+
+        def half(sign):
+            return adaptive_integrate(lambda u: normalized_velocity(ProfilePoint(
+                sign * w * math.sin(0.5 * math.pi * u), 0.050), m) * (
+                    0.5 * math.pi * math.cos(0.5 * math.pi * u)), 0.0, 1.0)[0]
+
+        assert half(-1.0) == half(1.0)
+        assert half(1.0) == pytest.approx(mean_chord_velocity(m, 0.050), rel=1e-12)
 
     def test_mesh_halving_converged(self):
         # the doubling loop stops within its tolerance of a 1000x tighter run
@@ -175,38 +154,74 @@ class TestMeans:
 
 
 class TestPointRule:
-    """``point_fpcf``, the simulator's numpy-free factor, against ``fpcf``."""
+    """``fpcf``, in plain floats, against the factors of the array rule it replaced
+    (``tests/data/fpcf_array_rule.csv``): beyond two panels per piece the area mean now
+    refines along its rows first, which moves a factor by at most its 1e-6 tolerance."""
 
     @pytest.mark.parametrize("chord_mm", [30.0, 50.0])
     def test_matches_the_array_rule(self, chord_mm):
-        checked = 0
-        for level_mm in np.arange(50.0, 250.1, 5.0).tolist():
-            m = model_at(level_mm / 1000.0)
+        rows = [line.split(",") for line in ARRAY_RULE.read_text().splitlines()[2:]]
+        stored = {float(h): value for chord, h, value in rows if float(chord) == chord_mm}
+        got, worst = {}, 0.0
+        for level_mm in stored:
             try:
-                expected = fpcf(m, chord_mm / 1000.0)
+                got[level_mm] = fpcf(model_at(level_mm / 1000.0), chord_mm / 1000.0)
             except DegenerateProfileError:  # a 30 mm chord's mean turns negative near the crown
-                with pytest.raises(DegenerateProfileError):
-                    point_fpcf(m, chord_mm / 1000.0)
+                got[level_mm] = "refused"
                 continue
-            assert point_fpcf(m, chord_mm / 1000.0) == pytest.approx(expected, rel=1e-14, abs=0)
-            checked += 1
-        assert checked >= 40
+            worst = max(worst, abs(got[level_mm] / float(stored[level_mm]) - 1.0))
+        assert [h for h, v in got.items() if v == "refused"] == [
+            h for h, v in stored.items() if v == "refused"]
+        assert worst <= 2.5e-7 and len(got) >= 41
 
     def test_dry_chord_rejected(self):
         with pytest.raises(DryPathError):
-            point_fpcf(model_at(0.049), 0.050)
+            fpcf(model_at(0.049), 0.050)
         with pytest.raises(OutOfRangeError, match="chord height must be positive"):
-            point_fpcf(model_at(0.1), 0.0)
+            fpcf(model_at(0.1), 0.0)
 
     def test_degenerate_profile_rejected(self):
-        # entropy.m = 0.3 gives a negative area mean: fpcf() refuses it, and so must the
-        # simulator's rule, or simulate divides the flow by a negative factor
+        # entropy.m = 0.3 gives a negative area mean, which fpcf() refuses, or simulate
+        # divides the flow by a negative factor
         m = ProfileModel(PIPE, WaterLevel(0.065), EntropyParams(m=0.3))
-        with pytest.raises(DegenerateProfileError) as array_rule:
+        with pytest.raises(DegenerateProfileError, match=r"^FPCF undefined at Y=0\.05 m, "
+                           r"H=0\.065 m: area mean -0\.5196\d* over chord mean -0\.0593"):
             fpcf(m, 0.050)
-        with pytest.raises(DegenerateProfileError) as point_rule:
-            point_fpcf(m, 0.050)
-        assert str(point_rule.value) == str(array_rule.value)
+
+
+class TestPanels:
+    """Where panel doubling stops on the default table (chord at 50 mm, 50-250 mm): the
+    area mean runs (1, 1), (2, 2), then (2, 4), (4, 8), ... (t panels across rows, u
+    panels along them), since the u axis carries most of the error."""
+
+    def test_panels_of_the_default_table(self, monkeypatch):
+        calls, axis = [], fpcf_module._axis
+        monkeypatch.setattr(fpcf_module, "_axis",
+                            lambda breaks, n: calls.append(n) or axis(breaks, n))
+        panels = {}
+        for level_mm in range(50, 251, 10):
+            model = model_at(level_mm / 1000.0)
+            calls.clear()
+            mean_area_velocity(model)
+            area = (calls[-1], calls[-2])  # the last estimate builds its u nodes, then its t
+            calls.clear()
+            mean_chord_velocity(model, 0.050)
+            panels[level_mm] = (area, calls[-1])
+        assert panels == {**{h: ((2, 2), 2) for h in range(50, 181, 10)},
+                          190: ((2, 4), 2), 200: ((2, 4), 4), 210: ((2, 2), 4),
+                          220: ((2, 2), 4), 230: ((2, 4), 4), 240: ((2, 2), 2),
+                          250: ((2, 2), 2)}
+
+    def test_error_against_the_tight_table(self):
+        # bench/data/fpcf_tight.csv: 81 levels by 2.5 mm at rel_tol 1e-9
+        lines = (ROOT / "bench" / "data" / "fpcf_tight.csv").read_text().splitlines()[1:]
+        errors = {}
+        for line in lines:
+            level_mm, tight = map(float, line.split(","))
+            errors[level_mm] = abs(fpcf(model_at(level_mm / 1000.0), 0.050) / tight - 1.0)
+        worst = max(errors, key=errors.get)
+        assert len(errors) == 81 and worst == 220.0
+        assert errors[worst] == pytest.approx(5.2766e-7, rel=1e-4)
 
 
 class TestTabulate:
@@ -321,6 +336,14 @@ class TestFit:
             assert got == pytest.approx(want, rel=1e-8)
         assert fit.rms_residual < 1e-12
 
+    def test_matches_lstsq_on_the_default_table(self, fpcf_table, full_range_fit):
+        # numpy's SVD least squares on the same scaled Vandermonde matrix
+        levels, values = np.array(fpcf_table).T
+        vander = np.vander(levels / levels.max(), 7, increasing=True)
+        scaled = np.linalg.lstsq(vander, values, rcond=None)[0]
+        want = scaled / levels.max() ** np.arange(7)
+        np.testing.assert_allclose(full_range_fit.polynomial.coeffs, want, rtol=1e-9, atol=0)
+
     def test_pipeline_fit_self_residuals(self, fpcf_table, full_range_fit):
         poly = full_range_fit.polynomial
         errors = [abs(poly(level) - value) for level, value in fpcf_table]
@@ -334,7 +357,7 @@ class TestFit:
         # constant samples fit the degree-zero polynomial 1.3
         fit = fit_polynomial([(h, 1.3) for h in range(50, 260, 10)])
         assert fit.polynomial.coeffs[0] == pytest.approx(1.3, rel=1e-12)
-        assert fit.polynomial(np.arange(50.0, 251.0)) == pytest.approx(1.3, rel=1e-12)
+        assert [fit.polynomial(h) for h in range(50, 251)] == pytest.approx([1.3] * 201, rel=1e-12)
 
     def test_too_few_samples(self):
         with pytest.raises(OutOfRangeError):
@@ -362,8 +385,6 @@ class TestEval:
         poly = FpcfPolynomial(RIG_REFERENCE_FPCF_COEFFS, 50.0, 250.0)
         assert poly(125.0) == pytest.approx(1.017, abs=5e-4)
         assert poly(50.0) == pytest.approx(0.910, abs=5e-4)
-        # one evaluator for scalars and arrays, bit for bit
-        assert poly(np.array([125.0, 50.0])).tolist() == [poly(125.0), poly(50.0)]
 
     def test_out_of_range_guarded(self):
         # the polynomial evaluates anywhere; process_lines's status is the range guard

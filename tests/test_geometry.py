@@ -99,3 +99,11 @@ def test_reynolds_reference_conditions():
 def test_reynolds_guards():
     with pytest.raises(OutOfRangeError):
         reynolds(-0.001, WaterLevel(0.065), PIPE)
+
+
+@pytest.mark.parametrize("flow", [math.nan, math.inf])
+def test_reynolds_of_a_non_finite_flow_rejected(flow):
+    # reynolds(nan, ...) returned nan
+    with pytest.raises(OutOfRangeError, match=f"^flow rate must be finite and non-negative, "
+                                              f"got {flow!r}$"):
+        reynolds(flow, WaterLevel(0.065), PIPE)

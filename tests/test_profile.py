@@ -14,12 +14,7 @@ from partialflow import (
     normalized_velocity,
     profile_grid,
 )
-from partialflow.profile import (
-    DEFAULT_DIP_POLY,
-    DIP_RATIO_FLOOR,
-    evaluate_velocity,
-    point_velocity,
-)
+from partialflow.profile import DEFAULT_DIP_POLY, DIP_RATIO_FLOOR, _velocity
 
 PIPE = PipeGeometry(0.250)
 
@@ -43,6 +38,33 @@ def velocity_from_local(m, point, y_local, dip_local):
     shape = 1.0 - u * u if u <= 0 else max(1.0 - u ** (4 * ratio), 0.0) ** (2 * (1 - ratio))
     lateral = 1.0 - (abs(point.x) / (d / 2)) ** (d / m.level.level_m)
     return through_bracket(m, point, y_local, min(max(first * shape * lateral, 0.0), 1.0))
+
+
+def vectorized_velocity(m, x, y):
+    """v/v_max over coordinate arrays: the model's formulas written out in numpy, with
+    masks for the wall and the clamp, as an independent check of ``profile._velocity``."""
+    r, d, level, ratio = m.pipe.radius_m, m.pipe.diameter_m, m.level.level_m, m.dip_ratio
+    c, p = m.params.tail_weight, m.params
+    x, y = np.abs(np.asarray(x, dtype=float)), np.asarray(y, dtype=float)
+    wall = r - np.sqrt(np.maximum(r * r - x * x, 0.0))
+    core = (y - wall > 0.0) & (level - wall > 0.0)
+    v = np.full(x.shape, m.wall_value)
+    x, y, wall = x[core], y[core], wall[core]
+    y_local, dip_local = y - wall, ratio * (level - wall)
+    t_s = np.exp(np.log(2.0) / np.log(d / dip_local) * np.log(y_local / d))
+    u = y_local / dip_local - 1.0
+    above = np.maximum(1.0 - np.maximum(u, 0.0) ** (4.0 * ratio), 0.0) ** (2.0 * (1.0 - ratio))
+    shape = np.where(u <= 0.0, 1.0 - u * u, above)
+    lateral = 1.0 - (x / (d / 2)) ** (d / level) if core.any() else 1.0
+    f = np.clip(4.0 * (t_s - t_s * t_s) * shape * lateral, 0.0, 1.0)
+    v[core] = 1.0 - 1.0 / p.m + (y_local / y * (1.0 - c) * f + c) ** (1.0 / p.q) / p.m
+    return v
+
+
+def point_velocity(m):
+    """v(x, y) by ``profile._velocity``, with the lateral power worked out per point."""
+    velocity, power = _velocity(m)
+    return lambda x, y: velocity(x, y, (abs(x) / m.pipe.radius_m) ** power)
 
 
 class TestDipRatio:
@@ -121,14 +143,14 @@ class TestVelocityCdf:
 
     def test_unity_at_dip(self):
         m = model_at(0.125)
-        v = evaluate_velocity(m, np.array([0.0]), np.array([m.dip_height_m]))
-        assert v[0] == pytest.approx(1.0, abs=1e-12)
+        v = normalized_velocity(ProfilePoint(0.0, m.dip_height_m), m)
+        assert v == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_at_wall(self):
         m = model_at(0.125)
         y = 0.05
         w = math.sqrt(0.125**2 - (y - 0.125) ** 2)
-        assert evaluate_velocity(m, np.array([w, -w]), np.array([y, y])).tolist() == [
+        assert [normalized_velocity(ProfilePoint(x, y), m) for x in (w, -w)] == [
             m.wall_value, m.wall_value]
 
     def test_small_positive_near_wall(self):
@@ -196,13 +218,13 @@ class TestNormalizedVelocity:
     def test_dense_grid_max_at_dip(self):
         m = model_at(0.125)
         grid = profile_grid(m, 201, 201)
-        flat = np.nanargmax(grid.v)
-        j, i = np.unravel_index(flat, grid.v.shape)
+        v = np.array(grid.v)
+        j, i = np.unravel_index(np.nanargmax(v), v.shape)
         dx = grid.x_m[1] - grid.x_m[0]
         dy = grid.y_m[1] - grid.y_m[0]
         assert abs(grid.x_m[i] - 0.0) <= dx + 1e-15
         assert abs(grid.y_m[j] - m.dip_height_m) <= dy + 1e-15
-        assert np.nanmax(grid.v) <= 1.0 + 1e-12
+        assert np.nanmax(v) <= 1.0 + 1e-12
         # refine around the coarse argmax: the true global max is 1
         ys = np.linspace(grid.y_m[j] - dy, min(grid.y_m[j] + dy, 0.125), 401)
         refined = max(
@@ -214,12 +236,12 @@ class TestNormalizedVelocity:
 class TestProfileGrid:
     def test_masking_counts(self):
         grid = profile_grid(model_at(0.125), 3, 3)
-        assert grid.v.shape == (3, 3)
-        assert int(np.sum(~np.isnan(grid.v))) == 5
+        assert len(grid.x_m) == len(grid.y_m) == 3 and [len(row) for row in grid.v] == [3] * 3
+        assert sum(not math.isnan(v) for row in grid.v for v in row) == 5
 
     def test_symmetry_in_x(self):
         grid = profile_grid(model_at(0.15), 21, 11)
-        assert np.array_equal(grid.v, grid.v[:, ::-1], equal_nan=True)
+        assert np.array_equal(grid.v, np.array(grid.v)[:, ::-1], equal_nan=True)
 
     def test_csv_output(self, tmp_path):
         grid = profile_grid(model_at(0.125), 3, 3)
@@ -247,16 +269,14 @@ class TestParams:
     def test_vectorized_matches_scalar(self):
         m = model_at(0.15)
         pts = [(0.0, 0.01), (0.05, 0.08), (-0.09, 0.12), (0.0, m.dip_height_m)]
-        xs = np.array([p[0] for p in pts])
-        ys = np.array([p[1] for p in pts])
-        vec = evaluate_velocity(m, xs, ys)
-        for k, (x, y) in enumerate(pts):
-            assert vec[k] == normalized_velocity(ProfilePoint(x, y), m)
+        vec = vectorized_velocity(m, [x for x, _ in pts], [y for _, y in pts])
+        got = [normalized_velocity(ProfilePoint(x, y), m) for x, y in pts]
+        np.testing.assert_allclose(got, vec, rtol=0, atol=1e-14)
 
 
 class TestPointVelocity:
-    """``point_velocity``, the point rule's evaluator in plain floats, against the
-    vectorized ``evaluate_velocity`` that the array rule and the profile grid run."""
+    """``profile._velocity``, the one formula, in plain floats with ``if`` branches,
+    against the same model written out in numpy arrays (``vectorized_velocity``)."""
 
     @pytest.mark.parametrize("level_mm", [5.0, 50.0, 82.5, 125.0, 180.0, 240.0, 250.0])
     def test_matches_vectorized_on_a_dense_grid(self, level_mm):
@@ -272,15 +292,14 @@ class TestPointVelocity:
                              ys, ys))
         point = point_velocity(m)
         got = np.array([point(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
-        np.testing.assert_allclose(got, evaluate_velocity(m, xs, ys), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, vectorized_velocity(m, xs, ys), rtol=0, atol=1e-13)
         assert point(0.0, 0.0) == m.wall_value
         assert point(0.0, dip) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("level_mm", [0.0, 5.0, 82.5, 125.0, 240.0, 250.0])
     def test_boundary_points_take_exactly_the_wall_value(self, level_mm):
-        # the formula runs there on placeholders (y = 1, wall = 0, and in an empty pipe
-        # the depth); both forms must still return the wall value itself, and numpy must
-        # not warn (RuntimeWarnings fail)
+        # no log or power may meet y' <= 0 there, in an empty pipe neither: each returns
+        # the wall value itself
         m = model_at(level_mm / 1000.0)
         r = m.pipe.radius_m
         xs = np.linspace(0.0, r, 17)  # x = 0 is the pipe bottom
@@ -288,7 +307,6 @@ class TestPointVelocity:
         xs, walls = xs[walls <= m.level.level_m], walls[walls <= m.level.level_m]
         xs, ys = np.concatenate((xs, -xs)), np.concatenate((walls, walls))
         point = point_velocity(m)
-        assert evaluate_velocity(m, xs, ys).tolist() == [m.wall_value] * len(xs)
         assert [point(x, y) for x, y in zip(xs.tolist(), ys.tolist())] == [m.wall_value] * len(xs)
 
     def test_clamp_above_the_dip_matches(self):
@@ -300,5 +318,5 @@ class TestPointVelocity:
         xs = np.full_like(ys, 0.01)
         point = point_velocity(m)
         got = np.array([point(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
-        np.testing.assert_allclose(got, evaluate_velocity(m, xs, ys), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(got, vectorized_velocity(m, xs, ys), rtol=0, atol=1e-13)
         assert point(0.01, m.level.level_m) == m.wall_value  # clamped: F = 0

@@ -157,13 +157,13 @@ class TestGenerate:
         expected = [(c.chord_id, *transit_times(chord_velocity_from_truth(0.004, 82.5, c, PIPE),
                                                 c, 1480.0)) for c in chords]
         simulator = importlib.import_module("partialflow.simulator")
-        heights, real = [], simulator.point_fpcf
+        heights, real = [], simulator.fpcf
 
         def counting(model, chord_height_m, quad):
             heights.append(chord_height_m)
             return real(model, chord_height_m, quad)
 
-        monkeypatch.setattr(simulator, "point_fpcf", counting)
+        monkeypatch.setattr(simulator, "fpcf", counting)
         frames = generate(self.scenario(), chords, PIPE)
         assert heights == [0.05, 0.03]
         assert [(r.chord_id, r.t_up_s, r.t_down_s) for r in frames[0].readings] == expected

@@ -1,10 +1,6 @@
-"""Start-up and exit: importing a partialflow module loads no numpy, and a command
-loads it only if it runs a layer that uses it (``simulate`` runs none), then with a
-one-thread OpenBLAS pool, unless the user set a thread count or imported numpy first;
-``os.environ`` is left as it was found, and so is the garbage collector. No command
-loads ``dataclasses`` or ``numpy.polynomial``, nor ``numpy.random`` with the
-``secrets`` and ``_hashlib`` it pulls in. The program freezes the heap before it exits;
-an in-process ``main`` call does not."""
+"""Start-up and exit: no command needs numpy, each runs the same in a child where
+importing numpy fails, and none loads ``dataclasses``. The program freezes the heap
+before it exits; an in-process ``main`` call does not."""
 
 import gc
 import json
@@ -17,26 +13,13 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-# Runs the fpcf command (which loads numpy) on a config tabulating 50-250 mm in steps
-# of 20, then prints the thread counts before and after it and whether os.environ
-# changed.
-POOL_PROBE = """
-import json, os, sys
-{first}
-before, threads = dict(os.environ), len(os.listdir("/proc/self/task"))
-import partialflow.cli
-code = partialflow.cli.main(["fpcf", "--config", sys.argv[1]])
-print(json.dumps([threads, len(os.listdir("/proc/self/task")), dict(os.environ) == before,
-                  os.environ.get("OPENBLAS_NUM_THREADS")]), flush=True)
-sys.exit(code)
-"""
 
 # Prints whether numpy, dataclasses, numpy.polynomial, numpy.random, secrets and
-# _hashlib are loaded after the package import and after each of calibrate, metrics, --help, process, a noisy simulate, fpcf
-# and a process that derives its polynomial, the exit codes of the last four, and the
-# number of loaded modules at each write of frame records by the first process command.
+# _hashlib are loaded after the package import and after each of calibrate, metrics,
+# --help, process, a noisy simulate, fpcf and a process that derives its polynomial, the
+# exit codes of the last four, the number of loaded modules at each write of frame
+# records by the first process command, and the package modules loaded by calibrate,
+# metrics and --help.
 LAZY_PROBE = """
 import contextlib, io, json, sys
 trials, frames, derive, step20 = sys.argv[1:]
@@ -52,6 +35,7 @@ for argv in (["calibrate", "--trials", trials], ["metrics", "--trials", trials],
     with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
         partialflow.cli.main(argv)
     stages.append(loaded())
+layers = sorted(name for name in sys.modules if name.startswith("partialflow"))
 
 class Out(io.StringIO):
     def write(self, text):
@@ -71,22 +55,12 @@ for argv in (["fpcf", "--config", step20], ["process", "--config", derive, "--fr
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(partialflow.cli.main(argv))
     stages.append(loaded())
-print(json.dumps([stages, codes, modules]))
+print(json.dumps([stages, codes, modules, layers]))
 """
 
 
-def _cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-needs_threads = pytest.mark.skipif(
-    not os.path.isdir("/proc/self/task") or _cpus() < 2,
-    reason="needs /proc/self/task and at least 2 CPUs",
-)
-
-
 def _base_env() -> dict:
-    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base = dict(os.environ)
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
     return base
 
@@ -97,84 +71,6 @@ def _step20(tmp_path_factory) -> str:
     cfg.write_text("fpcf.h_min_mm = 50\nfpcf.h_max_mm = 250\nfpcf.step_mm = 20\n",
                    encoding="utf-8")
     return str(cfg)
-
-
-@pytest.fixture(scope="module")
-def children(tmp_path_factory):
-    """Three interpreters run side by side: no thread variable, a user's
-    OPENBLAS_NUM_THREADS=2, and numpy imported before partialflow."""
-    base, step20 = _base_env(), _step20(tmp_path_factory)
-    runs = {
-        "pinned": (base, ""),
-        "user": ({**base, "OPENBLAS_NUM_THREADS": "2"}, ""),
-        "numpy_first": (base, "import numpy"),
-    }
-    procs = {
-        name: subprocess.Popen([sys.executable, "-c", POOL_PROBE.format(first=first), step20],
-                               env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for name, (env, first) in runs.items()
-    }
-    results = {}
-    try:
-        for name, proc in procs.items():
-            out, err = proc.communicate(timeout=60)
-            assert proc.returncode == 0, err
-            table, probe = out.rstrip("\n").rsplit("\n", 1)
-            results[name] = (*json.loads(probe), table + "\n")
-    finally:
-        for proc in procs.values():
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
-    return results
-
-
-@needs_threads
-def test_pool_is_pinned_and_environ_restored(children):
-    before, after, environ_kept, openblas, _ = children["pinned"]
-    assert (before, after) == (1, 1)
-    assert environ_kept and openblas is None
-
-
-@needs_threads
-def test_user_thread_count_is_kept(children):
-    _, _, environ_kept, openblas, _ = children["user"]
-    assert environ_kept and openblas == "2"
-
-
-@needs_threads
-def test_numpy_imported_first_is_left_alone(children):
-    before, after, environ_kept, openblas, _ = children["numpy_first"]
-    assert after == before and environ_kept and openblas is None
-
-
-@needs_threads
-def test_output_does_not_depend_on_the_pool(children):
-    table = children["pinned"][-1]
-    assert table.startswith("H_mm,fpcf\n") and len(table.splitlines()) == 12
-    assert table == children["user"][-1]
-
-
-# Loads numpy through partialflow._numpy, by reading an attribute of its stand-in, with
-# the collector on, or off as a caller may set it, and prints whether numpy was loaded
-# and whether the collector is on after.
-GC_PROBE = """
-import gc, json, sys
-import partialflow
-if {disable}:
-    gc.disable()
-import partialflow._numpy
-partialflow._numpy.np.ndarray
-print(json.dumps(["numpy" in sys.modules, gc.isenabled()]))
-"""
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
-def test_numpy_import_leaves_the_collector_as_it_was(enabled):
-    out = subprocess.run([sys.executable, "-c", GC_PROBE.format(disable=not enabled)],
-                         env=_base_env(), capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout) == [True, enabled]
 
 
 # Imports every module of the package, then prints whether numpy is loaded.
@@ -192,22 +88,25 @@ def test_importing_every_module_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=_base_env(),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "13 False\n"
+    assert out.stdout == "12 False\n"
 
 
-# Runs ``python -m partialflow.cli`` with the command line after ``-c``; at exit it
-# reports on stderr whether numpy was loaded.
-NUMPY_PROBE = """
-import atexit, runpy, sys
-atexit.register(lambda: print(f"numpy={'numpy' in sys.modules}", file=sys.stderr))
+# Runs ``python -m partialflow.cli`` with the command line after ``-c`` in an interpreter
+# where ``import numpy`` raises ImportError.
+NO_NUMPY_PROBE = """
+import runpy, sys
+sys.modules["numpy"] = None
 runpy.run_module("partialflow.cli", run_name="__main__", alter_sys=True)
 """
 
+COEFFS = "".join(f"fpcf.c{k} = {c!r}\n" for k, c in
+                 enumerate((0.603, 0.0124, -1.81e-4, 1.24e-6, -1.96e-9, 0.0, 0.0)))
 
-def _numpy_probes(command: str, runs: dict) -> dict:
-    """(exit code, stdout, stderr) of ``command`` with each run's arguments, run side by side
-    under NUMPY_PROBE."""
-    procs = {name: subprocess.Popen([sys.executable, "-c", NUMPY_PROBE, command, *argv],
+
+def _without_numpy(runs: dict) -> dict:
+    """(exit code, stdout, stderr) of each run's command line, run side by side under
+    NO_NUMPY_PROBE."""
+    procs = {name: subprocess.Popen([sys.executable, "-c", NO_NUMPY_PROBE, *argv],
                                     env=_base_env(), stdout=subprocess.PIPE,
                                     stderr=subprocess.PIPE, text=True)
              for name, argv in runs.items()}
@@ -224,12 +123,49 @@ def _numpy_probes(command: str, runs: dict) -> dict:
     return results
 
 
+def test_no_command_needs_numpy(tmp_path, capsys):
+    """Every command runs, and writes what it writes in this process, where numpy can be
+    imported: the FPCF table, its fit, the profile grid and the derived polynomial are
+    plain floats too."""
+    from partialflow.cli import main
+
+    coeffs, derive, trials = tmp_path / "coeffs.cfg", tmp_path / "derive.cfg", tmp_path / "t.csv"
+    coeffs.write_text(COEFFS)
+    derive.write_text("fpcf.derive = true\n")
+    trials.write_text("1,2.0,2.0,2.02\n1,4.0,4.0,4.05\n2,4.0,4.0,4.01\n")
+    frames, table = tmp_path / "frames.csv", tmp_path / "table.csv"
+    assert main(["simulate", "--flow-lps", "3", "--frames", "50", "--noise-ns", "1",
+                 "--seed", "3", "--out", str(frames)]) == 0
+    assert main(["fpcf", "--out", str(table)]) == 0
+    runs = {
+        "help": ["--help"],
+        "simulate": ["simulate", "--flow-lps", "3", "--noise-ns", "1", "--frames", "5"],
+        "process_stored": ["process", "--config", str(coeffs), "--frames", str(frames)],
+        "process_none": ["process", "--frames", str(frames)],
+        "process_derived": ["process", "--config", str(derive), "--frames", str(frames)],
+        "fpcf": ["fpcf"],
+        "fit": ["fit", "--table", str(table)],
+        "profile": ["profile", "--level-mm", "82.5", "--nx", "5", "--ny", "4"],
+        "calibrate": ["calibrate", "--trials", str(trials)],
+        "metrics": ["metrics", "--trials", str(trials), "--k-cal", "0.99"],
+    }
+    expected = {}
+    capsys.readouterr()
+    for name, argv in runs.items():
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        expected[name] = (code, capsys.readouterr().out, "")
+    assert _without_numpy(runs) == expected
+    assert all(code == 0 and out for code, out, _ in expected.values())
+
+
 def test_simulate_loads_no_numpy(tmp_path):
-    """One FPCF per chord height is integrated point by point in plain floats, which costs
-    less than loading numpy does; every simulate scenario stays numpy-free."""
+    """One FPCF per chord height is integrated point by point in plain floats; every
+    simulate scenario runs where numpy cannot be imported."""
     coeffs, heights = tmp_path / "coeffs.cfg", tmp_path / "heights.cfg"
-    coeffs.write_text("".join(f"fpcf.c{k} = {c!r}\n" for k, c in
-                              enumerate((0.603, 0.0124, -1.81e-4, 1.24e-6, -1.96e-9, 0.0, 0.0))))
+    coeffs.write_text(COEFFS)
     heights.write_text("chord.a.height_mm = 50\nchord.b.height_mm = 30\n")
     runs = {
         "noise_free": ["--flow-lps", "3"],
@@ -240,19 +176,18 @@ def test_simulate_loads_no_numpy(tmp_path):
         "coefficients": ["--flow-lps", "3", "--config", str(coeffs)],
         "two_heights": ["--flow-lps", "3", "--config", str(heights)],
     }
-    results = {name: (code, out.startswith("timestamp_s,chord_id,"), err)
-               for name, (code, out, err) in _numpy_probes("simulate", runs).items()}
-    assert results == {name: (0, True, "numpy=False\n") for name in runs}
+    results = {name: (code, out.startswith("timestamp_s,chord_id,"), err) for name, (code, out, err)
+               in _without_numpy({k: ["simulate", *argv] for k, argv in runs.items()}).items()}
+    assert results == {name: (0, True, "") for name in runs}
 
 
-def test_process_loads_numpy_only_to_derive(tmp_path):
-    """Frames are read and estimated in plain floats, so process loads numpy only when
-    fpcf.derive = true has it tabulate and fit the polynomial."""
+def test_process_loads_no_numpy(tmp_path):
+    """Frames are read and estimated in plain floats, and fpcf.derive = true tabulates
+    and fits the polynomial in plain floats: no process run imports numpy."""
     from partialflow.cli import main
 
     coeffs, derive = tmp_path / "coeffs.cfg", tmp_path / "derive.cfg"
-    coeffs.write_text("".join(f"fpcf.c{k} = {c!r}\n" for k, c in
-                              enumerate((0.603, 0.0124, -1.81e-4, 1.24e-6, -1.96e-9, 0.0, 0.0))))
+    coeffs.write_text(COEFFS)
     derive.write_text("fpcf.derive = true\n")
     frames, bad = tmp_path / "frames.csv", tmp_path / "bad.csv"
     assert main(["simulate", "--flow-lps", "3", "--frames", "300", "--noise-ns", "1",
@@ -269,9 +204,9 @@ def test_process_loads_numpy_only_to_derive(tmp_path):
         "derive": ["--config", str(derive), "--frames", str(frames)],
     }
     results = {name: (code, err, "diagnostic line=" in out, out.endswith(" alarms=0 clears=0\n"))
-               for name, (code, out, err) in _numpy_probes("process", runs).items()}
-    assert results == {name: (0, f"numpy={name == 'derive'}\n", name == "nan_rows", True)
-                       for name in runs}
+               for name, (code, out, err)
+               in _without_numpy({k: ["process", *argv] for k, argv in runs.items()}).items()}
+    assert results == {name: (0, "", name == "nan_rows", True) for name in runs}
 
 
 @pytest.fixture(scope="module")
@@ -292,36 +227,42 @@ def lazy_child(tmp_path_factory):
 
 
 def test_package_calibrate_metrics_and_help_load_no_numpy(lazy_child):
-    """process without fpcf.derive and simulate load none either; fpcf and a derived
-    process do, for the table and the fit."""
-    stages, codes, _ = lazy_child
-    assert [stage[0] for stage in stages] == [False] * 6 + [True] * 2
+    """Nor do process, simulate, fpcf or a derived process, in one interpreter."""
+    stages, codes, _, _ = lazy_child
+    assert [stage[0] for stage in stages] == [False] * 8
     assert codes == [0, 0, 0, 0]
+
+
+def test_calibrate_and_metrics_load_only_their_layers(lazy_child):
+    """The trial CSV is read and checked by calibration alone."""
+    _, _, _, layers = lazy_child
+    assert layers == ["partialflow", "partialflow._record", "partialflow.calibration",
+                      "partialflow.cli", "partialflow.clogging", "partialflow.errors"]
 
 
 def test_no_command_loads_dataclasses(lazy_child):
     """Records are built without dataclasses, which would cost ~1 ms per class."""
-    stages, _, _ = lazy_child
+    stages, _, _, _ = lazy_child
     assert [stage[1] for stage in stages] == [False] * 8
 
 
 def test_no_command_loads_numpy_polynomial(lazy_child):
     """The Gauss-Legendre nodes are computed without numpy.polynomial, whose six basis
     modules cost ~4.5 ms to load."""
-    stages, _, _ = lazy_child
+    stages, _, _, _ = lazy_child
     assert [stage[2] for stage in stages] == [False] * 8
 
 
 def test_no_command_loads_numpy_random(lazy_child):
-    """Noisy simulate draws its jitter with the standard library's ``random``, which
-    numpy loads anyway; numpy.random, with the secrets and _hashlib it imports, cost
-    ~6 MB of peak RSS and ~14 ms of CPU."""
-    stages, _, _ = lazy_child
+    """Noisy simulate draws its jitter with the standard library's ``random``;
+    numpy.random, with the secrets and _hashlib it imports, cost ~6 MB of peak RSS and
+    ~14 ms of CPU over numpy itself."""
+    stages, _, _, _ = lazy_child
     assert [stage[3:] for stage in stages] == [[False] * 3] * 8
 
 
 def test_process_imports_nothing_between_frame_records(lazy_child):
-    _, codes, modules = lazy_child
+    _, codes, modules, _ = lazy_child
     assert codes[0] == 0 and len(modules) == 400
     assert len(set(modules)) == 1
 
