@@ -61,15 +61,24 @@ def constant_profile(monkeypatch):
     monkeypatch.setattr(fpcf_module, "_velocity", lambda model: (lambda x, y, x_p: 1.0, 1.0))
 
 
+# the one plain-float rule takes a level and a chord height read out of a numpy array
+# ("array": numpy float64 scalars) as it takes plain floats ("point")
+INPUTS = {"array": lambda value: np.array([value])[0], "point": float}
+
+
 class TestMeans:
-    def test_constant_profile_area_mean(self, constant_profile):
-        assert mean_area_velocity(model_at(0.125)) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("as_input", INPUTS.values(), ids=INPUTS.keys())
+    def test_constant_profile_area_mean(self, constant_profile, as_input):
+        assert mean_area_velocity(model_at(as_input(0.125))) == pytest.approx(1.0, rel=1e-9)
 
-    def test_constant_profile_chord_mean(self, constant_profile):
-        assert mean_chord_velocity(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("as_input", INPUTS.values(), ids=INPUTS.keys())
+    def test_constant_profile_chord_mean(self, constant_profile, as_input):
+        value = mean_chord_velocity(model_at(as_input(0.125)), as_input(0.050))
+        assert value == pytest.approx(1.0, rel=1e-9)
 
-    def test_constant_profile_fpcf(self, constant_profile):
-        assert fpcf(model_at(0.125), 0.050) == pytest.approx(1.0, rel=1e-9)
+    @pytest.mark.parametrize("as_input", INPUTS.values(), ids=INPUTS.keys())
+    def test_constant_profile_fpcf(self, constant_profile, as_input):
+        assert fpcf(model_at(as_input(0.125)), as_input(0.050)) == pytest.approx(1.0, rel=1e-9)
 
     def test_area_mean_regression(self):
         # frozen from a converged run; guards against silent model drift

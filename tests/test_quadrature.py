@@ -79,6 +79,23 @@ def test_breaks_and_tensor_product():
     assert err < 1e-15
 
 
+@pytest.mark.parametrize("on_arrays", [True, False], ids=["array", "point"])
+def test_both_rules_take_one_nested_integrand(on_arrays):
+    # the same integrand, unchanged, on the rule's nodes as numpy arrays and as plain floats
+    def f(x):
+        return lambda y: abs(x - 0.3) * y
+
+    def estimate(n_panels):
+        (xs, wx), (ys, wy) = _axis((0.3,), n_panels), _axis((), n_panels)
+        if on_arrays:
+            grid = f(np.asarray(xs)[:, None])(np.asarray(ys)[None, :])
+            return float(np.asarray(wx) @ grid @ np.asarray(wy))
+        return sum(a * b * f(x)(y) for x, a in zip(xs, wx) for y, b in zip(ys, wy))
+
+    value, _ = QuadratureSpec().refine(estimate)
+    assert value == pytest.approx(0.145, rel=1e-13)
+
+
 def test_non_convergence_carries_estimate():
     spec = QuadratureSpec(rel_tol=1e-14, max_depth=2)
     with pytest.raises(QuadratureError) as excinfo:
