@@ -18,7 +18,7 @@ import types
 _EXPORTS = {
     "calibration": ("ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"),
-    "clogging": ("AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"),
+    "clogging": ("AlarmEvent", "Debounce", "DecisionBoundary", "Verdict", "classify"),
     "config": ("RunConfig", "default_config", "load_config", "parse_config"),
     "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
                "OutOfRangeError", "PartialFlowError", "QuadratureError"),

@@ -141,26 +141,31 @@ def first_segments(trials: Sequence[TrialRecord]) -> list[TrialRecord]:
 
 
 def _decimal(convert, text: str):
-    """``convert(text)``, ``int`` or ``float``, refusing the digit separators that both
-    accept: ``2_0`` would read as 20."""
+    """``convert(text)``, ``int`` or ``float``, refusing the digit separators both accept
+    (``2_0`` would read as 20): the number rule of every CSV field, config value and flag."""
     if "_" in text:
         raise ValueError(f"digit separator in {text.strip()!r}")
     return convert(text)
 
 
-def read_trials(lines: Iterable[str]) -> Iterator[TrialRecord]:
-    """Parse the paired CSV ``segment_id,flow_label,q_ref_lps,q_meas_lps``."""
-    for line_no, raw in enumerate(lines, start=1):
+def _csv_rows(lines: Iterable[str], header: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each data line of a CSV with ``header``'s fields: blank
+    and ``#`` lines and the header itself (any case, spaces ignored) are skipped, and a
+    line with another field count is refused by its number."""
+    header, count = header.lower(), header.count(",") + 1
+    for no, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.lower().replace(" ", "") == TRIAL_CSV_HEADER:
+        if not line or line[0] == "#" or line.lower().replace(" ", "") == header:
             continue
         parts = line.split(",")
-        if len(parts) != 4:
-            raise OutOfRangeError(
-                f"trial CSV line {line_no}: expected 4 fields, got {len(parts)}"
-            )
+        if len(parts) != count:
+            raise OutOfRangeError(f"{what} line {no}: expected {count} fields, got {len(parts)}")
+        yield no, parts
+
+
+def read_trials(lines: Iterable[str]) -> Iterator[TrialRecord]:
+    """Parse the paired CSV ``segment_id,flow_label,q_ref_lps,q_meas_lps``."""
+    for line_no, parts in _csv_rows(lines, TRIAL_CSV_HEADER, "trial CSV"):
         try:
             yield TrialRecord(_decimal(int, parts[0]), parts[1].strip(),
                               _decimal(float, parts[2]), _decimal(float, parts[3]))

@@ -16,6 +16,7 @@ import sys
 # the FPCF stack; calibration stays here, where the benchmark's tracer expects to find it
 # loaded after any command has run.
 from .calibration import (
+    _csv_rows,
     _decimal,
     calibration_factor,
     error_table,
@@ -30,6 +31,7 @@ from .errors import ConfigError, DegenerateProfileError, PartialFlowError
 # The values of simulator.WeirMode, in order, written out so that building the parser
 # does not import the simulator and the FPCF stack under it.
 _WEIR_TEXT = ("none", "weir1", "weir2")
+_FPCF_CSV_HEADER = "H_mm,fpcf"  # written by fpcf, read by fit
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -78,7 +80,7 @@ def cmd_fpcf(args) -> int:
 
     table = tabulate_fpcf(load_config(args.config))
     with _stream(args.out, "w") as fh:
-        fh.write("H_mm,fpcf\n")
+        fh.write(_FPCF_CSV_HEADER + "\n")
         for level_mm, value in table:
             fh.write(f"{level_mm!r},{value!r}\n")
     return EXIT_OK
@@ -90,13 +92,7 @@ def cmd_fit(args) -> int:
 
     samples = []
     with _stream(args.table) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.lower().startswith("h_mm"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise PartialFlowError(f"fpcf table line {line_no}: expected 2 fields")
+        for line_no, parts in _csv_rows(fh, _FPCF_CSV_HEADER, "fpcf table"):
             try:
                 level, value = _decimal(float, parts[0]), _decimal(float, parts[1])
             except ValueError as exc:
@@ -200,6 +196,17 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _flag_type(convert):
+    """A number flag's ``type``: ``convert`` under ``_decimal``'s rule, named as in argparse."""
+    def parse(text: str):
+        return _decimal(convert, text)
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_FLOAT, _INT = _flag_type(float), _flag_type(int)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="partialflow",
@@ -209,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="emit a normalized velocity profile grid as CSV")
     p.add_argument("--config", default=None)
-    p.add_argument("--level-mm", type=float, required=True)
-    p.add_argument("--nx", type=int, default=101)
-    p.add_argument("--ny", type=int, default=101)
+    p.add_argument("--level-mm", type=_FLOAT, required=True)
+    p.add_argument("--nx", type=_INT, default=101)
+    p.add_argument("--ny", type=_INT, default=101)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_profile)
 
@@ -241,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="per-rate errors and flow-weighted mean error")
     p.add_argument("--trials", default="-")
-    p.add_argument("--k-cal", type=float, default=1.0)
+    p.add_argument("--k-cal", type=_FLOAT, default=1.0)
     p.add_argument("--csv-out", default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_metrics)
@@ -249,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate synthetic sensor frames",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--config", default=None)
-    p.add_argument("--flow-lps", type=float, required=True)
-    p.add_argument("--level-mm", type=float, default=None,
+    p.add_argument("--flow-lps", type=_FLOAT, required=True)
+    p.add_argument("--level-mm", type=_FLOAT, default=None,
                    help="default: rig baseline level for the flow rate")
     p.add_argument("--weir", choices=_WEIR_TEXT)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--interval", type=float)
-    p.add_argument("--noise-ns", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--frames", type=_INT)
+    p.add_argument("--interval", type=_FLOAT)
+    p.add_argument("--noise-ns", type=_FLOAT)
+    p.add_argument("--seed", type=_INT)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_simulate)
 

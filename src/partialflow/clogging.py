@@ -58,28 +58,17 @@ class AlarmEvent(Enum):
     CLEARED = "cleared"
 
 
-@record
-class AlarmState:
-    """Debounce counter: ``alarm`` rises after ``threshold`` consecutive clogging
-    verdicts; ``count`` is the current run of them."""
-
-    threshold: int
-    alarm: bool = False
-    count: int = 0
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise OutOfRangeError(f"debounce threshold must be >= 1, got {self.threshold!r}")
-
-
 class Debounce:
-    """The alarm state machine, stepped in place from an ``AlarmState``: ``step`` gives
-    the event that one more verdict (True for clogging) fires, or None. Exactly one
+    """The alarm state machine, stepped in place: ``alarm`` rises after ``threshold``
+    consecutive clogging verdicts, and ``count`` is the current run of them. ``step``
+    gives the event that one more verdict (True for clogging) fires, or None. Exactly one
     RAISED event fires on entering the alarm and exactly one CLEARED event on leaving
     it; a Normal verdict resets the counter."""
 
-    def __init__(self, state: AlarmState):
-        self.threshold, self.alarm, self.count = state.threshold, state.alarm, state.count
+    def __init__(self, threshold: int, alarm: bool = False, count: int = 0):
+        if threshold < 1:
+            raise OutOfRangeError(f"debounce threshold must be >= 1, got {threshold!r}")
+        self.threshold, self.alarm, self.count = threshold, alarm, count
 
     def step(self, clog: bool) -> AlarmEvent | None:
         self.count = count = self.count + 1 if clog else 0

@@ -9,6 +9,7 @@ import math
 from typing import Optional
 
 from ._record import record
+from .calibration import _decimal
 from .clogging import DecisionBoundary
 from .errors import ConfigError, OutOfRangeError
 from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, lowest_chord_mm,
@@ -97,14 +98,14 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        return _decimal(float, raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
 
 
 def _parse_int(raw: str, key: str) -> int:
     try:
-        return int(raw)
+        return _decimal(int, raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
 

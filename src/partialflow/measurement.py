@@ -14,11 +14,11 @@ import functools
 import math
 from collections import namedtuple
 from enum import Enum
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from ._record import record
-from .clogging import AlarmState, Debounce
+from .calibration import _decimal
+from .clogging import Debounce
 from .errors import ConfigError, InvalidTimesError, OutOfRangeError
 from .geometry import WaterLevel, segment_area
 
@@ -100,33 +100,6 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
     return _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
 
 
-def _number(text: str) -> float:
-    """``float(text)``, refusing the digit separators ``float`` takes (``1_0``)."""
-    if "_" in text:
-        raise ValueError(f"could not convert string to float: {text!r}")
-    return float(text)
-
-
-def _split_row(raw: str):
-    """A data line as (ts, chord id, t_up_ns, t_down_ns, level_mm); None for a blank,
-    comment or header line; else the detail of its diagnostic, for its first bad field."""
-    line = raw.strip()
-    if not line or line[0] == "#" or (
-        line[0] in "tT" and line.lower().replace(" ", "") == FRAME_CSV_HEADER
-    ):
-        return None
-    parts = line.split(",")
-    if len(parts) != 5:
-        return f"expected 5 fields, got {len(parts)}"
-    try:
-        ts, t_up, t_down, level = map(_number, itemgetter(0, 2, 3, 4)(parts))
-        if not parts[1].strip():
-            raise ValueError("empty chord id")
-    except ValueError as exc:
-        return f"unparseable row: {exc}"
-    return ts, parts[1].strip(), t_up, t_down, level
-
-
 # One frame's estimate: ``status`` indexes ``STATUSES``; ``clog`` is 0 normal, 1 clogging,
 # 2 no velocity (``v_line``, ``flow_m3s`` NaN); ``event`` is the alarm event that its
 # verdict fires, or None.
@@ -135,9 +108,6 @@ Frame = namedtuple("Frame", "ts level v_line area fpcf flow_m3s status clog even
 
 STATUSES = tuple(EstimateStatus)
 _OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(STATUSES))
-# First characters of a line that is a data row as it stands: no blank, comment or
-# header line starts with one, and stripping the line leaves its first field alone.
-_ROW_START = "0123456789+-.iInN"
 
 
 def _frames(lines: Iterable[str], config) -> Iterator:
@@ -149,7 +119,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
     index = {c.chord_id: i for i, c in enumerate(config.chords) if c.chord_id == c.chord_id.strip()}
     misfit = f"mm is not within the pipe (0 to {1000 * pipe.diameter_m:g} mm)"
     isfinite, nan, n_chords = math.isfinite, math.nan, len(chords)
-    alarm, new = Debounce(AlarmState(config.debounce)).step, tuple.__new__  # Frame(...), faster
+    alarm, new = Debounce(config.debounce).step, tuple.__new__  # Frame(...), faster
 
     @functools.lru_cache(maxsize=1024)  # bounded for a log with a new level each frame
     def at_level(text: str) -> tuple:
@@ -197,38 +167,36 @@ def _frames(lines: Iterable[str], config) -> Iterator:
             return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
         return new(Frame, (frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, 2, None))
 
-    # the ts and level texts that the last rows read as they stand, and their values
+    # the ts and level texts of the last rows read, and their values
     ts_text = level_text = None
     ts_value = level_value = math.nan
     # the open frame: its ts and level, what its level sets, t_up_ns and t_down_ns per chord
     frame_ts = frame_level = kind = ups = downs = None
     for no, raw in enumerate(lines, 1):
-        parts = raw.split(",")
-        try:  # what _split_row reads, faster; a line it cannot read goes on to it
-            if len(parts) != 5 or raw[0] not in _ROW_START:
-                raise ValueError
+        line = raw.strip()
+        parts = line.split(",")
+        try:
             t_text, chord, up_text, down_text, l_text = parts
-            if "_" in raw and "_" in t_text + up_text + down_text + l_text:
-                raise ValueError  # a digit separator, which float alone would read
-            if t_text != ts_text:
-                ts_value, ts_text = float(t_text), t_text
-            t_up, t_down = float(up_text), float(down_text)
-            if l_text != level_text:
-                level_value, level_text = float(l_text), l_text
-            ts, level, slot = ts_value, level_value, index.get(chord)
+            if "_" in line:  # float alone would read a digit separator
+                ts, t_up, t_down, level = [_decimal(float, text) for text in parts[:1] + parts[2:]]
+            else:
+                if t_text != ts_text:
+                    ts_value, ts_text = float(t_text), t_text
+                t_up, t_down = float(up_text), float(down_text)
+                if l_text != level_text:
+                    level_value, level_text = float(l_text), l_text
+                ts, level = ts_value, level_value
+            slot = index.get(chord)
             if slot is None:
                 chord = chord.strip()
                 if not chord:
-                    raise ValueError
+                    raise ValueError("empty chord id")
                 slot = index.get(chord)
-        except ValueError:
-            row = _split_row(raw)
-            if row is None or isinstance(row, str):
-                if row:
-                    yield FrameDiagnostic(detail=row, line_no=no)
-                continue
-            ts, chord, t_up, t_down, level = row
-            slot = index.get(chord)
+        except ValueError as exc:  # a blank, comment or header line is no row to report
+            if line and line[0] != "#" and line.lower().replace(" ", "") != FRAME_CSV_HEADER:
+                yield FrameDiagnostic(f"expected 5 fields, got {len(parts)}" if len(parts) != 5
+                                      else f"unparseable row: {exc}", line_no=no)
+            continue
         if ts != frame_ts:
             if not isfinite(ts):  # a row without a finite timestamp is in no frame
                 yield FrameDiagnostic(f"timestamp {ts!r} is not finite; row dropped", line_no=no)

@@ -16,7 +16,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 EXPORTS = {
     "calibration": ["ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"],
-    "clogging": ["AlarmEvent", "AlarmState", "DecisionBoundary", "Verdict", "classify"],
+    "clogging": ["AlarmEvent", "Debounce", "DecisionBoundary", "Verdict", "classify"],
     "config": ["RunConfig", "default_config", "load_config", "parse_config"],
     "errors": ["ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
                "OutOfRangeError", "PartialFlowError", "QuadratureError"],
@@ -40,7 +40,8 @@ HOME = [(module, name) for module, names in EXPORTS.items() for name in names]
 # ``_composite`` of ``quadrature._axis``), an error that nothing raises, what only
 # row chunks needed (``process_lines`` yields each record as it comes, and
 # ``clogging.Debounce`` steps the alarm one verdict at a time), and the names of the
-# two quadrature rules, an array rule and a point rule, that are now one in plain floats.
+# two quadrature rules, an array rule and a point rule, that are now one in plain floats,
+# and the record that only seeded ``Debounce``, which takes its fields itself.
 REMOVED = [("cli", "_chunk_records"), ("cli", "_diagnostic_record"), ("clogging", "AlarmStage"),
            ("clogging", "step_alarm"), ("clogging", "step_alarms"), ("errors", "FpcfRangeError"),
            ("errors", "NumericalDomainError"), ("measurement", "CHUNK_ROWS_CAP"),
@@ -55,7 +56,8 @@ REMOVED = [("cli", "_chunk_records"), ("cli", "_diagnostic_record"), ("clogging"
            ("profile", "local_frame"), ("profile", "velocity_cdf"), ("profile", "_evaluate_cdf"),
            ("quadrature", "_composite"), ("profile", "evaluate_velocity"),
            ("profile", "point_velocity"), ("fpcf", "point_fpcf"),
-           ("quadrature", "unit_integrate"), ("quadrature", "point_integrate")]
+           ("quadrature", "unit_integrate"), ("quadrature", "point_integrate"),
+           ("clogging", "AlarmState")]
 
 
 def test_all_lists_the_public_names():
@@ -128,8 +130,9 @@ def test_run_settings_have_one_home(capsys):
     # the FPCF table reads its pipe, chords, range and quadrature from the RunConfig alone
     assert list(inspect.signature(fpcf.tabulate_fpcf).parameters) == ["config"]
     assert not hasattr(config, "fpcf_table") and not hasattr(config, "_lowest_chord_mm")
-    assert tuple(clogging.AlarmState.__annotations__) == ("threshold", "alarm", "count")
-    assert "threshold" not in vars(clogging.AlarmState)
+    debounce = inspect.signature(clogging.Debounce).parameters
+    assert list(debounce) == ["threshold", "alarm", "count"]
+    assert debounce["threshold"].default is inspect.Parameter.empty
     # metrics --k-cal is the one default of the metrics path's factor
     calibration = importlib.import_module("partialflow.calibration")
     k_cal = inspect.signature(calibration.error_table).parameters["k_cal"]

@@ -77,7 +77,7 @@ class TestFpcfAndFit:
     @pytest.mark.parametrize("row,message", [
         ("60,inf", "level and FPCF must be finite"),
         ("nan,1.0", "level and FPCF must be finite"),
-        ("60,1.0,2", "expected 2 fields"),
+        ("60,1.0,2", "expected 2 fields, got 3"),
     ], ids=["fpcf_inf", "level_nan", "three_fields"])
     def test_fit_rejects_non_finite_row(self, capsys, tmp_path, row, message):
         # 60,inf printed seven nan coefficients with exit 0; a nan level also
@@ -99,6 +99,20 @@ class TestFpcfAndFit:
         field = next(f for f in row.split(",") if "_" in f)
         assert (code, out, err) == (1, "", f"error: fpcf table line 10: digit separator in "
                                            f"{field!r}\n")
+
+    @pytest.mark.parametrize("row,message", [
+        ("h_mm,3", "digit separator in 'h_mm'"),
+        ("H_MM_X,oops", "digit separator in 'H_MM_X'"),
+        ("h_mm,fpcf,x", "expected 2 fields, got 3"),
+    ], ids=["h_mm_level", "h_mm_prefix", "three_fields"])
+    def test_fit_skips_only_the_exact_header(self, capsys, tmp_path, row, message):
+        # any line starting with h_mm was skipped as a header: a 9-row table with such a
+        # row fitted the other 8 rows and exited 0
+        table = tmp_path / "table.csv"
+        table.write_text(" h_MM , FPCF \n" + "".join(f"{h},1.0\n" for h in range(50, 130, 10))
+                         + row + "\n")
+        code, out, err = run(capsys, "fit", "--table", str(table))
+        assert (code, out, err) == (1, "", f"error: fpcf table line 10: {message}\n")
 
     def test_fit_names_the_line_of_an_unparsable_field(self, capsys, tmp_path):
         # printed "error: could not convert string to float: 'abc'" with no line
@@ -493,6 +507,24 @@ class TestExitCodes:
         field = next(f for f in row.split(",") if "_" in f)
         assert (code, out, err) == (1, "", f"error: trial CSV line 2: digit separator in "
                                            f"{field!r}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--k-cal", "1_0"], ["simulate", "--flow-lps", "3", "--level-mm", "8_2.5"],
+        ["simulate", "--flow-lps", "3_0"], ["simulate", "--flow-lps", "3", "--seed", "1_1"],
+        ["simulate", "--flow-lps", "3", "--frames", "1_0"],
+        ["simulate", "--flow-lps", "3", "--interval", "0_5"],
+        ["simulate", "--flow-lps", "3", "--noise-ns", "0_5"],
+        ["profile", "--level-mm", "8_0"], ["profile", "--level-mm", "80", "--nx", "1_1"],
+        ["profile", "--level-mm", "80", "--ny", "1_1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_digit_separator_in_a_number_flag_exits_2(self, capsys, argv):
+        # metrics --k-cal 1_0 printed a 950% error and simulate --level-mm 8_2.5 ran at
+        # 82.5 mm, both with exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        kind = "int" if argv[-2] in ("--seed", "--frames", "--nx", "--ny") else "float"
+        assert f"argument {argv[-2]}: invalid {kind} value: {argv[-1]!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["metrics", "calibrate"])
     def test_empty_flow_label_exits_1(self, capsys, tmp_path, command):

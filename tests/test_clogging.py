@@ -5,13 +5,12 @@ from hypothesis import given, strategies as st
 
 from partialflow import (
     AlarmEvent,
-    AlarmState,
+    Debounce,
     DecisionBoundary,
     OutOfRangeError,
     Verdict,
     classify,
 )
-from partialflow.clogging import Debounce
 
 BOUNDARY = DecisionBoundary()
 
@@ -73,7 +72,7 @@ class TestClassify:
 
 
 def run_verdicts(verdicts, threshold):
-    state = Debounce(AlarmState(threshold=threshold))
+    state = Debounce(threshold=threshold)
     events = [state.step(v is C) for v in verdicts]
     return state, [(k, event) for k, event in enumerate(events) if event is not None]
 
@@ -100,7 +99,7 @@ class TestAlarm:
         assert events == [(2, AlarmEvent.RAISED), (3, AlarmEvent.CLEARED)]
 
     def test_stages(self):
-        state = Debounce(AlarmState(threshold=3))
+        state = Debounce(threshold=3)
         state.step(True)
         assert (state.alarm, state.count) == (False, 1)
         state.step(False)
@@ -111,7 +110,7 @@ class TestAlarm:
         state.step(False)
         assert (state.alarm, state.count) == (False, 0)
         # a state taken up again goes on from where it was
-        state = Debounce(AlarmState(threshold=3, alarm=True, count=7))
+        state = Debounce(threshold=3, alarm=True, count=7)
         assert state.step(True) is None and state.count == 8
         assert state.step(False) is AlarmEvent.CLEARED
 
@@ -121,7 +120,7 @@ class TestAlarm:
 
     def test_threshold_validation(self):
         with pytest.raises(OutOfRangeError):
-            AlarmState(threshold=0)
+            Debounce(threshold=0)
 
     @given(st.lists(st.booleans(), max_size=60))
     def test_events_strictly_alternate(self, flags):

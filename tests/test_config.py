@@ -213,6 +213,19 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("entropy.m = fast\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("pipe.diameter_mm = 3_00", "pipe.diameter_mm: expected a number, got '3_00'"),
+        ("calibration.factor = 1_0", "calibration.factor: expected a number, got '1_0'"),
+        ("clog.debounce = 1_0", "clog.debounce: expected an integer, got '1_0'"),
+        ("chord.a.height_mm = 5_0", "chord.a.height_mm: expected a number, got '5_0'"),
+        ("entropy.m = 0.8_9", "entropy.m: expected a number, got '0.8_9'"),
+    ], ids=["diameter", "factor", "debounce", "chord_height", "entropy_m"])
+    def test_digit_separator_is_not_a_number(self, line, message):
+        # int() and float() read 3_00 as 300: a 300 mm pipe was configured
+        with pytest.raises(ConfigError) as exc:
+            parse_config(line + "\n")
+        assert str(exc.value) == message
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             parse_config("entropy.m 0.89\n")

@@ -532,69 +532,80 @@ _OTHER_LINES = ["", "   ", "# comment", "1.0,a,5,6", "1.0,a,1,2,3,4",
 def test_chunk_parse_matches_row_by_row(lines, end):
     """Blank and odd lines, 4- and 6-field rows, ``1_0``, inline ``#``, quotes,
     a header anywhere, CRLF, padded and empty chord ids, non-finite and signed
-    zero values: the rows that the frame path reads as they stand give the same
-    records, line numbers and diagnostics as when every row goes through
-    ``_split_row``, which strips it first."""
-    from partialflow import measurement
-
+    zero values: the one reader reports each line that the reference reader refuses,
+    with its detail, as the line is read, and gives the records of the rows that the
+    reference reader takes, written plainly, a line for each line."""
     text = [line + end for line in lines]
     config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(CHORD_A, CHORD_B),
                        poly=FLAT_POLY, debounce=1)
-    fast = repr(list(process_lines(text, config)))  # exact floats, NaN too
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measurement, "_ROW_START", "")
-        assert repr(list(process_lines(text, config))) == fast
+    read = 0
+
+    def feed():
+        nonlocal read
+        for read, line in enumerate(text, 1):
+            yield line
+
+    got = [(read, item) for item in process_lines(feed(), config)]
+    refused = [(read, item.line_no, item.detail) for read, item in got
+               if type(item) is FrameDiagnostic and item.detail.startswith(_PARSE_DETAILS)]
+    rows = [_reference_row(raw) for raw in text]
+    assert refused == [(no, no, row) for no, row in enumerate(rows, 1) if type(row) is str]
+    plain = ["" if row is None or type(row) is str else
+             f"{row[0]!r},{row[1]},{row[2]!r},{row[3]!r},{row[4]!r}" for row in rows]
+    rest = [item for _, item in got
+            if not (type(item) is FrameDiagnostic and item.detail.startswith(_PARSE_DETAILS))]
+    assert repr(rest) == repr(list(process_lines(plain, config)))  # exact floats, NaN too
 
 
-def test_chunk_parse_takes_plain_rows_only(monkeypatch):
-    """A row goes to ``_split_row`` only when the frame path cannot read it as it stands."""
-    from partialflow import measurement
+_PARSE_DETAILS = ("expected 5 fields, got ", "unparseable row: ")
 
-    split, inner = [], measurement._split_row
-    monkeypatch.setattr(measurement, "_split_row", lambda raw: split.append(raw) or inner(raw))
-    plain = ["0.0,a,202696.0,202725.0,85.0\n", "0.0, b ,-0.0,nan,-Infinity\r\n"]
-    diag, frame = _items("".join(plain))
-    assert split == [] and (frame.ts, frame.level) == (0.0, 85.0)
-    assert diag.detail == (
-        "level -inf mm differs from the frame's first row (85.0 mm); row dropped")
-    for line in [" Timestamp_s, chord_id,t_up_ns,t_down_ns,level_mm\r\n", "\n", "   \n",
-                 "0.0,a,1,2\n", "0.0,a,1,2,3,4\n", "0.0,a,1,2,3 # note\n",
-                 '"0.0",a,1,2,3\n', FRAME_CSV_HEADER + "\n", "0.0,,1,2,3\n", "0.0, ,1,2,3\n",
-                 " 0.0,a,1,2,3\n", "0.0,a,1,2,3\x1c\n"]:
-        split.clear()
-        _items("".join(plain) + line)
-        assert split == [line], line
+
+def _reference_row(raw: str):
+    """The reference reading of a frame CSV line, stripped and then field by field: None
+    for a blank, comment or header line, the detail of its diagnostic for its first bad
+    field, else (ts, chord id, t_up_ns, t_down_ns, level_mm)."""
+    line = raw.strip()
+    if not line or line[0] == "#" or line.lower().replace(" ", "") == FRAME_CSV_HEADER:
+        return None
+    parts = line.split(",")
+    if len(parts) != 5:
+        return f"expected 5 fields, got {len(parts)}"
+
+    def number(text):
+        if "_" in text:
+            raise ValueError(f"digit separator in {text.strip()!r}")
+        return float(text)
+
+    try:
+        ts, t_up, t_down, level = (number(parts[k]) for k in (0, 2, 3, 4))
+        if not parts[1].strip():
+            raise ValueError("empty chord id")
+    except ValueError as exc:
+        return f"unparseable row: {exc}"
+    return ts, parts[1].strip(), t_up, t_down, level
 
 
 @pytest.mark.parametrize("field", [0, 2, 3, 4], ids=["ts", "t_up", "t_down", "level"])
-@pytest.mark.parametrize("as_it_stands", [True, False], ids=["as_it_stands", "split_row"])
-def test_digit_separator_is_unparseable(monkeypatch, field, as_it_stands):
+@pytest.mark.parametrize("padded", [False, True], ids=["as_it_stands", "padded"])
+def test_digit_separator_is_unparseable(field, padded):
     """``float`` reads ``1_0`` as 10.0, so a numeric frame field holding it was read as
-    data. It is a bad row, on the path that reads rows as they stand and through
-    ``_split_row`` alike."""
-    from partialflow import measurement
-
-    if not as_it_stands:
-        monkeypatch.setattr(measurement, "_ROW_START", "")
+    data. It is a bad row, named as ``calibration._decimal`` names it, padded or not."""
     row = "0.0,a,202696.0,202725.0,85.0".split(",")
-    row[field] = "1_0"
+    row[field] = " 1_0 " if padded else "1_0"
     diag, frame = _items(f"0.0,b,202696.0,202725.0,85.0\n{','.join(row)}\n")
     assert (diag.line_no, diag.timestamp_s, diag.detail) == (
-        2, None, "unparseable row: could not convert string to float: '1_0'")
+        2, None, "unparseable row: digit separator in '1_0'")
     assert (frame.ts, frame.level) == (0.0, 85.0)
 
 
-def test_chord_id_with_an_underscore_reads_as_it_stands(monkeypatch):
-    """Only a numeric field's ``_`` sends a row to ``_split_row``."""
-    from partialflow import measurement
-
-    split, inner = [], measurement._split_row
-    monkeypatch.setattr(measurement, "_split_row", lambda raw: split.append(raw) or inner(raw))
+def test_chord_id_with_an_underscore_reads_as_it_stands():
+    """Only a numeric field's ``_`` makes a row unparseable, not a chord id's."""
     chord = ChordSpec("path_1", 50.0, 0.3, ANGLE)
     config = RunConfig(pipe=PIPE, params=EntropyParams(), chords=(chord,), poly=FLAT_POLY)
-    (frame,) = process_lines(["0.0,path_1,202696.0,202725.0,85.0\n"], config)
-    assert split == [] and frame.v_line == pytest.approx(line_velocity(202696e-9, 202725e-9,
-                                                                        chord), rel=1e-12)
+    frame, again = process_lines(["0.0,path_1,202696.0,202725.0,85.0\n",
+                                  "1.0,path_1,202696.0,202725.0,85.0\n"], config)
+    assert frame.v_line == again.v_line == pytest.approx(
+        line_velocity(202696e-9, 202725e-9, chord), rel=1e-12)
 
 
 # Transit times of chords a and b at 0.05 m/s, which clogs at 60 and 85 mm, at
