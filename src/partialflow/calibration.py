@@ -58,7 +58,7 @@ def fwme(errors: Iterable[tuple[float, float]]) -> float:
             raise OutOfRangeError(f"error must be finite, got {e!r}")
     q_max = max(q for q, _ in pairs)
     weights = [q / q_max for q, _ in pairs]
-    return sum(w * e for w, (_, e) in zip(weights, pairs)) / sum(weights)
+    return math.fsum(w * e for w, (_, e) in zip(weights, pairs)) / math.fsum(weights)
 
 
 def calibration_factor(trials: Sequence[TrialRecord]) -> float:
@@ -72,7 +72,7 @@ def calibration_factor(trials: Sequence[TrialRecord]) -> float:
                 f"measured flow must be positive for calibration, got {t.q_meas_lps!r}"
             )
         ratios.append(t.q_ref_lps / t.q_meas_lps)
-    return sum(ratios) / len(ratios)
+    return math.fsum(ratios) / len(ratios)
 
 
 def repeatability(samples: Sequence[float]) -> float:
@@ -119,8 +119,9 @@ def error_table(trials: Sequence[TrialRecord], k_cal: float) -> ErrorTable:
         by_label.setdefault(t.flow_label, []).append(t)
     rows = []
     for label, group in by_label.items():
-        q_ref = sum(t.q_ref_lps for t in group) / len(group)
-        err = sum(percent_error(k_cal * t.q_meas_lps, t.q_ref_lps) for t in group) / len(group)
+        q_ref = math.fsum(t.q_ref_lps for t in group) / len(group)
+        err = math.fsum(percent_error(k_cal * t.q_meas_lps, t.q_ref_lps)
+                        for t in group) / len(group)
         rows.append(ErrorRow(label, q_ref, err))
     rows.sort(key=lambda r: r.q_ref_lps)
     return ErrorTable(

@@ -80,18 +80,11 @@ def _u_nodes(n_panels: int, power: float) -> list[tuple[float, float, float]]:
     return nodes
 
 
-def _row_mean(velocity, nodes, y: float, w: float, w_p: float) -> float:
-    """Mean of v over the half chord [0, w] at height y by the row ``nodes`` (the integrand
-    is even in x by the |x| convention); w_p is (w / (D/2))^power, so that each point's
-    lateral term takes a product, not a power."""
-    return sum(dx * velocity(w * sin, y, w_p * sin_p) for sin, sin_p, dx in nodes)
-
-
 def mean_chord_velocity(
     model: ProfileModel, chord_height_m: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
-    """Mean of v/v_max along the horizontal chord at the sensor height. The chord must be
-    wet: at the water line (Y = H) it still is."""
+    """Mean of v/v_max along the horizontal chord at the sensor height, over the half chord
+    [0, w] (v is even in x). The chord must be wet: at the water line (Y = H) it still is."""
     if chord_height_m <= 0:
         raise OutOfRangeError(f"chord height must be positive, got {chord_height_m!r}")
     if chord_height_m > model.level.level_m:
@@ -100,10 +93,9 @@ def mean_chord_velocity(
             f"({model.level.level_m:g} m)"
         )
     w = chord_half_width(chord_height_m, model.pipe)
-    velocity, power = _velocity(model)
+    row, power = _velocity(model)
     w_p = (w / model.pipe.radius_m) ** power
-    value, _ = quad.refine(
-        lambda n: _row_mean(velocity, _u_nodes(n, power), chord_height_m, w, w_p))
+    value, _ = quad.refine(lambda n: row(_u_nodes(n, power), chord_height_m, w, w_p))
     return value
 
 
@@ -118,7 +110,7 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
         raise OutOfRangeError("area mean undefined for an empty pipe")
     kinks = [2.0 / math.pi * math.asin(math.sqrt(z / height))
              for z in (dip, 2.0 * dip) if z < height]
-    velocity, power = _velocity(model)
+    row, power = _velocity(model)
     r = model.pipe.radius_m
 
     def estimate(n_panels: int) -> float:  # n_panels u panels, and half as many t panels past 2
@@ -126,8 +118,8 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
         for t, weight in zip(*_axis(kinks, n_panels if n_panels <= 2 else n_panels // 2)):
             y = height * math.sin(0.5 * math.pi * t) ** 2
             w = math.sqrt(y * (diameter - y))
-            row = _row_mean(velocity, nodes, y, w, (w / r) ** power)
-            total += weight * w * height * math.pi * math.sin(math.pi * t) * row
+            total += (weight * w * height * math.pi * math.sin(math.pi * t)
+                      * row(nodes, y, w, (w / r) ** power))
         return total
 
     value, _ = quad.refine(estimate)

@@ -106,6 +106,10 @@ class ProfileModel:
         return 1.0 - 1.0 / self.params.m + c ** (1.0 / self.params.q) / self.params.m
 
 
+# A row of one node of unit weight at x = w: x = w * 1.0, x_p = w_p * 1.0 and 1.0 * v are exact.
+_ONE_POINT = ((1.0, 1.0, 1.0),)
+
+
 def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
     """v/v_max at the point; pipe-bottom and wall points take the F = 0 limit."""
     r = model.pipe.radius_m
@@ -114,50 +118,54 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
         raise OutOfRangeError(f"point {point} lies outside the pipe bore")
     if point.y > model.level.level_m * (1.0 + 1e-12) + 1e-15:
         raise OutOfRangeError(f"point {point} lies above the water line")
-    velocity, power = _velocity(model)
-    return velocity(point.x, point.y, (abs(point.x) / r) ** power)
+    row, power = _velocity(model)
+    return row(_ONE_POINT, point.y, point.x, (abs(point.x) / r) ** power)
 
 
 def _velocity(model: ProfileModel):
-    """v/v_max, the one formula: returns v(x, y, x_p) and the lateral power p, with what
-    depends on the model alone worked out once. The caller passes x_p = (|x| / (D/2))^p,
-    so that a row of points at one height can work out its share once. Points must lie
-    in the closed wetted region, unchecked. Boundary points (local wall, pipe bottom)
+    """v/v_max, the one formula, as a row kernel: returns row(nodes, y, w, w_p), the sum of
+    dx v at (w sin, y) over the (sin, sin^p, dx) nodes, added left to right from 0.0 (the
+    builtin sum compensates from Python 3.12), and the lateral power p. The caller passes
+    w_p = (|w| / (D/2))^p, so each lateral term (|x| / (D/2))^p is w_p sin^p. Points must
+    lie in the closed wetted region, unchecked; boundary points (local wall, pipe bottom)
     take the wall value, so no log or power meets y' <= 0."""
     r, diameter, level, ratio = (model.pipe.radius_m, model.pipe.diameter_m,
                                  model.level.level_m, model.dip_ratio)
-    m, q, c, wall_value = model.params.m, model.params.q, model.params.tail_weight, model.wall_value
+    m, c, wall_value = model.params.m, model.params.tail_weight, model.wall_value
     depth = level or r  # an empty pipe has no core: its depth is a placeholder
     r2, log, sqrt = r * r, math.log, math.sqrt
     log_2, log_d, kink, tail = math.log(2.0), math.log(diameter), 4.0 * ratio, 2.0 * (1.0 - ratio)
+    offset, inverse_q, weight = 1.0 - 1.0 / m, 1.0 / model.params.q, 1.0 - c
 
-    def velocity(x, y, x_p):
-        under = r2 - x * x
-        wall = r - sqrt(under) if under > 0.0 else r  # the local wall under x
-        y_local = y - wall  # y'
-        if not (y_local > 0.0 and level > wall):
-            return wall_value
-        dip_local = ratio * (depth - wall)  # the local dip h'
-        t_s = (y_local / diameter) ** (log_2 / (log_d - log(dip_local)))
-        # Below the dip 1 - u^2; above it the exponent pair is L = 2h/H, K = 2(H-h)/H. The
-        # base 1 - u^(2L) can cross zero below the free surface when the dip ratio drops
-        # under 1/2: the model's virtual zero-velocity height 2h' then sits inside the
-        # water column. Clamp the base at zero so F stays a real CDF value.
-        u = y_local / dip_local - 1.0
-        if u <= 0.0:
-            shape = 1.0 - u * u
-        else:
-            shape = 1.0 - u**kink
-            shape = (shape if shape > 0.0 else 0.0) ** tail
-        cdf = 4.0 * (t_s - t_s * t_s) * shape * (1.0 - x_p)
-        if cdf < 0.0:
-            cdf = 0.0
-        elif cdf > 1.0:
-            cdf = 1.0
-        bracket = y_local / y * (1.0 - c) * cdf + c  # the CDF weighted by y'/y
-        return 1.0 - 1.0 / m + bracket ** (1.0 / q) / m
+    def row(nodes, y, w, w_p):
+        total = 0.0
+        for sin, sin_p, dx in nodes:
+            x = w * sin
+            under = r2 - x * x
+            wall = r - sqrt(under) if under > 0.0 else r  # the local wall under x
+            y_local = y - wall  # y'
+            if not (y_local > 0.0 and level > wall):
+                total += dx * wall_value
+                continue
+            dip_local = ratio * (depth - wall)  # the local dip h'
+            t_s = (y_local / diameter) ** (log_2 / (log_d - log(dip_local)))
+            # Below the dip 1 - u^2; above it the exponent pair is L = 2h/H, K = 2(H-h)/H.
+            # The base 1 - u^(2L) can cross zero below the free surface when the dip ratio
+            # drops under 1/2: the model's virtual zero-velocity height 2h' then sits
+            # inside the water column. Clamp the base at zero so F stays a real CDF value.
+            u = y_local / dip_local - 1.0
+            if u <= 0.0:
+                shape = 1.0 - u * u
+            else:
+                shape = 1.0 - u**kink
+                shape = (shape if shape > 0.0 else 0.0) ** tail
+            cdf = 4.0 * (t_s - t_s * t_s) * shape * (1.0 - w_p * sin_p)
+            cdf = 0.0 if cdf < 0.0 else 1.0 if cdf > 1.0 else cdf
+            bracket = y_local / y * weight * cdf + c  # the CDF weighted by y'/y
+            total += dx * (offset + bracket**inverse_q / m)
+        return total
 
-    return velocity, diameter / depth
+    return row, diameter / depth
 
 
 @record
@@ -189,7 +197,7 @@ def profile_grid(model: ProfileModel, nx: int, ny: int) -> ProfileGrid:
     xs = _linspace(-r, r, nx)
     xs = [0.5 * (a - b) for a, b in zip(xs, xs[::-1])]  # force exact mirror symmetry
     ys = _linspace(0.0, model.level.level_m, ny)
-    velocity, power = _velocity(model)
-    v = [[velocity(x, y, (abs(x) / r) ** power)
+    row, power = _velocity(model)
+    v = [[row(_ONE_POINT, y, x, (abs(x) / r) ** power)
           if x**2 + (y - r) ** 2 <= r * r * (1.0 + 1e-12) else math.nan for x in xs] for y in ys]
     return ProfileGrid(x_m=xs, y_m=ys, v=v)

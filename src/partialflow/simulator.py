@@ -58,19 +58,16 @@ class ScenarioSpec:
     frame_interval_s: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.flow_lps, self.noise_sigma_s))):
-            raise OutOfRangeError(f"flow and noise must be finite, got {self!r}")
+        for name, value in (("flow_lps", self.flow_lps), ("noise_sigma_s", self.noise_sigma_s)):
+            if not 0 <= value < math.inf:
+                raise OutOfRangeError(f"{name} must be finite and non-negative, got {value!r}")
         if not 0 <= self.level_mm < math.inf:
             raise OutOfRangeError(f"level must be finite and non-negative, got {self.level_mm!r}")
-        if self.noise_sigma_s < 0:
-            raise OutOfRangeError(f"noise sigma must be non-negative, got {self.noise_sigma_s!r}")
         if self.frame_count < 1:
             raise OutOfRangeError(f"frame count must be >= 1, got {self.frame_count!r}")
         if not 0 < self.frame_interval_s < math.inf:
             raise OutOfRangeError(
                 f"frame interval must be finite and positive, got {self.frame_interval_s!r}")
-        if self.flow_lps < 0:
-            raise OutOfRangeError(f"flow must be non-negative, got {self.flow_lps!r}")
         if self.seed < 0:
             raise OutOfRangeError(f"seed must be non-negative, got {self.seed!r}")
 

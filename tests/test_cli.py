@@ -137,6 +137,14 @@ class TestFpcfAndFit:
         assert code == 0
         assert [float(l.split(",")[0]) for l in out.splitlines()[1:]] == list(range(50, 260, 10))
 
+    def test_fpcf_output_of_the_default_table_is_unchanged(self, capsys):
+        # data/fpcf_default.csv is the default table as printed before v/v_max became a
+        # row kernel: reordering a sum or a product moves a last digit here, as the builtin
+        # sum's compensation on Python 3.12 did
+        code, out, err = run(capsys, "fpcf")
+        assert (code, err) == (0, "")
+        assert out == (DATA / "fpcf_default.csv").read_text(encoding="utf-8")
+
     def test_small_pipe_tabulates_to_its_crown(self, capsys, tmp_path):
         # fpcf.h_max_mm defaulted to 250 mm, so a 200 mm pipe alone exited 2 in
         # both commands: "fpcf.h_max_mm = 250 lies above the pipe crown at 200 mm"
@@ -387,6 +395,20 @@ class TestCalibrateAndMetrics:
         assert code == 0
         assert csv_path.read_text().startswith("flow_label,q_ref_lps,error_pct")
 
+    def test_metrics_means_are_exactly_rounded(self, capsys, tmp_path):
+        # 60 segments at each of 4 labels: the mean of sixty 3.1s is 3.1, where a sum
+        # added left to right gives 3.0999999999999965 (and Python 3.12's builtin sum 3.1)
+        labels = ["2.0", "3.1", "4.4", "5.7"]
+        trials = tmp_path / "trials.csv"
+        trials.write_text("segment_id,flow_label,q_ref_lps,q_meas_lps\n" + "".join(
+            f"{k},{label},{label},{float(label) * (1.0 + 0.001 * (k % 7 - 3))!r}\n"
+            for k, label in enumerate(labels * 60)))
+        csv_path = tmp_path / "table.csv"
+        code, _, _ = run(capsys, "metrics", "--trials", str(trials), "--csv-out", str(csv_path))
+        assert code == 0
+        rows = csv_path.read_text().splitlines()[1:5]
+        assert [row.rpartition(",")[0] for row in rows] == [f"{label},{label}" for label in labels]
+
 
 class TestSimulateCommand:
     def test_seed_reproducibility(self, capsys, tmp_path):
@@ -551,6 +573,20 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, *extra)
         assert (code, out) == (1, "")
         assert "must be finite" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--flow-lps", "nan"], "flow_lps must be finite and non-negative, got nan"),
+        (["--flow-lps", "inf", "--level-mm", "80"],
+         "flow_lps must be finite and non-negative, got inf"),
+        (["--flow-lps", "-1"], "flow_lps must be finite and non-negative, got -1.0"),
+        (["--flow-lps", "3", "--noise-ns", "inf"],
+         "noise_sigma_s must be finite and non-negative, got inf"),
+        (["--flow-lps", "3", "--noise-ns", "nan"],
+         "noise_sigma_s must be finite and non-negative, got nan"),
+    ], ids=["flow_nan", "flow_inf", "flow_neg", "noise_inf", "noise_nan"])
+    def test_simulate_names_the_refused_field(self, capsys, argv, message):
+        # a non-finite flow or noise printed the whole ScenarioSpec(...) record
+        assert run(capsys, "simulate", *argv) == (1, "", f"error: {message}\n")
 
     def test_missing_input_file_exits_1(self, capsys):
         code, _, _ = run(capsys, "metrics", "--trials", "/nonexistent.csv")

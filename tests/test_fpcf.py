@@ -57,8 +57,12 @@ def table_config(chord_height_mm=50.0, h_min_mm=50.0, h_max_mm=250.0, step_mm=10
 
 @pytest.fixture
 def constant_profile(monkeypatch):
-    """Inject v/v_max = 1 everywhere; integral means must come out 1."""
-    monkeypatch.setattr(fpcf_module, "_velocity", lambda model: (lambda x, y, x_p: 1.0, 1.0))
+    """Inject v/v_max = 1 everywhere, as a row kernel (the sum of dx over a row's nodes);
+    integral means must come out 1."""
+    def row(nodes, y, w, w_p):
+        return math.fsum(dx for _, _, dx in nodes)
+
+    monkeypatch.setattr(fpcf_module, "_velocity", lambda model: (row, 1.0))
 
 
 # the one plain-float rule takes a level and a chord height read out of a numpy array
@@ -220,6 +224,18 @@ class TestPanels:
                           190: ((2, 4), 2), 200: ((2, 4), 4), 210: ((2, 2), 4),
                           220: ((2, 2), 4), 230: ((2, 4), 4), 240: ((2, 2), 2),
                           250: ((2, 2), 2)}
+
+    def test_velocity_evaluations_of_the_default_table(self, monkeypatch):
+        # the row kernel evaluates v/v_max once per node of each row it is given
+        points, velocity = [], fpcf_module._velocity
+
+        def counted(model):
+            row, power = velocity(model)
+            return (lambda nodes, *args: points.append(len(nodes)) or row(nodes, *args)), power
+
+        monkeypatch.setattr(fpcf_module, "_velocity", counted)
+        tabulate_fpcf(table_config())
+        assert sum(points) == 71_385
 
     def test_error_against_the_tight_table(self):
         # bench/data/fpcf_tight.csv: 81 levels by 2.5 mm at rel_tol 1e-9

@@ -62,9 +62,10 @@ def vectorized_velocity(m, x, y):
 
 
 def point_velocity(m):
-    """v(x, y) by ``profile._velocity``, with the lateral power worked out per point."""
-    velocity, power = _velocity(m)
-    return lambda x, y: velocity(x, y, (abs(x) / m.pipe.radius_m) ** power)
+    """v(x, y) by the row kernel of ``profile._velocity``, on a row of one node of unit
+    weight at x, with the lateral power worked out per point."""
+    row, power = _velocity(m)
+    return lambda x, y: row(((1.0, 1.0, 1.0),), y, x, (abs(x) / m.pipe.radius_m) ** power)
 
 
 class TestDipRatio:
@@ -255,6 +256,20 @@ class TestProfileGrid:
     def test_too_small_grid_rejected(self):
         with pytest.raises(OutOfRangeError):
             profile_grid(model_at(0.125), 1, 5)
+
+    @pytest.mark.parametrize("level_mm", [5.0, 82.5, 180.0, 250.0])
+    def test_grid_points_equal_normalized_velocity_bit_for_bit(self, level_mm):
+        # both run the one row kernel, on a row of one node of unit weight: a kernel
+        # that treats that row apart from the others would move a grid value
+        m = model_at(level_mm / 1000.0)
+        grid = profile_grid(m, 101, 101)
+        got, want = [], []
+        for y, row in zip(grid.y_m, grid.v):
+            for x, v in zip(grid.x_m, row):
+                if not math.isnan(v):
+                    got.append(v.hex())
+                    want.append(normalized_velocity(ProfilePoint(x, y), m).hex())
+        assert len(got) > 1000 and got == want
 
 
 class TestParams:
