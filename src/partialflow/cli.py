@@ -112,8 +112,8 @@ _TEMPLATES_KEPT = 1024  # frame record templates kept: the dict starts over when
 
 def cmd_process(args) -> int:
     """Each record written as it comes. Per frame only ts, v and q are converted (``%s``
-    of a float is its repr); the rest is a template per distinct level, fpcf, status and
-    verdict. A zero keys by its text, so that -0.0 keeps its sign."""
+    of a float is its repr); the rest is a template per level (which alone sets area,
+    fpcf and status) and verdict. A zero level keys by its text: -0.0 keeps its sign."""
     from .config import load_config, resolve_polynomial
     from .measurement import STATUSES, Frame, process_lines
 
@@ -129,8 +129,7 @@ def cmd_process(args) -> int:
                 fh.write(f"diagnostic{where}{when} detail={item.detail!r}\n")
                 continue
             ts, level, v, area, fpcf, flow, status, clog, event = item
-            key = (level, fpcf, status, clog) if level and fpcf else (
-                repr(level), repr(fpcf), status, clog)
+            key = (level or repr(level), clog)
             text = templates.get(key)
             if text is None:
                 if len(templates) == _TEMPLATES_KEPT:

@@ -120,6 +120,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
     misfit = f"mm is not within the pipe (0 to {1000 * pipe.diameter_m:g} mm)"
     isfinite, nan, n_chords = math.isfinite, math.nan, len(chords)
     alarm, new = Debounce(config.debounce).step, tuple.__new__  # Frame(...), faster
+    decimal = functools.partial(_decimal, float)
 
     @functools.lru_cache(maxsize=1024)  # bounded for a log with a new level each frame
     def at_level(text: str) -> tuple:
@@ -177,15 +178,14 @@ def _frames(lines: Iterable[str], config) -> Iterator:
         parts = line.split(",")
         try:
             t_text, chord, up_text, down_text, l_text = parts
-            if "_" in line:  # float alone would read a digit separator
-                ts, t_up, t_down, level = [_decimal(float, text) for text in parts[:1] + parts[2:]]
-            else:
-                if t_text != ts_text:
-                    ts_value, ts_text = float(t_text), t_text
-                t_up, t_down = float(up_text), float(down_text)
-                if l_text != level_text:
-                    level_value, level_text = float(l_text), l_text
-                ts, level = ts_value, level_value
+            number = decimal if "_" in line and (  # float reads 1_0 as 10; a chord id may hold _
+                "_" in t_text or "_" in up_text or "_" in down_text or "_" in l_text) else float
+            if t_text != ts_text:
+                ts_value, ts_text = number(t_text), t_text
+            t_up, t_down = number(up_text), number(down_text)
+            if l_text != level_text:
+                level_value, level_text = number(l_text), l_text
+            ts, level = ts_value, level_value
             slot = index.get(chord)
             if slot is None:
                 chord = chord.strip()
@@ -227,15 +227,15 @@ def process_lines(lines: Iterable[str], config) -> Iterator:
     ``FrameDiagnostic`` when a bad row is read. Every setting, the polynomial too, is
     that of ``config``, a ``RunConfig`` (``resolve_polynomial`` derives one).
 
-    Rows are read as they come into the one open frame, a slot per configured chord;
-    a row with another timestamp closes it. Rows that cannot be read or have no finite
-    timestamp, rows whose level differs from their frame's first row, an unknown
-    chord's row and a chord's second row become diagnostics; the rest of the frame
-    counts. A frame whose level does not fit the pipe becomes a diagnostic in its
-    place. Wet chords with finite, positive times count, summed in configuration
-    order; a frame without any leaves the alarm state untouched. Levels outside the
-    polynomial's validity range get FPCF = 1 and ``fpcf_out_of_range``: the
-    polynomial is unguarded.
+    Each row is parsed once, by one path, into the one open frame, a slot per chord; a
+    row with another timestamp closes it. A digit separator (``1_0``) makes a number
+    unreadable, not a chord id (``path_a``). Unreadable rows, rows with no finite
+    timestamp or whose level differs from their frame's first row, an unknown chord's
+    row and a chord's second row become diagnostics; the rest of the frame counts. A
+    frame whose level does not fit the pipe becomes a diagnostic in its place. Wet
+    chords with finite, positive times count, summed in configuration order; a frame
+    without any leaves the alarm state untouched. Levels outside the polynomial's
+    validity range get FPCF = 1 and ``fpcf_out_of_range``: the polynomial is unguarded.
     """
     if config.fpcf_derive and config.poly is None:
         raise ConfigError("fpcf.derive = true: pass the config through resolve_polynomial first")

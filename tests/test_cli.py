@@ -1,8 +1,11 @@
+import re
 from itertools import zip_longest
 from pathlib import Path
 
 import pytest
 
+from partialflow import measurement
+from partialflow.calibration import _decimal
 from partialflow.cli import main
 
 DERIVE_CFG = "fpcf.derive = true\nfpcf.h_max_mm = 180\n"
@@ -827,3 +830,51 @@ def test_process_output_of_the_mixed_log_is_unchanged(capsys, polynomial):
     want = (DATA / f"mixed_frames_{polynomial}.out").read_text(encoding="utf-8")
     assert next(((k, a, b) for k, (a, b) in enumerate(
         zip_longest(out.splitlines(True), want.splitlines(True))) if a != b), None) is None
+
+
+def underscore_ids(tmp_path, polynomial):
+    """``data/mixed_frames.csv`` with the chord fields ``a``, ``b`` and ``z`` renamed
+    ``path_a``, ``path_b`` and ``path_z`` (a padded one keeps its spaces), and the config
+    of ``polynomial`` with ``path_a`` and ``path_b`` in place of the default chords."""
+    lines = []
+    for line in (DATA / "mixed_frames.csv").read_text(encoding="utf-8").splitlines(True):
+        fields = line.split(",")
+        if len(fields) == 5 and fields[1].strip() in ("a", "b", "z"):
+            fields[1] = fields[1].replace(fields[1].strip(), "path_" + fields[1].strip())
+        lines.append(",".join(fields))
+    frames, cfg = tmp_path / "frames.csv", tmp_path / "run.cfg"
+    frames.write_text("".join(lines), encoding="utf-8")
+    stored = "" if polynomial == "none" else (DATA / f"mixed_{polynomial}.cfg").read_text()
+    cfg.write_text(stored + "chord.path_a.height_mm = 50\nchord.path_b.height_mm = 50\n")
+    return str(frames), str(cfg)
+
+
+@pytest.mark.parametrize("polynomial", ["stored", "none", "derive"])
+def test_underscore_chord_ids_print_the_mixed_log_as_it_stands(capsys, tmp_path, polynomial):
+    """Chord ids holding ``_`` read as any others: the mixed log with its chords renamed
+    prints the stored output, but for the three diagnostics that name a chord."""
+    frames, cfg = underscore_ids(tmp_path, polynomial)
+    code, out, err = run(capsys, "process", "--config", cfg, "--frames", frames)
+    assert (code, err) == (0, "")
+    stored = (DATA / f"mixed_frames_{polynomial}.out").read_text(encoding="utf-8")
+    want = [re.sub(r"chord (id )?'([abz])'", r"chord \1'path_\2'", line)
+            for line in stored.splitlines(True)]
+    assert sum(a != b for a, b in zip(want, stored.splitlines(True))) == 3
+    assert next(((k, a, b) for k, (a, b) in enumerate(
+        zip_longest(out.splitlines(True), want)) if a != b), None) is None
+
+
+def test_underscore_chord_ids_skip_the_digit_separator_rule(capsys, tmp_path, monkeypatch):
+    """A row is parsed by ``_decimal``'s rule only when a numeric field holds ``_``: in
+    the renamed mixed log, the three headers (``timestamp_s``) and line 211 (``1_0``),
+    each refused at its first field, and no ``path_`` row."""
+    calls = []
+
+    def counted(convert, text):
+        calls.append(text)
+        return _decimal(convert, text)
+
+    monkeypatch.setattr(measurement, "_decimal", counted)
+    frames, cfg = underscore_ids(tmp_path, "stored")
+    assert run(capsys, "process", "--config", cfg, "--frames", frames)[0] == 0
+    assert calls == ["timestamp_s", "1_0", "Timestamp_s", "timestamp_s"]
