@@ -43,8 +43,8 @@ EXIT_ALARM = 3
 def _stream(path: str, mode: str = "r"):
     """The file at ``path`` opened in ``mode``; "-" is stdin to read and stdout to write,
     block-buffered even under PYTHONUNBUFFERED, where each record would be a system call."""
-    if path != "-":
-        with open(path, mode, encoding="utf-8") as fh:
+    if path != "-":  # utf-8-sig reads past a byte-order mark; writing with it would add one
+        with open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8") as fh:
             yield fh
     elif mode != "w" or not getattr(sys.stdout, "write_through", False):
         yield sys.stdout if mode == "w" else sys.stdin
@@ -106,16 +106,16 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_CLOG_TEXT = (*(v.value for v in Verdict), "-")  # Frame.clog codes
 _TEMPLATES_KEPT = 1024  # frame record templates kept: the dict starts over when full
 
 
 def cmd_process(args) -> int:
     """Each record written as it comes. Per frame only ts, v and q are converted (``%s``
     of a float is its repr); the rest is a template per level (which alone sets area,
-    fpcf and status) and verdict. A zero level keys by its text: -0.0 keeps its sign."""
+    fpcf and status) and ``clog``, a bool or None: no Enum is hashed per frame. A zero
+    level keys by its text: -0.0 keeps its sign."""
     from .config import load_config, resolve_polynomial
-    from .measurement import STATUSES, Frame, process_lines
+    from .measurement import Frame, process_lines
 
     config, _ = resolve_polynomial(load_config(args.config))
     frames_seen = diagnostics = raised = cleared = 0
@@ -134,11 +134,12 @@ def cmd_process(args) -> int:
             if text is None:
                 if len(templates) == _TEMPLATES_KEPT:
                     templates.clear()
+                verdict = "-" if clog is None else (
+                    Verdict.CLOGGING if clog else Verdict.NORMAL).value
                 text = templates[key] = (
                     f"frame ts=%s level_mm={level!r} v_line_mps=%s area_m2={area!r}"
-                    f" fpcf={fpcf!r} q_lps=%s status={STATUSES[status].value}"
-                    f" clog={_CLOG_TEXT[clog]}\n")
-            fh.write(text % ((ts, "-", "-") if clog == 2 else (ts, v, 1000.0 * flow)))
+                    f" fpcf={fpcf!r} q_lps=%s status={status.value} clog={verdict}\n")
+            fh.write(text % ((ts, "-", "-") if clog is None else (ts, v, 1000.0 * flow)))
             frames_seen += 1
             if event is not None:
                 fh.write(f"alarm ts={ts!r} event={event.value} level_mm={level!r}"

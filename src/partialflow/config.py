@@ -49,6 +49,10 @@ class RunConfig:
         if not self.chords:
             raise ConfigError("no chord is configured: a run needs at least one chord.*.height_mm")
         ids = [c.chord_id for c in self.chords]
+        for i in ids:  # a frame row is split at commas, and its chord id stripped
+            if not i or i != i.strip() or any(ch in i for ch in ",\r\n"):
+                raise ConfigError(f"chord id {i!r} cannot be read from a frame row: an id is "
+                                  "non-empty, without commas, line breaks or end spaces")
         if len(set(ids)) < len(ids):
             raise ConfigError(f"chord ids must be unique, got {', '.join(ids)}")
         if not any(c.weight for c in self.chords):
@@ -232,7 +236,7 @@ def load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return default_config()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # past a byte-order mark
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

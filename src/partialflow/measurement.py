@@ -100,14 +100,9 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
     return _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
 
 
-# One frame's estimate: ``status`` indexes ``STATUSES``; ``clog`` is 0 normal, 1 clogging,
-# 2 no velocity (``v_line``, ``flow_m3s`` NaN); ``event`` is the alarm event that its
-# verdict fires, or None.
+# One frame's estimate: ``status`` an ``EstimateStatus``, ``clog`` True if clogging (None:
+# no velocity, ``v_line`` and ``flow_m3s`` NaN), ``event`` the alarm event it fires or None.
 Frame = namedtuple("Frame", "ts level v_line area fpcf flow_m3s status clog event")
-
-
-STATUSES = tuple(EstimateStatus)
-_OK, _FPCF_OUT_OF_RANGE, _DRY_CHORD, _INVALID_TIMES, _UNCORRECTED = range(len(STATUSES))
 
 
 def _frames(lines: Iterable[str], config) -> Iterator:
@@ -115,8 +110,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
     pipe, poly, boundary, k_cal = config.pipe, config.poly, config.boundary, config.k_cal
     chords = [(c.height_mm, c.path_length_m, math.cos(c.beam_angle_rad), c.weight)
               for c in config.chords]
-    # a row's chord id is read stripped, so an id with spaces around it matches no row
-    index = {c.chord_id: i for i, c in enumerate(config.chords) if c.chord_id == c.chord_id.strip()}
+    index = {c.chord_id: i for i, c in enumerate(config.chords)}
     misfit = f"mm is not within the pipe (0 to {1000 * pipe.diameter_m:g} mm)"
     isfinite, nan, n_chords = math.isfinite, math.nan, len(chords)
     alarm, new = Debounce(config.debounce).step, tuple.__new__  # Frame(...), faster
@@ -133,13 +127,13 @@ def _frames(lines: Iterable[str], config) -> Iterator:
         wet = [(i, length, cos, weight)
                for i, (height, length, cos, weight) in enumerate(chords) if height < level]
         if poly is None:
-            fpcf, status = 1.0, _UNCORRECTED
+            fpcf, status = 1.0, EstimateStatus.UNCORRECTED
         elif poly.h_min_mm <= level <= poly.h_max_mm:
-            fpcf, status = poly(level), _OK
+            fpcf, status = poly(level), EstimateStatus.OK
         else:
-            fpcf, status = 1.0, _FPCF_OUT_OF_RANGE
-        return (fits, segment_area(WaterLevel((level if fits else 0.0) / 1000.0), pipe),
-                fpcf, status, _INVALID_TIMES if wet else _DRY_CHORD, wet,
+            fpcf, status = 1.0, EstimateStatus.FPCF_OUT_OF_RANGE
+        return (fits, segment_area(WaterLevel((level if fits else 0.0) / 1000.0), pipe), fpcf,
+                status, EstimateStatus.INVALID_TIMES if wet else EstimateStatus.DRY_CHORD, wet,
                 boundary.threshold(level))
 
     def close():
@@ -163,10 +157,10 @@ def _frames(lines: Iterable[str], config) -> Iterator:
             v = num / den
             clog = v < threshold
             return new(Frame, (frame_ts, frame_level, v, area, fpcf, k_cal * fpcf * v * area,
-                               status, int(clog), alarm(clog)))
+                               status, clog, alarm(clog)))
         if not fits:
             return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
-        return new(Frame, (frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, 2, None))
+        return new(Frame, (frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, None, None))
 
     # the ts and level texts of the last rows read, and their values
     ts_text = level_text = None
@@ -222,10 +216,10 @@ def _frames(lines: Iterable[str], config) -> Iterator:
 
 def process_lines(lines: Iterable[str], config) -> Iterator:
     """The frame CSV to its records in input order, each as soon as it is known: Q =
-    k_cal * FPCF * v_line * A and the debounced clogging verdict and alarm event of a
-    frame, as a ``Frame``, when the next frame's first row (or the end) is read, and a
-    ``FrameDiagnostic`` when a bad row is read. Every setting, the polynomial too, is
-    that of ``config``, a ``RunConfig`` (``resolve_polynomial`` derives one).
+    k_cal * FPCF * v_line * A, the ``EstimateStatus``, the debounced clogging verdict
+    (a bool) and the alarm event of a frame, as a ``Frame``, when the next frame's first row
+    (or the end) is read, and a ``FrameDiagnostic`` when a bad row is read. Every setting
+    is ``config``'s, a ``RunConfig``, the polynomial too (``resolve_polynomial`` derives one).
 
     Each row is parsed once, by one path, into the one open frame, a slot per chord; a
     row with another timestamp closes it. A digit separator (``1_0``) makes a number

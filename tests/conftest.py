@@ -57,7 +57,7 @@ def record_by_record(items) -> str:
     """``process`` output as the per-frame formatter wrote it, one f-string per record,
     from the records of ``process_lines``: the oracle for the templates of ``process``."""
     from partialflow.clogging import Verdict
-    from partialflow.measurement import STATUSES, FrameDiagnostic
+    from partialflow.measurement import FrameDiagnostic
 
     out, frames_seen, diagnostics, raised, cleared = [], 0, 0, 0, 0
     for item in items:
@@ -69,13 +69,13 @@ def record_by_record(items) -> str:
             continue
         frames_seen += 1
         ts, level, v, area, fpcf, flow, status, clog, event = item
-        judged = clog != 2
-        verdict = (Verdict.NORMAL, Verdict.CLOGGING, None)[clog]
+        judged = clog is not None
+        verdict = (Verdict.CLOGGING if clog else Verdict.NORMAL) if judged else None
         out.append(
             f"frame ts={ts!r} level_mm={level!r} v_line_mps={_fmt(v if judged else None)}"
             f" area_m2={area!r} fpcf={fpcf!r}"
             f" q_lps={repr(1000.0 * flow) if judged else '-'}"
-            f" status={STATUSES[status].value} clog={verdict.value if verdict else '-'}\n"
+            f" status={status.value} clog={verdict.value if verdict else '-'}\n"
         )
         if event is not None:
             if event.value == "raised":

@@ -154,6 +154,7 @@ def test_run_settings_have_one_home(capsys):
     assert set(vars(args)) == {"command", "func", "config", "flow_lps", "level_mm", "out"}
     assert len(config._COEFF_KEYS) == fpcf.POLY_DEGREE + 1
     assert not hasattr(config, "_POLY_DEGREE") and not hasattr(cli, "_STATUS_TEXT")
+    assert not hasattr(measurement, "STATUSES") and not hasattr(cli, "_CLOG_TEXT")
     with pytest.raises(SystemExit) as exc:
         cli.main(["fit", "--degree", "6"])
     assert exc.value.code == 2

@@ -117,6 +117,19 @@ class TestFpcfAndFit:
         code, out, err = run(capsys, "fit", "--table", str(table))
         assert (code, out, err) == (1, "", f"error: fpcf table line 10: {message}\n")
 
+    def test_fit_reads_past_a_byte_order_mark(self, capsys, tmp_path):
+        # "UTF-8 with BOM" failed at line 1: digit separator in '\ufeffH_mm'
+        code, out, _ = run(capsys, "fpcf", "--config", fpcf_range(tmp_path, 50, 180, 10))
+        table, bom, fitted = tmp_path / "table.csv", tmp_path / "bom.csv", tmp_path / "fit.cfg"
+        table.write_text(out, encoding="utf-8")
+        bom.write_text(out, encoding="utf-8-sig")
+        assert bom.read_bytes() == b"\xef\xbb\xbf" + table.read_bytes()
+        want = run(capsys, "fit", "--table", str(table))
+        assert want[0] == 0 and run(capsys, "fit", "--table", str(bom)) == want
+        # a file is written without one
+        assert run(capsys, "fit", "--table", str(bom), "--out", str(fitted))[0] == 0
+        assert fitted.read_bytes() == want[1].encode()
+
     def test_fit_names_the_line_of_an_unparsable_field(self, capsys, tmp_path):
         # printed "error: could not convert string to float: 'abc'" with no line
         table = tmp_path / "table.csv"
@@ -389,6 +402,15 @@ class TestCalibrateAndMetrics:
         code, out, _ = run(capsys, "metrics", "--trials", str(trials))
         assert code == 0
         assert "FWME" in out
+
+    @pytest.mark.parametrize("command", ["calibrate", "metrics"])
+    def test_trials_read_past_a_byte_order_mark(self, capsys, tmp_path, command):
+        # "UTF-8 with BOM" exited 1: trial CSV line 1: digit separator in '\ufeffsegment_id'
+        trials, bom = tmp_path / "trials.csv", tmp_path / "bom.csv"
+        trials.write_text(self.TRIALS, encoding="utf-8")
+        bom.write_text(self.TRIALS, encoding="utf-8-sig")
+        want = run(capsys, command, "--trials", str(trials))
+        assert want[0] == 0 and run(capsys, command, "--trials", str(bom)) == want
 
     def test_metrics_csv_out(self, capsys, tmp_path):
         trials = tmp_path / "trials.csv"
@@ -728,15 +750,12 @@ class TestExitCodes:
 
 
 def test_literals_match_their_enums():
-    """The CLI writes out the weir modes rather than load the simulator to build its parser;
-    the clogging texts come from the verdicts, in the order of Frame.clog's codes."""
+    """The CLI writes out the weir modes rather than load the simulator to build its
+    parser."""
     from partialflow import cli
-    from partialflow.clogging import Verdict
     from partialflow.simulator import WeirMode
 
     assert list(cli._WEIR_TEXT) == [m.value for m in WeirMode]
-    assert cli._CLOG_TEXT == (Verdict.NORMAL.value, Verdict.CLOGGING.value, "-")
-    assert cli._CLOG_TEXT == ("normal", "clogging", "-")
 
 
 def test_fpcf_of_a_config_fits_the_polynomial_process_derives(capsys, tmp_path):
@@ -830,6 +849,33 @@ def test_process_output_of_the_mixed_log_is_unchanged(capsys, polynomial):
     want = (DATA / f"mixed_frames_{polynomial}.out").read_text(encoding="utf-8")
     assert next(((k, a, b) for k, (a, b) in enumerate(
         zip_longest(out.splitlines(True), want.splitlines(True))) if a != b), None) is None
+
+
+@pytest.mark.parametrize("bom", ["frames", "config"])
+def test_process_reads_past_a_byte_order_mark(capsys, tmp_path, bom):
+    """A file saved as "UTF-8 with BOM" reads as the same file without one: the frame CSV
+    gave a line-1 ``unparseable row`` diagnostic, and the config, which opens with a
+    comment, exited 2 with ``line 1: expected 'key = value'``."""
+    paths = {"frames": DATA / "mixed_frames.csv", "config": DATA / "mixed_stored.cfg"}
+    text = paths[bom].read_text(encoding="utf-8")
+    paths[bom] = tmp_path / paths[bom].name
+    paths[bom].write_text(text, encoding="utf-8-sig")
+    code, out, err = run(capsys, "process", "--config", str(paths["config"]),
+                         "--frames", str(paths["frames"]))
+    assert (code, err) == (0, "")
+    assert out == (DATA / "mixed_frames_stored.out").read_text(encoding="utf-8")
+
+
+def test_a_chord_id_no_frame_row_can_carry_exits_2(capsys, tmp_path):
+    """``chord. a .height_mm = 50`` loaded: ``process`` dropped every row of the chord as
+    an ``unknown chord id`` and exited 0, and ``simulate`` wrote `` a `` rows."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("chord. a .height_mm = 50\n")
+    for command in (["process", "--frames", str(DATA / "mixed_frames.csv")],
+                    ["simulate", "--flow-lps", "3"]):
+        assert run(capsys, *command, "--config", str(cfg)) == (
+            2, "", "config error: chord id ' a ' cannot be read from a frame row: an id is "
+                   "non-empty, without commas, line breaks or end spaces\n")
 
 
 def underscore_ids(tmp_path, polynomial):

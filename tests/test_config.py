@@ -326,6 +326,23 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             RunConfig(pipe=PipeGeometry(0.25), params=EntropyParams(), chords=())
 
+    @parsed_and_direct("chord_id", [" a ", "a,x", ""], ids=["padded", "comma", "empty"])
+    def test_chord_id_no_frame_row_can_carry_rejected(self, chord_id, build):
+        # chord. a .height_mm = 50 loaded, and process dropped each of its rows as an
+        # unknown chord id: a row's fields are split at commas and stripped
+        message = (f"chord id {chord_id!r} cannot be read from a frame row: an id is "
+                   "non-empty, without commas, line breaks or end spaces")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(f"chord.{chord_id}.height_mm = 50\n")
+
+    @pytest.mark.parametrize("chord_id", ["a\nb", "a\rb"])
+    def test_chord_id_with_a_line_break_rejected(self, chord_id):
+        # no document holds these; a RunConfig built directly did, and simulate wrote
+        # rows that process split in two
+        chord = ChordSpec(chord_id, 50.0, 0.3, math.pi / 4)
+        with pytest.raises(ConfigError, match=f"^chord id {re.escape(repr(chord_id))} "):
+            RunConfig(pipe=PipeGeometry(0.25), params=EntropyParams(), chords=(chord,))
+
     def test_duplicate_chord_ids_rejected(self):
         # a parsed config cannot repeat an id; a built one counted the first of them only
         chord = default_config().chords[0]

@@ -33,7 +33,7 @@ import importlib
 fpcf_module = importlib.import_module("partialflow.fpcf")
 
 from partialflow.config import default_config
-from partialflow.measurement import STATUSES, process_lines
+from partialflow.measurement import process_lines
 from partialflow.profile import ProfilePoint
 
 from conftest import RIG_REFERENCE_FPCF_COEFFS
@@ -419,7 +419,7 @@ class TestEval:
         rows = [f"{k}.0,{chord},135000.0,135010.0,{h!r}"
                 for k, h in enumerate(levels) for chord in "ab"]
         frames = list(process_lines(rows, RunConfig(**{**vars(default_config()), "poly": poly})))
-        assert [STATUSES[f.status].value for f in frames] == [
+        assert [f.status.value for f in frames] == [
             "fpcf_out_of_range", "ok", "ok", "fpcf_out_of_range"]
         assert [f.fpcf for f in frames] == [1.0, poly(60.0), poly(200.0), 1.0]
 

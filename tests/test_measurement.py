@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,12 @@ from partialflow import (
     process_lines,
     write_frame_rows,
 )
-from partialflow.measurement import FRAME_CSV_HEADER, STATUSES, Frame
+from partialflow.measurement import FRAME_CSV_HEADER, Frame
 from partialflow.simulator import transit_times
 
 from conftest import process_frames
+
+DATA = Path(__file__).resolve().parent / "data"
 
 PIPE = PipeGeometry(0.250)
 ANGLE = math.radians(45.0)
@@ -91,7 +94,7 @@ class TestChordSpec:
 class TestEstimateFlow:
     def test_zero_velocity_zero_flow(self):
         est = estimate(frame_for({"a": 0.0}, 85.0), [CHORD_A], FLAT_POLY)
-        assert STATUSES[est.status] is EstimateStatus.OK
+        assert est.status is EstimateStatus.OK
         assert est.flow_m3s == 0.0
 
     def test_velocity_scaling_doubles_flow(self):
@@ -113,7 +116,7 @@ class TestEstimateFlow:
 
     def test_all_chords_dry(self):
         est = estimate(frame_for({"a": 0.2}, 40.0), [CHORD_A], FLAT_POLY)
-        assert STATUSES[est.status] is EstimateStatus.DRY_CHORD
+        assert est.status is EstimateStatus.DRY_CHORD
         assert math.isnan(est.flow_m3s)
 
     def test_partial_dry_uses_wet_only(self):
@@ -127,20 +130,20 @@ class TestEstimateFlow:
     def test_invalid_times_status(self):
         frame = SensorFrame(0.0, (ChordReading("a", -1.0, 1e-4),), 85.0)
         est = estimate(frame, [CHORD_A], FLAT_POLY)
-        assert STATUSES[est.status] is EstimateStatus.INVALID_TIMES
+        assert est.status is EstimateStatus.INVALID_TIMES
         assert math.isnan(est.flow_m3s)
 
     def test_fpcf_fallback_below_range(self):
         poly = FpcfPolynomial((2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), 50.0, 250.0)
         low = ChordSpec("a", 20.0, 0.3, ANGLE)
         est = estimate(frame_for({"a": 0.2}, 40.0, (low,)), [low], poly)
-        assert STATUSES[est.status] is EstimateStatus.FPCF_OUT_OF_RANGE
+        assert est.status is EstimateStatus.FPCF_OUT_OF_RANGE
         assert est.fpcf == 1.0
         assert est.flow_m3s == pytest.approx(0.2 * est.area, rel=1e-9)
 
     def test_no_polynomial_raw_product(self):
         est = estimate(frame_for({"a": 0.2}, 85.0), [CHORD_A], None)
-        assert STATUSES[est.status] is EstimateStatus.UNCORRECTED
+        assert est.status is EstimateStatus.UNCORRECTED
         assert est.fpcf == 1.0
         assert est.flow_m3s == est.v_line * est.area
 
@@ -216,7 +219,7 @@ class TestProcessStream:
         # the bad row may belong to frame 1.0, which ends only at 2.0's row
         assert [i.ts for i in items[:1] + items[2:]] == [0.0, 1.0, 2.0]
         assert isinstance(items[1], FrameDiagnostic) and items[1].line_no == 5
-        assert [STATUSES[i.status] for i in _split(items)[0]] == [EstimateStatus.OK] * 3
+        assert [i.status for i in _split(items)[0]] == [EstimateStatus.OK] * 3
 
     def test_determinism(self):
         first, second = self.run(FRAME_TEXT), self.run(FRAME_TEXT)
@@ -258,7 +261,7 @@ class TestProcessStream:
         items = self.run(text)
         frames, diags = _split(items)
         assert [f.ts for f in frames] == [0.0, 2.0]
-        assert [STATUSES[f.status] for f in frames] == [EstimateStatus.OK] * 2
+        assert [f.status for f in frames] == [EstimateStatus.OK] * 2
         # each before frame 0.0, still open at its line
         assert items[4] is frames[0]
         assert [(d.line_no, d.timestamp_s, d.detail) for d in items[:4]] == [
@@ -283,9 +286,9 @@ class TestProcessStream:
         assert all(type(f) is Frame for f in frames)
         assert [(d.timestamp_s, d.line_no) for d in (nan_level, inf_level)] == [
             (8.0, None), (9.0, None)]
-        assert [STATUSES[f.status] for f in frames] == [EstimateStatus.OK] * 5 + [
+        assert [f.status for f in frames] == [EstimateStatus.OK] * 5 + [
             EstimateStatus.INVALID_TIMES, EstimateStatus.OK, EstimateStatus.OK]
-        assert frames[5].clog == 2
+        assert frames[5].clog is None
         assert [math.isnan(f.flow_m3s) for f in frames] == [False] * 5 + [True, False, False]
         # frame 6 counts chord b alone
         assert frames[6].v_line == pytest.approx(0.1, rel=1e-9)
@@ -298,8 +301,7 @@ class TestProcessStream:
         frames = self.run(f"0.0,a,1e-200,2e-200,85.0\n0.0,b,{t_up},{t_down},85.0\n"
                           "1.0,a,1e-200,1e-200,85.0\n")
         assert frames[0].v_line == pytest.approx(0.2, rel=1e-9)
-        assert [STATUSES[f.status] for f in frames] == [EstimateStatus.OK,
-                                                        EstimateStatus.INVALID_TIMES]
+        assert [f.status for f in frames] == [EstimateStatus.OK, EstimateStatus.INVALID_TIMES]
 
     def test_stuck_clock_diagnostics_come_in_line_order(self):
         # every row at ts 0.0: the one frame stays open to the end, and each chunk put its
@@ -375,7 +377,7 @@ class TestProcessStream:
             ("duplicate row for chord 'b'; row dropped", 3.0, 5),
         ]
         assert processed.ts == 3.0
-        assert STATUSES[processed.status] is EstimateStatus.OK
+        assert processed.status is EstimateStatus.OK
         assert processed.v_line == pytest.approx(0.3, rel=1e-9)
 
 
@@ -669,3 +671,23 @@ def test_process_output_does_not_depend_on_chunking(tmp_path_factory, frames):
         mp.setattr(sys, "stdout", out)
         assert main(["process", "--config", str(cfg)]) == 0
     assert out.getvalue() == whole
+
+
+@pytest.mark.parametrize("polynomial", ["stored", "none", "derive"])
+def test_frames_hold_library_values(polynomial):
+    """A ``Frame``'s ``status`` is an ``EstimateStatus`` and its ``clog`` the verdict as a
+    bool, or None exactly where the frame has no velocity (``invalid_times`` or
+    ``dry_chord``); they were an index into a status table and 0, 1 or 2."""
+    from partialflow.config import load_config, resolve_polynomial
+
+    path = None if polynomial == "none" else str(DATA / f"mixed_{polynomial}.cfg")
+    config, _ = resolve_polynomial(load_config(path))
+    with open(DATA / "mixed_frames.csv", encoding="utf-8") as lines:
+        frames = [r for r in process_lines(lines, config) if type(r) is Frame]
+    no_velocity = {EstimateStatus.INVALID_TIMES, EstimateStatus.DRY_CHORD}
+    assert all(type(f.status) is EstimateStatus for f in frames)
+    assert all(f.clog is True or f.clog is False or f.clog is None for f in frames)
+    assert all((f.clog is None) == math.isnan(f.v_line) == (f.status in no_velocity)
+               for f in frames)
+    assert {f.clog for f in frames} == {True, False, None}
+    assert no_velocity <= {f.status for f in frames}

@@ -24,7 +24,6 @@ def test_first_python_example_runs(capsys):
 def test_frame_path_example_runs(capsys, tmp_path, monkeypatch):
     """The second example estimates a simulated ``frames.csv`` with the first one's fit."""
     from partialflow.cli import main
-    from partialflow.measurement import STATUSES
 
     first, second = _python_examples()[:2]
     namespace = {}
@@ -34,8 +33,8 @@ def test_frame_path_example_runs(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     exec(compile(second, str(README), "exec"), namespace)
     assert [line.split()[2:] for line in capsys.readouterr().out.splitlines()] == [
-        ["ok", "None"]] * 3
+        ["ok", "False", "None"]] * 3
     records = namespace["records"]
     assert namespace["config"].poly == namespace["fit"].polynomial
     assert [1000 * r.flow_m3s for r in records] == pytest.approx([3.0] * 3, rel=1e-3)
-    assert [STATUSES[r.status].value for r in records] == ["ok"] * 3
+    assert [r.status.value for r in records] == ["ok"] * 3
