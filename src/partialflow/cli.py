@@ -9,12 +9,13 @@ everything internal is SI. Exit codes: 0 success, 1 invalid input data,
 import argparse
 import contextlib
 import gc
+import io
 import math
 import sys
 
 # Each command imports the layers it runs, so calibrate, metrics and --help load none of
-# the FPCF stack; calibration stays here, where the benchmark's tracer expects to find it
-# loaded after any command has run.
+# the FPCF stack nor clogging; calibration stays here, where the benchmark's tracer
+# expects to find it loaded after any command has run.
 from .calibration import (
     _csv_rows,
     _decimal,
@@ -25,7 +26,6 @@ from .calibration import (
     format_error_table,
     read_trials,
 )
-from .clogging import AlarmEvent, Verdict
 from .errors import ConfigError, DegenerateProfileError, PartialFlowError
 
 # The values of simulator.WeirMode, in order, written out so that building the parser
@@ -46,8 +46,12 @@ def _stream(path: str, mode: str = "r"):
     if path != "-":  # utf-8-sig reads past a byte-order mark; writing with it would add one
         with open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8") as fh:
             yield fh
-    elif mode != "w" or not getattr(sys.stdout, "write_through", False):
-        yield sys.stdout if mode == "w" else sys.stdin
+    elif mode != "w":  # past a byte-order mark as a file is; a stand-in stream as given
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8-sig")
+        yield sys.stdin
+    elif not getattr(sys.stdout, "write_through", False):
+        yield sys.stdout
     else:
         sys.stdout.reconfigure(write_through=False)
         try:
@@ -114,6 +118,7 @@ def cmd_process(args) -> int:
     of a float is its repr); the rest is a template per level (which alone sets area,
     fpcf and status) and ``clog``, a bool or None: no Enum is hashed per frame. A zero
     level keys by its text: -0.0 keeps its sign."""
+    from .clogging import AlarmEvent, Verdict
     from .config import load_config, resolve_polynomial
     from .measurement import Frame, process_lines
 

@@ -14,7 +14,7 @@ import functools
 import math
 from collections import namedtuple
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ._record import record
 from .calibration import _decimal
@@ -50,31 +50,6 @@ class ChordSpec:
             raise OutOfRangeError(f"chord weight must be finite, non-negative, got {self.weight!r}")
 
 
-@record
-class ChordReading:
-    chord_id: str
-    t_up_s: float
-    t_down_s: float
-
-
-@record
-class SensorFrame:
-    """One timestamped reading: per-chord transit times plus water level."""
-
-    timestamp_s: float
-    readings: tuple[ChordReading, ...]
-    level_mm: float
-
-
-@record
-class FrameDiagnostic:
-    """A malformed row or frame, reported instead of an estimate."""
-
-    detail: str
-    timestamp_s: Optional[float] = None
-    line_no: Optional[int] = None
-
-
 class EstimateStatus(Enum):
     OK = "ok"
     FPCF_OUT_OF_RANGE = "fpcf_out_of_range"
@@ -100,6 +75,13 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
     return _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
 
 
+# The values made per row or per frame are named tuples (a run's settings are records):
+# one chord's transit times; one timestamped reading, per-chord readings plus the water
+# level; a malformed row or frame, reported instead of an estimate.
+ChordReading = namedtuple("ChordReading", "chord_id t_up_s t_down_s")
+SensorFrame = namedtuple("SensorFrame", "timestamp_s readings level_mm")
+FrameDiagnostic = namedtuple("FrameDiagnostic", "detail timestamp_s line_no",
+                             defaults=(None, None))
 # One frame's estimate: ``status`` an ``EstimateStatus``, ``clog`` True if clogging (None:
 # no velocity, ``v_line`` and ``flow_m3s`` NaN), ``event`` the alarm event it fires or None.
 Frame = namedtuple("Frame", "ts level v_line area fpcf flow_m3s status clog event")

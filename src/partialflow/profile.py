@@ -148,17 +148,22 @@ def _velocity(model: ProfileModel):
                 total += dx * wall_value
                 continue
             dip_local = ratio * (depth - wall)  # the local dip h'
-            t_s = (y_local / diameter) ** (log_2 / (log_d - log(dip_local)))
             # Below the dip 1 - u^2; above it the exponent pair is L = 2h/H, K = 2(H-h)/H.
             # The base 1 - u^(2L) can cross zero below the free surface when the dip ratio
             # drops under 1/2: the model's virtual zero-velocity height 2h' then sits
-            # inside the water column. Clamp the base at zero so F stays a real CDF value.
+            # inside the water column. Clamp the base at zero so F stays a real CDF value:
+            # then F = 0, and its bracket c gives the wall value by the same operations
+            # (unless the dip ratio is 1, where the factor base^0 is 1 at any base).
             u = y_local / dip_local - 1.0
             if u <= 0.0:
                 shape = 1.0 - u * u
             else:
                 shape = 1.0 - u**kink
-                shape = (shape if shape > 0.0 else 0.0) ** tail
+                if shape <= 0.0 < tail:
+                    total += dx * wall_value
+                    continue
+                shape **= tail
+            t_s = (y_local / diameter) ** (log_2 / (log_d - log(dip_local)))
             cdf = 4.0 * (t_s - t_s * t_s) * shape * (1.0 - w_p * sin_p)
             cdf = 0.0 if cdf < 0.0 else 1.0 if cdf > 1.0 else cdf
             bracket = y_local / y * weight * cdf + c  # the CDF weighted by y'/y

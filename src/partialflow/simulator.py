@@ -160,7 +160,6 @@ def generate(
     # the standard library's gauss; no noise, no draws
     sigma = scenario.noise_sigma_s
     gauss = random.Random(scenario.seed).gauss if sigma > 0.0 else lambda mu, sigma: mu
-    # by position: a record binds keywords at ~3x the cost
     return [SensorFrame(k * scenario.frame_interval_s,
                         tuple(ChordReading(chord.chord_id, t_up + gauss(0.0, sigma),
                                            t_down + gauss(0.0, sigma))

@@ -91,6 +91,17 @@ def test_process_lines_yields_frames_and_diagnostics():
     assert [type(item) for item in items] == [FrameDiagnostic, Frame, FrameDiagnostic, Frame]
 
 
+def test_per_frame_values_are_tuples_and_settings_records():
+    """What the frame layer makes per row or per frame is a named tuple; what a run is
+    configured or checked with stays a record."""
+    from partialflow import (ChordReading, ChordSpec, FrameDiagnostic, RunConfig,
+                             SensorFrame)
+
+    assert all(issubclass(cls, tuple) for cls in (ChordReading, SensorFrame, FrameDiagnostic))
+    assert FrameDiagnostic("x") == FrameDiagnostic("x", None, None)
+    assert not issubclass(ChordSpec, tuple) and not issubclass(RunConfig, tuple)
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         partialflow.no_such_name  # noqa: B018

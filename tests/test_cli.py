@@ -1,4 +1,6 @@
+import io
 import re
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -864,6 +866,25 @@ def test_process_reads_past_a_byte_order_mark(capsys, tmp_path, bom):
                          "--frames", str(paths["frames"]))
     assert (code, err) == (0, "")
     assert out == (DATA / "mixed_frames_stored.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,flag,path", [
+    ("process", "--frames", DATA / "mixed_frames.csv"),
+    ("fit", "--table", DATA / "fpcf_default.csv"),
+    ("calibrate", "--trials", None),
+    ("metrics", "--trials", None),
+])
+def test_stdin_reads_past_a_byte_order_mark(capsys, monkeypatch, tmp_path, command, flag, path):
+    """Input piped with a byte-order mark reads as the same file without one: process
+    gave a line-1 ``unparseable row`` diagnostic, and fit, calibrate and metrics exited 1
+    at line 1 with a digit separator in the header's first field."""
+    if path is None:
+        path = tmp_path / "trials.csv"
+        path.write_text(TestCalibrateAndMetrics.TRIALS, encoding="utf-8")
+    want = run(capsys, command, flag, str(path))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+        b"\xef\xbb\xbf" + path.read_bytes())))
+    assert want[0] == 0 and run(capsys, command) == want
 
 
 def test_a_chord_id_no_frame_row_can_carry_exits_2(capsys, tmp_path):

@@ -335,3 +335,21 @@ class TestPointVelocity:
         got = np.array([point(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
         np.testing.assert_allclose(got, vectorized_velocity(m, xs, ys), rtol=0, atol=1e-13)
         assert point(0.01, m.level.level_m) == m.wall_value  # clamped: F = 0
+
+    def test_a_dip_ratio_of_one_keeps_the_shape_factor(self):
+        # at a dip ratio of 1 the clamped base is raised to the power 0, which is 1: a
+        # point a hair above the water line beside the wall meets a clamped base there,
+        # and is not the wall value that a clamped base gives below a ratio of 1
+        m = model_at(0.010)
+        r, level = m.pipe.radius_m, m.level.level_m
+        assert m.dip_ratio == 1.0
+        xs = math.sqrt(r * r - (r - level) ** 2) + 1e-15 * np.arange(-2000, 2000)
+        ys = np.full_like(xs, level * (1.0 + 1e-12))
+        walls = r - np.sqrt(r * r - xs * xs)
+        u = (ys - walls) / (level - walls) - 1.0
+        clamped = (walls < level) & (u > 0.0) & (1.0 - np.maximum(u, 0.0) ** 4.0 <= 0.0)
+        xs, ys = xs[clamped], ys[clamped]
+        assert len(xs) > 10
+        got = [normalized_velocity(ProfilePoint(x, y), m) for x, y in zip(xs.tolist(), ys.tolist())]
+        np.testing.assert_allclose(got, vectorized_velocity(m, xs, ys), rtol=0, atol=1e-13)
+        assert m.wall_value not in got

@@ -234,10 +234,10 @@ def test_package_calibrate_metrics_and_help_load_no_numpy(lazy_child):
 
 
 def test_calibrate_and_metrics_load_only_their_layers(lazy_child):
-    """The trial CSV is read and checked by calibration alone."""
+    """The trial CSV is read and checked by calibration alone; clogging is process's."""
     _, _, _, layers = lazy_child
     assert layers == ["partialflow", "partialflow._record", "partialflow.calibration",
-                      "partialflow.cli", "partialflow.clogging", "partialflow.errors"]
+                      "partialflow.cli", "partialflow.errors"]
 
 
 def test_no_command_loads_dataclasses(lazy_child):
