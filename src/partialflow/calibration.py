@@ -6,6 +6,7 @@ error by its flow relative to the largest tested flow.
 """
 
 import math
+from collections import namedtuple
 from typing import Iterable, Iterator, Sequence
 
 from ._record import record
@@ -94,18 +95,9 @@ def repeatability(samples: Sequence[float]) -> float:
     return 100.0 * math.sqrt(variance) / abs(mean)
 
 
-@record
-class ErrorRow:
-    flow_label: str
-    q_ref_lps: float
-    error_pct: float
-
-
-@record
-class ErrorTable:
-    rows: tuple[ErrorRow, ...]
-    fwme_pct: float
-    max_abs_error_pct: float
+# One flow rate's mean error; the rows by reference flow, with their FWME and max |error|.
+ErrorRow = namedtuple("ErrorRow", "flow_label q_ref_lps error_pct")
+ErrorTable = namedtuple("ErrorTable", "rows fwme_pct max_abs_error_pct")
 
 
 def error_table(trials: Sequence[TrialRecord], k_cal: float) -> ErrorTable:

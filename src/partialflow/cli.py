@@ -110,9 +110,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-_TEMPLATES_KEPT = 1024  # frame record templates kept: the dict starts over when full
-
-
 def cmd_process(args) -> int:
     """Each record written as it comes. Per frame only ts, v and q are converted (``%s``
     of a float is its repr); the rest is a template per level (which alone sets area,
@@ -120,7 +117,7 @@ def cmd_process(args) -> int:
     level keys by its text: -0.0 keeps its sign."""
     from .clogging import AlarmEvent, Verdict
     from .config import load_config, resolve_polynomial
-    from .measurement import Frame, process_lines
+    from .measurement import LEVELS_KEPT, Frame, process_lines
 
     config, _ = resolve_polynomial(load_config(args.config))
     frames_seen = diagnostics = raised = cleared = 0
@@ -137,7 +134,7 @@ def cmd_process(args) -> int:
             key = (level or repr(level), clog)
             text = templates.get(key)
             if text is None:
-                if len(templates) == _TEMPLATES_KEPT:
+                if len(templates) == LEVELS_KEPT:
                     templates.clear()
                 verdict = "-" if clog is None else (
                     Verdict.CLOGGING if clog else Verdict.NORMAL).value

@@ -9,6 +9,7 @@ wall) so the near-wall algebraic behavior does not stall refinement.
 
 import math
 import sys
+from collections import namedtuple
 from operator import mul
 
 from ._record import record
@@ -52,11 +53,7 @@ class FpcfPolynomial:
         return acc
 
 
-@record
-class FitResult:
-    polynomial: FpcfPolynomial
-    rms_residual: float
-    max_residual: float
+FitResult = namedtuple("FitResult", "polynomial rms_residual max_residual")
 
 
 def _ratio(model: ProfileModel, chord_height_m: float, v_line: float, v_area: float) -> float:

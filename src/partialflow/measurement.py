@@ -23,6 +23,9 @@ from .errors import ConfigError, InvalidTimesError, OutOfRangeError
 from .geometry import WaterLevel, segment_area
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
+# The levels whose values, and whose record templates in ``cli.cmd_process``, are kept:
+# bounded for a log with a new level each frame.
+LEVELS_KEPT = 1024
 
 
 @record
@@ -98,7 +101,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
     alarm, new = Debounce(config.debounce).step, tuple.__new__  # Frame(...), faster
     decimal = functools.partial(_decimal, float)
 
-    @functools.lru_cache(maxsize=1024)  # bounded for a log with a new level each frame
+    @functools.lru_cache(maxsize=LEVELS_KEPT)
     def at_level(text: str) -> tuple:
         """What a frame's level, given as its repr (-0.0 keeps its sign), alone sets:
         whether it fits the pipe, the area, the FPCF and status of a frame with a

@@ -8,6 +8,7 @@ non-integer powers.
 """
 
 import math
+from collections import namedtuple
 
 from ._record import record
 from .errors import OutOfRangeError
@@ -58,6 +59,10 @@ class DipPositionPoly:
 
     coeffs: tuple[float, float, float, float] = DEFAULT_DIP_COEFFS
 
+    def __post_init__(self):
+        if len(self.coeffs) != 4 or not all(map(math.isfinite, self.coeffs)):
+            raise OutOfRangeError(f"dip coefficients must be 4 finite numbers, got {self.coeffs}")
+
     def __call__(self, relative_level: float) -> float:
         if relative_level < 0 or relative_level > 1:
             raise OutOfRangeError(f"relative level {relative_level!r} outside [0, 1]")
@@ -70,12 +75,8 @@ class DipPositionPoly:
 DEFAULT_DIP_POLY = DipPositionPoly()
 
 
-@record
-class ProfilePoint:
-    """A point of the cross-section: x from centerline, y above the bottom (m)."""
-
-    x: float
-    y: float
+# A point of the cross-section: x from centerline, y above the bottom (m).
+ProfilePoint = namedtuple("ProfilePoint", "x y")
 
 
 @record
@@ -114,9 +115,9 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
     """v/v_max at the point; pipe-bottom and wall points take the F = 0 limit."""
     r = model.pipe.radius_m
     h2 = point.x**2 + (point.y - r) ** 2
-    if h2 > r * r * (1.0 + 1e-12) or point.y < 0:
+    if not (h2 <= r * r * (1.0 + 1e-12) and point.y >= 0):  # so a NaN coordinate fails
         raise OutOfRangeError(f"point {point} lies outside the pipe bore")
-    if point.y > model.level.level_m * (1.0 + 1e-12) + 1e-15:
+    if not point.y <= model.level.level_m * (1.0 + 1e-12) + 1e-15:
         raise OutOfRangeError(f"point {point} lies above the water line")
     row, power = _velocity(model)
     return row(_ONE_POINT, point.y, point.x, (abs(point.x) / r) ** power)
@@ -173,13 +174,10 @@ def _velocity(model: ProfileModel):
     return row, diameter / depth
 
 
-@record
-class ProfileGrid:
+class ProfileGrid(namedtuple("ProfileGrid", "x_m y_m v")):
     """Rectangular sample grid, rows by y; v is NaN outside the wetted region."""
 
-    x_m: list
-    y_m: list
-    v: list
+    __slots__ = ()
 
     def write_csv(self, stream) -> None:
         stream.write("x_mm,y_mm,v_norm\n")

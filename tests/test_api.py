@@ -92,14 +92,29 @@ def test_process_lines_yields_frames_and_diagnostics():
 
 
 def test_per_frame_values_are_tuples_and_settings_records():
-    """What the frame layer makes per row or per frame is a named tuple; what a run is
-    configured or checked with stays a record."""
-    from partialflow import (ChordReading, ChordSpec, FrameDiagnostic, RunConfig,
-                             SensorFrame)
+    """A record is a value that checks itself: every class ``record`` built defines
+    ``__post_init__``. Every other value, per row, per frame or a result, is a named
+    tuple."""
+    import inspect
+    import pkgutil
+
+    from partialflow import (ChordReading, ChordSpec, ErrorTable, FitResult, FrameDiagnostic,
+                             ProfilePoint, RunConfig, SensorFrame)
+    from partialflow.calibration import ErrorRow
+    from partialflow.profile import ProfileGrid
 
     assert all(issubclass(cls, tuple) for cls in (ChordReading, SensorFrame, FrameDiagnostic))
     assert FrameDiagnostic("x") == FrameDiagnostic("x", None, None)
     assert not issubclass(ChordSpec, tuple) and not issubclass(RunConfig, tuple)
+    modules = [importlib.import_module(f"partialflow.{info.name}")
+               for info in pkgutil.iter_modules(partialflow.__path__)]
+    records = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__init__.__qualname__ == "record.<locals>.__init__"}
+    assert ChordSpec in records and RunConfig in records
+    assert [cls.__name__ for cls in records if "__post_init__" not in vars(cls)] == []
+    results = (FitResult, ErrorRow, ErrorTable, ProfilePoint, ProfileGrid)
+    assert all(issubclass(cls, tuple) for cls in results) and not records & {*results}
+    assert repr(ProfilePoint(0.0, 0.1)) == "ProfilePoint(x=0.0, y=0.1)"
 
 
 def test_unknown_name_raises_attribute_error():

@@ -41,6 +41,12 @@ class TestProfileCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 5
 
+    def test_clamped_region_grid_is_unchanged(self, capsys):
+        # at 230 mm the dip ratio is under 1/2, so points near the surface take the clamp
+        code, out, err = run(capsys, "profile", "--level-mm", "230", "--nx", "9", "--ny", "9")
+        assert (code, err) == (0, "")
+        assert out == (DATA / "profile_230mm_9x9.csv").read_text(encoding="utf-8")
+
 
 def fpcf_range(tmp_path, h_min, h_max, step) -> str:
     """A config file that sets only the FPCF tabulation range."""
@@ -398,12 +404,16 @@ class TestCalibrateAndMetrics:
         k = float(out.split("=")[1])
         assert k == pytest.approx(1.0 / 1.05, rel=1e-9)
 
+    TABLE = ("    flow   q_ref_lps   error_pct\n"
+             "       2      2.0000      5.5000\n"
+             "       4      4.0000      4.7500\n"
+             "    FWME                  5.0000\n"
+             "  max|E|                  5.5000\n")
+
     def test_metrics(self, capsys, tmp_path):
         trials = tmp_path / "trials.csv"
         trials.write_text(self.TRIALS)
-        code, out, _ = run(capsys, "metrics", "--trials", str(trials))
-        assert code == 0
-        assert "FWME" in out
+        assert run(capsys, "metrics", "--trials", str(trials)) == (0, self.TABLE, "")
 
     @pytest.mark.parametrize("command", ["calibrate", "metrics"])
     def test_trials_read_past_a_byte_order_mark(self, capsys, tmp_path, command):
@@ -418,9 +428,10 @@ class TestCalibrateAndMetrics:
         trials = tmp_path / "trials.csv"
         trials.write_text(self.TRIALS)
         csv_path = tmp_path / "table.csv"
-        code, _, _ = run(capsys, "metrics", "--trials", str(trials), "--csv-out", str(csv_path))
-        assert code == 0
-        assert csv_path.read_text().startswith("flow_label,q_ref_lps,error_pct")
+        assert run(capsys, "metrics", "--trials", str(trials), "--csv-out", str(csv_path)) == (
+            0, self.TABLE, "")
+        assert csv_path.read_text() == ("flow_label,q_ref_lps,error_pct\n2,2.0,5.500000000000005\n"
+                                        "4,4.0,4.749999999999998\nFWME,,5.000000000000001\n")
 
     def test_metrics_means_are_exactly_rounded(self, capsys, tmp_path):
         # 60 segments at each of 4 labels: the mean of sixty 3.1s is 3.1, where a sum

@@ -97,6 +97,15 @@ class TestDipRatio:
         tops = DipPositionPoly((0.0, 0.0, 0.0, 7.0))
         assert tops(0.5) == 1.0
 
+    @pytest.mark.parametrize("coeffs", [(1.78, -2.46, 0.18, math.nan), (1.8, -2.5, math.inf, 1.0),
+                                        (-math.inf, -2.46, 0.18, 1.0), (1.78, -2.46, 0.18)])
+    def test_non_finite_or_missing_coefficients_rejected(self, coeffs):
+        # a NaN passed the clamp: profile_grid printed nan at every wet point, and fpcf()
+        # ran ~3 s of refinement before it raised QuadratureError; three coefficients
+        # failed at the first call, with a ValueError from the unpacking
+        with pytest.raises(OutOfRangeError, match="dip coefficients must be 4 finite numbers"):
+            DipPositionPoly(coeffs)
+
     def test_decreasing_through_operating_band(self):
         # the cubic decreases until ~0.88 then turns up toward the
         # mid-depth anchor at a full pipe
@@ -132,6 +141,12 @@ class TestLocalFrame:
     def test_outside_bore_rejected(self):
         with pytest.raises(OutOfRangeError, match="outside the pipe bore"):
             normalized_velocity(ProfilePoint(0.2, 0.05), model_at(0.1))
+
+    @pytest.mark.parametrize("x,y", [(math.nan, 0.05), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_point_rejected(self, x, y):
+        # a NaN failed neither comparison, so the point took the wall value, -0.1236
+        with pytest.raises(OutOfRangeError, match="outside the pipe bore"):
+            normalized_velocity(ProfilePoint(x, y), model_at(0.1))
 
     def test_above_water_rejected(self):
         with pytest.raises(OutOfRangeError, match="above the water line"):
