@@ -101,8 +101,9 @@ def cmd_fit(args) -> int:
                 level, value = _decimal(float, parts[0]), _decimal(float, parts[1])
             except ValueError as exc:
                 raise PartialFlowError(f"fpcf table line {line_no}: {exc}") from exc
-            if not (math.isfinite(level) and math.isfinite(value)):
-                raise PartialFlowError(f"fpcf table line {line_no}: level and FPCF must be finite")
+            if not (math.isfinite(level) and 0 < value < math.inf):
+                raise PartialFlowError(f"fpcf table line {line_no}: level must be finite and "
+                                       "FPCF finite and positive")
             samples.append((level, value))
     fit = fit_polynomial(samples)
     with _stream(args.out, "w") as fh:

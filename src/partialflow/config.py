@@ -85,6 +85,11 @@ class RunConfig:
             raise ConfigError(f"fpcf.derive = true needs more than {POLY_DEGREE} levels, got "
                               f"{levels} from fpcf.h_min_mm = {lo:g}, fpcf.h_max_mm = {hi:g} "
                               f"and fpcf.step_mm = {step:g}")
+        poly = self.poly  # vouches for a factor at each table level it covers, as fpcf() does
+        for level in (min(lo + k * step, hi) for k in range(levels)) if poly else ():
+            if poly.h_min_mm <= level <= poly.h_max_mm and not 0 < poly(level) < math.inf:
+                raise ConfigError(f"fpcf.c0..c6 give FPCF = {poly(level)!r} at H = {level:g} mm: "
+                                  "a factor must be finite and positive")
 
 
 def default_config() -> RunConfig:

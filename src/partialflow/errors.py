@@ -18,7 +18,8 @@ class DegenerateProfileError(PartialFlowError):
 
 
 class QuadratureError(PartialFlowError):
-    """Adaptive refinement hit its depth limit before reaching tolerance.
+    """Adaptive refinement hit its depth limit before reaching tolerance, or an estimate
+    that is not finite.
 
     Carries the best available estimate and its error bound so callers can
     decide whether to accept the partial result.

@@ -113,8 +113,8 @@ def _frames(lines: Iterable[str], config) -> Iterator:
                for i, (height, length, cos, weight) in enumerate(chords) if height < level]
         if poly is None:
             fpcf, status = 1.0, EstimateStatus.UNCORRECTED
-        elif poly.h_min_mm <= level <= poly.h_max_mm:
-            fpcf, status = poly(level), EstimateStatus.OK
+        elif poly.h_min_mm <= level <= poly.h_max_mm and 0 < (fpcf := poly(level)) < math.inf:
+            status = EstimateStatus.OK
         else:
             fpcf, status = 1.0, EstimateStatus.FPCF_OUT_OF_RANGE
         return (fits, segment_area(WaterLevel((level if fits else 0.0) / 1000.0), pipe), fpcf,
@@ -213,8 +213,9 @@ def process_lines(lines: Iterable[str], config) -> Iterator:
     row and a chord's second row become diagnostics; the rest of the frame counts. A
     frame whose level does not fit the pipe becomes a diagnostic in its place. Wet
     chords with finite, positive times count, summed in configuration order; a frame
-    without any leaves the alarm state untouched. Levels outside the polynomial's
-    validity range get FPCF = 1 and ``fpcf_out_of_range``: the polynomial is unguarded.
+    without any leaves the alarm state untouched. A level outside the polynomial's
+    validity range, or where its value is not finite and positive, gets FPCF = 1 and
+    ``fpcf_out_of_range``.
     """
     if config.fpcf_derive and config.poly is None:
         raise ConfigError("fpcf.derive = true: pass the config through resolve_polynomial first")

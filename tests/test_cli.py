@@ -86,13 +86,16 @@ class TestFpcfAndFit:
         assert config.poly is not None
 
     @pytest.mark.parametrize("row,message", [
-        ("60,inf", "level and FPCF must be finite"),
-        ("nan,1.0", "level and FPCF must be finite"),
+        ("60,inf", "level must be finite and FPCF finite and positive"),
+        ("nan,1.0", "level must be finite and FPCF finite and positive"),
+        ("60,-0.5", "level must be finite and FPCF finite and positive"),
+        ("60,0.0", "level must be finite and FPCF finite and positive"),
         ("60,1.0,2", "expected 2 fields, got 3"),
-    ], ids=["fpcf_inf", "level_nan", "three_fields"])
+    ], ids=["fpcf_inf", "level_nan", "fpcf_negative", "fpcf_zero", "three_fields"])
     def test_fit_rejects_non_finite_row(self, capsys, tmp_path, row, message):
         # 60,inf printed seven nan coefficients with exit 0; a nan level also
-        # printed LAPACK noise on stderr. A row of three fields is refused by its line too.
+        # printed LAPACK noise on stderr; a negative FPCF was fitted as data, exit 0.
+        # A row of three fields is refused by its line too.
         table = tmp_path / "table.csv"
         table.write_text("H_mm,fpcf\n" + "".join(f"{h},1.0\n" for h in range(50, 130, 10))
                          + row + "\n")
@@ -542,6 +545,20 @@ class TestExitCodes:
         code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
         assert (code, out) == (2, "")
         assert err.startswith("config error: FPCF coefficients must be finite")
+
+    @pytest.mark.parametrize("c0,c6,message", [
+        (-0.5, 0.0, "fpcf.c0..c6 give FPCF = -0.5 at H = 50 mm"),
+        (1e300, 1e300, "fpcf.c0..c6 give FPCF = inf at H = 50 mm"),
+    ], ids=["negative", "infinite"])
+    def test_non_positive_polynomial_exits_2(self, capsys, tmp_path, c0, c6, message):
+        # fpcf.c0 = -0.5 printed fpcf=-0.5 q_lps=-1.92... status=ok, and c0 = c6 = 1e300
+        # fpcf=inf, each with exit 0
+        cfg = tmp_path / "poly.cfg"
+        cfg.write_text(f"fpcf.c0 = {c0}\nfpcf.c6 = {c6}\nfpcf.h_max_mm = 180\n"
+                       + "".join(f"fpcf.c{k} = 0.0\n" for k in range(1, 6)))
+        code, out, err = run(capsys, "process", "--config", str(cfg), "--frames", "-")
+        assert (code, out) == (2, "")
+        assert err == f"config error: {message}: a factor must be finite and positive\n"
 
     @pytest.mark.parametrize("row,message", [
         ("2,4,4.0,nan", "measured flow must be finite"),

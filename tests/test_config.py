@@ -165,6 +165,15 @@ class TestParsing:
         with pytest.raises(ConfigError, match=message):
             parse_config("".join(f"{k} = {v}\n" for k, v in pairs.items()))
 
+    @parsed_and_direct("c0,c6,value", [(-0.5, 0.0, "-0.5"), (1e300, 1e300, "inf")],
+                       ids=["negative", "infinite"])
+    def test_polynomial_must_give_a_positive_factor(self, c0, c6, value, build):
+        # fpcf.c0 = -0.5 loaded, and process printed fpcf=-0.5 q_lps=-1.92... status=ok
+        doc = "".join(f"fpcf.c{k} = {c}\n" for k, c in enumerate((c0, 0, 0, 0, 0, 0, c6)))
+        with pytest.raises(ConfigError, match=f"^fpcf.c0..c6 give FPCF = {value} at H = 50 mm: "
+                           "a factor must be finite and positive$"):
+            build(doc)
+
     @pytest.mark.parametrize("text,message", [
         ("entropy.q = inf", "q must be finite and exceed 1, got inf for entropy.q = inf"),
         ("entropy.m = nan", "M must lie in (0, 1), got nan for entropy.m = nan"),

@@ -141,6 +141,16 @@ class TestEstimateFlow:
         assert est.fpcf == 1.0
         assert est.flow_m3s == pytest.approx(0.2 * est.area, rel=1e-9)
 
+    def test_fpcf_fallback_where_the_polynomial_is_not_positive(self):
+        # ((H - 55) / 5)^2 - 0.5 is positive at each table level (50, 60, ... mm), so the
+        # config takes it, but negative at 55 mm: that frame printed fpcf=-0.5 status=ok
+        poly = FpcfPolynomial((120.5, -4.4, 0.04, 0.0, 0.0, 0.0, 0.0), 50.0, 250.0)
+        est = estimate(frame_for({"a": 0.2}, 55.0, (CHORD_A,)), [CHORD_A], poly)
+        assert (est.status, est.fpcf) == (EstimateStatus.FPCF_OUT_OF_RANGE, 1.0)
+        assert est.flow_m3s == pytest.approx(0.2 * est.area, rel=1e-9)
+        est = estimate(frame_for({"a": 0.2}, 60.0, (CHORD_A,)), [CHORD_A], poly)
+        assert est.status is EstimateStatus.OK and est.fpcf == pytest.approx(0.5, rel=1e-9)
+
     def test_no_polynomial_raw_product(self):
         est = estimate(frame_for({"a": 0.2}, 85.0), [CHORD_A], None)
         assert est.status is EstimateStatus.UNCORRECTED

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from partialflow import OutOfRangeError, QuadratureError, QuadratureSpec
-from partialflow.quadrature import _axis, _nodes_weights, adaptive_integrate
+from partialflow.quadrature import _WT, _XI, _axis, adaptive_integrate
 
 
 def test_polynomial_closed_form():
@@ -113,18 +113,43 @@ def test_spec_validation():
         QuadratureSpec(max_depth=0)
 
 
-@pytest.mark.parametrize("n", range(2, 65))
-def test_gauss_rule_matches_leggauss(n):
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_estimate_stops_refinement(value):
+    # a nan or infinite estimate never passes the tolerance test: the loop ran all 16
+    # doublings (2^17 - 1 panels of 15 integrand calls) before it raised
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return value
+
+    with pytest.raises(QuadratureError) as excinfo:
+        adaptive_integrate(f, 0.0, 1.0)
+    assert len(calls) == 15
+    assert repr(excinfo.value.estimate) == repr(value)
+    assert excinfo.value.max_depth == 0
+
+
+def test_estimate_turning_infinite_is_refused():
+    # a finite 1-panel estimate, then an infinite one: that passed as converged, (inf, inf)
+    spec = QuadratureSpec()
+    with pytest.raises(QuadratureError) as excinfo:
+        spec.refine(lambda n: 1.0 if n == 1 else math.inf)
+    assert excinfo.value.estimate == math.inf
+    assert excinfo.value.max_depth == 1
+
+
+def test_stored_gauss_rule():
     from numpy.polynomial.legendre import leggauss
 
-    x, w = map(np.array, _nodes_weights(n))
-    ref_x, ref_w = leggauss(n)
+    x, w = np.array(_XI), np.array(_WT)
+    ref_x, ref_w = leggauss(15)
     np.testing.assert_allclose(x, ref_x, rtol=1e-12, atol=0)
-    # leggauss's own weights differ from 40-digit values by up to 1.8e-12
-    # (n = 60) in this range; this rule's by at most 6e-14
     np.testing.assert_allclose(w, ref_w, rtol=2e-12, atol=0)
     assert abs(w.sum() - 2.0) <= 1e-15
-    # exact for every monomial of degree < 2n, which leggauss misses by up to 1.1e-14
-    k = np.arange(2 * n)
+    # exact for every monomial of degree < 30
+    k = np.arange(30)
     exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
     np.testing.assert_allclose(np.power.outer(x, k).T @ w, exact, rtol=0, atol=2e-15)
+    assert _XI == tuple(-v for v in reversed(_XI))
+    assert _WT == tuple(reversed(_WT))
