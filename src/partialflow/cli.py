@@ -3,7 +3,7 @@
 Levels cross this boundary in millimeters and flows in liters per second,
 matching the units of the correction polynomial and the published tables;
 everything internal is SI. Exit codes: 0 success, 1 invalid input data,
-2 invalid configuration.
+2 invalid configuration, 3 an alarm under --fail-on-alarm, 141 a closed reader.
 """
 
 import argparse
@@ -11,6 +11,7 @@ import contextlib
 import gc
 import io
 import math
+import os
 import sys
 
 # Each command imports the layers it runs, so calibrate, metrics and --help load none of
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 1
 EXIT_BAD_CONFIG = 2
 EXIT_ALARM = 3
+EXIT_CLOSED_READER = 141  # as a shell reports a process that SIGPIPE stopped
 
 
 @contextlib.contextmanager
@@ -281,6 +283,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except BrokenPipeError:  # a reader that has gone: not bad input, ``entry`` ends quietly
+        raise
     except (PartialFlowError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -290,7 +294,12 @@ def entry() -> None:
     """``python -m partialflow.cli`` and the ``partialflow`` script: run one command and
     exit with its code. Its files are closed by then, so the heap is frozen first and the
     shutdown collections skip it. ``main`` alone never freezes."""
-    code = main()
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that has gone is met here, not at exit
+    except BrokenPipeError:  # end quietly, and point fd 1 where exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED_READER
     gc.freeze()
     sys.exit(code)
 

@@ -80,13 +80,15 @@ class RunConfig:
         if len(heights) > 1:
             raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
                               f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
+        if not (hi - lo) / step < 1e5:  # the list of levels, and a derived table, must fit
+            raise ConfigError(f"fpcf.step_mm = {step:g} gives the FPCF table over 100000 levels")
         levels = table_levels(lo, hi, step)
-        if self.fpcf_derive and levels <= POLY_DEGREE:
+        if self.fpcf_derive and len(levels) <= POLY_DEGREE:
             raise ConfigError(f"fpcf.derive = true needs more than {POLY_DEGREE} levels, got "
-                              f"{levels} from fpcf.h_min_mm = {lo:g}, fpcf.h_max_mm = {hi:g} "
+                              f"{len(levels)} from fpcf.h_min_mm = {lo:g}, fpcf.h_max_mm = {hi:g} "
                               f"and fpcf.step_mm = {step:g}")
         poly = self.poly  # vouches for a factor at each table level it covers, as fpcf() does
-        for level in (min(lo + k * step, hi) for k in range(levels)) if poly else ():
+        for level in levels if poly else ():
             if poly.h_min_mm <= level <= poly.h_max_mm and not 0 < poly(level) < math.inf:
                 raise ConfigError(f"fpcf.c0..c6 give FPCF = {poly(level)!r} at H = {level:g} mm: "
                                   "a factor must be finite and positive")
@@ -197,14 +199,15 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"chord height must be finite and positive, got {height!r} "
                                   f"for {key} = {fields['height_mm']}")
             angle = math.radians(values.pop("beam_angle_deg", _BEAM_ANGLE_DEG))
-            if "path_length_m" not in values:  # wall-mounted: the beam spans the full chord
-                if height >= crown_mm:  # where there is no chord to span
-                    where = "at" if height == crown_mm else "above"
-                    raise ConfigError(f"{key} = {height:g} lies {where} the pipe crown at "
-                                      f"{crown_mm:g} mm")
-                half_width = chord_half_width(height / 1000.0, pipe)
-                values["path_length_m"] = 2.0 * half_width / math.sin(angle)
             try:
+                if "path_length_m" not in values:  # wall-mounted: the beam spans the full chord
+                    if height >= crown_mm:  # where there is no chord to span
+                        where = "at" if height == crown_mm else "above"
+                        raise ConfigError(f"{key} = {height:g} lies {where} the pipe crown at "
+                                          f"{crown_mm:g} mm")
+                    ChordSpec(chord_id, height, 1.0, angle)  # the angle, checked before it divides
+                    half_width = chord_half_width(height / 1000.0, pipe)
+                    values["path_length_m"] = 2.0 * half_width / math.sin(angle)
                 chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
             except OutOfRangeError as exc:
                 keys = ", ".join(f"chord.{chord_id}.{k} = {v}"
@@ -229,9 +232,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ConfigError(f"fpcf.c0..c6 need fpcf.h_max_mm above fpcf.h_min_mm = {lo:g}")
             coeffs = tuple(_parse_float(pairs[k], k) for k in _COEFF_KEYS)
             config = RunConfig(**{**vars(config), "poly": FpcfPolynomial(coeffs, lo, hi)})
-    except ConfigError:
-        raise
-    except Exception as exc:
+    except OutOfRangeError as exc:
         raise ConfigError(str(exc)) from exc
 
     return config

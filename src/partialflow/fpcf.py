@@ -56,16 +56,6 @@ class FpcfPolynomial:
 FitResult = namedtuple("FitResult", "polynomial rms_residual max_residual")
 
 
-def _ratio(model: ProfileModel, chord_height_m: float, v_line: float, v_area: float) -> float:
-    ratio = v_area / v_line if v_line > 0 else math.nan
-    if not 0 < ratio < math.inf:
-        raise DegenerateProfileError(
-            f"FPCF undefined at Y={chord_height_m:g} m, H={model.level.level_m:g} m: area mean "
-            f"{v_area:g} over chord mean {v_line:g} is not finite and positive"
-        )
-    return ratio
-
-
 def _u_nodes(n_panels: int, power: float) -> list[tuple[float, float, float]]:
     """An estimate's nodes along a row, on the graded map x = w sin(pi u / 2), worked out
     once for every row: (sin, sin^power, weight times dx/du over w)."""
@@ -91,8 +81,7 @@ def mean_chord_velocity(
         )
     w = chord_half_width(chord_height_m, model.pipe)
     row, power = _velocity(model)
-    w_p = (w / model.pipe.radius_m) ** power
-    value, _ = quad.refine(lambda n: row(_u_nodes(n, power), chord_height_m, w, w_p))
+    value, _ = quad.refine(lambda n: row(_u_nodes(n, power), chord_height_m, w))
     return value
 
 
@@ -108,7 +97,6 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
     kinks = [2.0 / math.pi * math.asin(math.sqrt(z / height))
              for z in (dip, 2.0 * dip) if z < height]
     row, power = _velocity(model)
-    r = model.pipe.radius_m
 
     def estimate(n_panels: int) -> float:  # n_panels u panels, and half as many t panels past 2
         nodes, total = _u_nodes(n_panels, power), 0.0
@@ -116,7 +104,7 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
             y = height * math.sin(0.5 * math.pi * t) ** 2
             w = math.sqrt(y * (diameter - y))
             total += (weight * w * height * math.pi * math.sin(math.pi * t)
-                      * row(nodes, y, w, (w / r) ** power))
+                      * row(nodes, y, w))
         return total
 
     value, _ = quad.refine(estimate)
@@ -131,13 +119,21 @@ def fpcf(
     Every factor this returns is finite and positive, the only kind a flow can be
     corrected by; a profile that gives any other raises ``DegenerateProfileError``.
     """
-    return _ratio(model, chord_height_m, mean_chord_velocity(model, chord_height_m, quad),
-                  mean_area_velocity(model, quad))
+    v_line = mean_chord_velocity(model, chord_height_m, quad)
+    v_area = mean_area_velocity(model, quad)
+    ratio = v_area / v_line if v_line > 0 else math.nan
+    if not 0 < ratio < math.inf:
+        raise DegenerateProfileError(
+            f"FPCF undefined at Y={chord_height_m:g} m, H={model.level.level_m:g} m: area mean "
+            f"{v_area:g} over chord mean {v_line:g} is not finite and positive")
+    return ratio
 
 
-def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> int:
-    """How many levels ``tabulate_fpcf`` takes from h_min to h_max in steps of step."""
-    return int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
+def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> list[float]:
+    """The levels ``tabulate_fpcf`` takes from h_min to h_max in steps of step; the last,
+    which the count's slack can round past h_max, is taken at it."""
+    count = int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
+    return [min(h_min_mm + k * step_mm, h_max_mm) for k in range(count)]
 
 
 def lowest_chord_mm(config) -> float:
@@ -151,15 +147,13 @@ def lowest_chord_mm(config) -> float:
 
 def tabulate_fpcf(config) -> list[tuple[float, float]]:
     """A ``RunConfig``'s ``(level_mm, fpcf)`` table: at the lowest chord, from
-    ``fpcf.h_min_mm`` to ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``, a range the
-    config has checked; the last level, which the count's slack can round past
-    ``fpcf.h_max_mm``, is taken at it. A level with no FPCF is the config's to change,
+    ``fpcf.h_min_mm`` to ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm`` (``table_levels``),
+    a range the config has checked. A level with no FPCF is the config's to change,
     so it is a ConfigError that names the setting to change: the range if a level
     above the first fails, else the profile."""
     chord_mm, lo, hi = lowest_chord_mm(config), config.fpcf_h_min_mm, config.fpcf_h_max_mm
     table = []
-    for k in range(table_levels(lo, hi, config.fpcf_step_mm)):
-        level_mm = min(lo + k * config.fpcf_step_mm, hi)
+    for k, level_mm in enumerate(table_levels(lo, hi, config.fpcf_step_mm)):
         try:
             model = ProfileModel(config.pipe, WaterLevel(level_mm / 1000.0), config.params)
             table.append((level_mm, fpcf(model, chord_mm / 1000.0, config.quad)))

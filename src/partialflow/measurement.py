@@ -110,7 +110,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
         level = float(text)
         fits = 0 <= level / 1000.0 <= pipe.diameter_m  # False for a nan or infinite level
         wet = [(i, length, cos, weight)
-               for i, (height, length, cos, weight) in enumerate(chords) if height < level]
+               for i, (height, length, cos, weight) in enumerate(chords) if height <= level]
         if poly is None:
             fpcf, status = 1.0, EstimateStatus.UNCORRECTED
         elif poly.h_min_mm <= level <= poly.h_max_mm and 0 < (fpcf := poly(level)) < math.inf:

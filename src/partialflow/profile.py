@@ -119,15 +119,14 @@ def normalized_velocity(point: ProfilePoint, model: ProfileModel) -> float:
         raise OutOfRangeError(f"point {point} lies outside the pipe bore")
     if not point.y <= model.level.level_m * (1.0 + 1e-12) + 1e-15:
         raise OutOfRangeError(f"point {point} lies above the water line")
-    row, power = _velocity(model)
-    return row(_ONE_POINT, point.y, point.x, (abs(point.x) / r) ** power)
+    return _velocity(model)[0](_ONE_POINT, point.y, point.x)
 
 
 def _velocity(model: ProfileModel):
-    """v/v_max, the one formula, as a row kernel: returns row(nodes, y, w, w_p), the sum of
+    """v/v_max, the one formula, as a row kernel: returns row(nodes, y, w), the sum of
     dx v at (w sin, y) over the (sin, sin^p, dx) nodes, added left to right from 0.0 (the
-    builtin sum compensates from Python 3.12), and the lateral power p. The caller passes
-    w_p = (|w| / (D/2))^p, so each lateral term (|x| / (D/2))^p is w_p sin^p. Points must
+    builtin sum compensates from Python 3.12), and the lateral power p. Each lateral term
+    (|x| / (D/2))^p is w_p sin^p, with w_p = (|w| / (D/2))^p taken once per row. Points must
     lie in the closed wetted region, unchecked; boundary points (local wall, pipe bottom)
     take the wall value, so no log or power meets y' <= 0."""
     r, diameter, level, ratio = (model.pipe.radius_m, model.pipe.diameter_m,
@@ -137,9 +136,10 @@ def _velocity(model: ProfileModel):
     r2, log, sqrt = r * r, math.log, math.sqrt
     log_2, log_d, kink, tail = math.log(2.0), math.log(diameter), 4.0 * ratio, 2.0 * (1.0 - ratio)
     offset, inverse_q, weight = 1.0 - 1.0 / m, 1.0 / model.params.q, 1.0 - c
+    power = diameter / depth
 
-    def row(nodes, y, w, w_p):
-        total = 0.0
+    def row(nodes, y, w):
+        total, w_p = 0.0, (abs(w) / r) ** power
         for sin, sin_p, dx in nodes:
             x = w * sin
             under = r2 - x * x
@@ -171,7 +171,7 @@ def _velocity(model: ProfileModel):
             total += dx * (offset + bracket**inverse_q / m)
         return total
 
-    return row, diameter / depth
+    return row, power
 
 
 class ProfileGrid(namedtuple("ProfileGrid", "x_m y_m v")):
@@ -200,7 +200,7 @@ def profile_grid(model: ProfileModel, nx: int, ny: int) -> ProfileGrid:
     xs = _linspace(-r, r, nx)
     xs = [0.5 * (a - b) for a, b in zip(xs, xs[::-1])]  # force exact mirror symmetry
     ys = _linspace(0.0, model.level.level_m, ny)
-    row, power = _velocity(model)
-    v = [[row(_ONE_POINT, y, x, (abs(x) / r) ** power)
-          if x**2 + (y - r) ** 2 <= r * r * (1.0 + 1e-12) else math.nan for x in xs] for y in ys]
+    row = _velocity(model)[0]
+    v = [[row(_ONE_POINT, y, x) if x**2 + (y - r) ** 2 <= r * r * (1.0 + 1e-12) else math.nan
+          for x in xs] for y in ys]
     return ProfileGrid(x_m=xs, y_m=ys, v=v)

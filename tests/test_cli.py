@@ -391,6 +391,21 @@ class TestProcessCommand:
         assert code == 0
         assert "summary frames=2" in out
 
+    @pytest.mark.parametrize("derive,status,q_lps", [
+        (False, "uncorrected", "1.494898598153247"), (True, "ok", "1.0065241511611824")],
+        ids=["uncorrected", "derive"])
+    def test_level_at_the_chords_gives_a_flow(self, capsys, tmp_path, derive, status, q_lps):
+        # process gave both frames status=dry_chord and no flow; derived, the flow is
+        # 0.65% from the simulated 1 L/s
+        frames, cfg = tmp_path / "frames.csv", tmp_path / "run.cfg"
+        cfg.write_text("fpcf.derive = true\n" if derive else "")
+        run(capsys, "simulate", "--flow-lps", "1", "--level-mm", "50", "--frames", "2",
+            "--out", str(frames))
+        code, out, _ = run(capsys, "process", "--config", str(cfg), "--frames", str(frames))
+        assert code == 0
+        for line in out.splitlines()[:2]:
+            assert f" q_lps={q_lps} status={status} clog=normal" in line
+
 
 class TestCalibrateAndMetrics:
     TRIALS = (

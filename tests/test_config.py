@@ -321,7 +321,7 @@ class TestParsing:
         fpcf_module = importlib.import_module("partialflow.fpcf")
         monkeypatch.setattr(fpcf_module, "fpcf", lambda *args: 1.0)
         text = f"fpcf.h_max_mm = {h_max}\nfpcf.step_mm = {step}\n"
-        assert fpcf_module.table_levels(50.0, h_max, step) == levels
+        assert len(fpcf_module.table_levels(50.0, h_max, step)) == levels
         assert len(fpcf_module.tabulate_fpcf(parse_config(text))) == levels
         if levels > 6:
             assert parse_config("fpcf.derive = true\n" + text).fpcf_derive
@@ -433,6 +433,39 @@ class TestParsing:
     def test_domain_violation_is_config_error(self):
         with pytest.raises(ConfigError):
             parse_config("entropy.m = 1.5\n")
+
+    @pytest.mark.parametrize("angle,radians", [
+        ("0", "0.0"), ("inf", "inf"), ("-inf", "-inf"), ("nan", "nan"),
+        ("-30", "-0.5235987755982988"), ("360", "6.283185307179586")])
+    def test_beam_angle_checked_before_the_path_is_derived_from_it(self, angle, radians):
+        # the wall-to-wall path 2w / sin(angle) came first: 0 gave "float division by
+        # zero", +-inf "math domain error", and nan, -30 and 360 a path length refusal
+        message = (f"beam angle must lie in (0, pi/2), got {radians} "
+                   f"for chord.a.beam_angle_deg = {angle}")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"chord.a.height_mm = 50\nchord.a.beam_angle_deg = {angle}\n")
+
+    def test_only_a_refusal_becomes_a_config_error(self, monkeypatch):
+        # every exception of the parser was a config error, a bug's too
+        def broken(*args):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(importlib.import_module("partialflow.config"), "chord_half_width",
+                            broken)
+        with pytest.raises(ZeroDivisionError, match="^a bug$"):
+            parse_config("")
+
+    @parsed_and_direct("text,step", [
+        ("fpcf.derive = true\nfpcf.step_mm = 5e-324", "4.94066e-324"),
+        ("fpcf.derive = true\nfpcf.step_mm = 0.001", "0.001"),
+        ("".join(f"fpcf.c{k} = 1.0\n" for k in range(7)) + "fpcf.step_mm = 0.001", "0.001"),
+    ], ids=["derive_subnormal_step", "derive_fine_step", "coefficients"])
+    def test_level_grid_past_its_bound_rejected(self, text, step, build):
+        # a subnormal step overflowed the level count ("cannot convert float infinity to
+        # integer"); a fine one is a list of levels as long as the range over the step
+        message = f"fpcf.step_mm = {step} gives the FPCF table over 100000 levels"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(text + "\n")
 
 
 class TestFitDocument:

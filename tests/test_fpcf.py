@@ -59,7 +59,7 @@ def table_config(chord_height_mm=50.0, h_min_mm=50.0, h_max_mm=250.0, step_mm=10
 def constant_profile(monkeypatch):
     """Inject v/v_max = 1 everywhere, as a row kernel (the sum of dx over a row's nodes);
     integral means must come out 1."""
-    def row(nodes, y, w, w_p):
+    def row(nodes, y, w):
         return math.fsum(dx for _, _, dx in nodes)
 
     monkeypatch.setattr(fpcf_module, "_velocity", lambda model: (row, 1.0))

@@ -119,6 +119,13 @@ class TestEstimateFlow:
         assert est.status is EstimateStatus.DRY_CHORD
         assert math.isnan(est.flow_m3s)
 
+    def test_chord_at_the_water_line_is_wet(self):
+        # a chord at the level gave dry_chord and no flow, where the FPCF and the
+        # simulator count it as wet
+        est = estimate(frame_for({"a": 0.2}, 50.0), [CHORD_A], FLAT_POLY)
+        assert est.status is EstimateStatus.OK
+        assert est.v_line == pytest.approx(0.2, rel=1e-9)
+
     def test_partial_dry_uses_wet_only(self):
         # uncorrected: one polynomial serves chords at one height only
         low = ChordSpec("lo", 30.0, 0.3, ANGLE)

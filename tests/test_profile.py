@@ -63,9 +63,9 @@ def vectorized_velocity(m, x, y):
 
 def point_velocity(m):
     """v(x, y) by the row kernel of ``profile._velocity``, on a row of one node of unit
-    weight at x, with the lateral power worked out per point."""
-    row, power = _velocity(m)
-    return lambda x, y: row(((1.0, 1.0, 1.0),), y, x, (abs(x) / m.pipe.radius_m) ** power)
+    weight at x."""
+    row, _ = _velocity(m)
+    return lambda x, y: row(((1.0, 1.0, 1.0),), y, x)
 
 
 class TestDipRatio:

@@ -364,6 +364,28 @@ def test_program_exit_codes(exits, code, err):
         assert out == "" and stderr.startswith(err)
 
 
+@pytest.mark.parametrize("frames,lines_read", [(20000, 1), (20, 0)],
+                         ids=["mid_stream", "last_flush"])
+def test_closed_reader_ends_the_program_quietly(frames, lines_read):
+    # as ``partialflow simulate ... | head -1`` this printed "error: [Errno 32] Broken
+    # pipe" and exited 1, the code of invalid input; 20 frames fit in the output buffer,
+    # so the reader, gone before the child starts, is met at the last flush
+    proc = subprocess.Popen([sys.executable, "-m", "partialflow.cli", "simulate", "--flow-lps",
+                             "3", "--frames", str(frames)], env=_base_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"timestamp_s,")
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
 def test_script_and_module_share_one_entry():
     """pyproject.toml's script target is the function ``python -m`` calls."""
     import ast
