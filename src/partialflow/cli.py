@@ -123,6 +123,9 @@ def cmd_process(args) -> int:
     from .measurement import LEVELS_KEPT, Frame, process_lines
 
     config, _ = resolve_polynomial(load_config(args.config))
+    if ("-" not in (args.frames, args.out) and os.path.isfile(args.out)
+            and os.path.samefile(args.frames, args.out)):  # opening --out would empty it
+        raise PartialFlowError(f"--out {args.out} is the --frames file; it would be emptied")
     frames_seen = diagnostics = raised = cleared = 0
     templates = {}
     with _stream(args.frames) as src, _stream(args.out, "w") as fh:

@@ -102,13 +102,12 @@ def _frames(lines: Iterable[str], config) -> Iterator:
     decimal = functools.partial(_decimal, float)
 
     @functools.lru_cache(maxsize=LEVELS_KEPT)
-    def at_level(text: str) -> tuple:
-        """What a frame's level, given as its repr (-0.0 keeps its sign), alone sets:
-        whether it fits the pipe, the area, the FPCF and status of a frame with a
-        velocity, the status of one without, the slot and constants of each wet chord,
-        and the clogging threshold."""
-        level = float(text)
-        fits = 0 <= level / 1000.0 <= pipe.diameter_m  # False for a nan or infinite level
+    def at_level(level: float):
+        """What a frame's level alone sets (-0.0 what 0.0 does), None if it does not fit
+        the pipe: the area, the FPCF and status of a frame with a velocity, the status of
+        one without, the slot and constants of each wet chord, and the clogging threshold."""
+        if not 0 <= level / 1000.0 <= pipe.diameter_m:  # a nan or infinite level too
+            return None
         wet = [(i, length, cos, weight)
                for i, (height, length, cos, weight) in enumerate(chords) if height <= level]
         if poly is None:
@@ -117,15 +116,17 @@ def _frames(lines: Iterable[str], config) -> Iterator:
             status = EstimateStatus.OK
         else:
             fpcf, status = 1.0, EstimateStatus.FPCF_OUT_OF_RANGE
-        return (fits, segment_area(WaterLevel((level if fits else 0.0) / 1000.0), pipe), fpcf,
-                status, EstimateStatus.INVALID_TIMES if wet else EstimateStatus.DRY_CHORD, wet,
+        return (segment_area(WaterLevel(level / 1000.0), pipe), fpcf, status,
+                EstimateStatus.INVALID_TIMES if wet else EstimateStatus.DRY_CHORD, wet,
                 boundary.threshold(level))
 
     def close():
         """The open frame's ``Frame``, or its diagnostic if its level does not fit the
         pipe: by the formulas of ``line_velocity``, in the operation order the sums
         always had."""
-        fits, area, fpcf, status, no_v_status, wet, threshold = kind
+        if kind is None:
+            return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
+        area, fpcf, status, no_v_status, wet, threshold = kind
         num = den = 0.0
         for i, length, cos, weight in wet:
             if ups[i] is not None:
@@ -138,13 +139,11 @@ def _frames(lines: Iterable[str], config) -> Iterator:
                     if isfinite(v):
                         num += weight * v
                         den += weight
-        if fits and den > 0:
+        if den > 0:
             v = num / den
             clog = v < threshold
             return new(Frame, (frame_ts, frame_level, v, area, fpcf, k_cal * fpcf * v * area,
                                status, clog, alarm(clog)))
-        if not fits:
-            return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
         return new(Frame, (frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, None, None))
 
     # the ts and level texts of the last rows read, and their values
@@ -183,7 +182,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
             if ups is not None:
                 yield close()
             if level is not frame_level:  # one float object, read from one text
-                kind = at_level(repr(level))
+                kind = at_level(level)
             frame_ts, frame_level = ts, level
             ups, downs = [None] * n_chords, [None] * n_chords
         elif level != frame_level and (level == level or frame_level == frame_level):

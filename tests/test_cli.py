@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import sys
 from itertools import zip_longest
@@ -405,6 +406,55 @@ class TestProcessCommand:
         assert code == 0
         for line in out.splitlines()[:2]:
             assert f" q_lps={q_lps} status={status} clog=normal" in line
+
+    @pytest.mark.parametrize("spelling", ["X.csv", "./X.csv"])
+    def test_out_over_its_own_frames_is_refused(self, capsys, tmp_path, monkeypatch,
+                                                spelling):
+        # --out was opened, and so emptied, before the first row of --frames was read:
+        # the log became one summary line of no frames, and the command exited 0
+        monkeypatch.chdir(tmp_path)
+        log = (DATA / "mixed_frames.csv").read_bytes()
+        (tmp_path / "X.csv").write_bytes(log)
+        code, out, err = run(capsys, "process", "--frames", "X.csv", "--out", spelling)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --out ") and "--frames" in err
+        assert (tmp_path / "X.csv").read_bytes() == log
+        assert run(capsys, "process", "--frames", "gone.csv", "--out", spelling) == (
+            1, "", "error: [Errno 2] No such file or directory: 'gone.csv'\n")
+
+    @pytest.mark.parametrize("levels", ["new", "quantized"])
+    def test_output_past_the_template_bound_is_the_oracle(self, capsys, tmp_path, levels):
+        """More frames than ``LEVELS_KEPT``, each with a new level (the record templates
+        are dropped and made again) or with a quantized sensor's level, which comes back
+        in frames apart: ``process`` writes one f-string per record of ``process_lines``,
+        byte for byte."""
+        import random
+
+        from conftest import record_by_record
+        from partialflow.config import load_config
+        from partialflow.simulator import transit_times
+
+        config = load_config(str(DATA / "mixed_stored.cfg"))
+        rng, rows = random.Random(3), [measurement.FRAME_CSV_HEADER]
+        for k in range(measurement.LEVELS_KEPT * 3 // 2):
+            level = (40.0 + 0.1 * k if levels == "new"
+                     else round(130.0 + 90.0 * math.sin(k / 40.0) + rng.gauss(0, 0.3), 1))
+            v = rng.uniform(0.0, 0.7)
+            for chord in config.chords:
+                times = (transit_times(v, chord, 1480.0) if rng.random() > 0.05
+                         else (math.nan, 2e-4))
+                rows.append(f"{0.5 * k!r},{chord.chord_id},{times[0] * 1e9!r},"
+                            f"{times[1] * 1e9!r},{level!r}")
+        frames = tmp_path / "frames.csv"
+        frames.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "process", "--config", str(DATA / "mixed_stored.cfg"),
+                             "--frames", str(frames))
+        assert (code, err) == (0, "")
+        assert "event=raised" in out and "clog=-" in out
+        with open(frames, encoding="utf-8") as fh:
+            items = list(measurement.process_lines(fh, config))
+        assert len({(i.level, i.clog) for i in items}) > measurement.LEVELS_KEPT
+        assert out == record_by_record(items)
 
 
 class TestCalibrateAndMetrics:

@@ -708,3 +708,29 @@ def test_frames_hold_library_values(polynomial):
                for f in frames)
     assert {f.clog for f in frames} == {True, False, None}
     assert no_velocity <= {f.status for f in frames}
+
+
+def test_what_a_level_sets_is_worked_out_once_per_value(monkeypatch):
+    """A level's area, FPCF, wet chords and threshold are worked out once per level value,
+    however its text reads (70.0 and 70.00, 0.0 and -0.0) and however far apart its frames
+    are; a level outside the pipe (nan, 300 mm) sets nothing and gives the diagnostic in
+    its frame's place. 0.0 and -0.0 were worked out apart, and nan and 300 mm once each."""
+    from partialflow import measurement
+
+    calls, area = [], measurement.segment_area
+
+    def counting(level, pipe):
+        calls.append(level)
+        return area(level, pipe)
+
+    monkeypatch.setattr(measurement, "segment_area", counting)
+    texts = ["70.0", "80.0", "70.00", "0.0", "-0.0", "nan", "300.0"]
+    items = _items("".join(f"{k}.0,a,202696.0,202725.0,{texts[k % 7]}\n" for k in range(28)))
+    assert len(calls) == 3
+    assert [type(i) for i in items] == [
+        FrameDiagnostic if texts[k % 7] in ("nan", "300.0") else Frame for k in range(28)]
+    assert [i.detail for i in items if type(i) is FrameDiagnostic] == [
+        f"level {level} mm is not within the pipe (0 to 250 mm)" for level in ("nan", "300.0")
+    ] * 4
+    assert [math.copysign(1.0, i.level) for i in items if type(i) is Frame and not i.level] == [
+        1.0, -1.0] * 4
