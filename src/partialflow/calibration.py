@@ -63,7 +63,7 @@ def fwme(errors: Iterable[tuple[float, float]]) -> float:
 
 
 def calibration_factor(trials: Sequence[TrialRecord]) -> float:
-    """Single multiplicative k_cal: mean of q_ref/q_meas over the trials."""
+    """Single multiplicative k_cal: mean of q_ref/q_meas over the trials, finite and positive."""
     if not trials:
         raise OutOfRangeError("calibration needs at least one trial")
     ratios = []
@@ -73,7 +73,10 @@ def calibration_factor(trials: Sequence[TrialRecord]) -> float:
                 f"measured flow must be positive for calibration, got {t.q_meas_lps!r}"
             )
         ratios.append(t.q_ref_lps / t.q_meas_lps)
-    return math.fsum(ratios) / len(ratios)
+    k_cal = math.fsum(ratios) / len(ratios)  # a ratio may overflow or underflow
+    if not 0 < k_cal < math.inf:
+        raise OutOfRangeError(f"calibration.factor must be finite and positive, got {k_cal!r}")
+    return k_cal
 
 
 def repeatability(samples: Sequence[float]) -> float:

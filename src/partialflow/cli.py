@@ -123,39 +123,42 @@ def cmd_process(args) -> int:
     from .measurement import LEVELS_KEPT, Frame, process_lines
 
     config, _ = resolve_polynomial(load_config(args.config))
-    if ("-" not in (args.frames, args.out) and os.path.isfile(args.out)
-            and os.path.samefile(args.frames, args.out)):  # opening --out would empty it
-        raise PartialFlowError(f"--out {args.out} is the --frames file; it would be emptied")
     frames_seen = diagnostics = raised = cleared = 0
     templates = {}
-    with _stream(args.frames) as src, _stream(args.out, "w") as fh:
-        for item in process_lines(src, config):
-            if type(item) is not Frame:
-                diagnostics += 1
-                where = "" if item.line_no is None else f" line={item.line_no}"
-                when = "" if item.timestamp_s is None else f" ts={item.timestamp_s!r}"
-                fh.write(f"diagnostic{where}{when} detail={item.detail!r}\n")
-                continue
-            ts, level, v, area, fpcf, flow, status, clog, event = item
-            key = (level or repr(level), clog)
-            text = templates.get(key)
-            if text is None:
-                if len(templates) == LEVELS_KEPT:
-                    templates.clear()
-                verdict = "-" if clog is None else (
-                    Verdict.CLOGGING if clog else Verdict.NORMAL).value
-                text = templates[key] = (
-                    f"frame ts=%s level_mm={level!r} v_line_mps=%s area_m2={area!r}"
-                    f" fpcf={fpcf!r} q_lps=%s status={status.value} clog={verdict}\n")
-            fh.write(text % ((ts, "-", "-") if clog is None else (ts, v, 1000.0 * flow)))
-            frames_seen += 1
-            if event is not None:
-                fh.write(f"alarm ts={ts!r} event={event.value} level_mm={level!r}"
-                         f" v_line_mps={v!r}\n")
-                raised += event is AlarmEvent.RAISED
-                cleared += event is AlarmEvent.CLEARED
-        fh.write(f"summary frames={frames_seen} diagnostics={diagnostics}"
-                 f" alarms={raised} clears={cleared}\n")
+    with _stream(args.frames) as src:  # opening --out empties it: refuse the file src reads
+        with contextlib.suppress(io.UnsupportedOperation):  # a stand-in stdin has no fileno
+            if args.out != "-" and os.path.isfile(args.out) and os.path.samestat(
+                    os.fstat(src.fileno()), os.stat(args.out)):
+                raise PartialFlowError(
+                    f"--out {args.out} is the --frames file; it would be emptied")
+        with _stream(args.out, "w") as fh:
+            for item in process_lines(src, config):
+                if type(item) is not Frame:
+                    diagnostics += 1
+                    where = "" if item.line_no is None else f" line={item.line_no}"
+                    when = "" if item.timestamp_s is None else f" ts={item.timestamp_s!r}"
+                    fh.write(f"diagnostic{where}{when} detail={item.detail!r}\n")
+                    continue
+                ts, level, v, area, fpcf, flow, status, clog, event = item
+                key = (level or repr(level), clog)
+                text = templates.get(key)
+                if text is None:
+                    if len(templates) == LEVELS_KEPT:
+                        templates.clear()
+                    verdict = "-" if clog is None else (
+                        Verdict.CLOGGING if clog else Verdict.NORMAL).value
+                    text = templates[key] = (
+                        f"frame ts=%s level_mm={level!r} v_line_mps=%s area_m2={area!r}"
+                        f" fpcf={fpcf!r} q_lps=%s status={status.value} clog={verdict}\n")
+                fh.write(text % ((ts, "-", "-") if clog is None else (ts, v, 1000.0 * flow)))
+                frames_seen += 1
+                if event is not None:
+                    fh.write(f"alarm ts={ts!r} event={event.value} level_mm={level!r}"
+                             f" v_line_mps={v!r}\n")
+                    raised += event is AlarmEvent.RAISED
+                    cleared += event is AlarmEvent.CLEARED
+            fh.write(f"summary frames={frames_seen} diagnostics={diagnostics}"
+                     f" alarms={raised} clears={cleared}\n")
     if diagnostics and not frames_seen:
         print("error: no frame in the input could be estimated", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -62,8 +62,13 @@ class EstimateStatus(Enum):
 
 
 def _transit_velocity(t_up, t_down, path_length_m, cos_angle):
-    """v = L * (t_down - t_up) / (2 * t_up * t_down * cos(theta))."""
-    return path_length_m * (t_down - t_up) / (2.0 * t_up * t_down * cos_angle)
+    """v = L * (t_down - t_up) / (2 * t_up * t_down * cos(theta)), or None if a time is not
+    positive (nan too), the denominator underflows to 0 or v is not finite."""
+    if t_up > 0 and t_down > 0 and (den := 2.0 * t_up * t_down * cos_angle):
+        v = path_length_m * (t_down - t_up) / den
+        if v - v == 0.0:  # finite: inf - inf and nan - nan are nan
+            return v
+    return None
 
 
 def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
@@ -71,11 +76,11 @@ def line_velocity(t_up_s: float, t_down_s: float, chord: ChordSpec) -> float:
 
     Positive when the with-flow pulse is the faster one.
     """
-    if not (math.isfinite(t_up_s) and math.isfinite(t_down_s) and t_up_s > 0 and t_down_s > 0):
-        raise InvalidTimesError(
-            f"transit times must be finite and positive, got t_up={t_up_s!r}, t_down={t_down_s!r}"
-        )
-    return _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
+    v = _transit_velocity(t_up_s, t_down_s, chord.path_length_m, math.cos(chord.beam_angle_rad))
+    if v is None:
+        raise InvalidTimesError(f"transit times must be positive and give a finite velocity, "
+                                f"got t_up={t_up_s!r}, t_down={t_down_s!r}")
+    return v
 
 
 # The values made per row or per frame are named tuples (a run's settings are records):
@@ -97,7 +102,7 @@ def _frames(lines: Iterable[str], config) -> Iterator:
               for c in config.chords]
     index = {c.chord_id: i for i, c in enumerate(config.chords)}
     misfit = f"mm is not within the pipe (0 to {1000 * pipe.diameter_m:g} mm)"
-    isfinite, nan, n_chords = math.isfinite, math.nan, len(chords)
+    isfinite, nan, n_chords, velocity = math.isfinite, math.nan, len(chords), _transit_velocity
     alarm, new = Debounce(config.debounce).step, tuple.__new__  # Frame(...), faster
     decimal = functools.partial(_decimal, float)
 
@@ -122,23 +127,18 @@ def _frames(lines: Iterable[str], config) -> Iterator:
 
     def close():
         """The open frame's ``Frame``, or its diagnostic if its level does not fit the
-        pipe: by the formulas of ``line_velocity``, in the operation order the sums
-        always had."""
+        pipe: each wet chord's velocity by ``line_velocity``'s rule, in the operation
+        order the sums always had."""
         if kind is None:
             return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
         area, fpcf, status, no_v_status, wet, threshold = kind
         num = den = 0.0
         for i, length, cos, weight in wet:
             if ups[i] is not None:
-                t_up, t_down = ups[i] * 1e-9, downs[i] * 1e-9
-                if t_up > 0 and t_down > 0:
-                    try:
-                        v = _transit_velocity(t_up, t_down, length, cos)
-                    except ZeroDivisionError:  # the denominator underflowed: v is not finite
-                        continue
-                    if isfinite(v):
-                        num += weight * v
-                        den += weight
+                v = velocity(ups[i] * 1e-9, downs[i] * 1e-9, length, cos)
+                if v is not None:
+                    num += weight * v
+                    den += weight
         if den > 0:
             v = num / den
             clog = v < threshold
@@ -211,7 +211,7 @@ def process_lines(lines: Iterable[str], config) -> Iterator:
     timestamp or whose level differs from their frame's first row, an unknown chord's
     row and a chord's second row become diagnostics; the rest of the frame counts. A
     frame whose level does not fit the pipe becomes a diagnostic in its place. Wet
-    chords with finite, positive times count, summed in configuration order; a frame
+    chords whose times ``line_velocity`` accepts count, summed in configuration order; a frame
     without any leaves the alarm state untouched. A level outside the polynomial's
     validity range, or where its value is not finite and positive, gets FPCF = 1 and
     ``fpcf_out_of_range``.

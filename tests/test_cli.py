@@ -1,6 +1,9 @@
 import io
 import math
+import os
 import re
+import shlex
+import subprocess
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -422,6 +425,26 @@ class TestProcessCommand:
         assert run(capsys, "process", "--frames", "gone.csv", "--out", spelling) == (
             1, "", "error: [Errno 2] No such file or directory: 'gone.csv'\n")
 
+    def test_out_over_its_own_stdin_is_refused(self, tmp_path):
+        # the shell's < opened X, and --out emptied it before the first row was read: the
+        # log became one summary line of no frames, and the command exited 0
+        log = (DATA / "mixed_frames.csv").read_bytes()
+        (tmp_path / "X").write_bytes(log)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(DATA.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+
+        def process(redirect: str) -> subprocess.CompletedProcess:
+            command = f"{shlex.quote(sys.executable)} -m partialflow.cli process {redirect}"
+            return subprocess.run(["sh", "-c", command], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=60)
+
+        refused = process("--out X < X")
+        assert (refused.returncode, refused.stdout) == (1, "")
+        assert refused.stderr == "error: --out X is the --frames file; it would be emptied\n"
+        assert (tmp_path / "X").read_bytes() == log
+        # /dev/null is no regular file: reading and writing it empties nothing
+        assert process("--out /dev/null < /dev/null").returncode == 0
+
     @pytest.mark.parametrize("levels", ["new", "quantized"])
     def test_output_past_the_template_bound_is_the_oracle(self, capsys, tmp_path, levels):
         """More frames than ``LEVELS_KEPT``, each with a new level (the record templates
@@ -471,6 +494,18 @@ class TestCalibrateAndMetrics:
         assert out.startswith("calibration.factor = ")
         k = float(out.split("=")[1])
         assert k == pytest.approx(1.0 / 1.05, rel=1e-9)
+
+    @pytest.mark.parametrize("row", ["1,2,2.0,1e-320", "1,2,1e-300,1e300"],
+                             ids=["overflow", "underflow"])
+    def test_calibrate_refuses_a_factor_no_reader_takes(self, capsys, tmp_path, row):
+        # q_ref / q_meas overflowed to inf or underflowed to 0.0: calibrate wrote it and
+        # exited 0, and a config holding it, or metrics --k-cal with it, was refused
+        trials, out = tmp_path / "trials.csv", tmp_path / "k.cfg"
+        trials.write_text(f"segment_id,flow_label,q_ref_lps,q_meas_lps\n{row}\n")
+        code, stdout, err = run(capsys, "calibrate", "--trials", str(trials), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: calibration.factor must be finite and positive, got ")
+        assert not out.exists()
 
     TABLE = ("    flow   q_ref_lps   error_pct\n"
              "       2      2.0000      5.5000\n"

@@ -4,7 +4,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from partialflow import (
     AlarmEvent,
@@ -69,9 +69,13 @@ class TestLineVelocity:
         backward = line_velocity(t_down, t_up, CHORD_A)
         assert backward == -forward
 
-    @pytest.mark.parametrize("t_up,t_down", [(math.nan, 2e-4), (2e-4, math.inf)])
+    # (1e-200, 2e-200): 2 * t_up * t_down * cos(theta) underflowed to 0, which raised
+    # ZeroDivisionError; (5e-324, 1.0): v overflowed, and inf was returned; process leaves
+    # either chord out
+    @pytest.mark.parametrize("t_up,t_down", [(math.nan, 2e-4), (2e-4, math.inf),
+                                             (1e-200, 2e-200), (5e-324, 1.0)])
     def test_non_finite_times_rejected(self, t_up, t_down):
-        with pytest.raises(InvalidTimesError):
+        with pytest.raises(InvalidTimesError, match=f"t_up={t_up!r}, t_down={t_down!r}"):
             line_velocity(t_up, t_down, CHORD_A)
 
     def test_nonpositive_times_rejected(self):
@@ -79,6 +83,27 @@ class TestLineVelocity:
             line_velocity(0.0, 1e-4, CHORD_A)
         with pytest.raises(InvalidTimesError):
             line_velocity(1e-4, -1e-4, CHORD_A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+           st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    @example(1e-191, 2e-191)  # the denominator underflows
+    @example(5e-315, 1e9)  # v overflows
+    def test_a_chord_counts_where_line_velocity_gives_a_velocity(self, up_ns, down_ns):
+        """One rule for the frame path and ``line_velocity``: a pair that gives a finite
+        float keeps the chord of a one-chord frame, with that velocity, and a pair that
+        raises ``InvalidTimesError`` leaves it out; nothing else is raised."""
+        try:
+            v = line_velocity(up_ns * 1e-9, down_ns * 1e-9, CHORD_A)
+        except InvalidTimesError:
+            v = None
+        else:
+            assert type(v) is float and math.isfinite(v)
+        (frame,) = _items(f"0.0,a,{up_ns!r},{down_ns!r},85.0\n")
+        if v is None:
+            assert frame.status is EstimateStatus.INVALID_TIMES and math.isnan(frame.v_line)
+        else:
+            assert (frame.status, frame.v_line) == (EstimateStatus.OK, v)
 
 
 class TestChordSpec:
