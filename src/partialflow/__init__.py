@@ -19,17 +19,18 @@ _EXPORTS = {
     "calibration": ("ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"),
     "clogging": ("AlarmEvent", "Debounce", "DecisionBoundary", "Verdict", "classify"),
-    "config": ("RunConfig", "default_config", "load_config", "parse_config"),
+    "config": ("EntropyParams", "FitResult", "FpcfPolynomial", "RunConfig", "default_config",
+               "load_config", "parse_config"),
     "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
                "OutOfRangeError", "PartialFlowError", "QuadratureError"),
-    "fpcf": ("FitResult", "FpcfPolynomial", "fit_polynomial", "fpcf", "mean_area_velocity",
-             "mean_chord_velocity", "tabulate_fpcf"),
+    "fpcf": ("fit_polynomial", "fpcf", "mean_area_velocity", "mean_chord_velocity",
+             "tabulate_fpcf"),
     "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
                  "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"),
     "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
                     "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"),
-    "profile": ("DipPositionPoly", "EntropyParams", "ProfileModel", "ProfilePoint",
-                "normalized_velocity", "profile_grid"),
+    "profile": ("DipPositionPoly", "ProfileModel", "ProfilePoint", "normalized_velocity",
+                "profile_grid"),
     "quadrature": ("QuadratureSpec", "adaptive_integrate"),
     "simulator": ("ScenarioSpec", "WeirMode", "baseline_level_mm", "chord_velocity_from_truth",
                   "generate", "transit_times", "weir_shift"),

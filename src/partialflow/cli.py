@@ -14,9 +14,10 @@ import math
 import os
 import sys
 
-# Each command imports the layers it runs, so calibrate, metrics and --help load none of
-# the FPCF stack nor clogging; calibration stays here, where the benchmark's tracer
-# expects to find it loaded after any command has run.
+# Each command imports the layers it runs: calibrate, metrics and --help no other; process
+# config, measurement, clogging and geometry; fpcf, fit, profile, simulate and a derived
+# process also fpcf, profile and quadrature. calibration stays here, where the benchmark's
+# tracer expects to find it loaded after any command has run.
 from .calibration import (
     _csv_rows,
     _decimal,
@@ -129,8 +130,8 @@ def cmd_process(args) -> int:
         with contextlib.suppress(io.UnsupportedOperation):  # a stand-in stdin has no fileno
             if args.out != "-" and os.path.isfile(args.out) and os.path.samestat(
                     os.fstat(src.fileno()), os.stat(args.out)):
-                raise PartialFlowError(
-                    f"--out {args.out} is the --frames file; it would be emptied")
+                read = "file process reads on stdin" if args.frames == "-" else "--frames file"
+                raise PartialFlowError(f"--out {args.out} is the {read}; it would be emptied")
         with _stream(args.out, "w") as fh:
             for item in process_lines(src, config):
                 if type(item) is not Frame:
@@ -195,6 +196,8 @@ def cmd_simulate(args) -> int:
 
     config = load_config(args.config)
     level = args.level_mm if args.level_mm is not None else baseline_level_mm(args.flow_lps)
+    if not 0 <= (noise := vars(args).get("noise_ns", 0.0)) < math.inf:  # as typed, not in s
+        raise PartialFlowError(f"--noise-ns must be finite and non-negative, got {noise:g}")
     # a flag left out is not in args, and its field keeps ScenarioSpec's default
     given = {field: convert(getattr(args, flag)) for flag, field, convert in (
         ("weir", "weir", WeirMode), ("noise_ns", "noise_sigma_s", lambda ns: ns * 1e-9),

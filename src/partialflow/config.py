@@ -1,4 +1,4 @@
-"""Flat key/value run configuration.
+"""Flat key/value run configuration, and the values a run reads from it.
 
 One ``key = value`` pair per line, ``#`` comments, no sections. Floats are
 emitted with ``repr`` so a written document parses back bit-exactly. A key
@@ -6,22 +6,86 @@ left out takes the default of the record field it sets.
 """
 
 import math
+from collections import namedtuple
 from typing import Optional
 
 from ._record import record
 from .calibration import _decimal
 from .clogging import DecisionBoundary
 from .errors import ConfigError, OutOfRangeError
-from .fpcf import (POLY_DEGREE, FitResult, FpcfPolynomial, fit_polynomial, lowest_chord_mm,
-                   table_levels, tabulate_fpcf)
 from .geometry import PipeGeometry, chord_half_width
 from .measurement import ChordSpec
-from .profile import EntropyParams
-from .quadrature import DEFAULT_QUADRATURE
 
 # The reference rig: a 250 mm pipe, its chords crossed at 45 degrees.
 _PIPE_DIAMETER_MM = 250.0
 _BEAM_ANGLE_DEG = 45.0
+
+# The degree of the correction polynomial: the paper fits c0..c6.
+POLY_DEGREE = 6
+
+
+@record
+class EntropyParams:
+    """Entropy parameters M (dimensionless) and q (non-extensive) of the velocity
+    distribution; the defaults are the model's calibrated constants."""
+
+    m: float = 0.89
+    q: float = 1.15
+
+    def __post_init__(self):
+        if not 0 < self.m < 1:
+            raise OutOfRangeError(f"M must lie in (0, 1), got {self.m!r}")
+        if not 1 < self.q < math.inf:
+            raise OutOfRangeError(f"q must be finite and exceed 1, got {self.q!r}")
+
+    @property
+    def tail_weight(self) -> float:
+        """(1-M)^(q/(q-1)); the additive constant inside the velocity bracket."""
+        return (1.0 - self.m) ** (self.q / (self.q - 1.0))
+
+
+@record
+class FpcfPolynomial:
+    """Power-basis coefficients c0..cN over level in mm, with validity range."""
+
+    coeffs: tuple[float, ...]
+    h_min_mm: float
+    h_max_mm: float
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, self.coeffs)):
+            raise OutOfRangeError(f"FPCF coefficients must be finite, got {self.coeffs!r}")
+        if not -math.inf < self.h_min_mm < self.h_max_mm < math.inf:
+            raise OutOfRangeError(
+                f"invalid validity range [{self.h_min_mm!r}, {self.h_max_mm!r}]"
+            )
+
+    def __call__(self, level_mm: float) -> float:
+        """c0 + c1*H + ... + cN*H^N at a level H in mm, by Horner's rule, unguarded:
+        checking ``h_min_mm <= H <= h_max_mm`` is the caller's."""
+        acc = 0.0
+        for c in reversed(self.coeffs):
+            acc = acc * level_mm + c
+        return acc
+
+
+FitResult = namedtuple("FitResult", "polynomial rms_residual max_residual")
+
+
+def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> list[float]:
+    """The levels ``fpcf.tabulate_fpcf`` takes from h_min to h_max in steps of step; the
+    last, which the count's slack can round past h_max, is taken at it."""
+    count = int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
+    return [min(h_min_mm + k * step_mm, h_max_mm) for k in range(count)]
+
+
+def lowest_chord_mm(config) -> float:
+    """The height of a ``RunConfig``'s lowest chord, where its FPCF table is taken,
+    checked to lie at or below ``fpcf.h_min_mm``: below it the chord is dry."""
+    lowest, lo = min(c.height_mm for c in config.chords), config.fpcf_h_min_mm
+    if lo < lowest:
+        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord at {lowest:g} mm")
+    return lowest
 
 
 @record
@@ -37,7 +101,11 @@ class RunConfig:
     k_cal: float = 1.0
     boundary: DecisionBoundary = DecisionBoundary()
     debounce: int = 5
-    quad = DEFAULT_QUADRATURE  # not a field: every run integrates to one tolerance
+
+    @property
+    def quad(self):  # not a field: every run integrates to one tolerance
+        from .quadrature import DEFAULT_QUADRATURE
+        return DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if self.fpcf_h_max_mm is None:
@@ -252,6 +320,7 @@ def resolve_polynomial(config: RunConfig) -> tuple[RunConfig, Optional[FitResult
     """The run's config with its polynomial set, and the fit that derived it, if one did."""
     if config.poly is not None or not config.fpcf_derive:
         return config, None
+    from .fpcf import fit_polynomial, tabulate_fpcf  # the design-time stack, run here only
     fit = fit_polynomial(tabulate_fpcf(config))
     return RunConfig(**{**vars(config), "poly": fit.polynomial}), fit
 

@@ -1,5 +1,5 @@
-"""Flow Profile Correction Factor: profile integrals, tabulation, and the
-fitted polynomial used at run time.
+"""Flow Profile Correction Factor at design time: profile integrals, tabulation and
+the polynomial fit, which ``config.FpcfPolynomial`` applies at run time.
 
 The correction factor is the area-mean normalized velocity divided by the
 chord-mean normalized velocity at the sensor height. Both integrals run on
@@ -9,51 +9,14 @@ wall) so the near-wall algebraic behavior does not stall refinement.
 
 import math
 import sys
-from collections import namedtuple
 from operator import mul
 
-from ._record import record
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    DryPathError,
-    OutOfRangeError,
-    PartialFlowError,
-)
+from .config import POLY_DEGREE, FitResult, FpcfPolynomial, lowest_chord_mm, table_levels
+from .errors import (ConfigError, DegenerateProfileError, DryPathError, OutOfRangeError,
+                     PartialFlowError)
 from .geometry import WaterLevel, chord_half_width, segment_area
 from .profile import ProfileModel, _velocity
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _axis
-
-# The degree of the correction polynomial: the paper fits c0..c6.
-POLY_DEGREE = 6
-
-
-@record
-class FpcfPolynomial:
-    """Power-basis coefficients c0..cN over level in mm, with validity range."""
-
-    coeffs: tuple[float, ...]
-    h_min_mm: float
-    h_max_mm: float
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, self.coeffs)):
-            raise OutOfRangeError(f"FPCF coefficients must be finite, got {self.coeffs!r}")
-        if not -math.inf < self.h_min_mm < self.h_max_mm < math.inf:
-            raise OutOfRangeError(
-                f"invalid validity range [{self.h_min_mm!r}, {self.h_max_mm!r}]"
-            )
-
-    def __call__(self, level_mm: float) -> float:
-        """c0 + c1*H + ... + cN*H^N at a level H in mm, by Horner's rule, unguarded:
-        checking ``h_min_mm <= H <= h_max_mm`` is the caller's."""
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * level_mm + c
-        return acc
-
-
-FitResult = namedtuple("FitResult", "polynomial rms_residual max_residual")
 
 
 def _u_nodes(n_panels: int, power: float) -> list[tuple[float, float, float]]:
@@ -127,22 +90,6 @@ def fpcf(
             f"FPCF undefined at Y={chord_height_m:g} m, H={model.level.level_m:g} m: area mean "
             f"{v_area:g} over chord mean {v_line:g} is not finite and positive")
     return ratio
-
-
-def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> list[float]:
-    """The levels ``tabulate_fpcf`` takes from h_min to h_max in steps of step; the last,
-    which the count's slack can round past h_max, is taken at it."""
-    count = int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
-    return [min(h_min_mm + k * step_mm, h_max_mm) for k in range(count)]
-
-
-def lowest_chord_mm(config) -> float:
-    """The height of a ``RunConfig``'s lowest chord, where its FPCF table is taken,
-    checked to lie at or below ``fpcf.h_min_mm``: below it the chord is dry."""
-    lowest, lo = min(c.height_mm for c in config.chords), config.fpcf_h_min_mm
-    if lo < lowest:
-        raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord at {lowest:g} mm")
-    return lowest
 
 
 def tabulate_fpcf(config) -> list[tuple[float, float]]:

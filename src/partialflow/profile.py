@@ -11,12 +11,9 @@ import math
 from collections import namedtuple
 
 from ._record import record
+from .config import EntropyParams
 from .errors import OutOfRangeError
 from .geometry import PipeGeometry, WaterLevel
-
-# Calibrated entropy constants for the velocity-distribution model.
-DEFAULT_M = 0.89
-DEFAULT_Q = 1.15
 
 # Cubic in H/D giving the dip position h/H. Highest degree first is NOT
 # used here: coefficients are (c3, c2, c1, c0). The linear coefficient is
@@ -28,25 +25,6 @@ DEFAULT_DIP_COEFFS = (1.78, -2.46, 0.18, 1.00)
 
 # Floor keeps ln(h') finite; the cubic itself stays well above this.
 DIP_RATIO_FLOOR = 1e-3
-
-
-@record
-class EntropyParams:
-    """Entropy parameters M (dimensionless) and q (non-extensive)."""
-
-    m: float = DEFAULT_M
-    q: float = DEFAULT_Q
-
-    def __post_init__(self):
-        if not 0 < self.m < 1:
-            raise OutOfRangeError(f"M must lie in (0, 1), got {self.m!r}")
-        if not 1 < self.q < math.inf:
-            raise OutOfRangeError(f"q must be finite and exceed 1, got {self.q!r}")
-
-    @property
-    def tail_weight(self) -> float:
-        """(1-M)^(q/(q-1)); the additive constant inside the velocity bracket."""
-        return (1.0 - self.m) ** (self.q / (self.q - 1.0))
 
 
 @record

@@ -13,11 +13,12 @@ from enum import Enum
 from typing import Iterable
 
 from ._record import record
+from .config import EntropyParams
 from .errors import OutOfRangeError
 from .fpcf import fpcf
 from .geometry import PipeGeometry, WaterLevel, segment_area
 from .measurement import ChordReading, ChordSpec, SensorFrame
-from .profile import EntropyParams, ProfileModel
+from .profile import ProfileModel
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 
 DEFAULT_SOUND_SPEED = 1480.0  # m/s, water near 20 degC

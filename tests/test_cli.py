@@ -440,7 +440,8 @@ class TestProcessCommand:
 
         refused = process("--out X < X")
         assert (refused.returncode, refused.stdout) == (1, "")
-        assert refused.stderr == "error: --out X is the --frames file; it would be emptied\n"
+        assert refused.stderr == ("error: --out X is the file process reads on stdin; it would "
+                                  "be emptied\n")
         assert (tmp_path / "X").read_bytes() == log
         # /dev/null is no regular file: reading and writing it empties nothing
         assert process("--out /dev/null < /dev/null").returncode == 0
@@ -735,13 +736,20 @@ class TestExitCodes:
          "flow_lps must be finite and non-negative, got inf"),
         (["--flow-lps", "-1"], "flow_lps must be finite and non-negative, got -1.0"),
         (["--flow-lps", "3", "--noise-ns", "inf"],
-         "noise_sigma_s must be finite and non-negative, got inf"),
+         "--noise-ns must be finite and non-negative, got inf"),
         (["--flow-lps", "3", "--noise-ns", "nan"],
-         "noise_sigma_s must be finite and non-negative, got nan"),
+         "--noise-ns must be finite and non-negative, got nan"),
     ], ids=["flow_nan", "flow_inf", "flow_neg", "noise_inf", "noise_nan"])
     def test_simulate_names_the_refused_field(self, capsys, argv, message):
         # a non-finite flow or noise printed the whole ScenarioSpec(...) record
         assert run(capsys, "simulate", *argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("noise", ["-1", "-0.25"])
+    def test_negative_noise_is_refused_as_typed(self, capsys, noise):
+        # --noise-ns -1 said "noise_sigma_s must be finite and non-negative, got -1e-09":
+        # a field and a unit, seconds, that the command line does not use
+        message = f"error: --noise-ns must be finite and non-negative, got {noise}\n"
+        assert run(capsys, "simulate", "--flow-lps", "3", "--noise-ns", noise) == (1, "", message)
 
     def test_missing_input_file_exits_1(self, capsys):
         code, _, _ = run(capsys, "metrics", "--trials", "/nonexistent.csv")

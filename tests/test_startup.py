@@ -267,6 +267,47 @@ def test_process_imports_nothing_between_frame_records(lazy_child):
     assert len(set(modules)) == 1
 
 
+# Imports partialflow.config, runs the command line after ``-c`` through ``main`` if one
+# is given, and prints the package modules then loaded.
+GRAPH_PROBE = """
+import contextlib, io, json, sys
+import partialflow.config
+if sys.argv[1:]:
+    import partialflow.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert partialflow.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("partialflow"))))
+"""
+
+
+def _graph(*argv) -> list:
+    out = subprocess.run([sys.executable, "-c", GRAPH_PROBE, *argv], env=_base_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+def test_process_loads_only_the_run_time_layers(tmp_path):
+    """A run applies a stored polynomial, or none, per frame: config holds the values it
+    reads, and the profile, quadrature and FPCF layers that derive a polynomial stay
+    unloaded."""
+    from partialflow.cli import main
+
+    coeffs, frames = tmp_path / "coeffs.cfg", tmp_path / "frames.csv"
+    coeffs.write_text(COEFFS, encoding="utf-8")
+    assert main(["simulate", "--flow-lps", "3", "--frames", "20", "--out", str(frames)]) == 0
+    run_time = ["partialflow", *(f"partialflow.{layer}" for layer in (
+        "_record", "calibration", "cli", "clogging", "config", "errors", "geometry",
+        "measurement"))]
+    assert _graph("process", "--config", str(coeffs), "--frames", str(frames)) == run_time
+    assert _graph("process", "--frames", str(frames)) == run_time
+
+
+def test_config_import_loads_no_fpcf_stack():
+    assert not {"partialflow.fpcf", "partialflow.profile", "partialflow.quadrature"} & {
+        *_graph()}
+
+
 # Runs the program the way ``python -m partialflow.cli`` does, or the way the
 # ``partialflow`` script calls its pyproject.toml target, with the command line after
 # ``-c``; at exit it reports the freeze count on stderr.
