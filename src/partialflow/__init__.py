@@ -25,8 +25,7 @@ _EXPORTS = {
                "OutOfRangeError", "PartialFlowError", "QuadratureError"),
     "fpcf": ("fit_polynomial", "fpcf", "mean_area_velocity", "mean_chord_velocity",
              "tabulate_fpcf"),
-    "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "hydraulic_diameter",
-                 "reynolds", "segment_area", "wetted_angle", "wetted_perimeter"),
+    "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "reynolds", "segment_area"),
     "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
                     "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"),
     "profile": ("DipPositionPoly", "ProfileModel", "ProfilePoint", "normalized_velocity",

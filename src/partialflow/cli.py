@@ -12,6 +12,7 @@ import gc
 import io
 import math
 import os
+import re
 import sys
 
 # Each command imports the layers it runs: calibrate, metrics and --help no other; process
@@ -28,12 +29,14 @@ from .calibration import (
     format_error_table,
     read_trials,
 )
-from .errors import ConfigError, DegenerateProfileError, PartialFlowError
+from .errors import ConfigError, DegenerateProfileError, OutOfRangeError, PartialFlowError
 
 # The values of simulator.WeirMode, in order, written out so that building the parser
 # does not import the simulator and the FPCF stack under it.
 _WEIR_TEXT = ("none", "weir1", "weir2")
 _FPCF_CSV_HEADER = "H_mm,fpcf"  # written by fpcf, read by fit
+# argparse takes -inf, -1e3 or -1. after a flag for an option: main joins it, --flag=-inf
+_NEGATIVE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 1
@@ -70,7 +73,10 @@ def cmd_profile(args) -> int:
     from .profile import ProfileModel, profile_grid
 
     config = load_config(args.config)
-    model = ProfileModel(config.pipe, WaterLevel(args.level_mm / 1000.0), config.params)
+    try:  # the level's records word a refusal in metres: it names the flag as typed
+        model = ProfileModel(config.pipe, WaterLevel(args.level_mm / 1000.0), config.params)
+    except OutOfRangeError as exc:
+        raise OutOfRangeError(f"{exc} for --level-mm {args.level_mm:g}") from None
     v_area = mean_area_velocity(model, config.quad)  # fpcf() refuses every chord unless > 0
     if not 0 < v_area < math.inf:
         raise DegenerateProfileError(f"profile undefined at H={model.level.level_m:g} m: area "
@@ -191,11 +197,17 @@ def cmd_metrics(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .config import load_config
+    from .geometry import WaterLevel
     from .measurement import write_frame_rows
     from .simulator import ScenarioSpec, WeirMode, baseline_level_mm, generate
 
     config = load_config(args.config)
     level = args.level_mm if args.level_mm is not None else baseline_level_mm(args.flow_lps)
+    if args.level_mm is not None:  # refused by the level's records, named as in profile
+        try:
+            WaterLevel(level / 1000.0).check_against(config.pipe)
+        except OutOfRangeError as exc:
+            raise OutOfRangeError(f"{exc} for --level-mm {level:g}") from None
     if not 0 <= (noise := vars(args).get("noise_ns", 0.0)) < math.inf:  # as typed, not in s
         raise PartialFlowError(f"--noise-ns must be finite and non-negative, got {noise:g}")
     # a flag left out is not in args, and its field keeps ScenarioSpec's default
@@ -285,8 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and _NEGATIVE.match(argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

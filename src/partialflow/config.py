@@ -277,9 +277,10 @@ def parse_config(text: str) -> RunConfig:
                     half_width = chord_half_width(height / 1000.0, pipe)
                     values["path_length_m"] = 2.0 * half_width / math.sin(angle)
                 chords.append(ChordSpec(chord_id, beam_angle_rad=angle, **values))
-            except OutOfRangeError as exc:
+            except OutOfRangeError as exc:  # a derived path names the height it came from
+                derived = "path_length_m" in values.keys() - fields.keys()
                 keys = ", ".join(f"chord.{chord_id}.{k} = {v}"
-                                 for k, v in fields.items() if k != "height_mm")
+                                 for k, v in fields.items() if k != "height_mm" or derived)
                 raise ConfigError(f"{exc} for {keys}") from exc
 
         run = given[RunConfig]

@@ -55,7 +55,8 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
     2h' fall below the surface: the profile has kinks there. Beyond two panels per piece
     the u axis, along each row, doubles first: it carries most of the error."""
     height, diameter, dip = model.level.level_m, model.pipe.diameter_m, model.dip_height_m
-    if height <= 0:
+    area = segment_area(model.level, model.pipe)  # 0 wherever the wetted angle rounds to 0
+    if not area > 0:
         raise OutOfRangeError("area mean undefined for an empty pipe")
     kinks = [2.0 / math.pi * math.asin(math.sqrt(z / height))
              for z in (dip, 2.0 * dip) if z < height]
@@ -71,7 +72,7 @@ def mean_area_velocity(model: ProfileModel, quad: QuadratureSpec = DEFAULT_QUADR
         return total
 
     value, _ = quad.refine(estimate)
-    return value / segment_area(model.level, model.pipe)
+    return value / area
 
 
 def fpcf(

@@ -69,23 +69,14 @@ def chord_half_width(y: float, pipe: PipeGeometry) -> float:
     return math.sqrt(max(r * r - (y - r) ** 2, 0.0))
 
 
-def wetted_perimeter(level: WaterLevel, pipe: PipeGeometry) -> float:
-    """Wetted-wall arc length (m); the free surface is not included."""
-    return pipe.radius_m * wetted_angle(level, pipe)
-
-
-def hydraulic_diameter(level: WaterLevel, pipe: PipeGeometry) -> float:
-    """D_h = 4A/P with P the wetted perimeter (free surface excluded)."""
-    if level.level_m <= 0:
-        raise OutOfRangeError("hydraulic diameter undefined at zero level (zero perimeter)")
-    return 4.0 * segment_area(level, pipe) / wetted_perimeter(level, pipe)
-
-
 def reynolds(flow_rate_m3s: float, level: WaterLevel, pipe: PipeGeometry) -> float:
-    """Reynolds number (Q/A) * D_h / nu of water near 20 degC in the partially filled section."""
+    """Reynolds number (Q/A) * D_h / nu of water near 20 degC, with D_h = 4A/P and the wetted
+    wall P = (D/2) theta (the free surface is not wall): 4Q / (nu (D/2) theta)."""
     if not 0 <= flow_rate_m3s < math.inf:
         raise OutOfRangeError(f"flow rate must be finite and non-negative, got {flow_rate_m3s!r}")
     if flow_rate_m3s == 0:
         return 0.0
-    velocity = flow_rate_m3s / segment_area(level, pipe)
-    return velocity * hydraulic_diameter(level, pipe) / KINEMATIC_VISCOSITY
+    if (theta := wetted_angle(level, pipe)) == 0:
+        raise OutOfRangeError(f"Reynolds number undefined at level {level.level_m:g} m: "
+                              "no wetted wall")
+    return 4.0 * flow_rate_m3s / (pipe.radius_m * theta * KINEMATIC_VISCOSITY)

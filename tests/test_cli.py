@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from itertools import zip_longest
 from pathlib import Path
 
@@ -1081,3 +1082,89 @@ def test_underscore_chord_ids_skip_the_digit_separator_rule(capsys, tmp_path, mo
     frames, cfg = underscore_ids(tmp_path, "stored")
     assert run(capsys, "process", "--config", cfg, "--frames", frames)[0] == 0
     assert calls == ["timestamp_s", "1_0", "Timestamp_s", "timestamp_s"]
+
+
+VANISHING_CHORD = ("chord.a.height_mm = 1e-297\nchord.a.path_length_m = 0.3\n"
+                   "fpcf.h_min_mm = 1e-297\n")
+VANISHING_FPCF = ("config error: FPCF tabulation failed at H = 1e-297 mm: area mean undefined "
+                  "for an empty pipe; the profile (entropy.m = 0.89, entropy.q = 1.15) gives "
+                  "none at the first level, fpcf.h_min_mm (1e-297)")
+HOSTILE = {  # id: (config text or None, argv, exit code, the one line on stderr)
+    # a level whose wetted angle rounds to 0 has no area: each ended in ZeroDivisionError
+    "profile_vanishing_level": (None, ["profile", "--level-mm", "1e-297"], 1,
+                                "error: area mean undefined for an empty pipe"),
+    "fpcf_vanishing_chord": (VANISHING_CHORD, ["fpcf"], 2, VANISHING_FPCF),
+    "process_derives_at_a_vanishing_chord": (VANISHING_CHORD + "fpcf.derive = true\n",
+                                             ["process", "--frames", "{empty}"], 2,
+                                             VANISHING_FPCF),
+    "simulate_vanishing_level": (VANISHING_CHORD, ["simulate", "--flow-lps", "3", "--level-mm",
+                                                   "1e-296"], 1,
+                                 "error: area mean undefined for an empty pipe"),
+    # a negative number that argparse's pattern misses was taken for an option
+    "noise_minus_inf": (None, ["simulate", "--flow-lps", "3", "--noise-ns", "-inf"], 1,
+                        "error: --noise-ns must be finite and non-negative, got -inf"),
+    "noise_minus_nan": (None, ["simulate", "--flow-lps", "3", "--noise-ns", "-nan"], 1,
+                        "error: --noise-ns must be finite and non-negative, got nan"),
+    "level_exponent": (None, ["simulate", "--flow-lps", "3", "--level-mm", "-1e3"], 1,
+                       "error: water level must be finite, non-negative, got -1.0 "
+                       "for --level-mm -1000"),
+    "k_cal_minus_inf": (None, ["metrics", "--trials", "{trials}", "--k-cal", "-inf"], 1,
+                        "error: k_cal must be finite and positive, got -inf"),
+    "k_cal_trailing_dot": (None, ["metrics", "--trials", "{trials}", "--k-cal", "-1."], 1,
+                           "error: k_cal must be finite and positive, got -1.0"),
+    "nx_exponent": (None, ["profile", "--level-mm", "100", "--nx", "-1e3"], 2,
+                    "partialflow profile: error: argument --nx: invalid int value: '-1e3'"),
+    # a refused --level-mm was given in metres and not named
+    "profile_level_above_the_crown": (None, ["profile", "--level-mm", "300"], 1,
+                                      "error: water level 0.3 m exceeds pipe diameter 0.25 m "
+                                      "for --level-mm 300"),
+    "simulate_level_above_the_crown": (None, ["simulate", "--flow-lps", "3", "--level-mm", "300"],
+                                       1, "error: water level 0.3 m exceeds pipe diameter 0.25 m "
+                                       "for --level-mm 300"),
+    "profile_negative_level": (None, ["profile", "--level-mm=-1e3"], 1,
+                               "error: water level must be finite, non-negative, got -1.0 "
+                               "for --level-mm -1000"),
+    # the derived path was refused "for " and no key
+    "derived_path_underflows": ("chord.a.height_mm = 1e-298\n", ["process", "--frames",
+                                                                 "{empty}"], 2,
+                                "config error: path length must be finite and positive, got "
+                                "0.0 for chord.a.height_mm = 1e-298"),
+}
+
+
+def _main_exit(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own refusal
+        return exc.code
+
+
+@pytest.mark.parametrize("text,argv,code,line", HOSTILE.values(), ids=HOSTILE)
+def test_hostile_input_is_refused_in_one_line(capsys, tmp_path, text, argv, code, line):
+    """Each refusal exits 1 or 2 with nothing on stdout and one line on stderr, within a
+    second, with no exception out of ``main``; each flag given as ``--flag value`` does
+    exactly as ``--flag=value``. Only argparse's own refusal prints its usage first."""
+    (tmp_path / "trials.csv").write_text("1,2,2.0,2.02\n1,4,4.0,4.05\n")
+    (tmp_path / "empty.csv").write_text("")
+    argv = [a.format(trials=tmp_path / "trials.csv", empty=tmp_path / "empty.csv") for a in argv]
+    if text is not None:
+        (tmp_path / "run.cfg").write_text(text)
+        argv[1:1] = ["--config", str(tmp_path / "run.cfg")]
+    joined = []
+    for arg in argv:
+        if joined and joined[-1].startswith("--") and "=" not in joined[-1] and arg[:2] != "--":
+            joined[-1] += f"={arg}"
+        else:
+            joined.append(arg)
+    results = []
+    for form in (argv, joined):
+        start = time.perf_counter()
+        results.append((_main_exit(form), *capsys.readouterr()))
+        assert time.perf_counter() - start < 1.0
+    assert results[0] == results[1]
+    got, out, err = results[0]
+    assert (got, out) == (code, "")
+    if line.startswith("partialflow "):  # argparse's own refusal
+        assert err.startswith("usage: partialflow ") and err.endswith(f"\n{line}\n")
+    else:
+        assert err == f"{line}\n"

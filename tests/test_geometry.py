@@ -8,12 +8,10 @@ from partialflow import (
     PipeGeometry,
     WaterLevel,
     chord_half_width,
-    hydraulic_diameter,
     reynolds,
     segment_area,
-    wetted_angle,
-    wetted_perimeter,
 )
+from partialflow.geometry import KINEMATIC_VISCOSITY, wetted_angle
 
 PIPE = PipeGeometry(0.250)
 FULL_AREA = math.pi * 0.250**2 / 4.0
@@ -77,22 +75,33 @@ def test_chord_half_width():
         chord_half_width(0.26, PIPE)
 
 
-def test_hydraulic_diameter():
-    assert hydraulic_diameter(WaterLevel(0.250), PIPE) == pytest.approx(0.250, rel=1e-12)
-    assert hydraulic_diameter(WaterLevel(0.065), PIPE) == pytest.approx(0.1516, abs=1e-4)
-    assert hydraulic_diameter(WaterLevel(0.100), PIPE) == pytest.approx(0.2142, abs=1e-4)
-    with pytest.raises(OutOfRangeError):
-        hydraulic_diameter(WaterLevel(0.0), PIPE)
+def test_reynolds_at_a_full_pipe_is_that_of_the_bore():
+    # D_h = 4A/P is the bore D at a full pipe, so Re = (Q/A) D / nu = 4Q / (pi D nu)
+    expected = 4.0 * 0.004 / (math.pi * 0.250 * KINEMATIC_VISCOSITY)
+    assert reynolds(0.004, WaterLevel(0.250), PIPE) == pytest.approx(expected, rel=1e-12)
 
 
-def test_wetted_perimeter_excludes_free_surface():
-    assert wetted_perimeter(WaterLevel(0.125), PIPE) == pytest.approx(math.pi * 0.125, rel=1e-12)
-    assert wetted_perimeter(WaterLevel(0.250), PIPE) == pytest.approx(math.pi * 0.250, rel=1e-12)
+def test_reynolds_excludes_the_free_surface():
+    # at half pipe the wetted wall is the half circle pi D / 2, without the free surface
+    # of width D: D_h = 4 (pi D^2 / 8) / (pi D / 2) = D, and Re = (Q/A) D / nu = 8Q / (pi D nu)
+    expected = 8.0 * 0.004 / (math.pi * 0.250 * KINEMATIC_VISCOSITY)
+    assert reynolds(0.004, WaterLevel(0.125), PIPE) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("level", [0.0, 1e-300, 6e-18])
+def test_reynolds_refuses_a_flow_with_no_wetted_wall(level):
+    # the wetted angle is 0 wherever 1 - 2H/D rounds to 1: reynolds divided by it
+    assert wetted_angle(WaterLevel(level), PIPE) == 0.0
+    with pytest.raises(OutOfRangeError, match=f"^Reynolds number undefined at level {level:g} "
+                                              "m: no wetted wall$"):
+        reynolds(0.001, WaterLevel(level), PIPE)
+    assert reynolds(0.0, WaterLevel(level), PIPE) == 0.0
 
 
 def test_reynolds_reference_conditions():
-    assert 2.9e4 <= reynolds(0.002, WaterLevel(0.065), PIPE) <= 3.1e4
-    assert 6.8e4 <= reynolds(0.006, WaterLevel(0.100), PIPE) <= 7.2e4
+    # the 2 and 6 L/s points of the loop, bit for bit as (Q/A) * (4A/P) / nu gave them
+    assert reynolds(0.002, WaterLevel(0.065), PIPE) == 29902.58445208801
+    assert reynolds(0.006, WaterLevel(0.100), PIPE) == 70101.72898545093
     assert reynolds(0.0, WaterLevel(0.065), PIPE) == 0.0
 
 
