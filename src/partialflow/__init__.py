@@ -18,16 +18,16 @@ import types
 _EXPORTS = {
     "calibration": ("ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"),
-    "clogging": ("AlarmEvent", "Debounce", "DecisionBoundary", "Verdict", "classify"),
-    "config": ("EntropyParams", "FitResult", "FpcfPolynomial", "RunConfig", "default_config",
-               "load_config", "parse_config"),
+    "clogging": ("AlarmEvent", "Debounce", "Verdict", "classify"),
+    "config": ("ChordSpec", "DecisionBoundary", "EntropyParams", "FitResult", "FpcfPolynomial",
+               "RunConfig", "default_config", "load_config", "parse_config"),
     "errors": ("ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
                "OutOfRangeError", "PartialFlowError", "QuadratureError"),
     "fpcf": ("fit_polynomial", "fpcf", "mean_area_velocity", "mean_chord_velocity",
              "tabulate_fpcf"),
     "geometry": ("PipeGeometry", "WaterLevel", "chord_half_width", "reynolds", "segment_area"),
-    "measurement": ("ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
-                    "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"),
+    "measurement": ("ChordReading", "EstimateStatus", "FrameDiagnostic", "SensorFrame",
+                    "line_velocity", "process_lines", "write_frame_rows"),
     "profile": ("DipPositionPoly", "ProfileModel", "ProfilePoint", "normalized_velocity",
                 "profile_grid"),
     "quadrature": ("QuadratureSpec", "adaptive_integrate"),

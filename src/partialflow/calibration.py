@@ -111,6 +111,9 @@ def error_table(trials: Sequence[TrialRecord], k_cal: float) -> ErrorTable:
         raise OutOfRangeError(f"k_cal must be finite and positive, got {k_cal!r}")
     by_label: dict[str, list[TrialRecord]] = {}
     for t in trials:
+        if not math.isfinite(k_cal * t.q_meas_lps):  # else percent_error names the product
+            raise OutOfRangeError(f"k_cal * q_meas_lps must be finite, got {k_cal!r} * "
+                                  f"{t.q_meas_lps!r} (segment {t.segment_id}, flow {t.flow_label})")
         by_label.setdefault(t.flow_label, []).append(t)
     rows = []
     for label, group in by_label.items():

@@ -203,11 +203,12 @@ def cmd_simulate(args) -> int:
 
     config = load_config(args.config)
     level = args.level_mm if args.level_mm is not None else baseline_level_mm(args.flow_lps)
-    if args.level_mm is not None:  # refused by the level's records, named as in profile
-        try:
+    flag, value = ("--flow-lps", args.flow_lps) if args.level_mm is None else ("--level-mm", level)
+    if flag == "--level-mm" or 0 <= value < math.inf:  # else ScenarioSpec names the flow
+        try:  # refused by the level's records, named by the flag that set it, as in profile
             WaterLevel(level / 1000.0).check_against(config.pipe)
         except OutOfRangeError as exc:
-            raise OutOfRangeError(f"{exc} for --level-mm {level:g}") from None
+            raise OutOfRangeError(f"{exc} for {flag} {value:g}") from None
     if not 0 <= (noise := vars(args).get("noise_ns", 0.0)) < math.inf:  # as typed, not in s
         raise PartialFlowError(f"--noise-ns must be finite and non-negative, got {noise:g}")
     # a flag left out is not in args, and its field keeps ScenarioSpec's default

@@ -5,30 +5,8 @@ plus the debounced alarm state machine driven by the stream processor.
 import math
 from enum import Enum
 
-from ._record import record
+from .config import DecisionBoundary
 from .errors import OutOfRangeError
-
-
-@record
-class DecisionBoundary:
-    """v_threshold(H) = slope * H + intercept, H in mm, v in m/s.
-
-    Defaults reproduce the boundary calibrated for the reference rig;
-    any other installation should re-fit and configure its own.
-    """
-
-    slope_mps_per_mm: float = 0.00321
-    intercept_mps: float = -0.02
-
-    def __post_init__(self):
-        if not 0 < self.slope_mps_per_mm < math.inf:
-            raise OutOfRangeError(
-                f"boundary slope must be finite and positive, got {self.slope_mps_per_mm!r}")
-        if not math.isfinite(self.intercept_mps):
-            raise OutOfRangeError(f"boundary intercept must be finite, got {self.intercept_mps!r}")
-
-    def threshold(self, level_mm: float) -> float:
-        return self.slope_mps_per_mm * level_mm + self.intercept_mps
 
 
 class Verdict(Enum):

@@ -11,10 +11,8 @@ from typing import Optional
 
 from ._record import record
 from .calibration import _decimal
-from .clogging import DecisionBoundary
 from .errors import ConfigError, OutOfRangeError
 from .geometry import PipeGeometry, chord_half_width
-from .measurement import ChordSpec
 
 # The reference rig: a 250 mm pipe, its chords crossed at 45 degrees.
 _PIPE_DIAMETER_MM = 250.0
@@ -67,6 +65,53 @@ class FpcfPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * level_mm + c
         return acc
+
+
+@record
+class ChordSpec:
+    """One acoustic path: height above the bottom, path length, beam angle."""
+
+    chord_id: str
+    height_mm: float
+    path_length_m: float
+    beam_angle_rad: float
+    weight: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.height_mm < math.inf:
+            raise OutOfRangeError(
+                f"chord height must be finite and positive, got {self.height_mm!r}")
+        if not 0 < self.path_length_m < math.inf:
+            raise OutOfRangeError(
+                f"path length must be finite and positive, got {self.path_length_m!r}")
+        if not 0 < self.beam_angle_rad < math.pi / 2:
+            raise OutOfRangeError(
+                f"beam angle must lie in (0, pi/2), got {self.beam_angle_rad!r}"
+            )
+        if not 0 <= self.weight < math.inf:
+            raise OutOfRangeError(f"chord weight must be finite, non-negative, got {self.weight!r}")
+
+
+@record
+class DecisionBoundary:
+    """v_threshold(H) = slope * H + intercept, H in mm, v in m/s.
+
+    Defaults reproduce the boundary calibrated for the reference rig;
+    any other installation should re-fit and configure its own.
+    """
+
+    slope_mps_per_mm: float = 0.00321
+    intercept_mps: float = -0.02
+
+    def __post_init__(self):
+        if not 0 < self.slope_mps_per_mm < math.inf:
+            raise OutOfRangeError(
+                f"boundary slope must be finite and positive, got {self.slope_mps_per_mm!r}")
+        if not math.isfinite(self.intercept_mps):
+            raise OutOfRangeError(f"boundary intercept must be finite, got {self.intercept_mps!r}")
+
+    def threshold(self, level_mm: float) -> float:
+        return self.slope_mps_per_mm * level_mm + self.intercept_mps
 
 
 FitResult = namedtuple("FitResult", "polynomial rms_residual max_residual")

@@ -16,41 +16,16 @@ from collections import namedtuple
 from enum import Enum
 from typing import Iterable, Iterator
 
-from ._record import record
 from .calibration import _decimal
 from .clogging import Debounce
-from .errors import ConfigError, InvalidTimesError, OutOfRangeError
+from .config import ChordSpec
+from .errors import ConfigError, InvalidTimesError
 from .geometry import WaterLevel, segment_area
 
 FRAME_CSV_HEADER = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm"
 # The levels whose values, and whose record templates in ``cli.cmd_process``, are kept:
 # bounded for a log with a new level each frame.
 LEVELS_KEPT = 1024
-
-
-@record
-class ChordSpec:
-    """One acoustic path: height above the bottom, path length, beam angle."""
-
-    chord_id: str
-    height_mm: float
-    path_length_m: float
-    beam_angle_rad: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.height_mm < math.inf:
-            raise OutOfRangeError(
-                f"chord height must be finite and positive, got {self.height_mm!r}")
-        if not 0 < self.path_length_m < math.inf:
-            raise OutOfRangeError(
-                f"path length must be finite and positive, got {self.path_length_m!r}")
-        if not 0 < self.beam_angle_rad < math.pi / 2:
-            raise OutOfRangeError(
-                f"beam angle must lie in (0, pi/2), got {self.beam_angle_rad!r}"
-            )
-        if not 0 <= self.weight < math.inf:
-            raise OutOfRangeError(f"chord weight must be finite, non-negative, got {self.weight!r}")
 
 
 class EstimateStatus(Enum):
@@ -127,8 +102,8 @@ def _frames(lines: Iterable[str], config) -> Iterator:
 
     def close():
         """The open frame's ``Frame``, or its diagnostic if its level does not fit the
-        pipe: each wet chord's velocity by ``line_velocity``'s rule, in the operation
-        order the sums always had."""
+        pipe or its flow in L/s is not finite: each wet chord's velocity by
+        ``line_velocity``'s rule, in the operation order the sums always had."""
         if kind is None:
             return FrameDiagnostic(f"level {frame_level!r} {misfit}", frame_ts)
         area, fpcf, status, no_v_status, wet, threshold = kind
@@ -141,9 +116,13 @@ def _frames(lines: Iterable[str], config) -> Iterator:
                     den += weight
         if den > 0:
             v = num / den
+            flow = k_cal * fpcf * v * area
+            if not isfinite(1000.0 * flow):  # in L/s, the unit every record of it carries
+                return FrameDiagnostic(f"flow k_cal * fpcf * v_line * area = {k_cal!r} * {fpcf!r}"
+                                       f" * {v!r} * {area!r} is not finite in L/s", frame_ts)
             clog = v < threshold
-            return new(Frame, (frame_ts, frame_level, v, area, fpcf, k_cal * fpcf * v * area,
-                               status, clog, alarm(clog)))
+            return new(Frame, (frame_ts, frame_level, v, area, fpcf, flow, status, clog,
+                               alarm(clog)))
         return new(Frame, (frame_ts, frame_level, nan, area, 1.0, nan, no_v_status, None, None))
 
     # the ts and level texts of the last rows read, and their values
@@ -210,11 +189,11 @@ def process_lines(lines: Iterable[str], config) -> Iterator:
     unreadable, not a chord id (``path_a``). Unreadable rows, rows with no finite
     timestamp or whose level differs from their frame's first row, an unknown chord's
     row and a chord's second row become diagnostics; the rest of the frame counts. A
-    frame whose level does not fit the pipe becomes a diagnostic in its place. Wet
-    chords whose times ``line_velocity`` accepts count, summed in configuration order; a frame
-    without any leaves the alarm state untouched. A level outside the polynomial's
-    validity range, or where its value is not finite and positive, gets FPCF = 1 and
-    ``fpcf_out_of_range``.
+    frame whose level does not fit the pipe, or whose flow in L/s is not finite, becomes
+    a diagnostic in its place and steps no alarm. Wet chords whose times ``line_velocity``
+    accepts count, summed in configuration order; a frame without any leaves the alarm
+    state untouched. A level outside the polynomial's validity range, or where its value
+    is not finite and positive, gets FPCF = 1 and ``fpcf_out_of_range``.
     """
     if config.fpcf_derive and config.poly is None:
         raise ConfigError("fpcf.derive = true: pass the config through resolve_polynomial first")

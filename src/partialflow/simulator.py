@@ -13,11 +13,11 @@ from enum import Enum
 from typing import Iterable
 
 from ._record import record
-from .config import EntropyParams
+from .config import ChordSpec, EntropyParams
 from .errors import OutOfRangeError
 from .fpcf import fpcf
 from .geometry import PipeGeometry, WaterLevel, segment_area
-from .measurement import ChordReading, ChordSpec, SensorFrame
+from .measurement import ChordReading, SensorFrame
 from .profile import ProfileModel
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 
@@ -69,6 +69,9 @@ class ScenarioSpec:
         if not 0 < self.frame_interval_s < math.inf:
             raise OutOfRangeError(
                 f"frame interval must be finite and positive, got {self.frame_interval_s!r}")
+        if not (self.frame_count - 1) * self.frame_interval_s < math.inf:
+            raise OutOfRangeError("last timestamp (frame count - 1) * frame interval must be "
+                                  f"finite, got {self.frame_count - 1} * {self.frame_interval_s!r}")
         if self.seed < 0:
             raise OutOfRangeError(f"seed must be non-negative, got {self.seed!r}")
 

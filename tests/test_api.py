@@ -16,16 +16,16 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 EXPORTS = {
     "calibration": ["ErrorTable", "TrialRecord", "calibration_factor", "error_table", "fwme",
                     "percent_error", "repeatability"],
-    "clogging": ["AlarmEvent", "Debounce", "DecisionBoundary", "Verdict", "classify"],
-    "config": ["EntropyParams", "FitResult", "FpcfPolynomial", "RunConfig", "default_config",
-               "load_config", "parse_config"],
+    "clogging": ["AlarmEvent", "Debounce", "Verdict", "classify"],
+    "config": ["ChordSpec", "DecisionBoundary", "EntropyParams", "FitResult", "FpcfPolynomial",
+               "RunConfig", "default_config", "load_config", "parse_config"],
     "errors": ["ConfigError", "DegenerateProfileError", "DryPathError", "InvalidTimesError",
                "OutOfRangeError", "PartialFlowError", "QuadratureError"],
     "fpcf": ["fit_polynomial", "fpcf", "mean_area_velocity", "mean_chord_velocity",
              "tabulate_fpcf"],
     "geometry": ["PipeGeometry", "WaterLevel", "chord_half_width", "reynolds", "segment_area"],
-    "measurement": ["ChordReading", "ChordSpec", "EstimateStatus", "FrameDiagnostic",
-                    "SensorFrame", "line_velocity", "process_lines", "write_frame_rows"],
+    "measurement": ["ChordReading", "EstimateStatus", "FrameDiagnostic", "SensorFrame",
+                    "line_velocity", "process_lines", "write_frame_rows"],
     "profile": ["DipPositionPoly", "ProfileModel", "ProfilePoint", "normalized_velocity",
                 "profile_grid"],
     "quadrature": ["QuadratureSpec", "adaptive_integrate"],
@@ -74,6 +74,16 @@ def test_name_is_its_modules_object(module, name):
     obj = getattr(partialflow, name)
     assert obj is getattr(importlib.import_module(f"partialflow.{module}"), name)
     assert obj.__module__ == f"partialflow.{module}"
+
+
+def test_frame_and_alarm_layers_read_their_records_from_config():
+    """Every run record is config's: measurement and clogging define none, and import the
+    chord and the decision boundary their rules take."""
+    from partialflow import clogging, measurement
+
+    assert partialflow.ChordSpec is measurement.ChordSpec
+    assert partialflow.DecisionBoundary is clogging.DecisionBoundary
+    assert not hasattr(measurement, "record") and not hasattr(clogging, "record")
 
 
 @pytest.mark.parametrize("module,name", REMOVED)

@@ -1129,6 +1129,22 @@ HOSTILE = {  # id: (config text or None, argv, exit code, the one line on stderr
                                                                  "{empty}"], 2,
                                 "config error: path length must be finite and positive, got "
                                 "0.0 for chord.a.height_mm = 1e-298"),
+    # 12 of 30 frames were written at ts=inf, each of whose rows process drops
+    "interval_overflows": (None, ["simulate", "--flow-lps", "3", "--interval", "1e307",
+                                  "--frames", "30"], 1,
+                           "error: last timestamp (frame count - 1) * frame interval must be "
+                           "finite, got 29 * 1e+307"),
+    # a baseline level that the flow puts past the crown, or at inf, named no flag
+    "flow_past_the_crown": (None, ["simulate", "--flow-lps", "1e10"], 1,
+                            "error: water level 8.75e+07 m exceeds pipe diameter 0.25 m "
+                            "for --flow-lps 1e+10"),
+    "flow_level_overflows": (None, ["simulate", "--flow-lps", "1e308"], 1,
+                             "error: water level must be finite, non-negative, got inf "
+                             "for --flow-lps 1e+308"),
+    # "measured flow must be finite, got inf": the product, which no input holds
+    "k_cal_times_flow_overflows": (None, ["metrics", "--trials", "{huge}", "--k-cal", "10"], 1,
+                                   "error: k_cal * q_meas_lps must be finite, got 10.0 * "
+                                   "1e+308 (segment 1, flow 2)"),
 }
 
 
@@ -1146,7 +1162,9 @@ def test_hostile_input_is_refused_in_one_line(capsys, tmp_path, text, argv, code
     exactly as ``--flag=value``. Only argparse's own refusal prints its usage first."""
     (tmp_path / "trials.csv").write_text("1,2,2.0,2.02\n1,4,4.0,4.05\n")
     (tmp_path / "empty.csv").write_text("")
-    argv = [a.format(trials=tmp_path / "trials.csv", empty=tmp_path / "empty.csv") for a in argv]
+    (tmp_path / "huge.csv").write_text("1,2,2.0,1e308\n")
+    argv = [a.format(trials=tmp_path / "trials.csv", empty=tmp_path / "empty.csv",
+                     huge=tmp_path / "huge.csv") for a in argv]
     if text is not None:
         (tmp_path / "run.cfg").write_text(text)
         argv[1:1] = ["--config", str(tmp_path / "run.cfg")]

@@ -759,3 +759,35 @@ def test_what_a_level_sets_is_worked_out_once_per_value(monkeypatch):
     ] * 4
     assert [math.copysign(1.0, i.level) for i in items if type(i) is Frame and not i.level] == [
         1.0, -1.0] * 4
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["fit_document", "no_config"])
+def test_flow_that_overflows_in_lps_is_a_diagnostic(stored, full_range_fit, tmp_path, capsys):
+    """A flow finite in m3/s but not in L/s, the unit of every record, gives a diagnostic
+    in its frame's place and steps no alarm: it printed ``q_lps=inf status=ok`` and exited
+    0, and reset the clogging count of the frames around it."""
+    from partialflow.cli import main
+    from partialflow.config import format_fit_document
+
+    head = "timestamp_s,chord_id,t_up_ns,t_down_ns,level_mm\n"
+    overflow = "".join(f"1.0,{c},1e-299,1e9,73.75\n" for c in "ab")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(format_fit_document(full_range_fit) if stored else "")
+    frames = tmp_path / "frames.csv"
+    frames.write_text(head + overflow)
+    assert main(["process", "--config", str(cfg), "--frames", str(frames)]) == 1
+    out, err = capsys.readouterr()
+    line, summary = out.splitlines()
+    assert line.startswith("diagnostic ts=1.0 detail='flow k_cal * fpcf * v_line * area = 1.0 * ")
+    assert line.endswith(" * 2.0000000000000005e+307 * 0.012099800007230124 is not finite in L/s'")
+    assert summary == "summary frames=0 diagnostics=1 alarms=0 clears=0"
+    assert err == "error: no frame in the input could be estimated\n"
+
+    # debounce 2: two clogging frames raise the alarm, with the overflow between them
+    config = parse_config(cfg.read_text() + "clog.debounce = 2\n")
+    t_up, t_down = transit_times(0.1, config.chords[0], 1480.0)
+    clogging = "".join(f"{{ts}},{c},{t_up * 1e9!r},{t_down * 1e9!r},73.75\n" for c in "ab")
+    text = clogging.format(ts="0.0") + overflow + clogging.format(ts="2.0")
+    items = list(process_lines(io.StringIO(text), config))
+    assert [type(i) for i in items] == [Frame, FrameDiagnostic, Frame]
+    assert [(i.clog, i.event) for i in items[::2]] == [(True, None), (True, AlarmEvent.RAISED)]

@@ -304,8 +304,23 @@ def test_process_loads_only_the_run_time_layers(tmp_path):
 
 
 def test_config_import_loads_no_fpcf_stack():
-    assert not {"partialflow.fpcf", "partialflow.profile", "partialflow.quadrature"} & {
-        *_graph()}
+    """Every run record lives in config, which loads no frame, alarm or FPCF layer."""
+    assert _graph() == ["partialflow", *(f"partialflow.{layer}" for layer in (
+        "_record", "calibration", "config", "errors", "geometry"))]
+
+
+@pytest.mark.parametrize("argv", [["fpcf"], ["fit", "--table", None],
+                                  ["profile", "--level-mm", "100"]], ids=["fpcf", "fit", "profile"])
+def test_design_commands_load_no_frame_or_alarm_layer(argv, tmp_path):
+    """The FPCF table, its fit and the profile grid read config's records, not the frame
+    layer (measurement) or the alarm layer (clogging)."""
+    from partialflow.cli import main
+
+    table = tmp_path / "table.csv"
+    assert main(["fpcf", "--out", str(table)]) == 0
+    loaded = _graph(*(arg or str(table) for arg in argv))
+    assert "partialflow.fpcf" in loaded
+    assert not {"partialflow.measurement", "partialflow.clogging"} & {*loaded}
 
 
 # Runs the program the way ``python -m partialflow.cli`` does, or the way the
