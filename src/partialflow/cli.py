@@ -209,8 +209,8 @@ def cmd_simulate(args) -> int:
             WaterLevel(level / 1000.0).check_against(config.pipe)
         except OutOfRangeError as exc:
             raise OutOfRangeError(f"{exc} for {flag} {value:g}") from None
-    if not 0 <= (noise := vars(args).get("noise_ns", 0.0)) < math.inf:  # as typed, not in s
-        raise PartialFlowError(f"--noise-ns must be finite and non-negative, got {noise:g}")
+    if "noise_ns" in args and not 0 <= args.noise_ns < math.inf:  # as typed, not in s
+        raise PartialFlowError(f"--noise-ns must be finite and non-negative, got {args.noise_ns:g}")
     # a flag left out is not in args, and its field keeps ScenarioSpec's default
     given = {field: convert(getattr(args, flag)) for flag, field, convert in (
         ("weir", "weir", WeirMode), ("noise_ns", "noise_sigma_s", lambda ns: ns * 1e-9),

@@ -6,6 +6,7 @@ left out takes the default of the record field it sets.
 """
 
 import math
+import sys
 from collections import namedtuple
 from typing import Optional
 
@@ -117,20 +118,19 @@ class DecisionBoundary:
 FitResult = namedtuple("FitResult", "polynomial rms_residual max_residual")
 
 
-def table_levels(h_min_mm: float, h_max_mm: float, step_mm: float) -> list[float]:
-    """The levels ``fpcf.tabulate_fpcf`` takes from h_min to h_max in steps of step; the
-    last, which the count's slack can round past h_max, is taken at it."""
-    count = int((h_max_mm - h_min_mm) / step_mm + 1e-9) + 1
-    return [min(h_min_mm + k * step_mm, h_max_mm) for k in range(count)]
-
-
-def lowest_chord_mm(config) -> float:
-    """The height of a ``RunConfig``'s lowest chord, where its FPCF table is taken,
-    checked to lie at or below ``fpcf.h_min_mm``: below it the chord is dry."""
-    lowest, lo = min(c.height_mm for c in config.chords), config.fpcf_h_min_mm
+def table_levels(config) -> tuple[float, list[float]]:
+    """A ``RunConfig``'s lowest chord height and FPCF table levels, ``fpcf.h_min_mm`` to
+    ``fpcf.h_max_mm`` by ``fpcf.step_mm`` (the last, which the count's slack can round
+    past h_max, at it). Refused first: ``fpcf.h_min_mm`` below that chord, where it is
+    dry, and over 100000 levels, more than a list or a derived table should hold."""
+    lowest = min(c.height_mm for c in config.chords)
+    lo, hi, step = config.fpcf_h_min_mm, config.fpcf_h_max_mm, config.fpcf_step_mm
     if lo < lowest:
         raise ConfigError(f"fpcf.h_min_mm = {lo:g} lies below the lowest chord at {lowest:g} mm")
-    return lowest
+    if not (hi - lo) / step < 1e5:
+        raise ConfigError(f"fpcf.step_mm = {step:g} gives the FPCF table over 100000 levels")
+    count = int((hi - lo) / step + 1e-9) + 1
+    return lowest, [min(lo + k * step, hi) for k in range(count)]
 
 
 @record
@@ -168,9 +168,13 @@ class RunConfig:
                                   "non-empty, without commas, line breaks or end spaces")
         if len(set(ids)) < len(ids):
             raise ConfigError(f"chord ids must be unique, got {', '.join(ids)}")
-        if not any(c.weight for c in self.chords):
-            keys = ", ".join(f"chord.{i}.weight" for i in ids)
+        keys = ", ".join(f"chord.{i}.weight" for i in ids)
+        if not any(weights := [c.weight for c in self.chords]):
             raise ConfigError(f"every chord weight is 0 ({keys}): no chord counts toward the flow")
+        if not sum(weights) < math.inf or any(0 < w < sys.float_info.min for w in weights):
+            raise ConfigError(f"chord weights ({keys}) must each be 0 or at least "
+                              f"{sys.float_info.min!r}, with a finite sum: else a frame's mean "
+                              "velocity over them is lost")
         crown = 1000.0 * self.pipe.diameter_m
         for c in self.chords:
             if c.height_mm > crown:
@@ -188,14 +192,11 @@ class RunConfig:
             raise ConfigError(f"fpcf.step_mm must be finite and positive, got {step!r}")
         if self.poly is None and not self.fpcf_derive:
             return
-        lowest_chord_mm(self)  # a parsed or a derived polynomial starts at fpcf.h_min_mm
+        levels = table_levels(self)[1]  # a parsed or a derived polynomial starts at h_min_mm
         heights = sorted({c.height_mm for c in self.chords})
         if len(heights) > 1:
             raise ConfigError("one FPCF polynomial corrects chords at one height only, got "
                               f"chords at {', '.join(f'{h:g}' for h in heights)} mm")
-        if not (hi - lo) / step < 1e5:  # the list of levels, and a derived table, must fit
-            raise ConfigError(f"fpcf.step_mm = {step:g} gives the FPCF table over 100000 levels")
-        levels = table_levels(lo, hi, step)
         if self.fpcf_derive and len(levels) <= POLY_DEGREE:
             raise ConfigError(f"fpcf.derive = true needs more than {POLY_DEGREE} levels, got "
                               f"{len(levels)} from fpcf.h_min_mm = {lo:g}, fpcf.h_max_mm = {hi:g} "

@@ -11,7 +11,7 @@ import math
 import sys
 from operator import mul
 
-from .config import POLY_DEGREE, FitResult, FpcfPolynomial, lowest_chord_mm, table_levels
+from .config import POLY_DEGREE, FitResult, FpcfPolynomial, table_levels
 from .errors import (ConfigError, DegenerateProfileError, DryPathError, OutOfRangeError,
                      PartialFlowError)
 from .geometry import WaterLevel, chord_half_width, segment_area
@@ -95,13 +95,13 @@ def fpcf(
 
 def tabulate_fpcf(config) -> list[tuple[float, float]]:
     """A ``RunConfig``'s ``(level_mm, fpcf)`` table: at the lowest chord, from
-    ``fpcf.h_min_mm`` to ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm`` (``table_levels``),
-    a range the config has checked. A level with no FPCF is the config's to change,
-    so it is a ConfigError that names the setting to change: the range if a level
-    above the first fails, else the profile."""
-    chord_mm, lo, hi = lowest_chord_mm(config), config.fpcf_h_min_mm, config.fpcf_h_max_mm
+    ``fpcf.h_min_mm`` to ``fpcf.h_max_mm`` in steps of ``fpcf.step_mm``, as
+    ``config.table_levels`` gives and checks them. A level with no FPCF is the config's
+    to change, so it is a ConfigError that names the setting to change: the range if a
+    level above the first fails, else the profile."""
+    (chord_mm, levels), lo, hi = table_levels(config), config.fpcf_h_min_mm, config.fpcf_h_max_mm
     table = []
-    for k, level_mm in enumerate(table_levels(lo, hi, config.fpcf_step_mm)):
+    for k, level_mm in enumerate(levels):
         try:
             model = ProfileModel(config.pipe, WaterLevel(level_mm / 1000.0), config.params)
             table.append((level_mm, fpcf(model, chord_mm / 1000.0, config.quad)))

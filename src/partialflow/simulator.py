@@ -9,6 +9,7 @@ flow, emulating backwater from a downstream obstruction.
 
 import math
 import random
+import sys
 from enum import Enum
 from typing import Iterable
 
@@ -66,6 +67,8 @@ class ScenarioSpec:
             raise OutOfRangeError(f"level must be finite and non-negative, got {self.level_mm!r}")
         if self.frame_count < 1:
             raise OutOfRangeError(f"frame count must be >= 1, got {self.frame_count!r}")
+        if self.frame_count > sys.float_info.max:  # a timestamp is its index, a float, * interval
+            raise OutOfRangeError(f"frame count must fit in a float, got {self.frame_count!r}")
         if not 0 < self.frame_interval_s < math.inf:
             raise OutOfRangeError(
                 f"frame interval must be finite and positive, got {self.frame_interval_s!r}")

@@ -59,7 +59,7 @@ REMOVED = [("cli", "_chunk_records"), ("cli", "_diagnostic_record"), ("clogging"
            ("profile", "point_velocity"), ("fpcf", "point_fpcf"),
            ("quadrature", "unit_integrate"), ("quadrature", "point_integrate"),
            ("clogging", "AlarmState"), ("geometry", "hydraulic_diameter"),
-           ("geometry", "wetted_perimeter")]
+           ("geometry", "wetted_perimeter"), ("config", "lowest_chord_mm")]
 
 
 def test_all_lists_the_public_names():

@@ -1089,6 +1089,13 @@ VANISHING_CHORD = ("chord.a.height_mm = 1e-297\nchord.a.path_length_m = 0.3\n"
 VANISHING_FPCF = ("config error: FPCF tabulation failed at H = 1e-297 mm: area mean undefined "
                   "for an empty pipe; the profile (entropy.m = 0.89, entropy.q = 1.15) gives "
                   "none at the first level, fpcf.h_min_mm (1e-297)")
+WEIGHTS = ("chord.a.height_mm = 50\nchord.a.weight = {a}\n"
+           "chord.b.height_mm = 50\nchord.b.weight = {b}\n")
+WEIGHTS_LINE = ("config error: chord weights (chord.a.weight, chord.b.weight) must each be 0 or "
+                "at least 2.2250738585072014e-308, with a finite sum: else a frame's mean "
+                "velocity over them is lost")
+STEP_LINE = "config error: fpcf.step_mm = {} gives the FPCF table over 100000 levels"
+
 HOSTILE = {  # id: (config text or None, argv, exit code, the one line on stderr)
     # a level whose wetted angle rounds to 0 has no area: each ended in ZeroDivisionError
     "profile_vanishing_level": (None, ["profile", "--level-mm", "1e-297"], 1,
@@ -1141,6 +1148,19 @@ HOSTILE = {  # id: (config text or None, argv, exit code, the one line on stderr
     "flow_level_overflows": (None, ["simulate", "--flow-lps", "1e308"], 1,
                              "error: water level must be finite, non-negative, got inf "
                              "for --flow-lps 1e+308"),
+    # the weights' sum overflowed, or a subnormal weight lost v: q_lps=0.0 status=ok and an alarm
+    "weights_sum_overflows": (WEIGHTS.format(a="1e308", b="1e308"), ["process", "--frames",
+                                                                     "{empty}"], 2, WEIGHTS_LINE),
+    "weight_subnormal": (WEIGHTS.format(a="5e-324", b="0"), ["process", "--frames", "{empty}"],
+                         2, WEIGHTS_LINE),
+    # with no polynomial, fpcf met no bound on its levels: a traceback, or a list without end
+    "fpcf_subnormal_step": ("fpcf.step_mm = 5e-324\n", ["fpcf"], 2,
+                            STEP_LINE.format("4.94066e-324")),
+    "fpcf_tiny_step": ("fpcf.step_mm = 1e-300\n", ["fpcf"], 2, STEP_LINE.format("1e-300")),
+    "fpcf_fine_step": ("fpcf.step_mm = 0.001\n", ["fpcf"], 2, STEP_LINE.format("0.001")),
+    # OverflowError: int too large to convert to float
+    "frames_past_a_float": (None, ["simulate", "--flow-lps", "3", "--frames", "1" + "0" * 310],
+                            1, "error: frame count must fit in a float, got 1" + "0" * 310),
     # "measured flow must be finite, got inf": the product, which no input holds
     "k_cal_times_flow_overflows": (None, ["metrics", "--trials", "{huge}", "--k-cal", "10"], 1,
                                    "error: k_cal * q_meas_lps must be finite, got 10.0 * "

@@ -128,6 +128,21 @@ class TestParsing:
                            "chord.b.height_mm = 50\nchord.b.weight = 0.5\n")
             assert [c.weight for c in config.chords] == [0.0, 0.5]
 
+    @parsed_and_direct("a,b", [("1e308", "1e308"), ("5e-324", "0"), ("1e-310", "1")],
+                       ids=["sum_overflows", "subnormal", "subnormal_beside_a_normal"])
+    def test_chord_weights_that_lose_the_mean_velocity_rejected(self, a, b, build):
+        # the sum of the weights overflowed to inf, or a subnormal weight times v lost its
+        # digits: every frame printed q_lps=0.0 status=ok, and a false alarm followed
+        message = ("chord weights (chord.a.weight, chord.b.weight) must each be 0 or at least "
+                   "2.2250738585072014e-308, with a finite sum: else a frame's mean velocity "
+                   "over them is lost")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(f"chord.a.height_mm = 50\nchord.a.weight = {a}\n"
+                  f"chord.b.height_mm = 50\nchord.b.weight = {b}\n")
+        config = build("chord.a.height_mm = 50\nchord.a.weight = 2.2250738585072014e-308\n"
+                       "chord.b.height_mm = 50\nchord.b.weight = 8.98e307\n")
+        assert [c.weight for c in config.chords] == [2.2250738585072014e-308, 8.98e307]
+
     @pytest.mark.parametrize("key", ["fpcf.rms_residual", "fpcf.max_residual"])
     def test_fit_residual_keys_are_unknown(self, key):
         with pytest.raises(ConfigError, match=f"unknown keys: {key}"):
@@ -321,7 +336,7 @@ class TestParsing:
         fpcf_module = importlib.import_module("partialflow.fpcf")
         monkeypatch.setattr(fpcf_module, "fpcf", lambda *args: 1.0)
         text = f"fpcf.h_max_mm = {h_max}\nfpcf.step_mm = {step}\n"
-        assert len(fpcf_module.table_levels(50.0, h_max, step)) == levels
+        assert len(fpcf_module.table_levels(parse_config(text))[1]) == levels
         assert len(fpcf_module.tabulate_fpcf(parse_config(text))) == levels
         if levels > 6:
             assert parse_config("fpcf.derive = true\n" + text).fpcf_derive
@@ -459,13 +474,20 @@ class TestParsing:
         ("fpcf.derive = true\nfpcf.step_mm = 5e-324", "4.94066e-324"),
         ("fpcf.derive = true\nfpcf.step_mm = 0.001", "0.001"),
         ("".join(f"fpcf.c{k} = 1.0\n" for k in range(7)) + "fpcf.step_mm = 0.001", "0.001"),
-    ], ids=["derive_subnormal_step", "derive_fine_step", "coefficients"])
+        ("fpcf.step_mm = 5e-324", "4.94066e-324"),
+        ("fpcf.step_mm = 1e-300", "1e-300"),
+        ("fpcf.step_mm = 0.001", "0.001"),
+    ], ids=["derive_subnormal_step", "derive_fine_step", "coefficients", "table_subnormal_step",
+            "table_tiny_step", "table_fine_step"])
     def test_level_grid_past_its_bound_rejected(self, text, step, build):
         # a subnormal step overflowed the level count ("cannot convert float infinity to
-        # integer"); a fine one is a list of levels as long as the range over the step
+        # integer"); a fine one is a list of levels as long as the range over the step.
+        # Without a polynomial the config let any step through to tabulate_fpcf
+        from partialflow.fpcf import tabulate_fpcf
+
         message = f"fpcf.step_mm = {step} gives the FPCF table over 100000 levels"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            build(text + "\n")
+            tabulate_fpcf(build(text + "\n"))
 
 
 class TestFitDocument:

@@ -89,10 +89,12 @@ class TestLineVelocity:
            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     @example(1e-191, 2e-191)  # the denominator underflows
     @example(5e-315, 1e9)  # v overflows
+    @example(1.0, 6.866023442450791e-300)  # v is finite, its flow in L/s is not
     def test_a_chord_counts_where_line_velocity_gives_a_velocity(self, up_ns, down_ns):
         """One rule for the frame path and ``line_velocity``: a pair that gives a finite
         float keeps the chord of a one-chord frame, with that velocity, and a pair that
-        raises ``InvalidTimesError`` leaves it out; nothing else is raised."""
+        raises ``InvalidTimesError`` leaves it out; nothing else is raised. A velocity
+        whose flow is not finite in L/s makes the frame a diagnostic that names it."""
         try:
             v = line_velocity(up_ns * 1e-9, down_ns * 1e-9, CHORD_A)
         except InvalidTimesError:
@@ -102,6 +104,11 @@ class TestLineVelocity:
         (frame,) = _items(f"0.0,a,{up_ns!r},{down_ns!r},85.0\n")
         if v is None:
             assert frame.status is EstimateStatus.INVALID_TIMES and math.isnan(frame.v_line)
+        elif type(frame) is FrameDiagnostic:
+            detail = frame.detail.removeprefix("flow k_cal * fpcf * v_line * area = ")
+            *factors, area = detail.removesuffix(" is not finite in L/s").split(" * ")
+            assert factors == ["1.0", "1.0", repr(v)]
+            assert not math.isfinite(1000.0 * (1.0 * 1.0 * v * float(area)))
         else:
             assert (frame.status, frame.v_line) == (EstimateStatus.OK, v)
 
