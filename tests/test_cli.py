@@ -1036,6 +1036,20 @@ def test_a_chord_id_no_frame_row_can_carry_exits_2(capsys, tmp_path):
                    "non-empty, without commas, line breaks or end spaces\n")
 
 
+@pytest.mark.parametrize("weight", [2.0 ** -498, 2.0 ** 498], ids=["smallest", "largest"])
+def test_chord_weights_at_their_bounds_print_the_mixed_log_as_it_stands(capsys, tmp_path,
+                                                                        weight):
+    """Only the weights' ratios count: equal powers of two near 1e-150 and 1e150, the
+    bounds ``RunConfig`` keeps them in, print what weights of 1 print, byte for byte."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((DATA / "mixed_stored.cfg").read_text()
+                   + WEIGHTS.format(a=repr(weight), b=repr(weight)))
+    code, out, err = run(capsys, "process", "--config", str(cfg),
+                         "--frames", str(DATA / "mixed_frames.csv"))
+    assert (code, err) == (0, "")
+    assert out == (DATA / "mixed_frames_stored.out").read_text(encoding="utf-8")
+
+
 def underscore_ids(tmp_path, polynomial):
     """``data/mixed_frames.csv`` with the chord fields ``a``, ``b`` and ``z`` renamed
     ``path_a``, ``path_b`` and ``path_z`` (a padded one keeps its spaces), and the config
@@ -1092,8 +1106,8 @@ VANISHING_FPCF = ("config error: FPCF tabulation failed at H = 1e-297 mm: area m
 WEIGHTS = ("chord.a.height_mm = 50\nchord.a.weight = {a}\n"
            "chord.b.height_mm = 50\nchord.b.weight = {b}\n")
 WEIGHTS_LINE = ("config error: chord weights (chord.a.weight, chord.b.weight) must each be 0 or "
-                "at least 2.2250738585072014e-308, with a finite sum: else a frame's mean "
-                "velocity over them is lost")
+                "from 1e-150 to 1e150: past that, a weight times a frame's velocity can "
+                "overflow or lose digits")
 STEP_LINE = "config error: fpcf.step_mm = {} gives the FPCF table over 100000 levels"
 
 HOSTILE = {  # id: (config text or None, argv, exit code, the one line on stderr)
@@ -1153,6 +1167,9 @@ HOSTILE = {  # id: (config text or None, argv, exit code, the one line on stderr
                                                                      "{empty}"], 2, WEIGHTS_LINE),
     "weight_subnormal": (WEIGHTS.format(a="5e-324", b="0"), ["process", "--frames", "{empty}"],
                          2, WEIGHTS_LINE),
+    # finite sum, but a frame on chord b faster than ~2 m/s gave v_line = inf, a diagnostic
+    "weight_times_velocity_overflows": (WEIGHTS.format(a="2.2250738585072014e-308", b="8.98e307"),
+                                        ["process", "--frames", "{empty}"], 2, WEIGHTS_LINE),
     # with no polynomial, fpcf met no bound on its levels: a traceback, or a list without end
     "fpcf_subnormal_step": ("fpcf.step_mm = 5e-324\n", ["fpcf"], 2,
                             STEP_LINE.format("4.94066e-324")),

@@ -128,20 +128,23 @@ class TestParsing:
                            "chord.b.height_mm = 50\nchord.b.weight = 0.5\n")
             assert [c.weight for c in config.chords] == [0.0, 0.5]
 
-    @parsed_and_direct("a,b", [("1e308", "1e308"), ("5e-324", "0"), ("1e-310", "1")],
-                       ids=["sum_overflows", "subnormal", "subnormal_beside_a_normal"])
+    @parsed_and_direct("a,b", [("1e308", "1e308"), ("5e-324", "0"), ("1e-310", "1"),
+                               ("2.2250738585072014e-308", "8.98e307"), ("1", "1e-151")],
+                       ids=["sum_overflows", "subnormal", "subnormal_beside_a_normal",
+                            "product_overflows", "below_the_range"])
     def test_chord_weights_that_lose_the_mean_velocity_rejected(self, a, b, build):
         # the sum of the weights overflowed to inf, or a subnormal weight times v lost its
-        # digits: every frame printed q_lps=0.0 status=ok, and a false alarm followed
-        message = ("chord weights (chord.a.weight, chord.b.weight) must each be 0 or at least "
-                   "2.2250738585072014e-308, with a finite sum: else a frame's mean velocity "
-                   "over them is lost")
+        # digits: every frame printed q_lps=0.0 status=ok, and a false alarm followed.
+        # 8.98e307 gave v_line = inf for a chord b faster than about 2 m/s
+        message = ("chord weights (chord.a.weight, chord.b.weight) must each be 0 or from "
+                   "1e-150 to 1e150: past that, a weight times a frame's velocity can overflow "
+                   "or lose digits")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             build(f"chord.a.height_mm = 50\nchord.a.weight = {a}\n"
                   f"chord.b.height_mm = 50\nchord.b.weight = {b}\n")
-        config = build("chord.a.height_mm = 50\nchord.a.weight = 2.2250738585072014e-308\n"
-                       "chord.b.height_mm = 50\nchord.b.weight = 8.98e307\n")
-        assert [c.weight for c in config.chords] == [2.2250738585072014e-308, 8.98e307]
+        config = build("chord.a.height_mm = 50\nchord.a.weight = 1e-150\n"
+                       "chord.b.height_mm = 50\nchord.b.weight = 1e150\n")
+        assert [c.weight for c in config.chords] == [1e-150, 1e150]
 
     @pytest.mark.parametrize("key", ["fpcf.rms_residual", "fpcf.max_residual"])
     def test_fit_residual_keys_are_unknown(self, key):
@@ -470,24 +473,29 @@ class TestParsing:
         with pytest.raises(ZeroDivisionError, match="^a bug$"):
             parse_config("")
 
-    @parsed_and_direct("text,step", [
-        ("fpcf.derive = true\nfpcf.step_mm = 5e-324", "4.94066e-324"),
-        ("fpcf.derive = true\nfpcf.step_mm = 0.001", "0.001"),
-        ("".join(f"fpcf.c{k} = 1.0\n" for k in range(7)) + "fpcf.step_mm = 0.001", "0.001"),
-        ("fpcf.step_mm = 5e-324", "4.94066e-324"),
-        ("fpcf.step_mm = 1e-300", "1e-300"),
-        ("fpcf.step_mm = 0.001", "0.001"),
+    @parsed_and_direct("text,step,tabulate", [
+        ("fpcf.derive = true\nfpcf.step_mm = 5e-324", "4.94066e-324", False),
+        ("fpcf.derive = true\nfpcf.step_mm = 0.001", "0.001", False),
+        ("".join(f"fpcf.c{k} = 1.0\n" for k in range(7)) + "fpcf.step_mm = 0.001", "0.001", False),
+        ("fpcf.step_mm = 5e-324", "4.94066e-324", True),
+        ("fpcf.step_mm = 1e-300", "1e-300", True),
+        ("fpcf.step_mm = 0.001", "0.001", True),
     ], ids=["derive_subnormal_step", "derive_fine_step", "coefficients", "table_subnormal_step",
             "table_tiny_step", "table_fine_step"])
-    def test_level_grid_past_its_bound_rejected(self, text, step, build):
+    def test_level_grid_past_its_bound_rejected(self, text, step, tabulate, build):
         # a subnormal step overflowed the level count ("cannot convert float infinity to
         # integer"); a fine one is a list of levels as long as the range over the step.
         # Without a polynomial the config let any step through to tabulate_fpcf
         from partialflow.fpcf import tabulate_fpcf
 
-        message = f"fpcf.step_mm = {step} gives the FPCF table over 100000 levels"
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            tabulate_fpcf(build(text + "\n"))
+        match = "^" + re.escape(f"fpcf.step_mm = {step} gives the FPCF table over 100000 levels")
+        if tabulate:  # no polynomial: the config holds the step, and the table refuses it
+            config = build(text + "\n")
+            with pytest.raises(ConfigError, match=match + "$"):
+                tabulate_fpcf(config)
+        else:  # a polynomial, parsed or derived, is taken over the levels: refused at build
+            with pytest.raises(ConfigError, match=match + "$"):
+                build(text + "\n")
 
 
 class TestFitDocument:
